@@ -18,8 +18,8 @@ from .norms import (NormEstimate, bergman_norm_disc, bergman_norm_reinhardt,
                     hardy_norm_disc, hardy_norm_reinhardt,
                     monotonicity_check)
 from .quadrature import (CircleRule, PolarDiscRule, RefinementReport,
-                         TorusRule, angular_floor, integrate_circle,
-                         integrate_disc, integrate_torus, refine_until)
+                         angular_floor, integrate_circle, integrate_disc,
+                         refine_until, torus_integrals, unit_nodes)
 from .registry import (FunctionRegistry, RegistryEntry, TaggedEvaluator,
                        default_registry, fa_entry, geometric_entry,
                        monomial_entry, polynomial_entry, product_entry)
@@ -33,10 +33,9 @@ from .series import (MultiIndexSeries, PartialSumReport, PowerSeries,
                      extract_coefficient, kernel_identity_check, partial_sum,
                      partial_sum_kernel, partial_sum_with_report,
                      series_from_json, series_to_json, square_partial_sum)
-from .witnesses import (IcQuery, IcRatioRow, IcValue, T1T2Split,
-                        T2BoundRatio, WitnessFa, blowup_lower_bound,
-                        blowup_schedule, eval_fa, eval_ic, fa_series,
-                        ic_asymptotic_ratio, ic_comparison,
+from .witnesses import (IcQuery, IcValue, T1T2Split, T2BoundRatio,
+                        WitnessFa, blowup_lower_bound, blowup_schedule,
+                        eval_fa, eval_ic, fa_series, ic_comparison,
                         t2_hardy_vs_bound)
 
 __version__ = "0.1.0"
@@ -51,9 +50,9 @@ __all__ = [
     "run_uniform_bound", "write_result",
     "NormEstimate", "bergman_norm_disc", "bergman_norm_reinhardt",
     "hardy_norm_disc", "hardy_norm_reinhardt", "monotonicity_check",
-    "CircleRule", "PolarDiscRule", "RefinementReport", "TorusRule",
-    "angular_floor", "integrate_circle", "integrate_disc",
-    "integrate_torus", "refine_until",
+    "CircleRule", "PolarDiscRule", "RefinementReport", "angular_floor",
+    "integrate_circle", "integrate_disc", "refine_until", "torus_integrals",
+    "unit_nodes",
     "FunctionRegistry", "RegistryEntry", "TaggedEvaluator",
     "default_registry", "fa_entry", "geometric_entry", "monomial_entry",
     "polynomial_entry", "product_entry",
@@ -66,8 +65,7 @@ __all__ = [
     "kernel_identity_check", "partial_sum", "partial_sum_kernel",
     "partial_sum_with_report", "series_from_json", "series_to_json",
     "square_partial_sum",
-    "IcQuery", "IcRatioRow", "IcValue", "T1T2Split", "T2BoundRatio",
-    "WitnessFa", "blowup_lower_bound", "blowup_schedule", "eval_fa",
-    "eval_ic", "fa_series", "ic_asymptotic_ratio", "ic_comparison",
-    "t2_hardy_vs_bound",
+    "IcQuery", "IcValue", "T1T2Split", "T2BoundRatio", "WitnessFa",
+    "blowup_lower_bound", "blowup_schedule", "eval_fa", "eval_ic",
+    "fa_series", "ic_comparison", "t2_hardy_vs_bound",
 ]

@@ -6,9 +6,13 @@ Exit code is 0 when all contracts hold, 1 when a contract is violated,
 2 when quadrature failed to converge.
 
 A JSON --config file supplies values for anything not given on the
-command line; recognized keys are tol, max_nodes, n_set, a_set, seed,
-eps_ladder, c_set, z_ladder, function, and domain (a mapping with kind,
-dim, and radii/radius/powers).  Explicit flags win over the file.
+command line; recognized keys are tol, max_nodes, n_set, a_set, seed and
+format, plus the keys of ``experiments.RUNNER_OPTIONS``: eps_ladder,
+c_set, z_ladder, function, and domain (a mapping with kind, dim, and
+radii/radius/powers).  Explicit flags win over the file.  A runner's keys
+are accepted by every command and read by the runners that take them,
+``all`` included; any other key is rejected.  The subcommands, and the
+runners ``all`` runs, are those of ``experiments.RUNNERS``.
 """
 
 from __future__ import annotations
@@ -18,13 +22,12 @@ import json
 import os
 import sys
 
-from .experiments import (RunConfig, run_a1_convergence, run_all, run_blowup,
-                          run_density, run_ic_asymptotics, run_reinhardt,
-                          run_uniform_bound, write_result)
-from .reinhardt import domain_from_config
+from .experiments import (RUNNER_OPTIONS, RUNNERS, RunConfig, run_all,
+                          runner_options, write_result)
 
-_COMMANDS = ("uniform-bound", "a1-converge", "blowup", "ic", "reinhardt",
-             "density", "all")
+_COMMANDS = (*RUNNERS, "all")
+_RUN_KEYS = ("tol", "max_nodes", "n_set", "a_set", "seed", "format")
+_OPTION_KEYS = set().union(*RUNNER_OPTIONS.values())
 
 
 def _parse_ints(text: str) -> tuple:
@@ -63,6 +66,12 @@ def _load_file_config(path: str | None) -> dict:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise SystemExit(f"config file {path} must hold a JSON object")
+    for key in cfg:
+        if key not in _RUN_KEYS and key not in _OPTION_KEYS:
+            raise SystemExit(f"config file {path}: no runner reads key {key!r}")
+    if cfg.get("format", "csv") not in ("csv", "json"):
+        raise SystemExit(f"config file {path}: key 'format' must be csv or "
+                         f"json, got {cfg['format']!r}")
     return cfg
 
 
@@ -86,35 +95,6 @@ def _build_config(args, fcfg: dict) -> RunConfig:
                      n_set_square=n_square, a_set=a_set, seed=int(seed))
 
 
-def _dispatch(cmd: str, cfg: RunConfig, fcfg: dict):
-    if cmd == "uniform-bound":
-        return run_uniform_bound(cfg)
-    if cmd == "a1-converge":
-        return run_a1_convergence(cfg)
-    if cmd == "blowup":
-        return run_blowup(cfg)
-    if cmd == "ic":
-        kw = {}
-        if "c_set" in fcfg:
-            kw["c_set"] = tuple(float(c) for c in fcfg["c_set"])
-        if "z_ladder" in fcfg:
-            kw["z_ladder"] = tuple(float(z) for z in fcfg["z_ladder"])
-        return run_ic_asymptotics(cfg, **kw)
-    if cmd == "reinhardt":
-        kw = {}
-        if "domain" in fcfg:
-            kw["domain"] = domain_from_config(fcfg["domain"])
-        if "function" in fcfg:
-            kw["function"] = fcfg["function"]
-        return run_reinhardt(cfg, **kw)
-    if cmd == "density":
-        kw = {}
-        if "eps_ladder" in fcfg:
-            kw["eps_ladder"] = tuple(float(e) for e in fcfg["eps_ladder"])
-        return run_density(cfg, **kw)
-    raise SystemExit(f"unknown command {cmd!r}")
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="hardylab",
@@ -128,11 +108,12 @@ def main(argv=None) -> int:
     fcfg = _load_file_config(args.config)
     cfg = _build_config(args, fcfg)
     fmt = args.fmt if args.fmt is not None else fcfg.get("format", "csv")
+    options = {k: v for k, v in fcfg.items() if k in _OPTION_KEYS}
 
     if args.command == "all":
         outdir = args.out if args.out != "-" else "hardylab-out"
         os.makedirs(outdir, exist_ok=True)
-        results = run_all(cfg)
+        results = run_all(cfg, **options)
         worst = 0
         for name, result in results.items():
             path = os.path.join(outdir, f"{name}.{fmt}")
@@ -141,7 +122,8 @@ def main(argv=None) -> int:
             worst = max(worst, result.exit_code)
         return worst
 
-    result = _dispatch(args.command, cfg, fcfg)
+    result = RUNNERS[args.command](
+        cfg, **runner_options(args.command, options))
     write_result(result, args.out, fmt)
     if args.out != "-":
         print(f"{result.name}: exit {result.exit_code} -> {args.out}")

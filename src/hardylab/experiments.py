@@ -16,6 +16,7 @@ axes multiply into the same product budget.
 
 from __future__ import annotations
 
+import inspect
 import json
 import time
 from dataclasses import dataclass, field
@@ -26,8 +27,8 @@ from .norms import (bergman_norm_disc, bergman_norm_reinhardt,
                     hardy_norm_disc, hardy_norm_reinhardt, monotonicity_check)
 from .registry import (FunctionRegistry, RegistryEntry, TaggedEvaluator,
                        default_registry, fa_entry)
-from .reinhardt import (ReinhardtDomain, density_experiment, frontier_sample,
-                        polydisc)
+from .reinhardt import (ReinhardtDomain, density_experiment,
+                        domain_from_config, frontier_sample, polydisc)
 from .series import _f17
 from .witnesses import (IcQuery, T1T2Split, WitnessFa, blowup_lower_bound,
                         blowup_schedule, eval_ic, ic_comparison,
@@ -38,6 +39,10 @@ DEFAULT_N_SET_SQUARE = (1, 2, 4, 8, 16, 32, 64)
 DEFAULT_A_SET = (0.0, 0.5, 0.9, 0.99, 0.999)
 DEFAULT_C_SET = (1.0, 0.5, 0.0, -0.5)
 DEFAULT_Z_LADDER = (0.9, 0.99, 0.999, 0.9999)
+A1_FUNCTIONS = ("fa-0.9", "const-1", "mono-1", "mono-2", "mono-5", "poly-3",
+                "poly-7", "poly-12")
+A1_FINAL_TOL = 1e-3
+MONOTONE_PAIRS = 100
 
 
 @dataclass(frozen=True)
@@ -95,12 +100,10 @@ def _plain(obj):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
     return obj
 
 
@@ -199,16 +202,13 @@ def run_uniform_bound(config: RunConfig | None = None,
 
 
 def run_a1_convergence(config: RunConfig | None = None,
-                       registry: FunctionRegistry | None = None,
-                       functions: tuple = ("fa-0.9", "const-1", "mono-1",
-                                           "mono-2", "mono-5", "poly-3",
-                                           "poly-7", "poly-12"),
-                       final_tol: float = 1e-3) -> ExperimentResult:
+                       registry: FunctionRegistry | None = None
+                       ) -> ExperimentResult:
     """Bergman error of partial sums: ||S_N f - f||_A1 down the N grid.
 
     For the extremal-family member the errors must decrease strictly from
-    N = 16 on and end below final_tol; polynomials must hit 1e-12 as soon
-    as N reaches their degree.
+    N = 16 on and end below A1_FINAL_TOL; polynomials must hit 1e-12 as
+    soon as N reaches their degree.
     """
     cfg = config or RunConfig()
     reg = registry or default_registry(cfg.seed)
@@ -217,7 +217,7 @@ def run_a1_convergence(config: RunConfig | None = None,
     all_ok = True
     fa_errs = {}
     poly_ok = True
-    for name in functions:
+    for name in A1_FUNCTIONS:
         entry = reg.get(name)
         for N in cfg.n_set:
             t0 = time.perf_counter()
@@ -242,9 +242,9 @@ def run_a1_convergence(config: RunConfig | None = None,
                                         in zip(tail, tail[1:]))
         at = dict(pairs)
         finals[name] = at.get(512, tail[-1][1] if tail else np.inf)
-    final_ok = all(v < final_tol for v in finals.values())
+    final_ok = all(v < A1_FINAL_TOL for v in finals.values())
     res.summary = {"fa_strictly_decreasing": bool(decreasing),
-                   "fa_final_errors": finals, "final_tol": final_tol,
+                   "fa_final_errors": finals, "final_tol": A1_FINAL_TOL,
                    "final_ok": bool(final_ok),
                    "polynomials_exact_ok": bool(poly_ok),
                    "all_converged": bool(all_ok)}
@@ -363,8 +363,7 @@ def run_ic_asymptotics(config: RunConfig | None = None,
 def run_reinhardt(config: RunConfig | None = None,
                   registry: FunctionRegistry | None = None,
                   domain: ReinhardtDomain | None = None,
-                  function: str = "prod-fa-0.9",
-                  monotone_pairs: int = 100) -> ExperimentResult:
+                  function: str = "prod-fa-0.9") -> ExperimentResult:
     """Square partial sums on a two-variable Reinhardt domain.
 
     Tabulates Bergman norms and errors of square truncations against the
@@ -406,19 +405,15 @@ def run_reinhardt(config: RunConfig | None = None,
     ratios = [row[5] for row in res.rows]
     errs = [row[6] for row in res.rows]
     # Plateau gate: over the last two doublings the ratio may grow <= 10%.
-    if len(ratios) >= 3:
-        base = ratios[-3]
-        tail_max = max(ratios[-2:])
-    else:
-        base = ratios[0]
-        tail_max = max(ratios)
+    base = ratios[-3] if len(ratios) >= 3 else ratios[0]
+    tail_max = max(ratios[-2:])
     plateau_ok = tail_max <= 1.10 * base
     final_err = errs[-1]
 
     rng = np.random.default_rng(cfg.seed)
     shells = frontier_sample(dom, 16).radii
     failures = 0
-    for _ in range(monotone_pairs):
+    for _ in range(MONOTONE_PAIRS):
         radii = shells[int(rng.integers(0, shells.shape[0]))]
         t_lo = float(rng.uniform(0.2, 0.85))
         t_hi = t_lo + float(rng.uniform(0.05, 0.13))
@@ -430,7 +425,7 @@ def run_reinhardt(config: RunConfig | None = None,
                    "plateau_tail_max": tail_max,
                    "plateau_ok": bool(plateau_ok), "final_err": final_err,
                    "final_err_ok": bool(final_err < 1e-2),
-                   "monotone_pairs": monotone_pairs,
+                   "monotone_pairs": MONOTONE_PAIRS,
                    "monotone_failures": failures,
                    "monotone_ok": bool(failures == 0),
                    "all_converged": bool(all_ok)}
@@ -481,14 +476,34 @@ RUNNERS = {"uniform-bound": run_uniform_bound,
            "density": run_density}
 
 
-def run_all(config: RunConfig | None = None) -> dict[str, ExperimentResult]:
+def _floats(values) -> tuple:
+    return tuple(float(v) for v in values)
+
+
+# The keyword arguments runners read from a config file, with the parser
+# that turns the file's JSON value into the argument.
+RUNNER_OPTIONS = {"ic": {"c_set": _floats, "z_ladder": _floats},
+                  "reinhardt": {"domain": domain_from_config,
+                                "function": str},
+                  "density": {"eps_ladder": _floats}}
+
+
+def runner_options(name: str, options: dict) -> dict:
+    """The keyword arguments runner ``name`` takes from ``options``."""
+    return {key: parse(options[key]) for key, parse
+            in RUNNER_OPTIONS.get(name, {}).items() if key in options}
+
+
+def run_all(config: RunConfig | None = None,
+            **options) -> dict[str, ExperimentResult]:
+    """Run every runner; each reads the ``options`` it takes, and the ones
+    that take a registry share one."""
     cfg = config or RunConfig()
     reg = default_registry(cfg.seed)
     out = {}
-    out["uniform-bound"] = run_uniform_bound(cfg, reg)
-    out["a1-converge"] = run_a1_convergence(cfg, reg)
-    out["blowup"] = run_blowup(cfg)
-    out["ic"] = run_ic_asymptotics(cfg)
-    out["reinhardt"] = run_reinhardt(cfg, reg)
-    out["density"] = run_density(cfg, reg)
+    for name, run in RUNNERS.items():
+        kw = runner_options(name, options)
+        if "registry" in inspect.signature(run).parameters:
+            kw["registry"] = reg
+        out[name] = run(cfg, **kw)
     return out

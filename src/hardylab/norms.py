@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import (_CHUNK, CircleRule, PolarDiscRule, angular_floor,
+from .quadrature import (CircleRule, PolarDiscRule, angular_floor,
                          dyadic_panels, _panel_gauss, integrate_circle,
-                         integrate_disc, refine_until)
+                         integrate_disc, refine_until, torus_integrals)
 from .reinhardt import ReinhardtDomain, frontier_sample, section_tops
 from .series import _f17
 
@@ -76,22 +76,26 @@ def _coordinate_spikes(f, spike, n):
     return (float(spike),) * n
 
 
-def _coordinate_floors(n, spikes, base_angular=None):
+def _coordinate_floors(f, spike, n):
     # Tensor grids in several variables get leaner per-axis floors to keep
     # the product budget workable.
     if n == 1:
-        base, scale = (base_angular or 4096), 64.0
+        base, scale = 4096, 64.0
     elif n == 2:
-        base, scale = (base_angular or 128), 16.0
+        base, scale = 128, 16.0
     else:
-        base, scale = (base_angular or 32), 8.0
-    return tuple(angular_floor(s, base=base, scale=scale) for s in spikes)
+        base, scale = 32, 8.0
+    return tuple(angular_floor(s, base=base, scale=scale)
+                 for s in _coordinate_spikes(f, spike, n))
+
+
+def _abs_power(f, p):
+    return lambda *z: np.abs(np.asarray(f(*z), dtype=np.complex128)) ** p
 
 
 def hardy_norm_disc(f, p: float = 1.0, tol: float = 1e-6, *,
                     k_max: int = 24, spike=None,
-                    max_nodes: int = 1 << 20,
-                    base_angular: int = 4096) -> NormEstimate:
+                    max_nodes: int = 1 << 20) -> NormEstimate:
     """Hardy p-norm of f on the unit disc via the dyadic radius ladder.
 
     f is any vectorized callable on complex arrays.  A spike tag (the
@@ -103,7 +107,7 @@ def hardy_norm_disc(f, p: float = 1.0, tol: float = 1e-6, *,
     """
     if p <= 0:
         raise ValueError(f"norm exponent must be positive, got {p}")
-    floor = angular_floor(_scalar_spike(f, spike), base=base_angular)
+    floor = angular_floor(_scalar_spike(f, spike))
     quad_tol = max(0.25 * tol, 1e-14)
     rungs, vals, incs = [], [], []
     quad_ok = True
@@ -113,7 +117,7 @@ def hardy_norm_disc(f, p: float = 1.0, tol: float = 1e-6, *,
 
         def shell(level, r=r):
             rule = CircleRule(r, floor << level)
-            v = integrate_circle(lambda z: np.abs(f(z)) ** p, rule)
+            v = integrate_circle(_abs_power(f, p), rule)
             return v, (rule.nodes,)
 
         rep = refine_until(shell, quad_tol, cap=max_nodes)
@@ -132,10 +136,18 @@ def hardy_norm_disc(f, p: float = 1.0, tol: float = 1e-6, *,
                         converged=bool(quad_ok and tail_ok))
 
 
+def _bergman_estimate(level_fn, p, tol, max_nodes) -> NormEstimate:
+    """Refine a volume rule and report its p-th root as a Bergman norm."""
+    rep = refine_until(level_fn, max(tol, 1e-14), cap=max_nodes)
+    return NormEstimate(value=max(rep.value.real, 0.0) ** (1.0 / p),
+                        space="A", p=float(p), ladder=(), ladder_values=(),
+                        tail_increments=(rep.rel_change,),
+                        converged=bool(rep.converged))
+
+
 def bergman_norm_disc(f, p: float = 1.0, tol: float = 1e-8, *,
-                      spike=None, r_max: float = 1.0, order: int = 64,
-                      max_nodes: int = 1 << 28, base_depth: int | None = None,
-                      base_angular: int = 4096) -> NormEstimate:
+                      spike=None, r_max: float = 1.0,
+                      max_nodes: int = 1 << 28) -> NormEstimate:
     """Bergman p-norm on the disc of radius r_max, plain area measure.
 
     Radial panels refine dyadically toward the rim where holomorphic mass
@@ -145,23 +157,18 @@ def bergman_norm_disc(f, p: float = 1.0, tol: float = 1e-8, *,
     if p <= 0:
         raise ValueError(f"norm exponent must be positive, got {p}")
     s = _scalar_spike(f, spike)
-    floor = angular_floor(s, base=base_angular)
-    if base_depth is None:
-        base_depth = 6
-        if s is not None and 0.0 < abs(s) < 1.0:
-            base_depth = max(6, math.ceil(math.log2(1.0 / (1.0 - abs(s)))) + 2)
+    floor = angular_floor(s)
+    base_depth = 6
+    if s is not None and 0.0 < abs(s) < 1.0:
+        base_depth = max(6, math.ceil(math.log2(1.0 / (1.0 - abs(s)))) + 2)
 
     def level_fn(level):
         rule = PolarDiscRule.build(r_max=r_max, depth=base_depth + level,
-                                   order=order, angular=floor << level)
-        val = integrate_disc(lambda z: np.abs(f(z)) ** p, rule)
+                                   order=64, angular=floor << level)
+        val = integrate_disc(_abs_power(f, p), rule)
         return complex(val), (rule.radial_nodes.size, rule.angular)
 
-    rep = refine_until(level_fn, max(tol, 1e-14), cap=max_nodes)
-    return NormEstimate(value=max(rep.value.real, 0.0) ** (1.0 / p),
-                        space="A", p=float(p), ladder=(), ladder_values=(),
-                        tail_increments=(rep.rel_change,),
-                        converged=bool(rep.converged))
+    return _bergman_estimate(level_fn, p, tol, max_nodes)
 
 
 def _maximal_rows(radii: np.ndarray) -> np.ndarray:
@@ -170,54 +177,18 @@ def _maximal_rows(radii: np.ndarray) -> np.ndarray:
     Circle means of |f|^p are nondecreasing in each radius coordinate, so
     dominated frontier shells cannot carry the supremum and are skipped.
     """
-    k = radii.shape[0]
-    keep = []
-    for i in range(k):
-        dominated = False
-        for j in range(k):
-            if j == i:
-                continue
-            if np.all(radii[j] >= radii[i] - 1e-12) and np.any(
-                    radii[j] > radii[i] + 1e-12):
-                dominated = True
-                break
-            if j < i and np.all(np.abs(radii[j] - radii[i]) <= 1e-12):
-                dominated = True      # exact duplicate, keep first
-                break
-        if not dominated:
-            keep.append(i)
-    return np.array(keep, dtype=np.intp)
-
-
-def _shell_vector(f, radii, ts, floors, level, p):
-    """Unnormalized torus integrals of |f|^p over the shells ts[k]*radii."""
-    n = len(radii)
-    ms = [m << level for m in floors]
-    cells = int(np.prod(ms))
-    block = max(1, _CHUNK // max(cells, 1))
-    out = np.empty(ts.size)
-    for s in range(0, ts.size, block):
-        tt = ts[s:s + block]
-        zs = []
-        tshape = [1] * (n + 1)
-        tshape[0] = tt.size
-        tcol = tt.reshape(tshape)
-        for j in range(n):
-            shape = [1] * (n + 1)
-            shape[j + 1] = ms[j]
-            ph = np.exp(2j * np.pi * np.arange(ms[j]) / ms[j]).reshape(shape)
-            zs.append((radii[j] * tcol) * ph)
-        vals = np.abs(np.asarray(f(*zs), dtype=np.complex128)) ** p
-        vals = np.broadcast_to(vals, (tt.size, *ms))
-        out[s:s + block] = vals.reshape(tt.size, -1).sum(axis=1)
-    return out * float(np.prod([TWO_PI / m for m in ms]))
+    rj, ri = radii[:, None, :], radii[None, :, :]     # [j, i] compares j to i
+    covers = (np.all(rj >= ri - 1e-12, axis=2)
+              & np.any(rj > ri + 1e-12, axis=2))
+    # of exact duplicates the first row is kept
+    twins = np.triu(np.all(np.abs(rj - ri) <= 1e-12, axis=2), 1)
+    return np.flatnonzero(~np.any(covers | twins, axis=0))
 
 
 def hardy_norm_reinhardt(f, p: float = 1.0, domain: ReinhardtDomain = None,
                          dirs: int = 64, tol: float = 1e-6, *,
                          k_max: int = 24, spike=None,
-                         max_nodes: int = 1 << 24,
-                         base_angular: int | None = None) -> NormEstimate:
+                         max_nodes: int = 1 << 24) -> NormEstimate:
     """Hardy p-norm over a complete Reinhardt domain.
 
     Value^p is the supremum over sampled frontier shells of the
@@ -231,8 +202,7 @@ def hardy_norm_reinhardt(f, p: float = 1.0, domain: ReinhardtDomain = None,
     if p <= 0:
         raise ValueError(f"norm exponent must be positive, got {p}")
     n = domain.dim
-    spikes = _coordinate_spikes(f, spike, n)
-    floors = _coordinate_floors(n, spikes, base_angular)
+    floors = _coordinate_floors(f, spike, n)
     sample = frontier_sample(domain, dirs)
     shells = sample.radii[_maximal_rows(sample.radii)]
     ts = 1.0 - 2.0 ** -np.arange(1, k_max + 1, dtype=np.float64)
@@ -244,7 +214,8 @@ def hardy_norm_reinhardt(f, p: float = 1.0, domain: ReinhardtDomain = None,
         level = 0
         ok = False
         while True:
-            vec = _shell_vector(f, radii, ts, floors, level, p)
+            vec = torus_integrals(_abs_power(f, p), ts[:, None] * radii,
+                                  [m << level for m in floors])
             if prev is not None:
                 diff = float(np.max(np.abs(vec - prev)))
                 den = max(float(vec.max()), float(prev.max()), 1e-300)
@@ -293,10 +264,7 @@ def _radial_cells(domain: ReinhardtDomain, depth: int, order: int):
 
 def bergman_norm_reinhardt(f, p: float = 1.0, domain: ReinhardtDomain = None,
                            tol: float = 1e-6, *, spike=None,
-                           max_nodes: int = 1 << 27,
-                           order: int | None = None,
-                           base_depth: int | None = None,
-                           base_angular: int | None = None) -> NormEstimate:
+                           max_nodes: int = 1 << 27) -> NormEstimate:
     """Bergman p-norm over a complete Reinhardt domain, plain volume."""
     if domain is None:
         raise ValueError("a ReinhardtDomain is required")
@@ -307,47 +275,21 @@ def bergman_norm_reinhardt(f, p: float = 1.0, domain: ReinhardtDomain = None,
         top = float(section_tops(domain, np.zeros((1, 0)))[0])
         return bergman_norm_disc(f, p, tol, spike=_scalar_spike(f, spike),
                                  r_max=top, max_nodes=max_nodes)
-    spikes = _coordinate_spikes(f, spike, n)
-    floors = _coordinate_floors(n, spikes, base_angular)
-    if order is None:
-        order = 12 if n == 2 else 8
-    if base_depth is None:
-        base_depth = 2 if n == 2 else 1
+    floors = _coordinate_floors(f, spike, n)
+    order = 12 if n == 2 else 8
+    base_depth = 2 if n == 2 else 1
 
     def level_fn(level):
         cells, weights = _radial_cells(domain, base_depth + level, order)
         ms = [m << level for m in floors]
-        grid = int(np.prod(ms))
-        block = max(1, _CHUNK // max(grid, 1))
-        phases = []
-        for j in range(n):
-            shape = [1] * (n + 1)
-            shape[j + 1] = ms[j]
-            phases.append(np.exp(2j * np.pi * np.arange(ms[j]) / ms[j])
-                          .reshape(shape))
-        total = 0.0
-        for s in range(0, cells.shape[0], block):
-            blk = cells[s:s + block]
-            zs = []
-            for j in range(n):
-                shape = [blk.shape[0]] + [1] * n
-                zs.append(blk[:, j].reshape(shape) * phases[j])
-            vals = np.abs(np.asarray(f(*zs), dtype=np.complex128)) ** p
-            vals = np.broadcast_to(vals, (blk.shape[0], *ms))
-            total += float(vals.reshape(blk.shape[0], -1).sum(axis=1)
-                           @ weights[s:s + block])
-        total *= float(np.prod([TWO_PI / m for m in ms]))
-        return complex(total), (cells.shape[0], *ms)
+        sums = torus_integrals(_abs_power(f, p), cells, ms)
+        return complex(float(sums @ weights)), (cells.shape[0], *ms)
 
-    rep = refine_until(level_fn, max(tol, 1e-14), cap=max_nodes)
-    return NormEstimate(value=max(rep.value.real, 0.0) ** (1.0 / p),
-                        space="A", p=float(p), ladder=(), ladder_values=(),
-                        tail_increments=(rep.rel_change,),
-                        converged=bool(rep.converged))
+    return _bergman_estimate(level_fn, p, tol, max_nodes)
 
 
 def monotonicity_check(f, p: float, r, R, tol: float = 1e-9, *,
-                       spike=None, angular=None) -> bool:
+                       spike=None) -> bool:
     """Check the shell ordering r <= R implies I(r) <= I(R).
 
     I(s) is the unnormalized torus integral of |f|^p over the shell with
@@ -361,9 +303,7 @@ def monotonicity_check(f, p: float, r, R, tol: float = 1e-9, *,
     if np.any(r < 0) or np.any(R < r):
         raise ValueError("need componentwise 0 <= r <= R")
     n = r.size
-    spikes = _coordinate_spikes(f, spike, n)
-    floors = _coordinate_floors(n, spikes, angular)
-    ts = np.ones(1)
-    i_r = float(_shell_vector(f, r, ts, floors, 1, p)[0])
-    i_R = float(_shell_vector(f, R, ts, floors, 1, p)[0])
+    floors = _coordinate_floors(f, spike, n)
+    i_r, i_R = torus_integrals(_abs_power(f, p), np.vstack([r, R]),
+                               [m << 1 for m in floors])
     return bool(i_r <= i_R + tol * max(1.0, i_R))

@@ -8,14 +8,21 @@ with dyadic panel boundaries 1 - 2^-k concentrated toward the rim, times
 an equispaced angular rule.  Torus shells in several variables take tensor
 products of circle rules.
 
+This module owns the two pieces every estimator shares: :func:`unit_nodes`
+builds the equispaced nodes e^(2 pi i k / m) on the circle and, shaped for
+broadcasting, on the axes of a torus grid; :func:`refine_until` is the one
+node-doubling loop, for scalar and array values alike.  The only other
+doubling loop is ``norms.hardy_norm_reinhardt``'s, which refines a whole
+ladder of shells at once.
+
 Everything here is binary64 and deterministic: node construction, chunking
 and accumulation order are fixed functions of the rule parameters, so two
-runs with the same inputs produce bit-identical values.  Refinement always
-proceeds by doubling, via :func:`refine_until`.
+runs with the same inputs produce bit-identical values.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -26,6 +33,25 @@ TWO_PI = 2.0 * np.pi
 # Keep vectorized evaluation blocks below ~4M points so big rules do not
 # allocate multi-GB scratch arrays.  Fixed constant, hence deterministic.
 _CHUNK = 1 << 22
+
+# Hard stop for refine_until; the node budget normally ends a refinement
+# long before this many doublings.
+_MAX_LEVELS = 40
+
+
+def unit_nodes(m: int, axis: int = 0, ndim: int = 1) -> np.ndarray:
+    """The m equispaced nodes exp(2 pi i k / m) on the unit circle.
+
+    The nodes run along ``axis`` of an ``ndim``-dimensional array whose
+    other axes have length one, so the axes of a torus grid broadcast
+    against each other.  The exponential is taken in place: building m
+    nodes holds one complex array of m values and, briefly, their angles.
+    """
+    shape = [1] * ndim
+    shape[axis] = m
+    w = 1j * (TWO_PI * np.arange(m) / m)
+    np.exp(w, out=w)
+    return w.reshape(shape)
 
 
 def angular_floor(spike: float | None, *, base: int = 4096, scale: float = 64.0) -> int:
@@ -57,8 +83,7 @@ class CircleRule:
             raise ValueError(f"node count must be >= 1, got {self.nodes}")
 
     def points(self) -> np.ndarray:
-        theta = TWO_PI * np.arange(self.nodes) / self.nodes
-        return self.radius * np.exp(1j * theta)
+        return self.radius * unit_nodes(self.nodes)
 
 
 def integrate_circle(g: Callable, rule: CircleRule) -> complex:
@@ -115,16 +140,11 @@ class PolarDiscRule:
         return cls(r_max=r_max, depth=depth, order=order, angular=angular,
                    radial_nodes=nodes, radial_weights=weights * nodes)
 
-    @property
-    def total_nodes(self) -> int:
-        return self.radial_nodes.size * self.angular
-
 
 def integrate_disc(g: Callable, rule: PolarDiscRule) -> float:
     """Approximate the volume integral of a real integrand over the disc."""
     m = rule.angular
-    theta = TWO_PI * np.arange(m) / m
-    phases = np.exp(1j * theta)
+    phases = unit_nodes(m)
     r = rule.radial_nodes
     wr = rule.radial_weights
     chunk = max(1, _CHUNK // m)
@@ -136,61 +156,30 @@ def integrate_disc(g: Callable, rule: PolarDiscRule) -> float:
     return total * (TWO_PI / m)
 
 
-@dataclass(frozen=True)
-class TorusRule:
-    """Tensor trapezoid rule on the shell r * T^n."""
+def torus_integrals(g: Callable, radii, angular: Sequence[int]) -> np.ndarray:
+    """Unnormalized trapezoid integrals of g over the shells radii[k] * T^n.
 
-    radii: tuple[float, ...]
-    angular: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.radii) != len(self.angular):
-            raise ValueError("radii and angular node counts must align")
-        if any(r < 0.0 for r in self.radii):
-            raise ValueError("shell radii must be nonnegative")
-        if any(m < 1 for m in self.angular):
-            raise ValueError("angular node counts must be >= 1")
-
-    @property
-    def dim(self) -> int:
-        return len(self.radii)
-
-    def axes(self) -> list[np.ndarray]:
-        out = []
-        for r, m in zip(self.radii, self.angular):
-            theta = TWO_PI * np.arange(m) / m
-            out.append(r * np.exp(1j * theta))
-        return out
-
-
-def integrate_torus(g: Callable, rule: TorusRule) -> complex:
-    """Approximate the unnormalized integral over the torus shell.
-
-    The integrand is called as ``g(z1, ..., zn)`` with broadcastable
-    coordinate arrays; the result approximates the d theta_1 ... d theta_n
-    integral with total mass (2pi)^n, no normalization.
+    ``radii`` holds one radius vector per row, ``angular`` the node count
+    of each of the n circle factors.  The integrand is called as
+    ``g(z1, ..., zn)`` with coordinate arrays that broadcast to
+    (shells, m_1, ..., m_n), in blocks of shells that keep each call near
+    ``_CHUNK`` points.  Each result approximates the d theta_1 ...
+    d theta_n integral with total mass (2pi)^n, no normalization.
     """
-    axes = rule.axes()
-    n = rule.dim
-    shaped = []
-    for j, ax in enumerate(axes):
-        shape = [1] * n
-        shape[j] = ax.size
-        shaped.append(ax.reshape(shape))
-    m0 = axes[0].size
-    rest = 1
-    for ax in axes[1:]:
-        rest *= ax.size
-    chunk = max(1, _CHUNK // max(rest, 1))
-    total = 0.0 + 0.0j
-    for start in range(0, m0, chunk):
-        first = shaped[0][start:start + chunk]
-        vals = np.asarray(g(first, *shaped[1:]), dtype=np.complex128)
-        total += np.sum(vals)
-    weight = 1.0
-    for m in rule.angular:
-        weight *= TWO_PI / m
-    return complex(total * weight)
+    radii = np.atleast_2d(np.asarray(radii, dtype=np.float64))
+    n = radii.shape[1]
+    if len(angular) != n:
+        raise ValueError("radii and angular node counts must align")
+    axes = [unit_nodes(m, j + 1, n + 1) for j, m in enumerate(angular)]
+    cells = math.prod(angular)
+    block = max(1, _CHUNK // cells)
+    sums = []
+    for s in range(0, radii.shape[0], block):
+        rows = radii[s:s + block]
+        zs = [rows[:, j].reshape(-1, *[1] * n) * axes[j] for j in range(n)]
+        vals = np.broadcast_to(np.asarray(g(*zs)), (rows.shape[0], *angular))
+        sums.append(vals.reshape(rows.shape[0], -1).sum(axis=1))
+    return np.concatenate(sums) * math.prod(TWO_PI / m for m in angular)
 
 
 @dataclass
@@ -204,37 +193,40 @@ class RefinementReport:
     levels: int
 
 
+def _max_abs(x) -> float:
+    return abs(x) if isinstance(x, complex) else float(np.max(np.abs(x)))
+
+
 def refine_until(integrator: Callable[[int], tuple[complex, Sequence[int]]],
                  tol: float, cap: int = 1 << 20,
-                 max_levels: int = 40) -> RefinementReport:
+                 floor: float = 0.0) -> RefinementReport:
     """Refine by doubling until successive values agree to ``tol`` (relative).
 
     ``integrator(level)`` evaluates the quantity at refinement level
     ``level`` (level k doubles the node counts of level k-1) and returns
-    ``(value, node_counts)``.  Stops with ``converged=False`` when the node
-    budget ``cap`` (product of node counts) is exceeded or a value comes
-    back non-finite.
+    ``(value, node_counts)``.  The value is a complex scalar or an array;
+    successive values are compared in max-norm, relative to the newer one.
+    A change of at most ``floor`` also counts as agreement: an absolute
+    roundoff level, below which a value that vanishes cannot settle in
+    relative terms.  Stops with ``converged=False`` when the node budget
+    ``cap`` (product of node counts) is reached or a value comes back
+    non-finite.
     """
-    value, nodes = integrator(0)
-    nodes = tuple(int(m) for m in nodes)
-    prev = complex(value)
-    if not (np.isfinite(prev.real) and np.isfinite(prev.imag)):
-        return RefinementReport(prev, nodes, np.inf, False, 0)
+    prev = None
     rel = np.inf
-    for level in range(1, max_levels + 1):
+    for level in range(_MAX_LEVELS + 1):
         value, nodes = integrator(level)
         nodes = tuple(int(m) for m in nodes)
-        value = complex(value)
-        if not (np.isfinite(value.real) and np.isfinite(value.imag)):
+        value = complex(value) if np.ndim(value) == 0 \
+            else np.asarray(value, dtype=np.complex128)
+        if not np.all(np.isfinite(value)):
             return RefinementReport(value, nodes, np.inf, False, level)
-        diff = abs(value - prev)
-        rel = 0.0 if diff == 0.0 else diff / max(abs(value), 1e-300)
-        if rel <= tol:
-            return RefinementReport(value, nodes, rel, True, level)
-        budget = 1
-        for m in nodes:
-            budget *= m
-        if budget >= cap:
-            return RefinementReport(value, nodes, rel, False, level)
+        if prev is not None:
+            diff = _max_abs(value - prev)
+            rel = 0.0 if diff == 0.0 else diff / max(_max_abs(value), 1e-300)
+            if rel <= tol or diff <= floor:
+                return RefinementReport(value, nodes, rel, True, level)
+            if math.prod(nodes) >= cap:
+                return RefinementReport(value, nodes, rel, False, level)
         prev = value
-    return RefinementReport(prev, nodes, rel, False, max_levels)
+    return RefinementReport(prev, nodes, rel, False, _MAX_LEVELS)

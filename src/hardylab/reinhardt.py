@@ -28,6 +28,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainModelError
+from .quadrature import unit_nodes
+from .registry import TaggedEvaluator
 from .series import MultiIndexSeries, PowerSeries
 
 _GOLDEN = 0.6180339887498949
@@ -104,6 +106,29 @@ def contains(domain: ReinhardtDomain, z) -> bool:
     return bool(domain.gauge_at(np.abs(z)) < 1.0)
 
 
+def _gauge_crossing(g: Callable[[float], float], limit: float,
+                    where: str) -> float:
+    """The s >= 0 where the nondecreasing g(s) reaches 1.
+
+    An upper bracket doubles from 1 and may not pass ``limit`` (nor 2^120);
+    bisection then closes the bracket to 1e-14 relative.
+    """
+    hi = 1.0
+    while g(hi) < 1.0:
+        hi *= 2.0
+        if hi > min(limit, 2.0 ** 120):
+            raise DomainModelError(
+                f"gauge never reaches 1 {where}; domain unbounded there")
+    lo = 0.0
+    while hi - lo > 1e-14 * max(hi, 1e-30):
+        mid = 0.5 * (lo + hi)
+        if g(mid) < 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def _ray_scale(domain: ReinhardtDomain, u: np.ndarray) -> float:
     """Solve gauge(t * u) = 1 for t >= 0 along the ray direction u."""
     if domain.kind == "polydisc":
@@ -111,22 +136,9 @@ def _ray_scale(domain: ReinhardtDomain, u: np.ndarray) -> float:
         return float(1.0 / np.max(u / rr))
     if domain.kind == "ball":
         return float(domain.params[0] / np.sqrt(np.sum(u * u)))
-    hi = 1.0
-    tries = 0
-    while domain.gauge_at(hi * u) < 1.0:
-        hi *= 2.0
-        tries += 1
-        if tries > 120 or hi * float(np.max(u)) > 4.0 * domain.diameter_bound:
-            raise DomainModelError(
-                "gauge never reaches 1 along the ray; domain unbounded there")
-    lo = 0.0
-    while hi - lo > 1e-14 * hi:
-        mid = 0.5 * (lo + hi)
-        if domain.gauge_at(mid * u) < 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _gauge_crossing(lambda t: domain.gauge_at(t * u),
+                           4.0 * domain.diameter_bound / float(np.max(u)),
+                           "along the ray")
 
 
 def frontier_max_radius(domain: ReinhardtDomain, u) -> np.ndarray:
@@ -162,26 +174,9 @@ def section_tops(domain: ReinhardtDomain, prefix: np.ndarray) -> np.ndarray:
     tail = np.zeros(domain.dim - j - 1)
     for i in range(m):
         def g(s):
-            point = np.concatenate([prefix[i], [s], tail])
-            return domain.gauge_at(point)
-        if g(0.0) >= 1.0:
-            out[i] = 0.0
-            continue
-        hi = 1.0
-        tries = 0
-        while g(hi) < 1.0:
-            hi *= 2.0
-            tries += 1
-            if tries > 120 or hi > 4.0 * domain.diameter_bound:
-                raise DomainModelError("unbounded section in the radius region")
-        lo = 0.0
-        while hi - lo > 1e-14 * max(hi, 1e-30):
-            mid = 0.5 * (lo + hi)
-            if g(mid) < 1.0:
-                lo = mid
-            else:
-                hi = mid
-        out[i] = 0.5 * (lo + hi)
+            return domain.gauge_at(np.concatenate([prefix[i], [s], tail]))
+        out[i] = 0.0 if g(0.0) >= 1.0 else _gauge_crossing(
+            g, 4.0 * domain.diameter_bound, "in the radius region")
     return out
 
 
@@ -240,29 +235,29 @@ def dilate_truncate(f, rho: float, square_degree: int) -> MultiIndexSeries:
     if square_degree < 0:
         raise ValueError("square truncation degree must be >= 0")
     if isinstance(f, PowerSeries):
-        coeffs = {}
-        for k in range(square_degree + 1):
-            c = f.coefficient(k) * rho ** k
-            if c != 0:
-                coeffs[(k,)] = c
-        if not coeffs:
-            coeffs = {(0,): 0j}
-        return MultiIndexSeries(1, coeffs, spike=f.spike)
-    if isinstance(f, MultiIndexSeries):
-        coeffs = {}
-        for alpha, c in f.coeffs.items():
-            if max(alpha) <= square_degree:
-                coeffs[alpha] = c * rho ** sum(alpha)
-        if not coeffs:
-            coeffs = {(0,) * f.dim: 0j}
-        return MultiIndexSeries(f.dim, coeffs, spike=f.spike)
-    raise TypeError("dilate_truncate needs a series with coefficient access")
+        dim = 1
+        terms = [((k,), f.coefficient(k)) for k in range(square_degree + 1)]
+    elif isinstance(f, MultiIndexSeries):
+        dim = f.dim
+        terms = f.coeffs.items()
+    else:
+        raise TypeError("dilate_truncate needs a series with coefficient access")
+    return MultiIndexSeries(dim, {alpha: c * rho ** sum(alpha)
+                                  for alpha, c in terms
+                                  if max(alpha) <= square_degree},
+                            spike=f.spike)
 
 
 # ---------------------------------------------------------------------------
 # Density experiment: choose (rho, M) per target accuracy, then measure the
 # achieved Hardy-norm error of the dilate-truncate polynomial.
 # ---------------------------------------------------------------------------
+
+# Dilation ladder rho_k = 1 - 2^-k and square degree limit of the density
+# experiment.
+_RHO_K_MAX = 40
+_M_CAP = 4096
+
 
 @dataclass
 class DensityRow:
@@ -320,9 +315,7 @@ def _resolve_function(f):
 
 def density_experiment(f, domain: ReinhardtDomain, p: float = 1.0,
                        eps_ladder: Sequence[float] = (0.5, 0.1, 0.02), *,
-                       dirs: int = 24, norm_tol: float = 1e-4,
-                       rho_k_max: int = 40, m_cap: int = 4096,
-                       probe_angular: int | None = None) -> list[DensityRow]:
+                       norm_tol: float = 1e-4) -> list[DensityRow]:
     """Drive the dilate-truncate construction down an error ladder.
 
     For each target eps the dilation rho is pushed toward 1 until the
@@ -342,30 +335,20 @@ def density_experiment(f, domain: ReinhardtDomain, p: float = 1.0,
     # mean, in several variables the torus integral is unnormalized.
     norm_factor = 1.0 if n == 1 else (2.0 * np.pi) ** (n / p)
 
-    shells = frontier_sample(domain, min(dirs, 16)).radii
-    m_probe = probe_angular or (2048 if n == 1 else (128 if n == 2 else 32))
-    theta = 2.0 * np.pi * np.arange(m_probe) / m_probe
-    phases = np.exp(1j * theta)
-    grids = []
-    for r in shells:
-        zs = []
-        for j in range(n):
-            shape = [1] * n
-            shape[j] = m_probe
-            zs.append(r[j] * phases.reshape(shape))
-        grids.append(zs)
+    # Probe grids: the torus shells of a frontier sample, one per row.
+    shells = frontier_sample(domain, 16).radii
+    m_probe = 2048 if n == 1 else (128 if n == 2 else 32)
+    probe = [shells[:, j].reshape(-1, *[1] * n)
+             * unit_nodes(m_probe, j + 1, n + 1) for j in range(n)]
+    probe_base = np.asarray(evaluator(*probe))
 
     # Per-coordinate closure bounds for the coefficient tail estimate.
     closure = np.array([frontier_max_radius(domain, np.eye(n)[j])[j]
                         for j in range(n)])
 
     def probe_sup_diff(rho: float) -> float:
-        worst = 0.0
-        for zs in grids:
-            base = np.asarray(evaluator(*zs))
-            moved = np.asarray(evaluator(*[rho * z for z in zs]))
-            worst = max(worst, float(np.max(np.abs(base - moved))))
-        return worst
+        moved = np.asarray(evaluator(*[rho * z for z in probe]))
+        return float(np.max(np.abs(probe_base - moved)))
 
     def tail_bound_fn(rho: float):
         if factors is not None:
@@ -411,30 +394,27 @@ def density_experiment(f, domain: ReinhardtDomain, p: float = 1.0,
                 return out
             return q_eval
         q_series = dilate_truncate(series, rho, M)
-        if n == 1:
-            poly = q_series.to_power_series()
-            return lambda z: poly(z)
-        return lambda *zs: q_series(*zs)
+        return q_series.to_power_series() if n == 1 else q_series
 
     rows = []
     for eps in eps_ladder:
         sup_target = eps / (2.0 * norm_factor)
         rho = None
         ok = True
-        for k in range(1, rho_k_max + 1):
+        for k in range(1, _RHO_K_MAX + 1):
             cand = 1.0 - 2.0 ** -k
             if probe_sup_diff(cand) <= sup_target:
                 rho = cand
                 break
         if rho is None:
-            rho = 1.0 - 2.0 ** -rho_k_max
+            rho = 1.0 - 2.0 ** -_RHO_K_MAX
             ok = False
         tail = tail_bound_fn(rho)
         M = 0
-        while M <= m_cap and tail(M) > sup_target:
+        while M <= _M_CAP and tail(M) > sup_target:
             M = max(1, 2 * M)
-        if M > m_cap:
-            M = m_cap
+        if M > _M_CAP:
+            M = _M_CAP
             ok = False
         elif M > 1:
             lo, hi = M // 2, M
@@ -449,27 +429,14 @@ def density_experiment(f, domain: ReinhardtDomain, p: float = 1.0,
 
         def diff(*zs):
             return np.asarray(evaluator(*zs)) - q_eval(*zs)
-        diff_tagged = _Tagged(diff, spike)
+        diff_tagged = TaggedEvaluator(diff, spike)
         if n == 1:
             est = hardy_norm_disc(diff_tagged, p, norm_tol, k_max=30)
         else:
-            est = hardy_norm_reinhardt(diff_tagged, p, domain, dirs=dirs,
+            est = hardy_norm_reinhardt(diff_tagged, p, domain, dirs=24,
                                        tol=norm_tol, k_max=24)
         rows.append(DensityRow(eps=float(eps), rho=float(rho), M=int(M),
                                error=float(est.value),
                                met=bool(est.value <= eps),
                                converged=bool(est.converged and ok)))
     return rows
-
-
-class _Tagged:
-    """Minimal callable wrapper that carries a spike tag."""
-
-    __slots__ = ("fn", "spike")
-
-    def __init__(self, fn, spike=None):
-        self.fn = fn
-        self.spike = spike
-
-    def __call__(self, *z):
-        return self.fn(*z)

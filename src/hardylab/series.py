@@ -13,7 +13,11 @@ by the trapezoid discretization of the Cauchy integral,
     a_j ~ (1/M) sum_k f(R w^k) w^(-jk) / R^j,   w = e^(2 pi i / M),
 
 which is exact for polynomials of degree below M and is refined by node
-doubling otherwise.
+doubling otherwise.  Every contour route doubles through
+:func:`hardylab.quadrature.refine_until`, compared in max-norm over the
+recovered block, under one budget on the total node count that no grid
+exceeds; changes at the roundoff level of the samples count as agreement,
+so vanishing coefficients and partial sums settle like any other.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import numpy as np
 
 from .errors import (AliasingError, CoefficientUnavailable, NonConvergenceError,
                      SingularKernelError)
+from .quadrature import refine_until, unit_nodes
 
 _polyval = np.polynomial.polynomial.polyval
 
@@ -145,18 +150,6 @@ class PowerSeries:
             "series evaluation did not stabilize; point may be outside the "
             "convergence radius")
 
-    def to_multi_index(self) -> "MultiIndexSeries":
-        if not self.is_polynomial:
-            raise ValueError("only polynomial series convert to finite "
-                             "multi-index form")
-        coeffs = {(k,): self.coefficient(k)
-                  for k in range(max(self._degree, 0) + 1)
-                  if self.coefficient(k) != 0}
-        if not coeffs:
-            coeffs = {(0,): 0j}
-        return MultiIndexSeries(1, coeffs, closed_form=self.closed_form,
-                                spike=self.spike, label=self.label)
-
 
 class MultiIndexSeries:
     """A several-variable series sum a_alpha z^alpha with finite support.
@@ -250,10 +243,6 @@ class MultiIndexSeries:
         return PowerSeries.from_coefficients(coeffs, closed_form=self.closed_form,
                                              spike=self.spike, label=self.label)
 
-    @classmethod
-    def from_power_series(cls, ps: PowerSeries) -> "MultiIndexSeries":
-        return ps.to_multi_index()
-
 
 @dataclass(frozen=True)
 class PartialSumReport:
@@ -285,12 +274,48 @@ def square_partial_sum(F: MultiIndexSeries, N: int) -> MultiIndexSeries:
                             else f"S{N}[{F.label}]")
 
 
-def _circle_modes(f: Callable, radius: float, m: int) -> np.ndarray:
-    theta = (2.0 * np.pi) * np.arange(m) / m
-    vals = np.asarray(f(radius * np.exp(1j * theta)), dtype=np.complex128)
-    if vals.shape != (m,):
-        vals = np.broadcast_to(vals, (m,)).astype(np.complex128)
-    return np.fft.fft(vals) / m
+# Changes between refinement levels up to this multiple of the mean modulus
+# of the contour samples are roundoff (the FFT modes carry about one to two
+# ulps of it): a value that vanishes, or sits far below its integrand,
+# settles there instead of exhausting the node budget.
+_ROUNDOFF = 64 * np.finfo(np.float64).eps
+
+
+def _contour_refined(f: Callable, radius: float, dim: int, m0: int,
+                     finish: Callable, tol: float, cap: int, what: str):
+    """Sample f on the tensor contour grid with m0 nodes per axis, doubling
+    every axis until ``finish(samples)`` settles to ``tol`` in max-norm.
+
+    The level-0 samples set the roundoff floor of the comparison.  A grid
+    past ``cap`` nodes in all is refused before it is evaluated.
+    """
+    def sample(m):
+        if m ** dim > cap:
+            raise NonConvergenceError(f"{what} did not stabilize within {cap} nodes")
+        axes = [radius * unit_nodes(m, j, dim) for j in range(dim)]
+        return np.broadcast_to(np.asarray(f(*axes), dtype=np.complex128),
+                               (m,) * dim)
+
+    first = sample(m0)
+    rep = refine_until(
+        lambda level: (finish(first if level == 0 else sample(m0 << level)),
+                       (m0 << level,) * dim),
+        tol, cap=cap, floor=_ROUNDOFF * float(np.mean(np.abs(first))))
+    if not rep.converged:
+        raise NonConvergenceError(f"{what} did not stabilize within {cap} nodes")
+    return rep.value
+
+
+def _taylor_block(radius: float, upto: int, dim: int) -> Callable:
+    """The coefficients a_alpha, 0 <= alpha_j <= upto, from the FFT of
+    contour samples at ``radius``."""
+    def finish(vals):
+        scale = radius ** -np.arange(upto + 1.0)
+        modes = np.fft.fftn(vals)[(slice(0, upto + 1),) * dim] / vals.size
+        for j in range(dim):
+            modes *= scale.reshape((-1,) + (1,) * (dim - 1 - j))
+        return modes
+    return finish
 
 
 def extract_coefficient(f: Callable, j: int, contour_radius: float = 0.75, *,
@@ -305,29 +330,14 @@ def extract_coefficient(f: Callable, j: int, contour_radius: float = 0.75, *,
         raise ValueError(f"coefficient index must be >= 0, got {j}")
     if contour_radius <= 0.0:
         raise ValueError("contour radius must be positive")
-    m = start_nodes if start_nodes is not None else max(256, 4 * (j + 1))
-    if m <= j:
+    m0 = start_nodes if start_nodes is not None else max(256, 4 * (j + 1))
+    if m0 <= j:
         raise AliasingError(
-            f"{m} nodes alias mode {j}; need node count > {j}")
-    scale_pow = contour_radius ** (-j)
-    prev = None
-    prev_scale = 1.0
-    while m <= cap:
-        theta = (2.0 * np.pi) * np.arange(m) / m
-        pts = contour_radius * np.exp(1j * theta)
-        vals = np.asarray(f(pts), dtype=np.complex128)
-        if vals.shape != (m,):
-            vals = np.broadcast_to(vals, (m,)).astype(np.complex128)
-        val = complex(np.sum(vals * np.exp(-1j * j * theta)) / m) * scale_pow
-        scale = float(np.mean(np.abs(vals))) * scale_pow
-        if prev is not None:
-            floor = 1e-12 * max(scale, prev_scale) + 1e-300
-            if abs(val - prev) <= tol * max(abs(val), floor):
-                return val
-        prev, prev_scale = val, scale
-        m *= 2
-    raise NonConvergenceError(
-        f"coefficient extraction did not stabilize within {cap} nodes")
+            f"{m0} nodes alias mode {j}; need node count > {j}")
+    block = _taylor_block(contour_radius, j, 1)
+    return _contour_refined(f, contour_radius, 1, m0,
+                            lambda vals: block(vals)[j], tol, cap,
+                            "coefficient extraction")
 
 
 def block_coefficients(f: Callable, upto: int, contour_radius: float = 0.75, *,
@@ -335,20 +345,9 @@ def block_coefficients(f: Callable, upto: int, contour_radius: float = 0.75, *,
     """Recover coefficients 0..upto at once via the FFT of circle samples."""
     if upto < 0:
         raise ValueError("upto must be >= 0")
-    m = max(256, 4 * (upto + 1))
-    scale = contour_radius ** (-np.arange(upto + 1, dtype=np.float64))
-    prev = None
-    while m <= cap:
-        modes = _circle_modes(f, contour_radius, m)[:upto + 1] * scale
-        if prev is not None:
-            num = float(np.max(np.abs(modes - prev)))
-            den = max(float(np.max(np.abs(modes))), 1e-300)
-            if num <= tol * den:
-                return modes
-        prev = modes
-        m *= 2
-    raise NonConvergenceError(
-        f"block extraction did not stabilize within {cap} nodes")
+    return _contour_refined(f, contour_radius, 1, max(256, 4 * (upto + 1)),
+                            _taylor_block(contour_radius, upto, 1), tol, cap,
+                            "block extraction")
 
 
 def block_coefficients_nd(f: Callable, upto: int, dim: int,
@@ -358,39 +357,15 @@ def block_coefficients_nd(f: Callable, upto: int, dim: int,
 
     Returns the coefficient tensor for 0 <= alpha_j <= upto, computed by an
     n-dimensional FFT of values on a tensor contour grid, doubling all axes
-    until the kept block stabilizes.
+    until the kept block stabilizes.  The whole grid shares the 2^20-node
+    budget of the one-variable routines.
     """
     if upto < 0 or dim < 1:
         raise ValueError("upto must be >= 0 and dim >= 1")
-    m = max(64, 4 * (upto + 1))
-    scale_1d = contour_radius ** (-np.arange(upto + 1, dtype=np.float64))
-    prev = None
-    while m <= cap_per_axis:
-        theta = (2.0 * np.pi) * np.arange(m) / m
-        ax = contour_radius * np.exp(1j * theta)
-        grids = []
-        for j in range(dim):
-            shape = [1] * dim
-            shape[j] = m
-            grids.append(ax.reshape(shape))
-        vals = np.asarray(f(*grids), dtype=np.complex128)
-        vals = np.broadcast_to(vals, (m,) * dim)
-        modes = np.fft.fftn(vals) / (m ** dim)
-        block = modes[(slice(0, upto + 1),) * dim].copy()
-        for j in range(dim):
-            shape = [1] * dim
-            shape[j] = upto + 1
-            block *= scale_1d.reshape(shape)
-        if prev is not None:
-            num = float(np.max(np.abs(block - prev)))
-            den = max(float(np.max(np.abs(block))), 1e-300)
-            if num <= tol * den:
-                return block
-        prev = block
-        m *= 2
-    raise NonConvergenceError(
-        f"tensor block extraction did not stabilize within {cap_per_axis} "
-        "nodes per axis")
+    return _contour_refined(f, contour_radius, dim, max(64, 4 * (upto + 1)),
+                            _taylor_block(contour_radius, upto, dim), tol,
+                            min(cap_per_axis ** dim, 1 << 20),
+                            "tensor block extraction")
 
 
 def kernel_identity_check(z: complex, xi: complex, N: int) -> float:
@@ -427,28 +402,16 @@ def partial_sum_kernel(f: Callable, N: int, z, contour_radius: float | None = No
     if zmax >= radius:
         raise ValueError(
             f"evaluation points must satisfy |z| < contour radius {radius}")
-    m = max(256, 4 * (N + 1))
     zcol = z.reshape(-1, 1)
-    prev = None
-    while m <= cap:
-        theta = (2.0 * np.pi) * np.arange(m) / m
-        xi = radius * np.exp(1j * theta)
-        fvals = np.asarray(f(xi), dtype=np.complex128)
-        if fvals.shape != (m,):
-            fvals = np.broadcast_to(fvals, (m,)).astype(np.complex128)
-        kern = (1.0 - (zcol / xi[None, :]) ** (N + 1)) / (xi[None, :] - zcol)
-        vals = (fvals[None, :] * xi[None, :] * kern).sum(axis=1) / m
-        fscale = float(np.mean(np.abs(fvals)))
-        if prev is not None:
-            num = float(np.max(np.abs(vals - prev)))
-            den = max(float(np.max(np.abs(vals))), 1e-3 * fscale, 1e-300)
-            if num <= tol * den:
-                out = vals.reshape(z.shape)
-                return complex(out) if out.ndim == 0 else out
-        prev = vals
-        m *= 2
-    raise NonConvergenceError(
-        f"kernel partial sum did not stabilize within {cap} contour nodes")
+
+    def kernel_sum(fvals):
+        xi = radius * unit_nodes(fvals.size)
+        kern = (1.0 - (zcol / xi) ** (N + 1)) / (xi - zcol)
+        return (fvals * xi * kern).sum(axis=1) / fvals.size
+
+    out = _contour_refined(f, radius, 1, max(256, 4 * (N + 1)), kernel_sum,
+                           tol, cap, "kernel partial sum").reshape(z.shape)
+    return complex(out) if out.ndim == 0 else out
 
 
 def partial_sum_with_report(f, N: int, method: str = "truncation", *,

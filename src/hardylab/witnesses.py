@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoleError
-from .quadrature import TWO_PI, RefinementReport, angular_floor, refine_until
+from .quadrature import (TWO_PI, RefinementReport, angular_floor, refine_until,
+                         unit_nodes)
 from .series import PowerSeries
 
 
@@ -193,9 +194,16 @@ class IcValue:
 
 
 def _ic_mean(c: float, z: complex, m: int) -> float:
-    theta = TWO_PI * np.arange(m) / m
-    mod = np.abs(1.0 - z * np.exp(-1j * theta))
-    return float(np.sum(mod ** (-(1.0 + c))) / m)
+    # In place, so the largest rules hold one complex and one real array:
+    # conj(e^(i theta)) is bit-identical to e^(-i theta).
+    w = unit_nodes(m)
+    np.conjugate(w, out=w)
+    np.multiply(z, w, out=w)
+    np.subtract(1.0, w, out=w)
+    mod = np.abs(w)
+    del w
+    mod **= -(1.0 + c)
+    return float(np.sum(mod) / m)
 
 
 def eval_ic(query: IcQuery, tol: float = 1e-10,
@@ -235,29 +243,6 @@ def ic_comparison(c: float, z: complex) -> float:
 
 
 @dataclass
-class IcRatioRow:
-    c: float
-    z: complex
-    value: float
-    comparison: float
-    ratio: float
-    converged: bool
-
-
-def ic_asymptotic_ratio(c: float, z_ladder, tol: float = 1e-10,
-                        max_nodes: int = 1 << 22) -> list[IcRatioRow]:
-    """Tabulate I_c(z) / comparison(c, z) along a ladder |z| -> 1."""
-    rows = []
-    for z in z_ladder:
-        got = eval_ic(IcQuery(c, complex(z)), tol=tol, max_nodes=max_nodes)
-        comp = ic_comparison(c, z)
-        rows.append(IcRatioRow(c=c, z=complex(z), value=got.value,
-                               comparison=comp, ratio=got.value / comp,
-                               converged=got.converged))
-    return rows
-
-
-@dataclass
 class T2BoundRatio:
     t2_h1: float
     bound: float
@@ -285,9 +270,7 @@ def t2_hardy_vs_bound(a: complex, N: int, tol: float = 1e-10,
 
     def level_value(level: int):
         m = floor * (1 << level)
-        theta = TWO_PI * np.arange(m) / m
-        mean = float(np.sum(1.0 / np.abs(1.0 - s * np.exp(1j * theta))) / m)
-        return mean, (m,)
+        return _ic_mean(0.0, complex(s), m), (m,)
 
     report = refine_until(level_value, tol, cap=max_nodes)
     t2 = (1.0 - s ** 2) * (N + 2) * s ** (N + 1) * float(report.value.real)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from hardylab.cli import _parse_floats, _parse_ints, main
-from hardylab.experiments import (ExperimentResult, RunConfig, render_csv,
-                                  render_json, run_blowup,
-                                  run_ic_asymptotics, run_uniform_bound,
-                                  write_result)
+from hardylab.experiments import (RUNNERS, ExperimentResult, RunConfig,
+                                  render_csv, render_json,
+                                  run_blowup, run_ic_asymptotics,
+                                  run_uniform_bound, write_result)
 from hardylab.registry import (FunctionRegistry, fa_entry, monomial_entry,
                                polynomial_entry)
 
@@ -49,9 +49,10 @@ def test_blowup_truncated_grid_trips_growth_gate():
 
 
 def test_ic_closed_form_rows():
-    res = run_ic_asymptotics(RunConfig(), c_set=(1.0,), z_ladder=(0.9, 0.99))
+    res = run_ic_asymptotics(RunConfig(), c_set=(1.0,),
+                             z_ladder=(0.5, 0.9, 0.99))
     assert res.exit_code == 0
-    assert len(res.rows) == 2
+    assert len(res.rows) == 3
     for row in res.rows:
         assert row[4] == pytest.approx(2.0 * np.pi, rel=1e-9)
     assert res.summary["c1_max_rel"] <= 1e-8
@@ -146,6 +147,56 @@ def test_cli_all_uses_outdir(monkeypatch, tmp_path):
     rc = main(["all", "--out", str(outdir)])
     assert rc == 1
     assert (outdir / "ic.csv").read_text().splitlines()[0] == "x,y"
+
+
+def test_cli_all_passes_config_keys_to_runners(monkeypatch, tmp_path):
+    # every runner but ic is replaced by a stub; ic must see the file's
+    # z_ladder, the stubs the keys they read, and the runners that take a
+    # registry one shared registry
+    seen = {}
+    registries = []
+    for name in RUNNERS:
+        if name == "ic":
+            continue
+
+        def stub(cfg, name=name, registry=None, **kw):
+            seen[name] = kw
+            registries.append(registry)
+            return ExperimentResult(name, ("x",))
+        monkeypatch.setitem(RUNNERS, name, stub)
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"z_ladder": [0.9], "eps_ladder": [0.5],
+                                "function": "prod-fa-0.9-0.5"}))
+    outdir = tmp_path / "results"
+    assert main(["all", "--config", str(cfgp), "--out", str(outdir)]) == 0
+    rows = (outdir / "ic.csv").read_text().splitlines()[1:]
+    assert len(rows) == 4
+    assert {float(line.split(",")[1]) for line in rows} == {0.9}
+    assert seen["density"] == {"eps_ladder": (0.5,)}
+    assert seen["reinhardt"] == {"function": "prod-fa-0.9-0.5"}
+    assert seen["blowup"] == {}
+    assert len(registries) == 5 and registries[0] is not None
+    assert all(reg is registries[0] for reg in registries)
+
+
+@pytest.mark.parametrize("doc, key", [({"tols": 1e-6}, "tols"),
+                                      ({"format": "xml"}, "format")])
+def test_cli_rejects_unread_config_keys(tmp_path, doc, key):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit, match=repr(key)):
+        main(["ic", "--config", str(cfgp)])
+    assert not list(tmp_path.glob("*.xml"))
+
+
+def test_cli_accepts_other_runners_keys(tmp_path):
+    # density's eps_ladder is accepted by ic, which does not read it
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"c_set": [1.0], "z_ladder": [0.9],
+                                "eps_ladder": [0.5], "format": "json"}))
+    outp = tmp_path / "ic.json"
+    assert main(["ic", "--config", str(cfgp), "--out", str(outp)]) == 0
+    assert json.loads(outp.read_text())["experiment"] == "ic"
 
 
 def test_cli_rejects_unknown_command():

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from hardylab.quadrature import (CircleRule, PolarDiscRule, TorusRule,
-                                 angular_floor, dyadic_panels,
-                                 integrate_circle, integrate_disc,
-                                 integrate_torus, refine_until)
+from hardylab.quadrature import (CircleRule, PolarDiscRule, angular_floor,
+                                 dyadic_panels, integrate_circle,
+                                 integrate_disc, refine_until,
+                                 torus_integrals, unit_nodes)
 
 TWO_PI = 2.0 * np.pi
 
@@ -66,19 +66,31 @@ def test_disc_rule_area():
 
 
 def test_torus_rule_unnormalized_mass():
-    rule = TorusRule((0.5, 0.8), (16, 16))
-    val = integrate_torus(lambda z1, z2: np.ones(np.broadcast(z1, z2).shape),
-                          rule)
-    assert val.real == pytest.approx(TWO_PI ** 2, rel=1e-14)
+    val = torus_integrals(lambda z1, z2: np.ones(np.broadcast(z1, z2).shape),
+                          (0.5, 0.8), (16, 16))
+    assert val.shape == (1,)
+    assert val[0] == pytest.approx(TWO_PI ** 2, rel=1e-14)
 
 
 def test_torus_rule_orthogonality():
-    rule = TorusRule((0.9, 0.7), (32, 32))
-    val = integrate_torus(lambda z1, z2: z1 * np.conj(z2), rule)
-    assert abs(val) < 1e-12
-    val2 = integrate_torus(lambda z1, z2: (z1 * np.conj(z1)).real
-                           * np.ones(np.broadcast(z1, z2).shape), rule)
-    assert val2.real == pytest.approx(TWO_PI ** 2 * 0.81, rel=1e-13)
+    shells = np.array([[0.9, 0.7], [0.3, 0.6]])
+    val = torus_integrals(lambda z1, z2: z1 * np.conj(z2), shells, (32, 32))
+    assert np.all(np.abs(val) < 1e-12)
+    # |z1|^2 mass: one value per shell row
+    val2 = torus_integrals(lambda z1, z2: (z1 * np.conj(z1)).real
+                           * np.ones(np.broadcast(z1, z2).shape), shells,
+                           (32, 16))
+    assert val2 == pytest.approx(TWO_PI ** 2 * shells[:, 0] ** 2, rel=1e-13)
+    with pytest.raises(ValueError):
+        torus_integrals(lambda z1, z2: z1, shells, (32,))
+
+
+def test_unit_nodes_formula_and_broadcast():
+    # bit for bit the angles 2 pi k / m the one-variable rules always used
+    for m in (24, 161, 4096):
+        theta = TWO_PI * np.arange(m) / m
+        assert np.array_equal(unit_nodes(m), np.exp(1j * theta))
+    assert unit_nodes(8, 1, 3).shape == (1, 8, 1)
 
 
 def test_refine_until_converges_geometrically():
@@ -98,6 +110,30 @@ def test_refine_until_budget_cap():
 
     rep = refine_until(integrator, 1e-12, cap=4096)
     assert not rep.converged
+
+
+def test_refine_until_array_values_max_norm():
+    # the second entry settles last; convergence waits for it
+    def integrator(level):
+        return np.array([1.0, 2.0 + 8.0 ** -level]), (64 << level,)
+
+    rep = refine_until(integrator, 1e-6, cap=1 << 30)
+    assert rep.converged
+    assert rep.levels == 8
+    assert rep.value.shape == (2,)
+    assert rep.rel_change == pytest.approx(7 * 8.0 ** -8 / rep.value[1].real)
+    zeros = refine_until(lambda level: (np.zeros(3), (8 << level,)), 1e-12)
+    assert zeros.converged and zeros.levels == 1
+
+
+def test_refine_until_floor_settles_roundoff():
+    # a vanishing value that flips at roundoff settles only under a floor
+    def integrator(level):
+        return np.array([1e-18 * (-1) ** level, 0.0]), (64 << level,)
+
+    assert not refine_until(integrator, 1e-12, cap=1 << 10).converged
+    rep = refine_until(integrator, 1e-12, cap=1 << 10, floor=1e-17)
+    assert rep.converged and rep.levels == 1
 
 
 def test_refine_until_rejects_nan():

@@ -135,6 +135,68 @@ def test_block_coefficients_nd():
     assert abs(blk[3, 3]) < 1e-12
 
 
+# A vanishing coefficient is pure roundoff at every refinement level; it
+# must settle at roundoff instead of exhausting the node budget.
+
+def test_extract_coefficient_exact_zero():
+    p = PowerSeries.from_coefficients([1.0] + [0.0] * 19 + [1.0])
+    assert abs(extract_coefficient(p, 5)) < 1e-15
+    assert extract_coefficient(p, 0) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_block_coefficients_zero_block():
+    z20 = PowerSeries.from_coefficients([0.0] * 20 + [1.0])
+    assert np.allclose(block_coefficients(z20, 5), 0.0, rtol=0.0, atol=1e-15)
+
+
+def test_block_coefficients_keeps_small_coefficients():
+    # a_90 of f_0.9 is 1.3e-3 but its contour mode at R = 0.75 is 7e-15;
+    # it is recovered to the roundoff the R^-90 rescale leaves, not zeroed
+    a = 0.9
+    blk = block_coefficients(fa_series(a), 90, tol=1e-6)
+    assert blk[90] == pytest.approx((1 - a * a) * 91 * a ** 90, rel=5e-3)
+    with pytest.raises(NonConvergenceError):
+        block_coefficients(fa_series(a), 100, tol=1e-6)
+
+
+def _grid_guard(f, sizes):
+    """Record each tensor grid f is asked for and refuse, before any work,
+    grids past 2^22 points (a per-axis cap of 2^14 would reach 2^28)."""
+    def guarded(*zs):
+        size = np.broadcast(*zs).size
+        assert size <= 1 << 22, f"grid of {size} points past the budget"
+        sizes.append(size)
+        return f(*zs)
+    return guarded
+
+
+def test_block_coefficients_nd_zero_block():
+    F = MultiIndexSeries(2, {(10, 10): 1.0})
+    got = block_coefficients_nd(_grid_guard(F, []), 3, 2)
+    assert np.allclose(got, 0.0, rtol=0.0, atol=1e-15)
+
+
+def test_block_coefficients_nd_budget_is_on_the_grid():
+    # a pole on the contour never settles; the refinement must stop at the
+    # node budget of the whole grid
+    pole = 0.75 * np.exp(1j)
+    sizes = []
+    f = _grid_guard(lambda z1, z2: 1.0 / (z1 - pole) + z2, sizes)
+    with pytest.raises(NonConvergenceError):
+        block_coefficients_nd(f, 3, 2)
+    assert max(sizes) <= 1 << 20
+
+
+def test_contour_grids_past_the_budget_are_not_evaluated():
+    sizes = []
+    F = _grid_guard(MultiIndexSeries(2, {(0, 0): 1.0}), sizes)
+    with pytest.raises(NonConvergenceError):
+        block_coefficients_nd(F, 4096, 2)
+    with pytest.raises(NonConvergenceError):
+        extract_coefficient(F, 3, start_nodes=1 << 21)
+    assert sizes == []
+
+
 def test_kernel_identity_small_residual():
     # residual of the finite geometric identity behind the kernel form
     for z, xi, N in ((0.3 + 0.2j, 0.9, 6), (0.5, 0.7j, 11), (-0.2j, 0.8, 3)):
@@ -156,6 +218,16 @@ def test_partial_sum_kernel_agrees_with_truncation():
         trunc = partial_sum(f, N)(z)
         kern = partial_sum_kernel(f, N, z)
         assert np.allclose(kern, trunc, rtol=1e-10, atol=1e-12)
+
+
+def test_partial_sum_kernel_small_values():
+    # S_1 z at 1e-8 is far below the scale of z on the contour; its
+    # roundoff must not stop the refinement, scalar or array
+    z = PowerSeries.from_coefficients([0.0, 1.0])
+    assert partial_sum_kernel(z, 1, 1e-8) == pytest.approx(1e-8, abs=1e-16)
+    pts = np.array([1e-8, 2e-9j])
+    assert np.allclose(partial_sum_kernel(z, 1, pts), pts, rtol=0.0,
+                       atol=1e-16)
 
 
 def test_partial_sum_kernel_radius_guard():
