@@ -17,9 +17,8 @@ from .experiments import (ExperimentRecord, ExperimentResult, RunConfig,
 from .norms import (NormEstimate, bergman_norm_disc, bergman_norm_reinhardt,
                     hardy_norm_disc, hardy_norm_reinhardt,
                     monotonicity_check)
-from .quadrature import (CircleRule, PolarDiscRule, RefinementReport,
-                         angular_floor, integrate_circle, integrate_disc,
-                         refine_until, torus_integrals, unit_nodes)
+from .quadrature import (RefinementReport, angular_floor, refine_until,
+                         torus_integrals, unit_nodes)
 from .registry import (FunctionRegistry, RegistryEntry, TaggedEvaluator,
                        default_registry, fa_entry, geometric_entry,
                        monomial_entry, polynomial_entry, product_entry)
@@ -50,8 +49,7 @@ __all__ = [
     "run_uniform_bound", "write_result",
     "NormEstimate", "bergman_norm_disc", "bergman_norm_reinhardt",
     "hardy_norm_disc", "hardy_norm_reinhardt", "monotonicity_check",
-    "CircleRule", "PolarDiscRule", "RefinementReport", "angular_floor",
-    "integrate_circle", "integrate_disc", "refine_until", "torus_integrals",
+    "RefinementReport", "angular_floor", "refine_until", "torus_integrals",
     "unit_nodes",
     "FunctionRegistry", "RegistryEntry", "TaggedEvaluator",
     "default_registry", "fa_entry", "geometric_entry", "monomial_entry",

@@ -1,4 +1,12 @@
-"""Hardy and Bergman norm estimators on the disc and on Reinhardt domains.
+"""Hardy and Bergman norm estimators on complete Reinhardt domains.
+
+The unit disc is ``polydisc(1)``: its estimators integrate over the same
+one-axis torus shells (``quadrature.torus_integrals``) and radial cells
+as every other dimension.  One table, ``_GRID``, holds the grid policy
+per dimension: the angular floor and spike scale of each axis, the
+radial Gauss order and the base dyadic panel depth.  ``_grid`` reads it
+and raises the floors, and in one variable the panel depth, for a
+declared spike.
 
 One-variable conventions: the Hardy p-norm is the supremum over radii of
 the normalized circle mean
@@ -26,15 +34,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import (CircleRule, PolarDiscRule, angular_floor,
-                         dyadic_panels, _panel_gauss, integrate_circle,
-                         integrate_disc, refine_until, torus_integrals)
-from .reinhardt import ReinhardtDomain, frontier_sample, section_tops
-from .series import _f17
+from .quadrature import (TWO_PI, angular_floor, dyadic_panels, _panel_gauss,
+                         refine_until, torus_integrals)
+from .reinhardt import (ReinhardtDomain, frontier_sample, polydisc,
+                        section_tops)
 
-TWO_PI = 2.0 * np.pi
-
-NORM_CSV_HEADER = "space,p,value,ladder_len,tail_increment,converged"
+# Grid policy by dimension (3 stands for three or more): angular floor and
+# spike scale of each axis, radial Gauss order per panel, base panel
+# depth.  Tensor grids in several variables get leaner axes to keep the
+# product budget workable.
+_GRID = {1: (4096, 64.0, 64, 6), 2: (128, 16.0, 12, 2), 3: (32, 8.0, 8, 1)}
 
 
 @dataclass(frozen=True)
@@ -49,44 +58,29 @@ class NormEstimate:
     tail_increments: tuple          # trailing relative increments
     converged: bool
 
-    def csv_row(self) -> str:
-        tail = self.tail_increments[-1] if self.tail_increments else 0.0
-        return ",".join([self.space, _f17(self.p), _f17(self.value),
-                         str(len(self.ladder)), _f17(tail),
-                         str(bool(self.converged)).lower()])
 
+def _grid(f, spike, n):
+    """Per-axis angular floors, radial Gauss order and base panel depth.
 
-def _scalar_spike(f, spike):
+    A spike tag (keyword, else ``f.spike``; one per coordinate, or a
+    scalar for all) raises each axis floor to about scale / (1 - |spike|).
+    In one variable it also deepens the panel stack so the smallest panel
+    resolves the 1 - |spike| boundary scale.
+    """
     if spike is None:
         spike = getattr(f, "spike", None)
-    if isinstance(spike, (tuple, list, np.ndarray)):
-        spike = spike[0] if len(spike) else None
-    return spike
-
-
-def _coordinate_spikes(f, spike, n):
-    if spike is None:
-        spike = getattr(f, "spike", None)
-    if spike is None:
-        return (None,) * n
     if isinstance(spike, (tuple, list, np.ndarray)):
         if len(spike) != n:
             raise ValueError(f"need one spike tag per coordinate, got {spike}")
-        return tuple(spike)
-    return (float(spike),) * n
-
-
-def _coordinate_floors(f, spike, n):
-    # Tensor grids in several variables get leaner per-axis floors to keep
-    # the product budget workable.
-    if n == 1:
-        base, scale = 4096, 64.0
-    elif n == 2:
-        base, scale = 128, 16.0
+        spikes = tuple(spike)
     else:
-        base, scale = 32, 8.0
-    return tuple(angular_floor(s, base=base, scale=scale)
-                 for s in _coordinate_spikes(f, spike, n))
+        spikes = (None if spike is None else float(spike),) * n
+    base, scale, order, depth = _GRID[min(n, 3)]
+    floors = tuple(angular_floor(s, base=base, scale=scale) for s in spikes)
+    s = spikes[0]
+    if n == 1 and s is not None and 0.0 < abs(s) < 1.0:
+        depth = max(depth, math.ceil(math.log2(1.0 / (1.0 - abs(s)))) + 2)
+    return floors, order, depth
 
 
 def _abs_power(f, p):
@@ -107,7 +101,8 @@ def hardy_norm_disc(f, p: float = 1.0, tol: float = 1e-6, *,
     """
     if p <= 0:
         raise ValueError(f"norm exponent must be positive, got {p}")
-    floor = angular_floor(_scalar_spike(f, spike))
+    (floor,), _, _ = _grid(f, spike, 1)
+    g = _abs_power(f, p)
     quad_tol = max(0.25 * tol, 1e-14)
     rungs, vals, incs = [], [], []
     quad_ok = True
@@ -116,9 +111,8 @@ def hardy_norm_disc(f, p: float = 1.0, tol: float = 1e-6, *,
         r = 1.0 - 2.0 ** -k
 
         def shell(level, r=r):
-            rule = CircleRule(r, floor << level)
-            v = integrate_circle(_abs_power(f, p), rule)
-            return v, (rule.nodes,)
+            m = floor << level
+            return torus_integrals(g, [[r]], [m])[0] / TWO_PI, (m,)
 
         rep = refine_until(shell, quad_tol, cap=max_nodes)
         quad_ok = quad_ok and rep.converged
@@ -136,39 +130,14 @@ def hardy_norm_disc(f, p: float = 1.0, tol: float = 1e-6, *,
                         converged=bool(quad_ok and tail_ok))
 
 
-def _bergman_estimate(level_fn, p, tol, max_nodes) -> NormEstimate:
-    """Refine a volume rule and report its p-th root as a Bergman norm."""
-    rep = refine_until(level_fn, max(tol, 1e-14), cap=max_nodes)
-    return NormEstimate(value=max(rep.value.real, 0.0) ** (1.0 / p),
-                        space="A", p=float(p), ladder=(), ladder_values=(),
-                        tail_increments=(rep.rel_change,),
-                        converged=bool(rep.converged))
-
-
 def bergman_norm_disc(f, p: float = 1.0, tol: float = 1e-8, *,
-                      spike=None, r_max: float = 1.0,
-                      max_nodes: int = 1 << 28) -> NormEstimate:
-    """Bergman p-norm on the disc of radius r_max, plain area measure.
+                      spike=None, max_nodes: int = 1 << 28) -> NormEstimate:
+    """Bergman p-norm on the unit disc, plain area measure.
 
-    Radial panels refine dyadically toward the rim where holomorphic mass
-    piles up; a spike tag deepens the initial panel stack so the smallest
-    panel resolves the 1 - |spike| boundary scale.
+    The ``polydisc(1)`` case of :func:`bergman_norm_reinhardt`, with a
+    tighter default tolerance and a larger node budget.
     """
-    if p <= 0:
-        raise ValueError(f"norm exponent must be positive, got {p}")
-    s = _scalar_spike(f, spike)
-    floor = angular_floor(s)
-    base_depth = 6
-    if s is not None and 0.0 < abs(s) < 1.0:
-        base_depth = max(6, math.ceil(math.log2(1.0 / (1.0 - abs(s)))) + 2)
-
-    def level_fn(level):
-        rule = PolarDiscRule.build(r_max=r_max, depth=base_depth + level,
-                                   order=64, angular=floor << level)
-        val = integrate_disc(_abs_power(f, p), rule)
-        return complex(val), (rule.radial_nodes.size, rule.angular)
-
-    return _bergman_estimate(level_fn, p, tol, max_nodes)
+    return _bergman(f, p, tol, polydisc(1), spike, max_nodes)
 
 
 def _maximal_rows(radii: np.ndarray) -> np.ndarray:
@@ -201,8 +170,7 @@ def hardy_norm_reinhardt(f, p: float = 1.0, domain: ReinhardtDomain = None,
         raise ValueError("a ReinhardtDomain is required")
     if p <= 0:
         raise ValueError(f"norm exponent must be positive, got {p}")
-    n = domain.dim
-    floors = _coordinate_floors(f, spike, n)
+    floors, _, _ = _grid(f, spike, domain.dim)
     sample = frontier_sample(domain, dirs)
     shells = sample.radii[_maximal_rows(sample.radii)]
     ts = 1.0 - 2.0 ** -np.arange(1, k_max + 1, dtype=np.float64)
@@ -268,24 +236,33 @@ def bergman_norm_reinhardt(f, p: float = 1.0, domain: ReinhardtDomain = None,
     """Bergman p-norm over a complete Reinhardt domain, plain volume."""
     if domain is None:
         raise ValueError("a ReinhardtDomain is required")
+    return _bergman(f, p, tol, domain, spike, max_nodes)
+
+
+def _bergman(f, p, tol, domain, spike, max_nodes) -> NormEstimate:
+    """Refine radial cells x torus shells until the volume integral of
+    |f|^p settles; report its p-th root.
+
+    Each level deepens the dyadic radial panels, which pile up toward the
+    rim where holomorphic mass concentrates, and doubles every angular
+    axis.
+    """
     if p <= 0:
         raise ValueError(f"norm exponent must be positive, got {p}")
-    n = domain.dim
-    if n == 1:
-        top = float(section_tops(domain, np.zeros((1, 0)))[0])
-        return bergman_norm_disc(f, p, tol, spike=_scalar_spike(f, spike),
-                                 r_max=top, max_nodes=max_nodes)
-    floors = _coordinate_floors(f, spike, n)
-    order = 12 if n == 2 else 8
-    base_depth = 2 if n == 2 else 1
+    floors, order, depth = _grid(f, spike, domain.dim)
+    g = _abs_power(f, p)
 
     def level_fn(level):
-        cells, weights = _radial_cells(domain, base_depth + level, order)
+        cells, weights = _radial_cells(domain, depth + level, order)
         ms = [m << level for m in floors]
-        sums = torus_integrals(_abs_power(f, p), cells, ms)
+        sums = torus_integrals(g, cells, ms)
         return complex(float(sums @ weights)), (cells.shape[0], *ms)
 
-    return _bergman_estimate(level_fn, p, tol, max_nodes)
+    rep = refine_until(level_fn, max(tol, 1e-14), cap=max_nodes)
+    return NormEstimate(value=max(rep.value.real, 0.0) ** (1.0 / p),
+                        space="A", p=float(p), ladder=(), ladder_values=(),
+                        tail_increments=(rep.rel_change,),
+                        converged=bool(rep.converged))
 
 
 def monotonicity_check(f, p: float, r, R, tol: float = 1e-9, *,
@@ -302,8 +279,7 @@ def monotonicity_check(f, p: float, r, R, tol: float = 1e-9, *,
         raise ValueError("shell radius vectors must share one shape")
     if np.any(r < 0) or np.any(R < r):
         raise ValueError("need componentwise 0 <= r <= R")
-    n = r.size
-    floors = _coordinate_floors(f, spike, n)
+    floors, _, _ = _grid(f, spike, r.size)
     i_r, i_R = torus_integrals(_abs_power(f, p), np.vstack([r, R]),
                                [m << 1 for m in floors])
     return bool(i_r <= i_R + tol * max(1.0, i_R))

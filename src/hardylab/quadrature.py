@@ -1,12 +1,13 @@
-"""Deterministic quadrature on circles, discs, and torus shells.
+"""Deterministic quadrature on torus shells and dyadic radial panels.
 
-Circle integrals use the equispaced trapezoid rule, which is exact for
-trigonometric polynomials of degree below the node count and spectrally
-accurate for integrands that extend analytically past the circle.  Disc
-volumes are integrated in polar form: Gauss-Legendre panels in the radius
-with dyadic panel boundaries 1 - 2^-k concentrated toward the rim, times
-an equispaced angular rule.  Torus shells in several variables take tensor
-products of circle rules.
+The norm estimators integrate over torus shells r * T^n, n >= 1, with the
+equispaced trapezoid rule in each angle: exact for trigonometric
+polynomials of degree below the node count and spectrally accurate for
+integrands that extend analytically past the shell.  A circle is the
+one-axis shell.  Volumes are integrated in polar form: Gauss-Legendre
+panels in each radius with dyadic panel boundaries 1 - 2^-k concentrated
+toward the rim (:func:`dyadic_panels`), times the shell rule.  The disc
+is not special-cased; ``norms`` treats it as ``polydisc(1)``.
 
 This module owns the two pieces every estimator shares: :func:`unit_nodes`
 builds the equispaced nodes e^(2 pi i k / m) on the circle and, shaped for
@@ -55,7 +56,7 @@ def unit_nodes(m: int, axis: int = 0, ndim: int = 1) -> np.ndarray:
 
 
 def angular_floor(spike: float | None, *, base: int = 4096, scale: float = 64.0) -> int:
-    """Initial node count for circle rules, raised when a spike is declared.
+    """Initial node count of an angular axis, raised for a declared spike.
 
     ``spike`` is the modulus of a pole-like parameter sitting at distance
     1 - |spike| from the unit circle; resolving the induced boundary spike
@@ -67,29 +68,6 @@ def angular_floor(spike: float | None, *, base: int = 4096, scale: float = 64.0)
     if s >= 1.0:
         raise ValueError(f"spike modulus must be < 1, got {s}")
     return max(int(base), int(np.ceil(scale / (1.0 - s))))
-
-
-@dataclass(frozen=True)
-class CircleRule:
-    """Equispaced trapezoid rule with ``nodes`` points on ``|z| = radius``."""
-
-    radius: float
-    nodes: int
-
-    def __post_init__(self):
-        if self.radius <= 0.0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
-        if self.nodes < 1:
-            raise ValueError(f"node count must be >= 1, got {self.nodes}")
-
-    def points(self) -> np.ndarray:
-        return self.radius * unit_nodes(self.nodes)
-
-
-def integrate_circle(g: Callable, rule: CircleRule) -> complex:
-    """Approximate (1/2pi) * integral of g(radius * e^{i theta}) d theta."""
-    vals = np.asarray(g(rule.points()), dtype=np.complex128)
-    return complex(np.sum(vals) / rule.nodes)
 
 
 def dyadic_panels(r_max: float, depth: int) -> np.ndarray:
@@ -111,49 +89,6 @@ def _panel_gauss(bounds: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray
         nodes.append(half * x + 0.5 * (hi + lo))
         weights.append(half * w)
     return np.concatenate(nodes), np.concatenate(weights)
-
-
-@dataclass(frozen=True, eq=False)
-class PolarDiscRule:
-    """Polar product rule for volume integrals over ``|z| < r_max``.
-
-    ``radial_weights`` already contain the polar Jacobian r, so the rule
-    value is sum_i sum_k  w_i * (2pi/M) * g(r_i e^{i theta_k}).
-    """
-
-    r_max: float
-    depth: int
-    order: int
-    angular: int
-    radial_nodes: np.ndarray
-    radial_weights: np.ndarray
-
-    @classmethod
-    def build(cls, r_max: float = 1.0, depth: int = 6, order: int = 64,
-              angular: int = 4096) -> "PolarDiscRule":
-        if not 0.0 < r_max <= 1.0:
-            raise ValueError(f"r_max must lie in (0, 1], got {r_max}")
-        if order < 1 or angular < 1:
-            raise ValueError("order and angular node count must be >= 1")
-        bounds = dyadic_panels(r_max, depth)
-        nodes, weights = _panel_gauss(bounds, order)
-        return cls(r_max=r_max, depth=depth, order=order, angular=angular,
-                   radial_nodes=nodes, radial_weights=weights * nodes)
-
-
-def integrate_disc(g: Callable, rule: PolarDiscRule) -> float:
-    """Approximate the volume integral of a real integrand over the disc."""
-    m = rule.angular
-    phases = unit_nodes(m)
-    r = rule.radial_nodes
-    wr = rule.radial_weights
-    chunk = max(1, _CHUNK // m)
-    total = 0.0
-    for start in range(0, r.size, chunk):
-        z = r[start:start + chunk, None] * phases[None, :]
-        vals = np.asarray(g(z))
-        total += float(np.sum(wr[start:start + chunk] * np.sum(vals.real, axis=1)))
-    return total * (TWO_PI / m)
 
 
 def torus_integrals(g: Callable, radii, angular: Sequence[int]) -> np.ndarray:

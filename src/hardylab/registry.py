@@ -44,6 +44,16 @@ class TaggedEvaluator:
         return f"TaggedEvaluator({self.label or self.fn!r})"
 
 
+def product_evaluator(fns) -> Callable:
+    """(z_1, ..., z_n) -> fns[0](z_1) * ... * fns[n-1](z_n), left to right."""
+    def fn(*zs):
+        out = np.asarray(fns[0](zs[0]))
+        for f, z in zip(fns[1:], zs[1:]):
+            out = out * np.asarray(f(z))
+        return out
+    return fn
+
+
 @dataclass(frozen=True, eq=False)
 class RegistryEntry:
     """A named test function with evaluators for it and its partial sums."""
@@ -94,13 +104,8 @@ class RegistryEntry:
         if self.dim == 1:
             return self.partial_evaluator(N)
         if self.factors is not None:
-            parts = [fac.partial_evaluator(N) for fac in self.factors]
-
-            def fn(*zs, parts=parts):
-                out = np.asarray(parts[0](zs[0]))
-                for pe, z in zip(parts[1:], zs[1:]):
-                    out = out * np.asarray(pe(z))
-                return out
+            fn = product_evaluator([fac.partial_evaluator(N)
+                                    for fac in self.factors])
         else:
             fn = square_partial_sum(self.series, N)
         return TaggedEvaluator(fn, self.spike, f"S{N}[{self.name}]")
@@ -240,14 +245,6 @@ def product_entry(factors: tuple[RegistryEntry, ...],
     """Tensor product f(z) = prod_j f_j(z_j) of one-variable entries."""
     if any(f.dim != 1 for f in factors):
         raise ValueError("product factors must be one-variable entries")
-    evals = [f.evaluator for f in factors]
-
-    def fn(*zs, evals=evals):
-        out = np.asarray(evals[0](zs[0]))
-        for ev, z in zip(evals[1:], zs[1:]):
-            out = out * np.asarray(ev(z))
-        return out
-
     h1 = None
     if all(f.h1_exact is not None for f in factors):
         h1 = float(np.prod([f.h1_exact for f in factors]))
@@ -255,7 +252,9 @@ def product_entry(factors: tuple[RegistryEntry, ...],
     degs = [f.degree for f in factors]
     return RegistryEntry(
         name=name or "prod-" + "-".join(f.name for f in factors),
-        dim=len(factors), evaluator=fn, series=None,
+        dim=len(factors),
+        evaluator=product_evaluator([f.evaluator for f in factors]),
+        series=None,
         spike=tuple(f.spike if f.spike is not None else 0.0 for f in factors),
         in_h1=all(f.in_h1 for f in factors),
         degree=None if any(d is None for d in degs) else int(max(degs)),

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DomainModelError
 from .quadrature import unit_nodes
-from .registry import TaggedEvaluator
+from .registry import TaggedEvaluator, product_evaluator
 from .series import MultiIndexSeries, PowerSeries
 
 _GOLDEN = 0.6180339887498949
@@ -383,16 +383,11 @@ def density_experiment(f, domain: ReinhardtDomain, p: float = 1.0,
 
     def build_q(rho: float, M: int):
         if factors is not None:
-            coeff_list = [fa.series.coefficients(M)
-                          * rho ** np.arange(M + 1) for fa in factors]
-
-            def q_eval(*zs):
-                out = 1.0
-                for j, z in enumerate(zs):
-                    out = out * np.polynomial.polynomial.polyval(
-                        np.asarray(z, dtype=np.complex128), coeff_list[j])
-                return out
-            return q_eval
+            polys = [fa.series.coefficients(M) * rho ** np.arange(M + 1)
+                     for fa in factors]
+            return product_evaluator([
+                lambda z, c=c: np.polynomial.polynomial.polyval(
+                    np.asarray(z, dtype=np.complex128), c) for c in polys])
         q_series = dilate_truncate(series, rho, M)
         return q_series.to_power_series() if n == 1 else q_series
 

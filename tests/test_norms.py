@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hardylab.norms import (NORM_CSV_HEADER, NormEstimate, bergman_norm_disc,
+from hardylab.norms import (NormEstimate, bergman_norm_disc,
                             bergman_norm_reinhardt, hardy_norm_disc,
                             hardy_norm_reinhardt, monotonicity_check)
 from hardylab.registry import default_registry
@@ -82,17 +82,53 @@ def test_embedding_constant_on_random_polynomials():
         assert a1.value <= np.pi * h1.value * (1 + 1e-6)
 
 
-def test_norm_estimate_csv_row_shape():
-    est = hardy_norm_disc(lambda z: np.ones_like(z), 1.0, 1e-8)
-    row = est.csv_row()
-    fields = row.split(",")
-    assert len(fields) == len(NORM_CSV_HEADER.split(","))
-    assert fields[0] == "H"
-    assert fields[1] == "1"
-    assert int(fields[3]) == len(est.ladder)
-    assert fields[5] in ("true", "false")
-    best = bergman_norm_disc(lambda z: np.ones_like(z), 1.0)
-    assert best.csv_row().split(",")[0] == "A"
+class _Level0Done(Exception):
+    """Raised by the pinning integrand once level 0 is fully evaluated."""
+
+
+def _pin_level0(estimator, radii, m, **kw):
+    """Run estimator until it has evaluated f on radii x e^(2 pi i k/m).
+
+    Each integrand call must hold the next rows of that grid, bit for bit.
+    """
+    phases = np.exp(1j * (TWO_PI * np.arange(m) / m))
+    row = [0]
+
+    def f(z):
+        rows = np.size(z) // m
+        want = radii[row[0]:row[0] + rows, None] * phases[None, :]
+        assert np.ascontiguousarray(z).tobytes() == want.tobytes()
+        row[0] += rows
+        if row[0] == radii.size:
+            raise _Level0Done
+        return np.ones(np.shape(z))
+
+    with pytest.raises(_Level0Done):
+        estimator(f, 1.0, **kw)
+
+
+@pytest.mark.parametrize("spike, depth, m", [(None, 6, 4096),
+                                             (0.999, 12, 64000)])
+def test_disc_estimators_level0_node_sets(spike, depth, m):
+    # Bergman: 64-point Gauss-Legendre on the dyadic panels of [0, 1] times
+    # the equispaced angles; Hardy: the first rung r = 1/2 of its ladder
+    bounds = [0.0] + [1.0 - 2.0 ** -k for k in range(1, depth + 1)] + [1.0]
+    x, _ = np.polynomial.legendre.leggauss(64)
+    radii = np.concatenate([0.5 * (hi - lo) * x + 0.5 * (hi + lo)
+                            for lo, hi in zip(bounds[:-1], bounds[1:])])
+    _pin_level0(bergman_norm_disc, radii, m, spike=spike)
+    _pin_level0(hardy_norm_disc, np.array([0.5]), m, spike=spike)
+
+
+def test_one_variable_spike_tuple_needs_one_entry():
+    f = WitnessFa(0.5)
+    for estimate in (hardy_norm_disc, bergman_norm_disc):
+        with pytest.raises(ValueError, match="one spike tag per coordinate"):
+            estimate(f, 1.0, spike=(0.9, 0.5))
+    with pytest.raises(ValueError, match="one spike tag per coordinate"):
+        bergman_norm_reinhardt(f, 1.0, polydisc(1), spike=(0.999, 0.5))
+    one = hardy_norm_disc(f, 1.0, spike=(0.9,))
+    assert one == hardy_norm_disc(f, 1.0, spike=0.9)
 
 
 def test_hardy_reinhardt_constant_mass():
@@ -149,6 +185,7 @@ def test_bergman_reinhardt_monomial_values():
 
 
 def test_bergman_reinhardt_dim1_delegates():
+    # the unit disc is polydisc(1); both estimators share one routine
     est = bergman_norm_reinhardt(lambda z: np.ones_like(z), 1.0, polydisc(1))
     assert est.space == "A"
     assert est.value == pytest.approx(np.pi, rel=1e-12)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from hardylab.quadrature import (CircleRule, PolarDiscRule, angular_floor,
-                                 dyadic_panels, integrate_circle,
-                                 integrate_disc, refine_until,
+from hardylab.norms import bergman_norm_disc, bergman_norm_reinhardt
+from hardylab.quadrature import (angular_floor, dyadic_panels, refine_until,
                                  torus_integrals, unit_nodes)
+from hardylab.reinhardt import polydisc
 
 TWO_PI = 2.0 * np.pi
 
@@ -25,20 +25,24 @@ def test_angular_floor_rejects_boundary_spike():
         angular_floor(1.5)
 
 
+def _circle_mean(g, r, m):
+    # a circle is the one-axis torus shell
+    return torus_integrals(g, [[r]], [m])[0] / TWO_PI
+
+
 def test_circle_rule_mean_of_powers():
-    rule = CircleRule(0.75, 256)
     # (1/2pi) int z^k dtheta vanishes for k != 0, equals 1 for k = 0
-    assert integrate_circle(lambda z: np.ones_like(z), rule) == pytest.approx(1.0)
+    assert _circle_mean(lambda z: np.ones_like(z), 0.75, 256) \
+        == pytest.approx(1.0)
     for k in (1, 2, 7):
-        val = integrate_circle(lambda z, k=k: z ** k, rule)
+        val = _circle_mean(lambda z, k=k: z ** k, 0.75, 256)
         assert abs(val) < 1e-14
 
 
 def test_circle_rule_poisson_mean():
     # mean of |1 - a z|^{-2} on |z| = r is 1/(1 - a^2 r^2)
     a, r = 0.6, 0.8
-    rule = CircleRule(r, 512)
-    val = integrate_circle(lambda z: 1.0 / np.abs(1 - a * z) ** 2, rule)
+    val = _circle_mean(lambda z: 1.0 / np.abs(1 - a * z) ** 2, r, 512)
     assert val.real == pytest.approx(1.0 / (1.0 - a * a * r * r), rel=1e-13)
 
 
@@ -52,17 +56,20 @@ def test_dyadic_panels_structure():
 
 
 def test_disc_rule_exact_on_radial_polynomials():
-    rule = PolarDiscRule.build(r_max=1.0, depth=4, order=12, angular=64)
-    # int_U |z|^{2m} dV = 2 pi / (2m + 2)
+    # ||z^m||_A2^2 = int_U |z|^{2m} dV = 2 pi / (2m + 2)
     for m in (0, 1, 3):
-        val = integrate_disc(lambda z, m=m: np.abs(z) ** (2 * m), rule)
-        assert val == pytest.approx(TWO_PI / (2 * m + 2), rel=1e-14)
+        est = bergman_norm_disc(lambda z, m=m: z ** m, 2.0)
+        assert est.converged
+        assert est.value ** 2 == pytest.approx(TWO_PI / (2 * m + 2),
+                                               rel=1e-14)
 
 
 def test_disc_rule_area():
-    rule = PolarDiscRule.build(r_max=0.5, depth=5, order=16, angular=32)
-    val = integrate_disc(lambda z: np.ones_like(z, dtype=float), rule)
-    assert val == pytest.approx(np.pi * 0.25, rel=1e-14)
+    # the disc of radius 1/2 is polydisc(1, [0.5])
+    est = bergman_norm_reinhardt(lambda z: np.ones_like(z, dtype=float), 1.0,
+                                 polydisc(1, [0.5]))
+    assert est.converged
+    assert est.value == pytest.approx(np.pi * 0.25, rel=1e-14)
 
 
 def test_torus_rule_unnormalized_mass():
