@@ -9,11 +9,10 @@ unit disc and on complete Reinhardt domains.
 from .errors import (AliasingError, CoefficientUnavailable, DomainModelError,
                      HardyLabError, NonConvergenceError, PoleError,
                      SingularKernelError)
-from .experiments import (ExperimentRecord, ExperimentResult, RunConfig,
-                          render_csv, render_json, run_a1_convergence,
-                          run_all, run_blowup, run_density,
-                          run_ic_asymptotics, run_reinhardt,
-                          run_uniform_bound, write_result)
+from .experiments import (ExperimentResult, RunConfig, render_csv,
+                          render_json, run_a1_convergence, run_all,
+                          run_blowup, run_density, run_ic_asymptotics,
+                          run_reinhardt, run_uniform_bound, write_result)
 from .norms import (NormEstimate, bergman_norm_disc, bergman_norm_reinhardt,
                     hardy_norm_disc, hardy_norm_reinhardt,
                     monotonicity_check)
@@ -43,10 +42,10 @@ __all__ = [
     "AliasingError", "CoefficientUnavailable", "DomainModelError",
     "HardyLabError", "NonConvergenceError", "PoleError",
     "SingularKernelError",
-    "ExperimentRecord", "ExperimentResult", "RunConfig", "render_csv",
-    "render_json", "run_a1_convergence", "run_all", "run_blowup",
-    "run_density", "run_ic_asymptotics", "run_reinhardt",
-    "run_uniform_bound", "write_result",
+    "ExperimentResult", "RunConfig", "render_csv", "render_json",
+    "run_a1_convergence", "run_all", "run_blowup", "run_density",
+    "run_ic_asymptotics", "run_reinhardt", "run_uniform_bound",
+    "write_result",
     "NormEstimate", "bergman_norm_disc", "bergman_norm_reinhardt",
     "hardy_norm_disc", "hardy_norm_reinhardt", "monotonicity_check",
     "RefinementReport", "angular_floor", "refine_until", "torus_integrals",

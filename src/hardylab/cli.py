@@ -9,9 +9,11 @@ A JSON --config file supplies values for anything not given on the
 command line; recognized keys are tol, max_nodes, n_set, a_set, seed and
 format, plus the keys of ``experiments.RUNNER_OPTIONS``: eps_ladder,
 c_set, z_ladder, function, and domain (a mapping with kind, dim, and
-radii/radius/powers).  Explicit flags win over the file.  A runner's keys
-are accepted by every command and read by the runners that take them,
-``all`` included; any other key is rejected.  The subcommands, and the
+radii/radius/powers).  List values are JSON arrays.  Explicit flags win
+over the file.  A runner's keys are accepted by every command and read by
+the runners that take them, ``all`` included.  Every key is parsed before
+any runner starts; a key no runner reads, or a value its parser refuses,
+ends the command with a message naming the key.  The subcommands, and the
 runners ``all`` runs, are those of ``experiments.RUNNERS``.
 """
 
@@ -22,12 +24,25 @@ import json
 import os
 import sys
 
-from .experiments import (RUNNER_OPTIONS, RUNNERS, RunConfig, run_all,
-                          runner_options, write_result)
+from .experiments import (RUNNER_OPTIONS, RUNNERS, RunConfig, array_of,
+                          run_all, runner_options, write_result)
 
 _COMMANDS = (*RUNNERS, "all")
-_RUN_KEYS = ("tol", "max_nodes", "n_set", "a_set", "seed", "format")
-_OPTION_KEYS = set().union(*RUNNER_OPTIONS.values())
+
+
+def _format(value) -> str:
+    if value not in ("csv", "json"):
+        raise ValueError(f"must be csv or json, got {value!r}")
+    return value
+
+
+# Every key a config file may hold, with the parser of its JSON value:
+# the RunConfig fields, the table format, and the runners' own keys.
+_RUN_KEYS = {"tol": float, "max_nodes": int, "seed": int,
+             "n_set": array_of(int), "a_set": array_of(float)}
+_OPTION_KEYS = {key: parse for opts in RUNNER_OPTIONS.values()
+                for key, parse in opts.items()}
+_PARSERS = {**_RUN_KEYS, "format": _format, **_OPTION_KEYS}
 
 
 def _parse_ints(text: str) -> tuple:
@@ -60,39 +75,35 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
 
 
 def _load_file_config(path: str | None) -> dict:
+    """The config file's keys, each parsed by its ``_PARSERS`` entry."""
     if not path:
         return {}
     with open(path) as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
         raise SystemExit(f"config file {path} must hold a JSON object")
-    for key in cfg:
-        if key not in _RUN_KEYS and key not in _OPTION_KEYS:
+    parsed = {}
+    for key, value in doc.items():
+        if key not in _PARSERS:
             raise SystemExit(f"config file {path}: no runner reads key {key!r}")
-    if cfg.get("format", "csv") not in ("csv", "json"):
-        raise SystemExit(f"config file {path}: key 'format' must be csv or "
-                         f"json, got {cfg['format']!r}")
-    return cfg
+        try:
+            parsed[key] = _PARSERS[key](value)
+        except (TypeError, ValueError) as exc:
+            raise SystemExit(f"config file {path}: key {key!r}: {exc}") \
+                from None
+    return parsed
 
 
 def _build_config(args, fcfg: dict) -> RunConfig:
-    base = RunConfig()
-    tol = args.tol if args.tol is not None else fcfg.get("tol", base.tol)
-    max_nodes = args.max_nodes if args.max_nodes is not None \
-        else fcfg.get("max_nodes", base.max_nodes)
-    seed = args.seed if args.seed is not None else fcfg.get("seed", base.seed)
-    if args.n_set is not None:
-        n_set = _parse_ints(args.n_set)
-    else:
-        n_set = tuple(fcfg.get("n_set", base.n_set))
-    if args.a_set is not None:
-        a_set = _parse_floats(args.a_set)
-    else:
-        a_set = tuple(fcfg.get("a_set", base.a_set))
-    n_square = n_set if (args.n_set is not None or "n_set" in fcfg) \
-        else base.n_set_square
-    return RunConfig(tol=float(tol), max_nodes=int(max_nodes), n_set=n_set,
-                     n_set_square=n_square, a_set=a_set, seed=int(seed))
+    flags = {"tol": args.tol, "max_nodes": args.max_nodes, "seed": args.seed,
+             "n_set": None if args.n_set is None else _parse_ints(args.n_set),
+             "a_set": None if args.a_set is None
+             else _parse_floats(args.a_set)}
+    given = {key: fcfg[key] for key in _RUN_KEYS if key in fcfg}
+    given.update((key, v) for key, v in flags.items() if v is not None)
+    if "n_set" in given:
+        given["n_set_square"] = given["n_set"]
+    return RunConfig(**given)
 
 
 def main(argv=None) -> int:

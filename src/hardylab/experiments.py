@@ -1,11 +1,10 @@
 """Experiment runners producing deterministic tables with pass/fail gates.
 
-Every runner returns an ExperimentResult holding fixed-order columns, the
-rows, a summary of the checked contracts, and an exit code:
-
-    0   all contracts met
-    1   a contract was violated (a bound failed, a trend broke)
-    2   quadrature failed to converge somewhere load-bearing
+Every runner returns an ExperimentResult holding fixed-order columns and
+the rows, each ending in its convergence flag, appended with ``add``.
+``ExperimentResult.close`` then records the summary and the gates and
+sets the exit code: 2 if a row did not converge, else 0 if every gate
+holds, else 1.
 
 CSV output is byte-deterministic for a fixed seed: floats are printed
 with repr-faithful %.17g, and wall times are reported only in the JSON
@@ -25,8 +24,8 @@ import numpy as np
 
 from .norms import (bergman_norm_disc, bergman_norm_reinhardt,
                     hardy_norm_disc, hardy_norm_reinhardt, monotonicity_check)
-from .registry import (FunctionRegistry, RegistryEntry, TaggedEvaluator,
-                       default_registry, fa_entry)
+from .registry import (FunctionRegistry, RegistryEntry, default_registry,
+                       fa_entry)
 from .reinhardt import (ReinhardtDomain, density_experiment,
                         domain_from_config, frontier_sample, polydisc)
 from .series import _f17
@@ -62,24 +61,31 @@ class RunConfig:
 
 
 @dataclass
-class ExperimentRecord:
-    """One measured row with its inputs and wall time."""
-
-    experiment: str
-    params: dict
-    values: dict
-    converged: bool
-    wall_time: float
-
-
-@dataclass
 class ExperimentResult:
+    """A runner's table: rows whose last cell is the row's convergence
+    flag, the wall time of each row, the summary and the exit code."""
+
     name: str
     columns: tuple
     rows: list = field(default_factory=list)
     summary: dict = field(default_factory=dict)
     exit_code: int = 0
-    records: list = field(default_factory=list)
+    wall_times: list = field(default_factory=list)
+
+    def add(self, started: float, *row) -> None:
+        """Append ``row``, timed from ``started`` (a perf_counter reading)."""
+        self.rows.append(row)
+        self.wall_times.append(time.perf_counter() - started)
+
+    def close(self, info: dict, **gates) -> ExperimentResult:
+        """Summarize as ``info`` plus the gates and ``all_converged``; exit
+        2 if a row did not converge, else 0 if every gate holds, else 1."""
+        converged = all(row[-1] for row in self.rows)
+        self.summary = {**info, **{k: bool(v) for k, v in gates.items()},
+                        "all_converged": converged}
+        self.exit_code = 2 if not converged else (
+            0 if all(gates.values()) else 1)
+        return self
 
     def to_dict(self) -> dict:
         return {"experiment": self.name,
@@ -87,11 +93,10 @@ class ExperimentResult:
                 "rows": [list(r) for r in self.rows],
                 "summary": _plain(self.summary),
                 "exit_code": self.exit_code,
-                "records": [{"params": _plain(rec.params),
-                             "values": _plain(rec.values),
-                             "converged": bool(rec.converged),
-                             "wall_time": float(rec.wall_time)}
-                            for rec in self.records]}
+                "records": [{**_plain(dict(zip(self.columns, row))),
+                             "wall_time": wall}
+                            for row, wall in zip(self.rows, self.wall_times,
+                                                 strict=True)]}
 
 
 def _plain(obj):
@@ -175,30 +180,20 @@ def run_uniform_bound(config: RunConfig | None = None,
                                    max_nodes=cfg.vol_cap())
             h1n = hardy_norm_disc(sn, 1.0, cfg.tol, k_max=cfg.k_max,
                                   spike=entry.spike, max_nodes=cfg.max_nodes)
-            ok = h1.converged and a1.converged and h1n.converged
-            row = (entry.name, N, a_val, h1.value, a1.value,
-                   a1.value / h1.value, h1n.value, h1n.value / h1.value, ok)
-            res.rows.append(row)
-            res.records.append(ExperimentRecord(
-                "uniform-bound", {"function": entry.name, "N": N, "a": a_val},
-                {"h1_f": h1.value, "a1_partial": a1.value,
-                 "h1_partial": h1n.value}, ok, time.perf_counter() - t1))
+            res.add(t1, entry.name, N, a_val, h1.value, a1.value,
+                    a1.value / h1.value, h1n.value, h1n.value / h1.value,
+                    h1.converged and a1.converged and h1n.converged)
     ratios = {}
-    all_ok = True
     for row in res.rows:
         ratios.setdefault(row[1], []).append(row[5])
-        all_ok = all_ok and row[8]
     ns = sorted(ratios)
     early_ns, late_ns = ns[:2], ns[-2:]
     early = max(max(ratios[n]) for n in early_ns)
     late = max(max(ratios[n]) for n in late_ns)
-    res.summary = {"max_ratio_a1": max(max(v) for v in ratios.values()),
-                   "early_ns": early_ns, "late_ns": late_ns,
-                   "max_early": early, "max_late": late,
-                   "plateau_ok": bool(late <= 1.10 * early),
-                   "all_converged": bool(all_ok)}
-    res.exit_code = 2 if not all_ok else (0 if res.summary["plateau_ok"] else 1)
-    return res
+    return res.close({"max_ratio_a1": max(max(v) for v in ratios.values()),
+                      "early_ns": early_ns, "late_ns": late_ns,
+                      "max_early": early, "max_late": late},
+                     plateau_ok=late <= 1.10 * early)
 
 
 def run_a1_convergence(config: RunConfig | None = None,
@@ -214,7 +209,6 @@ def run_a1_convergence(config: RunConfig | None = None,
     reg = registry or default_registry(cfg.seed)
     res = ExperimentResult("a1-converge",
                            ("function", "N", "degree", "err_a1", "converged"))
-    all_ok = True
     fa_errs = {}
     poly_ok = True
     for name in A1_FUNCTIONS:
@@ -224,12 +218,7 @@ def run_a1_convergence(config: RunConfig | None = None,
             err = bergman_norm_disc(entry.tail_evaluator(N), 1.0, cfg.tol,
                                     spike=entry.spike,
                                     max_nodes=cfg.vol_cap())
-            all_ok = all_ok and err.converged
-            res.rows.append((name, N, entry.degree, err.value, err.converged))
-            res.records.append(ExperimentRecord(
-                "a1-converge", {"function": name, "N": N},
-                {"err_a1": err.value}, err.converged,
-                time.perf_counter() - t0))
+            res.add(t0, name, N, entry.degree, err.value, err.converged)
             if name.startswith("fa-") and entry.degree is None:
                 fa_errs.setdefault(name, []).append((N, err.value))
             elif entry.degree is not None and N >= entry.degree:
@@ -240,17 +229,11 @@ def run_a1_convergence(config: RunConfig | None = None,
         tail = [(n, e) for n, e in pairs if n >= 16]
         decreasing = decreasing and all(e2 < e1 for (_, e1), (_, e2)
                                         in zip(tail, tail[1:]))
-        at = dict(pairs)
-        finals[name] = at.get(512, tail[-1][1] if tail else np.inf)
-    final_ok = all(v < A1_FINAL_TOL for v in finals.values())
-    res.summary = {"fa_strictly_decreasing": bool(decreasing),
-                   "fa_final_errors": finals, "final_tol": A1_FINAL_TOL,
-                   "final_ok": bool(final_ok),
-                   "polynomials_exact_ok": bool(poly_ok),
-                   "all_converged": bool(all_ok)}
-    res.exit_code = 2 if not all_ok else (
-        0 if decreasing and final_ok and poly_ok else 1)
-    return res
+        finals[name] = dict(pairs).get(512, tail[-1][1] if tail else np.inf)
+    return res.close({"fa_final_errors": finals, "final_tol": A1_FINAL_TOL},
+                     fa_strictly_decreasing=decreasing,
+                     final_ok=all(v < A1_FINAL_TOL for v in finals.values()),
+                     polynomials_exact_ok=poly_ok)
 
 
 def run_blowup(config: RunConfig | None = None) -> ExperimentResult:
@@ -267,51 +250,36 @@ def run_blowup(config: RunConfig | None = None) -> ExperimentResult:
                            ("N", "a", "h1_f", "h1_partial", "a1_partial",
                             "ratio_h1", "ratio_a1", "t1_h1", "t2_h1",
                             "lower_bound", "t2_over_bound", "converged"))
-    all_ok = True
     for N in ns:
         t0 = time.perf_counter()
         a = blowup_schedule(N)
         split = T1T2Split(a, N)
         h1f = hardy_norm_disc(WitnessFa(a), 1.0, cfg.tol, k_max=cfg.k_max,
                               spike=a, max_nodes=cfg.max_nodes)
-        h1n = hardy_norm_disc(TaggedEvaluator(split.partial, a), 1.0, cfg.tol,
-                              k_max=cfg.k_max, spike=a,
-                              max_nodes=cfg.max_nodes)
-        a1n = bergman_norm_disc(TaggedEvaluator(split.partial, a), 1.0,
-                                cfg.tol, spike=a, max_nodes=cfg.vol_cap())
-        t1n = hardy_norm_disc(TaggedEvaluator(split.t1, a), 1.0, cfg.tol,
-                              k_max=cfg.k_max, spike=a,
-                              max_nodes=cfg.max_nodes)
+        h1n = hardy_norm_disc(split.partial, 1.0, cfg.tol, k_max=cfg.k_max,
+                              spike=a, max_nodes=cfg.max_nodes)
+        a1n = bergman_norm_disc(split.partial, 1.0, cfg.tol, spike=a,
+                                max_nodes=cfg.vol_cap())
+        t1n = hardy_norm_disc(split.t1, 1.0, cfg.tol, k_max=cfg.k_max,
+                              spike=a, max_nodes=cfg.max_nodes)
         t2row = t2_hardy_vs_bound(a, N, tol=min(cfg.tol, 1e-10),
                                   max_nodes=cfg.max_nodes)
-        bound = blowup_lower_bound(a, N)
-        ok = (h1f.converged and h1n.converged and a1n.converged
-              and t1n.converged and t2row.converged)
-        all_ok = all_ok and ok
-        res.rows.append((N, a, h1f.value, h1n.value, a1n.value,
-                         h1n.value / h1f.value, a1n.value / h1f.value,
-                         t1n.value, t2row.t2_h1, bound, t2row.ratio, ok))
-        res.records.append(ExperimentRecord(
-            "blowup", {"N": N, "a": a},
-            {"h1_partial": h1n.value, "a1_partial": a1n.value,
-             "t1_h1": t1n.value, "t2_h1": t2row.t2_h1,
-             "lower_bound": bound}, ok, time.perf_counter() - t0))
+        res.add(t0, N, a, h1f.value, h1n.value, a1n.value,
+                h1n.value / h1f.value, a1n.value / h1f.value, t1n.value,
+                t2row.t2_h1, blowup_lower_bound(a, N), t2row.ratio,
+                h1f.converged and h1n.converged and a1n.converged
+                and t1n.converged and t2row.converged)
     h1p = [row[3] for row in res.rows]
     t2r = [row[10] for row in res.rows]
     t1m = max(row[7] for row in res.rows)
     increasing = all(b > a for a, b in zip(h1p, h1p[1:]))
     growth = h1p[-1] / h1p[0] if h1p[0] > 0 else np.inf
     band = max(t2r) / min(t2r) if min(t2r) > 0 else np.inf
-    a1m = max(row[4] for row in res.rows)
-    res.summary = {"h1_strictly_increasing": bool(increasing),
-                   "h1_growth": growth, "growth_ok": bool(growth >= 1.5),
-                   "t1_max": t1m, "t1_ok": bool(t1m <= 2.0 + 1e-6),
-                   "t2_band": band, "t2_band_ok": bool(band <= 3.0),
-                   "a1_max": a1m, "all_converged": bool(all_ok)}
-    res.exit_code = 2 if not all_ok else (
-        0 if increasing and growth >= 1.5 and band <= 3.0
-        and t1m <= 2.0 + 1e-6 else 1)
-    return res
+    return res.close({"h1_growth": growth, "t1_max": t1m, "t2_band": band,
+                      "a1_max": max(row[4] for row in res.rows)},
+                     h1_strictly_increasing=increasing,
+                     growth_ok=growth >= 1.5, t1_ok=t1m <= 2.0 + 1e-6,
+                     t2_band_ok=band <= 3.0)
 
 
 def run_ic_asymptotics(config: RunConfig | None = None,
@@ -328,7 +296,6 @@ def run_ic_asymptotics(config: RunConfig | None = None,
     res = ExperimentResult("ic",
                            ("c", "r", "value", "comparison", "ratio",
                             "converged"))
-    all_ok = True
     c1_rel = 0.0
     ratios = {}
     for c in c_set:
@@ -339,25 +306,17 @@ def run_ic_asymptotics(config: RunConfig | None = None,
                           max_nodes=cfg.max_nodes)
             comp = ic_comparison(float(c), complex(r))
             ratio = got.value / comp
-            ok = got.converged
-            all_ok = all_ok and ok
-            res.rows.append((float(c), float(r), got.value, comp, ratio, ok))
-            res.records.append(ExperimentRecord(
-                "ic", {"c": float(c), "r": float(r)},
-                {"value": got.value, "ratio": ratio}, ok,
-                time.perf_counter() - t0))
+            res.add(t0, float(c), float(r), got.value, comp, ratio,
+                    got.converged)
             ratios.setdefault(float(c), []).append(ratio)
             if c == 1.0:
                 exact = 2.0 * np.pi / (1.0 - r * r)
                 c1_rel = max(c1_rel, abs(got.value - exact) / exact)
     bands = {c: (min(v), max(v)) for c, v in ratios.items()}
-    band_ok = all(hi / lo <= 4.0 for lo, hi in bands.values() if lo > 0)
-    res.summary = {"c1_max_rel": c1_rel, "c1_ok": bool(c1_rel <= 1e-8),
-                   "ratio_bands": bands, "bands_ok": bool(band_ok),
-                   "all_converged": bool(all_ok)}
-    res.exit_code = 2 if not all_ok else (
-        0 if res.summary["c1_ok"] and band_ok else 1)
-    return res
+    return res.close({"c1_max_rel": c1_rel, "ratio_bands": bands},
+                     c1_ok=c1_rel <= 1e-8,
+                     bands_ok=all(hi / lo <= 4.0 for lo, hi in bands.values()
+                                  if lo > 0))
 
 
 def run_reinhardt(config: RunConfig | None = None,
@@ -380,7 +339,6 @@ def run_reinhardt(config: RunConfig | None = None,
     h1 = hardy_norm_reinhardt(entry.evaluator, 1.0, dom, dirs=64,
                               tol=cfg.tol, k_max=min(cfg.k_max, 30),
                               spike=entry.spike, max_nodes=cfg.max_nodes)
-    all_ok = h1.converged
     for N in cfg.n_set_square:
         t0 = time.perf_counter()
         sn = entry.square_partial_evaluator(N)
@@ -394,21 +352,14 @@ def run_reinhardt(config: RunConfig | None = None,
         errn = bergman_norm_reinhardt(entry.square_tail_evaluator(N), 1.0,
                                       dom, tol=1e-3, spike=entry.spike,
                                       max_nodes=cfg.vol_cap())
-        ok = h1.converged and a1.converged and errn.converged
-        all_ok = all_ok and ok
-        res.rows.append((dom.kind, entry.name, N, h1.value, a1.value,
-                         a1.value / h1.value, errn.value, ok))
-        res.records.append(ExperimentRecord(
-            "reinhardt", {"domain": dom.kind, "function": entry.name, "N": N},
-            {"h1_f": h1.value, "a1_partial": a1.value, "err_a1": errn.value},
-            ok, time.perf_counter() - t0))
+        res.add(t0, dom.kind, entry.name, N, h1.value, a1.value,
+                a1.value / h1.value, errn.value,
+                h1.converged and a1.converged and errn.converged)
     ratios = [row[5] for row in res.rows]
-    errs = [row[6] for row in res.rows]
     # Plateau gate: over the last two doublings the ratio may grow <= 10%.
     base = ratios[-3] if len(ratios) >= 3 else ratios[0]
     tail_max = max(ratios[-2:])
-    plateau_ok = tail_max <= 1.10 * base
-    final_err = errs[-1]
+    final_err = res.rows[-1][6]
 
     rng = np.random.default_rng(cfg.seed)
     shells = frontier_sample(dom, 16).radii
@@ -421,17 +372,13 @@ def run_reinhardt(config: RunConfig | None = None,
                                   t_hi * radii, tol=1e-9,
                                   spike=entry.spike):
             failures += 1
-    res.summary = {"h1_f": h1.value, "plateau_base": base,
-                   "plateau_tail_max": tail_max,
-                   "plateau_ok": bool(plateau_ok), "final_err": final_err,
-                   "final_err_ok": bool(final_err < 1e-2),
-                   "monotone_pairs": MONOTONE_PAIRS,
-                   "monotone_failures": failures,
-                   "monotone_ok": bool(failures == 0),
-                   "all_converged": bool(all_ok)}
-    res.exit_code = 2 if not all_ok else (
-        0 if plateau_ok and final_err < 1e-2 and failures == 0 else 1)
-    return res
+    return res.close({"h1_f": h1.value, "plateau_base": base,
+                      "plateau_tail_max": tail_max, "final_err": final_err,
+                      "monotone_pairs": MONOTONE_PAIRS,
+                      "monotone_failures": failures},
+                     plateau_ok=tail_max <= 1.10 * base,
+                     final_err_ok=final_err < 1e-2,
+                     monotone_ok=failures == 0)
 
 
 def run_density(config: RunConfig | None = None,
@@ -445,8 +392,6 @@ def run_density(config: RunConfig | None = None,
     res = ExperimentResult("density",
                            ("domain", "function", "eps", "rho", "M", "error",
                             "met", "converged"))
-    all_met = True
-    all_ok = True
     for label, dom, name in cases:
         entry = reg.get(name)
         t0 = time.perf_counter()
@@ -455,17 +400,9 @@ def run_density(config: RunConfig | None = None,
         rows = density_experiment(entry, dom, 1.0, eps_ladder,
                                   norm_tol=max(cfg.tol, 1e-3))
         for dr in rows:
-            all_met = all_met and dr.met
-            all_ok = all_ok and dr.converged
-            res.rows.append((label, name, dr.eps, dr.rho, dr.M, dr.error,
-                             dr.met, dr.converged))
-            res.records.append(ExperimentRecord(
-                "density", {"domain": label, "function": name, "eps": dr.eps},
-                {"rho": dr.rho, "M": dr.M, "error": dr.error}, dr.converged,
-                time.perf_counter() - t0))
-    res.summary = {"all_met": bool(all_met), "all_converged": bool(all_ok)}
-    res.exit_code = 2 if not all_ok else (0 if all_met else 1)
-    return res
+            res.add(t0, label, name, dr.eps, dr.rho, dr.M, dr.error, dr.met,
+                    dr.converged)
+    return res.close({}, all_met=all(row[6] for row in res.rows))
 
 
 RUNNERS = {"uniform-bound": run_uniform_bound,
@@ -476,28 +413,42 @@ RUNNERS = {"uniform-bound": run_uniform_bound,
            "density": run_density}
 
 
-def _floats(values) -> tuple:
-    return tuple(float(v) for v in values)
+def array_of(kind):
+    """Parser of a JSON array into a tuple of ``kind`` values."""
+    def parse(values) -> tuple:
+        if not isinstance(values, (list, tuple)):
+            raise TypeError(f"expected an array, got {values!r}")
+        return tuple(kind(v) for v in values)
+    return parse
+
+
+def _entry_name(name) -> str:
+    # Registry names do not depend on the seed.
+    if not isinstance(name, str) or name not in default_registry():
+        raise ValueError(f"no registry entry named {name!r}")
+    return name
 
 
 # The keyword arguments runners read from a config file, with the parser
 # that turns the file's JSON value into the argument.
-RUNNER_OPTIONS = {"ic": {"c_set": _floats, "z_ladder": _floats},
+RUNNER_OPTIONS = {"ic": {"c_set": array_of(float),
+                         "z_ladder": array_of(float)},
                   "reinhardt": {"domain": domain_from_config,
-                                "function": str},
-                  "density": {"eps_ladder": _floats}}
+                                "function": _entry_name},
+                  "density": {"eps_ladder": array_of(float)}}
 
 
 def runner_options(name: str, options: dict) -> dict:
     """The keyword arguments runner ``name`` takes from ``options``."""
-    return {key: parse(options[key]) for key, parse
-            in RUNNER_OPTIONS.get(name, {}).items() if key in options}
+    return {key: options[key] for key in RUNNER_OPTIONS.get(name, ())
+            if key in options}
 
 
 def run_all(config: RunConfig | None = None,
             **options) -> dict[str, ExperimentResult]:
-    """Run every runner; each reads the ``options`` it takes, and the ones
-    that take a registry share one."""
+    """Run every runner; each takes the keyword arguments in ``options``
+    that ``RUNNER_OPTIONS`` lists for it, and the ones that take a registry
+    share one."""
     cfg = config or RunConfig()
     reg = default_registry(cfg.seed)
     out = {}

@@ -216,7 +216,7 @@ def _radial_cells(domain: ReinhardtDomain, depth: int, order: int):
     fixed.  Returns (cells, weights) with the polar jacobian prod r_j
     folded into the weights.
     """
-    unit_nodes, unit_w = _panel_gauss(dyadic_panels(1.0, depth), order)
+    unit_nodes, unit_w = _panel_gauss(dyadic_panels(depth), order)
     q = unit_nodes.size
     cells = np.zeros((1, 0))
     weights = np.ones(1)

@@ -70,14 +70,12 @@ def angular_floor(spike: float | None, *, base: int = 4096, scale: float = 64.0)
     return max(int(base), int(np.ceil(scale / (1.0 - s))))
 
 
-def dyadic_panels(r_max: float, depth: int) -> np.ndarray:
-    """Panel boundaries 0, r(1-2^-1), ..., r(1-2^-depth), r."""
-    if not 0.0 < r_max:
-        raise ValueError(f"r_max must be positive, got {r_max}")
+def dyadic_panels(depth: int) -> np.ndarray:
+    """Panel boundaries 0, 1-2^-1, ..., 1-2^-depth, 1 of [0, 1]."""
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    inner = [r_max * (1.0 - 2.0 ** -k) for k in range(1, depth + 1)]
-    return np.array([0.0] + inner + [r_max])
+    return np.array([0.0] + [1.0 - 2.0 ** -k for k in range(1, depth + 1)]
+                    + [1.0])
 
 
 def _panel_gauss(bounds: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:

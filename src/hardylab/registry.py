@@ -112,28 +112,22 @@ class RegistryEntry:
 
     def square_tail_evaluator(self, N: int) -> TaggedEvaluator:
         """Evaluator of f minus its square partial sum, cancellation-safe
-        for products: f1 f2 - S1 S2 = t1 S2 + f1 t2 with closed-form
-        one-variable tails t_j."""
+        for products: f1 ... fn - S1 ... Sn is the telescoping sum over j
+        of f1 ... f(j-1) tj S(j+1) ... Sn, with closed-form one-variable
+        tails tj, summed left to right."""
         if self.dim == 1:
             return self.tail_evaluator(N)
         if self.factors is not None:
-            parts = [fac.partial_evaluator(N) for fac in self.factors]
-            tails = [fac.tail_evaluator(N) for fac in self.factors]
             evals = [fac.evaluator for fac in self.factors]
+            parts = [fac.partial_evaluator(N) for fac in self.factors]
+            terms = [product_evaluator(evals[:j] + [fac.tail_evaluator(N)]
+                                       + parts[j + 1:])
+                     for j, fac in enumerate(self.factors)]
 
-            def fn(*zs, parts=parts, tails=tails, evals=evals):
-                out = np.asarray(tails[0](zs[0]))
-                for j in range(1, len(zs)):
-                    out = out * np.asarray(parts[j](zs[j]))
-                acc = out
-                lead = np.asarray(evals[0](zs[0]))
-                for j in range(1, len(zs)):
-                    term = lead * np.asarray(tails[j](zs[j]))
-                    for i in range(1, len(zs)):
-                        if i != j:
-                            term = term * np.asarray(
-                                (parts if i > j else evals)[i](zs[i]))
-                    acc = acc + term
+            def fn(*zs, terms=terms):
+                acc = terms[0](*zs)
+                for term in terms[1:]:
+                    acc = acc + term(*zs)
                 return acc
         else:
             sn = self.square_partial_evaluator(N)

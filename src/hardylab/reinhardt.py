@@ -89,13 +89,18 @@ def custom_domain(gauge: Callable, dim: int, diameter_bound: float) -> Reinhardt
 
 def domain_from_config(cfg: dict) -> ReinhardtDomain:
     """Build a domain from {"kind": ..., "dim": n, "powers": [...]}."""
+    if not isinstance(cfg, dict):
+        raise TypeError(f"a domain is an object, got {cfg!r}")
     kind = cfg.get("kind")
-    if kind == "polydisc":
-        return polydisc(int(cfg["dim"]), cfg.get("radii"))
-    if kind == "ball":
-        return ball(int(cfg["dim"]), float(cfg.get("radius", 1.0)))
-    if kind == "power-egg":
-        return power_egg(cfg["powers"])
+    try:
+        if kind == "polydisc":
+            return polydisc(int(cfg["dim"]), cfg.get("radii"))
+        if kind == "ball":
+            return ball(int(cfg["dim"]), float(cfg.get("radius", 1.0)))
+        if kind == "power-egg":
+            return power_egg(cfg["powers"])
+    except KeyError as exc:
+        raise ValueError(f"a {kind} domain needs {exc}") from None
     raise ValueError(f"unknown domain kind {kind!r}")
 
 
@@ -291,32 +296,11 @@ def _abs_coeff_sum(series: PowerSeries, x: float, upto: int | None,
                            "is the series bounded on the closed domain?")
 
 
-def _resolve_function(f):
-    """Accept a registry entry or a bare series; return its pieces."""
-    series = getattr(f, "series", None)
-    evaluator = getattr(f, "evaluator", None)
-    factors = getattr(f, "factors", None)
-    spike = getattr(f, "spike", None)
-    if series is None and isinstance(f, (PowerSeries, MultiIndexSeries)):
-        series = f
-        evaluator = f
-    if factors is not None:
-        sdim = len(factors)
-    elif isinstance(series, PowerSeries):
-        sdim = 1
-    elif isinstance(series, MultiIndexSeries):
-        sdim = series.dim
-    else:
-        raise TypeError("density_experiment needs a series with an evaluator")
-    if evaluator is None:
-        raise TypeError("density_experiment needs a series with an evaluator")
-    return series, evaluator, factors, spike, sdim
-
-
 def density_experiment(f, domain: ReinhardtDomain, p: float = 1.0,
                        eps_ladder: Sequence[float] = (0.5, 0.1, 0.02), *,
                        norm_tol: float = 1e-4) -> list[DensityRow]:
-    """Drive the dilate-truncate construction down an error ladder.
+    """Drive the dilate-truncate construction for the registry entry ``f``
+    down an error ladder.
 
     For each target eps the dilation rho is pushed toward 1 until the
     probe sup of |f - f_rho| on boundary shells clears half the target,
@@ -326,10 +310,10 @@ def density_experiment(f, domain: ReinhardtDomain, p: float = 1.0,
     """
     from .norms import hardy_norm_disc, hardy_norm_reinhardt
 
-    series, evaluator, factors, spike, sdim = _resolve_function(f)
+    series, evaluator, factors = f.series, f.evaluator, f.factors
     n = domain.dim
-    if sdim != n:
-        raise ValueError(f"function dimension {sdim} != domain dimension {n}")
+    if f.dim != n:
+        raise ValueError(f"function dimension {f.dim} != domain dimension {n}")
 
     # Sup-to-norm conversion: the one-variable Hardy norm is a normalized
     # mean, in several variables the torus integral is unnormalized.
@@ -424,7 +408,7 @@ def density_experiment(f, domain: ReinhardtDomain, p: float = 1.0,
 
         def diff(*zs):
             return np.asarray(evaluator(*zs)) - q_eval(*zs)
-        diff_tagged = TaggedEvaluator(diff, spike)
+        diff_tagged = TaggedEvaluator(diff, f.spike)
         if n == 1:
             est = hardy_norm_disc(diff_tagged, p, norm_tol, k_max=30)
         else:

@@ -1,8 +1,10 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
+import hardylab
 from hardylab.cli import _parse_floats, _parse_ints, main
 from hardylab.experiments import (RUNNERS, ExperimentResult, RunConfig,
                                   render_csv, render_json,
@@ -77,6 +79,41 @@ def test_json_rendering_carries_timing_and_summary():
     assert all(rec["wall_time"] >= 0.0 for rec in data["records"])
     # row values survive the round trip exactly
     assert data["rows"][0][2] == res.rows[0][2]
+    # each record names every cell of its row
+    assert len(data["records"]) == len(data["rows"])
+    for rec, row in zip(data["records"], data["rows"]):
+        assert set(rec) == {*res.columns, "wall_time"}
+        assert [rec[col] for col in res.columns] == row
+
+
+def test_close_sets_exit_code_and_summary():
+    def result(*flags):
+        res = ExperimentResult("t", ("x", "converged"))
+        for flag in flags:
+            res.add(time.perf_counter(), 1.0, flag)
+        return res
+
+    # non-convergence outranks a failed gate
+    res = result(True, False).close({"x_max": 1.0}, bound_ok=False)
+    assert res.exit_code == 2
+    assert res.summary == {"x_max": 1.0, "bound_ok": False,
+                           "all_converged": False}
+    res = result(True, True).close({}, bound_ok=np.float64(2.0) < 1.0,
+                                   trend_ok=True)
+    assert res.exit_code == 1
+    assert res.summary == {"bound_ok": False, "trend_ok": True,
+                           "all_converged": True}
+    assert type(res.summary["bound_ok"]) is bool
+    res = result(True, True).close({}, bound_ok=True)
+    assert res.exit_code == 0
+    assert res.summary["all_converged"] is True
+    assert len(res.wall_times) == 2
+
+
+def test_package_exports_resolve():
+    assert len(hardylab.__all__) == len(set(hardylab.__all__))
+    for name in hardylab.__all__:
+        assert getattr(hardylab, name) is not None
 
 
 def test_write_result_file_and_stdout(tmp_path, capsys):
@@ -187,6 +224,29 @@ def test_cli_rejects_unread_config_keys(tmp_path, doc, key):
     with pytest.raises(SystemExit, match=repr(key)):
         main(["ic", "--config", str(cfgp)])
     assert not list(tmp_path.glob("*.xml"))
+
+
+@pytest.mark.parametrize("doc, key", [({"n_set": 8}, "n_set"),
+                                      ({"c_set": 1.0}, "c_set"),
+                                      ({"n_set": "8,16"}, "n_set"),
+                                      ({"domain": {"kind": "ball"}},
+                                       "domain"),
+                                      ({"domain": "ball"}, "domain"),
+                                      ({"function": "fa-2"}, "function")])
+def test_cli_rejects_bad_config_values(monkeypatch, tmp_path, doc, key):
+    # the values are parsed before any runner starts, ``all`` included
+    def no_run(*args, **kw):
+        raise AssertionError("a runner started")
+    monkeypatch.setattr("hardylab.cli.run_all", no_run)
+    for name in RUNNERS:
+        monkeypatch.setitem(RUNNERS, name, no_run)
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(doc))
+    for command in ("ic", "all"):
+        with pytest.raises(SystemExit, match=repr(key)):
+            main([command, "--config", str(cfgp),
+                  "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_accepts_other_runners_keys(tmp_path):

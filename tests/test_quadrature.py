@@ -47,12 +47,11 @@ def test_circle_rule_poisson_mean():
 
 
 def test_dyadic_panels_structure():
-    b = dyadic_panels(1.0, 3)
+    b = dyadic_panels(3)
     assert np.allclose(b, [0.0, 0.5, 0.75, 0.875, 1.0])
-    b2 = dyadic_panels(0.5, 2)
-    assert np.allclose(b2, [0.0, 0.25, 0.375, 0.5])
+    assert np.array_equal(dyadic_panels(0), [0.0, 1.0])
     with pytest.raises(ValueError):
-        dyadic_panels(-1.0, 3)
+        dyadic_panels(-1)
 
 
 def test_disc_rule_exact_on_radial_polynomials():

@@ -94,12 +94,14 @@ def test_product_entry_evaluator_and_square_partial():
 
 def test_product_square_tail_identity():
     reg = default_registry()
-    ent = reg.get("prod-fa-0.9")
-    z1, z2 = PTS[:6], PTS[6:]
-    for N in (2, 10):
-        total = np.asarray(ent.square_partial_evaluator(N)(z1, z2)) \
-            + np.asarray(ent.square_tail_evaluator(N)(z1, z2))
-        assert np.allclose(total, ent.evaluator(z1, z2), rtol=1e-10)
+    three = product_entry((reg.get("fa-0.9"), reg.get("fa-0.5"),
+                           reg.get("poly-3")))
+    for ent, zs in ((reg.get("prod-fa-0.9"), (PTS[:6], PTS[6:])),
+                    (three, (PTS[:4], PTS[4:8], PTS[8:]))):
+        for N in (2, 10):
+            total = np.asarray(ent.square_partial_evaluator(N)(*zs)) \
+                + np.asarray(ent.square_tail_evaluator(N)(*zs))
+            assert np.allclose(total, ent.evaluator(*zs), rtol=1e-10)
 
 
 def test_generic_square_partial_on_finite_series():
