@@ -2,8 +2,9 @@
 
 Subcommands mirror the runner names; every one accepts the same flag set
 and writes a CSV (default) or JSON table to --out, "-" meaning stdout.
-Exit code is 0 when all contracts hold, 1 when a contract is violated,
-2 when quadrature failed to converge.
+Exit code is 0 when all contracts hold, 1 when a contract is violated
+or the command line or config file is rejected (with a message naming the
+flag or the key), 2 when quadrature failed to converge.
 
 A JSON --config file supplies values for anything not given on the
 command line; recognized keys are tol, max_nodes, n_set, a_set, seed and
@@ -12,9 +13,10 @@ c_set, z_ladder, function, and domain (a mapping with kind, dim, and
 radii/radius/powers).  List values are JSON arrays.  Explicit flags win
 over the file.  A runner's keys are accepted by every command and read by
 the runners that take them, ``all`` included.  Every key is parsed before
-any runner starts; a key no runner reads, or a value its parser refuses,
-ends the command with a message naming the key.  The subcommands, and the
-runners ``all`` runs, are those of ``experiments.RUNNERS``.
+any runner starts; a key no runner reads, a value its parser refuses, or
+a ``function`` whose dimension is not the ``domain``'s (either one taken
+from ``run_reinhardt`` if left out) ends the command with a message naming
+the key.  The subcommands and the runners of ``all`` are ``RUNNERS``'s.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ import os
 import sys
 
 from .experiments import (RUNNER_OPTIONS, RUNNERS, RunConfig, array_of,
-                          run_all, runner_options, write_result)
+                          reinhardt_case, run_all, runner_options,
+                          write_result)
+from .registry import default_registry
 
 _COMMANDS = (*RUNNERS, "all")
 
@@ -53,15 +57,21 @@ def _parse_floats(text: str) -> tuple:
     return tuple(float(x) for x in text.split(",") if x.strip())
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # exit 1 with the message, as for a bad config; 2 is non-convergence
+        raise SystemExit(f"{self.prog}: {message}")
+
+
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--tol", type=float, default=None,
                     help="relative tolerance for quadrature and ladders")
     sp.add_argument("--max-nodes", type=int, default=None,
                     help="node budget per circle/torus integral "
                          "(volume rules get a 64x radial allowance)")
-    sp.add_argument("--n-set", type=str, default=None,
+    sp.add_argument("--n-set", type=_parse_ints, default=None,
                     help="comma separated partial-sum orders")
-    sp.add_argument("--a-set", type=str, default=None,
+    sp.add_argument("--a-set", type=_parse_floats, default=None,
                     help="comma separated extremal-family parameters")
     sp.add_argument("--out", type=str, default="-",
                     help="output path, '-' for stdout "
@@ -78,8 +88,11 @@ def _load_file_config(path: str | None) -> dict:
     """The config file's keys, each parsed by its ``_PARSERS`` entry."""
     if not path:
         return {}
-    with open(path) as fh:
-        doc = json.load(fh)
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"--config {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise SystemExit(f"config file {path} must hold a JSON object")
     parsed = {}
@@ -91,14 +104,18 @@ def _load_file_config(path: str | None) -> dict:
         except (TypeError, ValueError) as exc:
             raise SystemExit(f"config file {path}: key {key!r}: {exc}") \
                 from None
+    try:
+        reinhardt_case(default_registry(),
+                       **runner_options("reinhardt", parsed))
+    except ValueError as exc:
+        raise SystemExit(f"config file {path}: key 'function': {exc}") \
+            from None
     return parsed
 
 
 def _build_config(args, fcfg: dict) -> RunConfig:
     flags = {"tol": args.tol, "max_nodes": args.max_nodes, "seed": args.seed,
-             "n_set": None if args.n_set is None else _parse_ints(args.n_set),
-             "a_set": None if args.a_set is None
-             else _parse_floats(args.a_set)}
+             "n_set": args.n_set, "a_set": args.a_set}
     given = {key: fcfg[key] for key in _RUN_KEYS if key in fcfg}
     given.update((key, v) for key, v in flags.items() if v is not None)
     if "n_set" in given:
@@ -107,7 +124,7 @@ def _build_config(args, fcfg: dict) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hardylab",
         description="Numerical experiments on Hardy/Bergman norms of "
                     "Taylor partial sums.")

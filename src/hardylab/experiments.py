@@ -38,6 +38,7 @@ DEFAULT_N_SET_SQUARE = (1, 2, 4, 8, 16, 32, 64)
 DEFAULT_A_SET = (0.0, 0.5, 0.9, 0.99, 0.999)
 DEFAULT_C_SET = (1.0, 0.5, 0.0, -0.5)
 DEFAULT_Z_LADDER = (0.9, 0.99, 0.999, 0.9999)
+DEFAULT_FUNCTION = "prod-fa-0.9"
 A1_FUNCTIONS = ("fa-0.9", "const-1", "mono-1", "mono-2", "mono-5", "poly-3",
                 "poly-7", "poly-12")
 A1_FINAL_TOL = 1e-3
@@ -319,11 +320,22 @@ def run_ic_asymptotics(config: RunConfig | None = None,
                                   if lo > 0))
 
 
+def reinhardt_case(registry: FunctionRegistry, domain=None,
+                   function: str = DEFAULT_FUNCTION):
+    """The entry and the domain (default ``polydisc(2)``) ``run_reinhardt``
+    tabulates; ValueError if their dimensions differ."""
+    entry, dom = registry.get(function), domain or polydisc(2)
+    if entry.dim != dom.dim:
+        raise ValueError(f"function {function!r} has dimension {entry.dim} "
+                         f"but the {dom.kind} domain has dimension {dom.dim}")
+    return entry, dom
+
+
 def run_reinhardt(config: RunConfig | None = None,
                   registry: FunctionRegistry | None = None,
                   domain: ReinhardtDomain | None = None,
-                  function: str = "prod-fa-0.9") -> ExperimentResult:
-    """Square partial sums on a two-variable Reinhardt domain.
+                  function: str = DEFAULT_FUNCTION) -> ExperimentResult:
+    """Square partial sums on a Reinhardt domain, by default the bidisc.
 
     Tabulates Bergman norms and errors of square truncations against the
     frontier Hardy norm, and batch-checks shell monotonicity on seeded
@@ -331,8 +343,7 @@ def run_reinhardt(config: RunConfig | None = None,
     """
     cfg = config or RunConfig()
     reg = registry or default_registry(cfg.seed)
-    dom = domain or polydisc(2)
-    entry = reg.get(function)
+    entry, dom = reinhardt_case(reg, domain, function)
     res = ExperimentResult("reinhardt",
                            ("domain", "function", "N", "h1_f", "a1_partial",
                             "ratio", "err_a1", "converged"))
@@ -341,7 +352,7 @@ def run_reinhardt(config: RunConfig | None = None,
                               spike=entry.spike, max_nodes=cfg.max_nodes)
     for N in cfg.n_set_square:
         t0 = time.perf_counter()
-        sn = entry.square_partial_evaluator(N)
+        sn = entry.partial_evaluator(N)
         # The ratio gate is 10%, so 1e-4 relative quadrature leaves three
         # orders of headroom and stays inside the node budget.
         a1 = bergman_norm_reinhardt(sn, 1.0, dom, tol=max(cfg.tol, 1e-4),
@@ -349,8 +360,8 @@ def run_reinhardt(config: RunConfig | None = None,
                                     max_nodes=cfg.vol_cap())
         # The error integrand has modulus kinks along its zero set, so it
         # gets a looser relative target; the gate on it is absolute 1e-2.
-        errn = bergman_norm_reinhardt(entry.square_tail_evaluator(N), 1.0,
-                                      dom, tol=1e-3, spike=entry.spike,
+        errn = bergman_norm_reinhardt(entry.tail_evaluator(N), 1.0, dom,
+                                      tol=1e-3, spike=entry.spike,
                                       max_nodes=cfg.vol_cap())
         res.add(t0, dom.kind, entry.name, N, h1.value, a1.value,
                 a1.value / h1.value, errn.value,

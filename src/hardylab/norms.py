@@ -2,11 +2,11 @@
 
 The unit disc is ``polydisc(1)``: its estimators integrate over the same
 one-axis torus shells (``quadrature.torus_integrals``) and radial cells
-as every other dimension.  One table, ``_GRID``, holds the grid policy
-per dimension: the angular floor and spike scale of each axis, the
-radial Gauss order and the base dyadic panel depth.  ``_grid`` reads it
-and raises the floors, and in one variable the panel depth, for a
-declared spike.
+as every other dimension.  One table, ``quadrature._GRID``, holds the
+grid policy per dimension: the angular floor and spike scale of each
+axis, the radial Gauss order and the base dyadic panel depth.  ``_grid``
+reads it and raises the floors, and in one variable the panel depth, for
+a declared spike.
 
 One-variable conventions: the Hardy p-norm is the supremum over radii of
 the normalized circle mean
@@ -34,16 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import (TWO_PI, angular_floor, dyadic_panels, _panel_gauss,
-                         refine_until, torus_integrals)
+from .quadrature import (TWO_PI, _GRID, angular_floor, dyadic_panels,
+                         _panel_gauss, refine_until, torus_integrals)
 from .reinhardt import (ReinhardtDomain, frontier_sample, polydisc,
                         section_tops)
-
-# Grid policy by dimension (3 stands for three or more): angular floor and
-# spike scale of each axis, radial Gauss order per panel, base panel
-# depth.  Tensor grids in several variables get leaner axes to keep the
-# product budget workable.
-_GRID = {1: (4096, 64.0, 64, 6), 2: (128, 16.0, 12, 2), 3: (32, 8.0, 8, 1)}
 
 
 @dataclass(frozen=True)
@@ -75,8 +69,8 @@ def _grid(f, spike, n):
         spikes = tuple(spike)
     else:
         spikes = (None if spike is None else float(spike),) * n
-    base, scale, order, depth = _GRID[min(n, 3)]
-    floors = tuple(angular_floor(s, base=base, scale=scale) for s in spikes)
+    _, _, order, depth = _GRID[min(n, 3)]
+    floors = tuple(angular_floor(s, n) for s in spikes)
     s = spikes[0]
     if n == 1 and s is not None and 0.0 < abs(s) < 1.0:
         depth = max(depth, math.ceil(math.log2(1.0 / (1.0 - abs(s)))) + 2)

@@ -55,19 +55,28 @@ def unit_nodes(m: int, axis: int = 0, ndim: int = 1) -> np.ndarray:
     return w.reshape(shape)
 
 
-def angular_floor(spike: float | None, *, base: int = 4096, scale: float = 64.0) -> int:
-    """Initial node count of an angular axis, raised for a declared spike.
+# Grid policy by dimension (3 stands for three or more): angular floor and
+# spike scale of each axis, radial Gauss order per panel, base panel
+# depth.  Tensor grids in several variables get leaner axes to keep the
+# product budget workable.
+_GRID = {1: (4096, 64.0, 64, 6), 2: (128, 16.0, 12, 2), 3: (32, 8.0, 8, 1)}
+
+
+def angular_floor(spike: float | None, dim: int = 1) -> int:
+    """Initial node count of an angular axis in ``dim`` variables (its
+    ``_GRID`` row), raised for a declared spike.
 
     ``spike`` is the modulus of a pole-like parameter sitting at distance
     1 - |spike| from the unit circle; resolving the induced boundary spike
     needs on the order of 1/(1 - |spike|) angular nodes.
     """
+    base, scale, _, _ = _GRID[min(dim, 3)]
     if spike is None:
-        return int(base)
+        return base
     s = abs(spike)
     if s >= 1.0:
         raise ValueError(f"spike modulus must be < 1, got {s}")
-    return max(int(base), int(np.ceil(scale / (1.0 - s))))
+    return max(base, int(np.ceil(scale / (1.0 - s))))
 
 
 def dyadic_panels(depth: int) -> np.ndarray:

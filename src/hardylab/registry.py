@@ -1,18 +1,19 @@
 """Catalog of test functions driving the experiment runners.
 
 Each entry bundles a series representation, a vectorized evaluator, and
-the metadata the norm estimators need (spike location, polynomial degree,
-known Hardy norm).  Partial sums come from per-entry fast paths where a
-closed form exists, so high orders cost the same as low ones:
+the metadata the norm estimators need (spike location, polynomial
+degree).  Partial sums are square partial sums in every dimension: they
+keep the multi-indices with max_j alpha_j <= N, in one variable S_N.  One
+pair, ``partial_evaluator``/``tail_evaluator``, serves every entry, with
+fast paths where a closed form exists, so high orders cost the same:
 
+    products          the factors' partials, and a telescoping tail
     extremal family   partial and tail from the two-term split
     geometric         finite geometric sum
-    polynomials       exact truncated coefficient evaluation
-    products          coordinatewise partials of the one-variable factors
+    finite series     exact truncated coefficient evaluation
 
-Square (several-variable) partial sums keep multi-indices with
-max_j alpha_j <= N.  The default catalog is seeded so polynomial
-coefficients, and hence every derived table, are reproducible.
+The default catalog is seeded so polynomial coefficients, and hence
+every derived table, are reproducible.
 """
 
 from __future__ import annotations
@@ -27,26 +28,22 @@ from .series import (MultiIndexSeries, PowerSeries, partial_sum,
 from .witnesses import T1T2Split, WitnessFa, fa_series
 
 
+@dataclass(frozen=True, eq=False)
 class TaggedEvaluator:
-    """Callable wrapper carrying the metadata tags the estimators read."""
+    """Callable wrapper carrying the spike tag the estimators read."""
 
-    __slots__ = ("fn", "spike", "label")
-
-    def __init__(self, fn: Callable, spike=None, label: str | None = None):
-        self.fn = fn
-        self.spike = spike
-        self.label = label
+    fn: Callable
+    spike: float | tuple | None = None
 
     def __call__(self, *z):
         return self.fn(*z)
-
-    def __repr__(self):
-        return f"TaggedEvaluator({self.label or self.fn!r})"
 
 
 def product_evaluator(fns) -> Callable:
     """(z_1, ..., z_n) -> fns[0](z_1) * ... * fns[n-1](z_n), left to right."""
     def fn(*zs):
+        if len(zs) != len(fns):
+            raise ValueError(f"expected {len(fns)} coordinates, got {len(zs)}")
         out = np.asarray(fns[0](zs[0]))
         for f, z in zip(fns[1:], zs[1:]):
             out = out * np.asarray(f(z))
@@ -66,57 +63,29 @@ class RegistryEntry:
     in_h1: bool = True
     degree: int | None = None
     factors: tuple | None = None
-    h1_exact: float | None = None
     partial_factory: Callable | None = field(default=None, repr=False)
     tail_factory: Callable | None = field(default=None, repr=False)
 
     def partial_evaluator(self, N: int) -> TaggedEvaluator:
-        """Pointwise evaluator of the order-N partial sum."""
-        if self.dim != 1:
-            raise ValueError("use square_partial_evaluator in dim >= 2")
-        if self.partial_factory is not None:
-            fn = self.partial_factory(N)
-        else:
-            fn = partial_sum(self._power_series(), N)
-        return TaggedEvaluator(fn, self.spike, f"S{N}[{self.name}]")
-
-    def tail_evaluator(self, N: int) -> TaggedEvaluator:
-        """Pointwise evaluator of f minus its order-N partial sum."""
-        if self.dim != 1:
-            raise ValueError("use square_tail_evaluator in dim >= 2")
-        if self.tail_factory is not None:
-            fn = self.tail_factory(N)
-        elif self.degree is not None:
-            ps = self._power_series()
-            hi = np.zeros(max(self.degree, N) + 1, dtype=np.complex128)
-            if self.degree > N:
-                hi[N + 1:self.degree + 1] = ps.coefficients(self.degree)[N + 1:]
-            tail_poly = PowerSeries.from_coefficients(hi, spike=self.spike)
-            fn = tail_poly
-        else:
-            sn = self.partial_evaluator(N)
-            ev = self.evaluator
-            fn = lambda z: np.asarray(ev(z)) - np.asarray(sn(z))
-        return TaggedEvaluator(fn, self.spike, f"tail{N}[{self.name}]")
-
-    def square_partial_evaluator(self, N: int) -> TaggedEvaluator:
-        """Square partial sum evaluator: keep max_j alpha_j <= N."""
-        if self.dim == 1:
-            return self.partial_evaluator(N)
+        """Pointwise evaluator of the square partial sum of order N, the
+        terms with max_j alpha_j <= N; in one variable this is S_N f."""
         if self.factors is not None:
             fn = product_evaluator([fac.partial_evaluator(N)
                                     for fac in self.factors])
-        else:
+        elif self.partial_factory is not None:
+            fn = self.partial_factory(N)
+        elif isinstance(self.series, MultiIndexSeries):
             fn = square_partial_sum(self.series, N)
-        return TaggedEvaluator(fn, self.spike, f"S{N}[{self.name}]")
+        else:
+            fn = partial_sum(self.series, N)
+        return TaggedEvaluator(fn, self.spike)
 
-    def square_tail_evaluator(self, N: int) -> TaggedEvaluator:
-        """Evaluator of f minus its square partial sum, cancellation-safe
-        for products: f1 ... fn - S1 ... Sn is the telescoping sum over j
-        of f1 ... f(j-1) tj S(j+1) ... Sn, with closed-form one-variable
-        tails tj, summed left to right."""
-        if self.dim == 1:
-            return self.tail_evaluator(N)
+    def tail_evaluator(self, N: int) -> TaggedEvaluator:
+        """Pointwise evaluator of f minus its order-N square partial sum.
+
+        Free of the cancellation in f - S_N f for products, as the sum over
+        j of f1 ... f(j-1) tj S(j+1) ... Sn with the factors' tails tj, left
+        to right, and for polynomials, as their coefficients above N."""
         if self.factors is not None:
             evals = [fac.evaluator for fac in self.factors]
             parts = [fac.partial_evaluator(N) for fac in self.factors]
@@ -124,25 +93,23 @@ class RegistryEntry:
                                        + parts[j + 1:])
                      for j, fac in enumerate(self.factors)]
 
-            def fn(*zs, terms=terms):
+            def fn(*zs):
                 acc = terms[0](*zs)
                 for term in terms[1:]:
                     acc = acc + term(*zs)
                 return acc
+        elif self.tail_factory is not None:
+            fn = self.tail_factory(N)
+        elif isinstance(self.series, PowerSeries) and self.degree is not None:
+            hi = self.series.coefficients(max(self.degree, N))
+            hi[:N + 1] = 0
+            fn = PowerSeries.from_coefficients(hi, spike=self.spike)
         else:
-            sn = self.square_partial_evaluator(N)
-            ev = self.evaluator
+            sn = self.partial_evaluator(N)
 
-            def fn(*zs, sn=sn, ev=ev):
-                return np.asarray(ev(*zs)) - np.asarray(sn(*zs))
-        return TaggedEvaluator(fn, self.spike, f"tail{N}[{self.name}]")
-
-    def _power_series(self) -> PowerSeries:
-        if isinstance(self.series, PowerSeries):
-            return self.series
-        if isinstance(self.series, MultiIndexSeries) and self.series.dim == 1:
-            return self.series.to_power_series()
-        raise ValueError(f"entry {self.name} has no one-variable series")
+            def fn(*zs):
+                return np.asarray(self.evaluator(*zs)) - np.asarray(sn(*zs))
+        return TaggedEvaluator(fn, self.spike)
 
 
 class FunctionRegistry:
@@ -163,9 +130,6 @@ class FunctionRegistry:
         except KeyError:
             raise KeyError(f"no registry entry named {name!r}; "
                            f"known: {sorted(self._entries)}") from None
-
-    def names(self) -> list[str]:
-        return list(self._entries)
 
     def entries(self, dim: int | None = None,
                 in_h1: bool | None = None) -> list[RegistryEntry]:
@@ -195,31 +159,29 @@ def fa_entry(a: float, name: str | None = None) -> RegistryEntry:
     return RegistryEntry(
         name=name or f"fa-{_format_a(a)}", dim=1, evaluator=w,
         series=fa_series(a), spike=abs(a), in_h1=True,
-        degree=0 if a == 0 else None, h1_exact=1.0,
+        degree=0 if a == 0 else None,
         partial_factory=lambda N, a=a: T1T2Split(a, N).partial,
         tail_factory=lambda N, a=a: T1T2Split(a, N).tail)
 
 
 def polynomial_entry(name: str, coefficients) -> RegistryEntry:
-    ps = PowerSeries.from_coefficients(coefficients, label=name)
-    deg = ps.degree if ps.degree is not None else 0
+    ps = PowerSeries.from_coefficients(coefficients)
     return RegistryEntry(name=name, dim=1, evaluator=ps, series=ps,
-                         degree=deg)
+                         degree=ps.degree)
 
 
 def monomial_entry(k: int) -> RegistryEntry:
     coeffs = np.zeros(k + 1, dtype=np.complex128)
     coeffs[k] = 1.0
-    ps = PowerSeries.from_coefficients(coeffs, label=f"mono-{k}")
+    ps = PowerSeries.from_coefficients(coeffs)
     return RegistryEntry(name=f"mono-{k}", dim=1, evaluator=ps, series=ps,
-                         degree=k, h1_exact=1.0)
+                         degree=k)
 
 
 def geometric_entry() -> RegistryEntry:
     """1/(1-z): bounded Bergman norm, infinite Hardy norm (not in H^1)."""
     ps = PowerSeries.from_generator(lambda k: 1.0 + 0j,
-                                    closed_form=lambda z: 1.0 / (1.0 - z),
-                                    label="geom")
+                                    closed_form=lambda z: 1.0 / (1.0 - z))
 
     def partial(N):
         return lambda z: (1.0 - np.asarray(z, dtype=np.complex128) ** (N + 1)) \
@@ -239,11 +201,6 @@ def product_entry(factors: tuple[RegistryEntry, ...],
     """Tensor product f(z) = prod_j f_j(z_j) of one-variable entries."""
     if any(f.dim != 1 for f in factors):
         raise ValueError("product factors must be one-variable entries")
-    h1 = None
-    if all(f.h1_exact is not None for f in factors):
-        h1 = float(np.prod([f.h1_exact for f in factors]))
-        h1 *= (2.0 * np.pi) ** len(factors)
-    degs = [f.degree for f in factors]
     return RegistryEntry(
         name=name or "prod-" + "-".join(f.name for f in factors),
         dim=len(factors),
@@ -251,8 +208,7 @@ def product_entry(factors: tuple[RegistryEntry, ...],
         series=None,
         spike=tuple(f.spike if f.spike is not None else 0.0 for f in factors),
         in_h1=all(f.in_h1 for f in factors),
-        degree=None if any(d is None for d in degs) else int(max(degs)),
-        factors=tuple(factors), h1_exact=h1)
+        factors=tuple(factors))
 
 
 def default_registry(seed: int = 12345) -> FunctionRegistry:
@@ -275,8 +231,7 @@ def default_registry(seed: int = 12345) -> FunctionRegistry:
     fa09 = reg.get("fa-0.9")
     reg.add(product_entry((fa09, fa09), name="prod-fa-0.9"))
     reg.add(product_entry((fa09, fa05), name="prod-fa-0.9-0.5"))
-    mono2 = MultiIndexSeries(2, {(1, 2): 1.0}, label="mono2-1-2")
+    mono2 = MultiIndexSeries(2, {(1, 2): 1.0})
     reg.add(RegistryEntry(name="mono2-1-2", dim=2, evaluator=mono2,
-                          series=mono2, degree=2,
-                          h1_exact=(2.0 * np.pi) ** 2))
+                          series=mono2))
     return reg

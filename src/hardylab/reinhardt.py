@@ -17,7 +17,8 @@ truncate construction approximates a function f by the polynomial
 
 the square truncation of z -> f(rho z); for holomorphic f on a complete
 Reinhardt domain these polynomials are dense, and density_experiment
-measures how fast the construction meets a prescribed error ladder.
+measures how fast the construction meets a prescribed error ladder,
+taking a one-variable function as the one-factor product.
 """
 
 from __future__ import annotations
@@ -310,10 +311,11 @@ def density_experiment(f, domain: ReinhardtDomain, p: float = 1.0,
     """
     from .norms import hardy_norm_disc, hardy_norm_reinhardt
 
-    series, evaluator, factors = f.series, f.evaluator, f.factors
     n = domain.dim
     if f.dim != n:
         raise ValueError(f"function dimension {f.dim} != domain dimension {n}")
+    factors = ([fac.series for fac in f.factors] if f.factors is not None
+               else [f.series] if isinstance(f.series, PowerSeries) else None)
 
     # Sup-to-norm conversion: the one-variable Hardy norm is a normalized
     # mean, in several variables the torus integral is unnormalized.
@@ -324,41 +326,33 @@ def density_experiment(f, domain: ReinhardtDomain, p: float = 1.0,
     m_probe = 2048 if n == 1 else (128 if n == 2 else 32)
     probe = [shells[:, j].reshape(-1, *[1] * n)
              * unit_nodes(m_probe, j + 1, n + 1) for j in range(n)]
-    probe_base = np.asarray(evaluator(*probe))
+    probe_base = np.asarray(f.evaluator(*probe))
 
     # Per-coordinate closure bounds for the coefficient tail estimate.
     closure = np.array([frontier_max_radius(domain, np.eye(n)[j])[j]
                         for j in range(n)])
 
     def probe_sup_diff(rho: float) -> float:
-        moved = np.asarray(evaluator(*[rho * z for z in probe]))
+        moved = np.asarray(f.evaluator(*[rho * z for z in probe]))
         return float(np.max(np.abs(probe_base - moved)))
 
     def tail_bound_fn(rho: float):
         if factors is not None:
-            fac_series = [fa.series for fa in factors]
-            tot = [(_abs_coeff_sum(s, rho * closure[j], None))
-                   for j, s in enumerate(fac_series)]
+            tot = [_abs_coeff_sum(s, rho * closure[j], None)
+                   for j, s in enumerate(factors)]
 
             def tail(M: int) -> float:
                 part = 1.0
                 full = 1.0
-                for j, s in enumerate(fac_series):
+                for j, s in enumerate(factors):
                     part *= _abs_coeff_sum(s, rho * closure[j], M)
                     full *= tot[j]
                 return max(full - part, 0.0)
             return tail
-        if isinstance(series, PowerSeries):
-            total = _abs_coeff_sum(series, rho * closure[0], None)
-
-            def tail(M: int) -> float:
-                return max(total - _abs_coeff_sum(series, rho * closure[0], M),
-                           0.0)
-            return tail
 
         def tail(M: int) -> float:
             acc = 0.0
-            for alpha, c in series.coeffs.items():
+            for alpha, c in f.series.coeffs.items():
                 if max(alpha) > M:
                     acc += abs(c) * rho ** sum(alpha) * float(
                         np.prod(closure ** np.array(alpha)))
@@ -367,13 +361,9 @@ def density_experiment(f, domain: ReinhardtDomain, p: float = 1.0,
 
     def build_q(rho: float, M: int):
         if factors is not None:
-            polys = [fa.series.coefficients(M) * rho ** np.arange(M + 1)
-                     for fa in factors]
-            return product_evaluator([
-                lambda z, c=c: np.polynomial.polynomial.polyval(
-                    np.asarray(z, dtype=np.complex128), c) for c in polys])
-        q_series = dilate_truncate(series, rho, M)
-        return q_series.to_power_series() if n == 1 else q_series
+            return product_evaluator([PowerSeries.from_coefficients(
+                s.coefficients(M) * rho ** np.arange(M + 1)) for s in factors])
+        return dilate_truncate(f.series, rho, M)
 
     rows = []
     for eps in eps_ladder:
@@ -407,7 +397,7 @@ def density_experiment(f, domain: ReinhardtDomain, p: float = 1.0,
         q_eval = build_q(rho, M)
 
         def diff(*zs):
-            return np.asarray(evaluator(*zs)) - q_eval(*zs)
+            return np.asarray(f.evaluator(*zs)) - q_eval(*zs)
         diff_tagged = TaggedEvaluator(diff, f.spike)
         if n == 1:
             est = hardy_norm_disc(diff_tagged, p, norm_tol, k_max=30)

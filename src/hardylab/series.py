@@ -1,4 +1,4 @@
-"""Power series, Taylor partial sums, and contour coefficient recovery.
+"""Power series, Taylor and square partial sums, contour coefficient recovery.
 
 Two routes to the same partial sum are kept side by side on purpose:
 truncating the coefficient sequence, and applying the discrete Cauchy
@@ -50,12 +50,11 @@ class PowerSeries:
     """
 
     def __init__(self, *, coefficients=None, coefficient_fn=None, degree=None,
-                 closed_form=None, spike=None, label=None):
+                 closed_form=None, spike=None):
         if (coefficients is None) == (coefficient_fn is None):
             raise ValueError("give exactly one of coefficients / coefficient_fn")
         self.closed_form = closed_form
         self.spike = spike
-        self.label = label
         if coefficients is not None:
             coeffs = [complex(c) for c in coefficients]
             while len(coeffs) > 1 and coeffs[-1] == 0:
@@ -155,12 +154,11 @@ class MultiIndexSeries:
     """A several-variable series sum a_alpha z^alpha with finite support.
 
     ``coefficients`` maps multi-indices (tuples of length ``dim``) to
-    complex values.  ``inf_degree`` bounds max_j alpha_j over the support.
+    complex values.  ``inf_degree`` is max_j alpha_j over the support.
     """
 
     def __init__(self, dim: int, coefficients: Mapping[tuple, complex], *,
-                 inf_degree: int | None = None, closed_form=None, spike=None,
-                 label=None):
+                 spike=None):
         if dim < 1:
             raise ValueError(f"dimension must be >= 1, got {dim}")
         self.dim = dim
@@ -175,12 +173,8 @@ class MultiIndexSeries:
                 clean[alpha] = c
                 support_max = max(support_max, max(alpha))
         self.coeffs = clean
-        if inf_degree is not None and inf_degree < support_max:
-            raise ValueError("inf_degree must dominate max_j alpha_j")
-        self.inf_degree = support_max if inf_degree is None else int(inf_degree)
-        self.closed_form = closed_form
+        self.inf_degree = support_max
         self.spike = spike
-        self.label = label
 
     def coefficient(self, alpha) -> complex:
         return self.coeffs.get(tuple(int(a) for a in alpha), 0j)
@@ -196,8 +190,6 @@ class MultiIndexSeries:
         return out
 
     def __call__(self, *zs):
-        if self.closed_form is not None:
-            return self.closed_form(*zs)
         if len(zs) != self.dim:
             raise ValueError(f"expected {self.dim} coordinates, got {len(zs)}")
         zs = [np.asarray(z, dtype=np.complex128) for z in zs]
@@ -235,14 +227,6 @@ class MultiIndexSeries:
             t = np.moveaxis(np.tensordot(vand, t, axes=(1, j)), 0, j)
         return t
 
-    def to_power_series(self) -> PowerSeries:
-        if self.dim != 1:
-            raise ValueError("only dim-1 series convert to PowerSeries")
-        d = max((a[0] for a in self.coeffs), default=0)
-        coeffs = [self.coefficient((k,)) for k in range(d + 1)]
-        return PowerSeries.from_coefficients(coeffs, closed_form=self.closed_form,
-                                             spike=self.spike, label=self.label)
-
 
 @dataclass(frozen=True)
 class PartialSumReport:
@@ -258,20 +242,16 @@ def partial_sum(f: PowerSeries, N: int) -> PowerSeries:
     """Coefficient truncation S_N f = sum_{k<=N} a_k z^k."""
     if N < 0:
         raise ValueError(f"partial sum order must be >= 0, got {N}")
-    coeffs = f.coefficients(N)
-    return PowerSeries.from_coefficients(coeffs, spike=f.spike,
-                                         label=None if f.label is None
-                                         else f"S{N}[{f.label}]")
+    return PowerSeries.from_coefficients(f.coefficients(N), spike=f.spike)
 
 
 def square_partial_sum(F: MultiIndexSeries, N: int) -> MultiIndexSeries:
-    """Keep the multi-indices with max_j alpha_j <= N."""
+    """Keep the multi-indices with max_j alpha_j <= N; in one variable
+    this is the coefficient truncation S_N."""
     if N < 0:
         raise ValueError(f"partial sum order must be >= 0, got {N}")
     kept = {a: c for a, c in F.coeffs.items() if max(a) <= N}
-    return MultiIndexSeries(F.dim, kept, spike=F.spike,
-                            label=None if F.label is None
-                            else f"S{N}[{F.label}]")
+    return MultiIndexSeries(F.dim, kept, spike=F.spike)
 
 
 # Changes between refinement levels up to this multiple of the mean modulus

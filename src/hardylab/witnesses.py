@@ -105,8 +105,7 @@ def fa_series(a: complex) -> PowerSeries:
     degree = 0 if a == 0 else None
     return PowerSeries.from_generator(
         lambda k: c0 * (k + 1) * abar ** k, degree=degree,
-        closed_form=lambda z: eval_fa(a, z), spike=amod,
-        label=f"fa({a})")
+        closed_form=lambda z: eval_fa(a, z), spike=amod)
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,11 @@ from hardylab.cli import _parse_floats, _parse_ints, main
 from hardylab.experiments import (RUNNERS, ExperimentResult, RunConfig,
                                   render_csv, render_json,
                                   run_blowup, run_ic_asymptotics,
-                                  run_uniform_bound, write_result)
+                                  run_reinhardt, run_uniform_bound,
+                                  write_result)
 from hardylab.registry import (FunctionRegistry, fa_entry, monomial_entry,
                                polynomial_entry)
+from hardylab.reinhardt import ball
 
 
 def small_registry():
@@ -232,7 +234,12 @@ def test_cli_rejects_unread_config_keys(tmp_path, doc, key):
                                       ({"domain": {"kind": "ball"}},
                                        "domain"),
                                       ({"domain": "ball"}, "domain"),
-                                      ({"function": "fa-2"}, "function")])
+                                      ({"function": "fa-2"}, "function"),
+                                      # dimension 1 on the default bidisc
+                                      ({"function": "fa-0.9"}, "function"),
+                                      # the default prod-fa-0.9 on a 3-ball
+                                      ({"domain": {"kind": "ball", "dim": 3}},
+                                       "function")])
 def test_cli_rejects_bad_config_values(monkeypatch, tmp_path, doc, key):
     # the values are parsed before any runner starts, ``all`` included
     def no_run(*args, **kw):
@@ -260,8 +267,31 @@ def test_cli_accepts_other_runners_keys(tmp_path):
 
 
 def test_cli_rejects_unknown_command():
-    with pytest.raises(SystemExit):
+    # a message, hence exit code 1: code 2 is reserved for non-convergence
+    with pytest.raises(SystemExit, match="frobnicate") as exc:
         main(["frobnicate"])
+    assert isinstance(exc.value.code, str)
+
+
+@pytest.mark.parametrize("argv, flag", [(["--n-set", "8,a"], "--n-set"),
+                                        (["--a-set", "0.5,x"], "--a-set"),
+                                        (["--tol", "abc"], "--tol"),
+                                        (["--config", "missing.json"],
+                                         "--config")])
+def test_cli_rejects_bad_flag_values(monkeypatch, tmp_path, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit, match=flag) as exc:
+        main(["ic", *argv])
+    assert isinstance(exc.value.code, str)
+
+
+def test_run_reinhardt_refuses_dimension_mismatch():
+    # refused before the first estimator, naming both dimensions
+    cfg = RunConfig(n_set_square=(1,))
+    with pytest.raises(ValueError, match="dimension 1 .* dimension 2"):
+        run_reinhardt(cfg, function="fa-0.9")
+    with pytest.raises(ValueError, match="dimension 2 .* dimension 3"):
+        run_reinhardt(cfg, domain=ball(3))
 
 
 def test_cli_rejects_bad_config(tmp_path):

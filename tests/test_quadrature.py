@@ -15,7 +15,9 @@ def test_angular_floor_defaults_and_spike():
     assert angular_floor(0.5) == 4096
     # 64 / (1 - 0.999) = 64000 dominates the base
     assert angular_floor(0.999) == 64000
-    assert angular_floor(0.999, base=1 << 17) == 1 << 17
+    # a bidisc axis starts leaner, 128 nodes, with spike scale 16
+    assert angular_floor(None, dim=2) == 128
+    assert angular_floor(0.999, dim=2) == 16000
 
 
 def test_angular_floor_rejects_boundary_spike():

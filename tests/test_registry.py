@@ -86,7 +86,7 @@ def test_product_entry_evaluator_and_square_partial():
     assert np.allclose(ent.evaluator(z1, z2),
                        np.asarray(f1(z1)) * np.asarray(f2(z2)), rtol=1e-12)
     N = 7
-    sq = ent.square_partial_evaluator(N)(z1, z2)
+    sq = ent.partial_evaluator(N)(z1, z2)
     s1 = reg.get("fa-0.9").partial_evaluator(N)(z1)
     s2 = reg.get("fa-0.5").partial_evaluator(N)(z2)
     assert np.allclose(sq, np.asarray(s1) * np.asarray(s2), rtol=1e-11)
@@ -99,8 +99,8 @@ def test_product_square_tail_identity():
     for ent, zs in ((reg.get("prod-fa-0.9"), (PTS[:6], PTS[6:])),
                     (three, (PTS[:4], PTS[4:8], PTS[8:]))):
         for N in (2, 10):
-            total = np.asarray(ent.square_partial_evaluator(N)(*zs)) \
-                + np.asarray(ent.square_tail_evaluator(N)(*zs))
+            total = np.asarray(ent.partial_evaluator(N)(*zs)) \
+                + np.asarray(ent.tail_evaluator(N)(*zs))
             assert np.allclose(total, ent.evaluator(*zs), rtol=1e-10)
 
 
@@ -109,10 +109,10 @@ def test_generic_square_partial_on_finite_series():
     ent = reg.get("mono2-1-2")
     z1, z2 = PTS[:6], PTS[6:]
     # square degree 1 drops the (1, 2) monomial entirely
-    assert np.allclose(ent.square_partial_evaluator(1)(z1, z2), 0.0)
-    assert np.allclose(ent.square_partial_evaluator(2)(z1, z2),
+    assert np.allclose(ent.partial_evaluator(1)(z1, z2), 0.0)
+    assert np.allclose(ent.partial_evaluator(2)(z1, z2),
                        z1 * z2 ** 2, rtol=1e-12)
-    assert np.allclose(ent.square_tail_evaluator(2)(z1, z2), 0.0,
+    assert np.allclose(ent.tail_evaluator(2)(z1, z2), 0.0,
                        atol=1e-15)
 
 
@@ -122,14 +122,13 @@ def test_spike_tags_propagate():
     assert ent.partial_evaluator(4).spike == pytest.approx(0.9)
     prod = default_registry().get("prod-fa-0.9-0.5")
     assert prod.spike == (0.9, 0.5)
-    assert prod.square_tail_evaluator(3).spike == (0.9, 0.5)
+    assert prod.tail_evaluator(3).spike == (0.9, 0.5)
 
 
 def test_tagged_evaluator_passthrough():
-    tag = TaggedEvaluator(lambda z: 2 * z, spike=0.5, label="double")
+    tag = TaggedEvaluator(lambda z: 2 * z, 0.5)
     assert tag(3.0) == 6.0
     assert tag.spike == 0.5
-    assert "double" in repr(tag)
 
 
 def test_product_entry_rejects_multivariable_factors():
@@ -138,11 +137,32 @@ def test_product_entry_rejects_multivariable_factors():
         product_entry((reg.get("prod-fa-0.9"),))
 
 
-def test_dim_guards_on_partial_evaluators():
-    reg = default_registry()
-    with pytest.raises(ValueError):
-        reg.get("prod-fa-0.9").partial_evaluator(3)
-    ent1 = reg.get("fa-0.5")
-    # dim-1 square partials fall through to the ordinary partial sum
-    assert np.allclose(ent1.square_partial_evaluator(3)(PTS),
-                       ent1.partial_evaluator(3)(PTS), rtol=1e-13)
+def test_partial_plus_tail_reassembles_every_entry():
+    # one evaluator pair serves every dimension; PTS split into dim
+    # coordinate arrays stays inside the unit polydisc
+    for ent in default_registry().entries():
+        zs = np.split(PTS, ent.dim)
+        direct = np.asarray(ent.evaluator(*zs))
+        for N in (0, 1, 7):
+            total = np.asarray(ent.partial_evaluator(N)(*zs)) \
+                + np.asarray(ent.tail_evaluator(N)(*zs))
+            assert np.allclose(total, direct, rtol=1e-10, atol=1e-13), \
+                (ent.name, N)
+
+
+def test_one_factor_product_matches_its_factor():
+    fa09 = default_registry().get("fa-0.9")
+    prod = product_entry((fa09,))
+    for N in (0, 1, 7):
+        assert np.array_equal(prod.partial_evaluator(N)(PTS),
+                              fa09.partial_evaluator(N)(PTS))
+        assert np.array_equal(prod.tail_evaluator(N)(PTS),
+                              fa09.tail_evaluator(N)(PTS))
+
+
+def test_product_evaluator_rejects_wrong_coordinate_count():
+    ent = default_registry().get("prod-fa-0.9")
+    with pytest.raises(ValueError, match="expected 2 coordinates"):
+        ent.evaluator(0.1, 0.2, 0.3)
+    with pytest.raises(ValueError, match="expected 2 coordinates"):
+        ent.evaluator(0.1)

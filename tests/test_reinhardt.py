@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hardylab.errors import DomainModelError
-from hardylab.registry import default_registry
+from hardylab.registry import default_registry, product_entry
 from hardylab.reinhardt import (ReinhardtDomain, ball, contains,
                                 custom_domain, density_experiment,
                                 dilate_truncate, domain_from_config,
@@ -133,7 +133,7 @@ def test_dilate_truncate_converges_pointwise():
     z = np.array([0.9, -0.9j, 0.6 + 0.6j])
     prev_err = np.inf
     for rho, M in ((0.9, 16), (0.99, 64), (0.999, 256), (0.9999, 512)):
-        q = dilate_truncate(f, rho, M).to_power_series()
+        q = dilate_truncate(f, rho, M)
         err = float(np.max(np.abs(f(z) - q(z))))
         assert err < prev_err
         prev_err = err
@@ -163,6 +163,15 @@ def test_density_experiment_disc():
     # tighter target forces dilation closer to 1 and a larger degree
     assert rows[1].rho >= rows[0].rho
     assert rows[1].M >= rows[0].M
+
+
+def test_density_one_factor_product_matches_disc_entry():
+    # a one-variable entry is the one-factor product of its series
+    fa09 = default_registry().get("fa-0.9")
+    rows = [density_experiment(ent, polydisc(1), 1.0, (0.5, 0.1, 0.02),
+                               norm_tol=1e-3)
+            for ent in (fa09, product_entry((fa09,)))]
+    assert rows[0] == rows[1]
 
 
 def test_density_experiment_dimension_mismatch():
