@@ -6,7 +6,9 @@ as every other dimension.  One table, ``quadrature._GRID``, holds the
 grid policy per dimension: the angular floor and spike scale of each
 axis, the radial Gauss order and the base dyadic panel depth.  ``_grid``
 reads it and raises the floors, and in one variable the panel depth, for
-a declared spike.
+a declared spike.  The shell rules use the rim's floor; the volume rule
+gives each ring the floor of the spike seen from its own radius, doubled
+per level, so inner rings are not resolved for a peak they never see.
 
 One-variable conventions: the Hardy p-norm is the supremum over radii of
 the normalized circle mean
@@ -54,27 +56,30 @@ class NormEstimate:
 
 
 def _grid(f, spike, n):
-    """Per-axis angular floors, radial Gauss order and base panel depth.
+    """Per-axis spike moduli and angular floors, radial Gauss order and
+    base panel depth.
 
     A spike tag (keyword, else ``f.spike``; one per coordinate, or a
-    scalar for all) raises each axis floor to about scale / (1 - |spike|).
-    In one variable it also deepens the panel stack so the smallest panel
-    resolves the 1 - |spike| boundary scale.
+    scalar for all) is parsed into one modulus per axis, 0.0 for none;
+    a modulus >= 1 raises ``ValueError``.  The floor of an axis is the
+    rim's, about scale / (1 - |spike|); the volume rule lowers it ring by
+    ring from the moduli.  In one variable a spike also deepens the panel
+    stack so the smallest panel resolves the 1 - |spike| boundary scale.
     """
     if spike is None:
         spike = getattr(f, "spike", None)
     if isinstance(spike, (tuple, list, np.ndarray)):
         if len(spike) != n:
             raise ValueError(f"need one spike tag per coordinate, got {spike}")
-        spikes = tuple(spike)
     else:
-        spikes = (None if spike is None else float(spike),) * n
+        spike = (spike,) * n
+    spikes = tuple(0.0 if s is None else float(abs(s)) for s in spike)
     _, _, order, depth = _GRID[min(n, 3)]
     floors = tuple(angular_floor(s, n) for s in spikes)
-    s = spikes[0]
-    if n == 1 and s is not None and 0.0 < abs(s) < 1.0:
-        depth = max(depth, math.ceil(math.log2(1.0 / (1.0 - abs(s)))) + 2)
-    return floors, order, depth
+    if n == 1 and spikes[0] > 0.0:
+        depth = max(depth,
+                    math.ceil(math.log2(1.0 / (1.0 - spikes[0]))) + 2)
+    return spikes, floors, order, depth
 
 
 def _abs_power(f, p):
@@ -95,7 +100,7 @@ def hardy_norm_disc(f, p: float = 1.0, tol: float = 1e-6, *,
     """
     if p <= 0:
         raise ValueError(f"norm exponent must be positive, got {p}")
-    (floor,), _, _ = _grid(f, spike, 1)
+    _, (floor,), _, _ = _grid(f, spike, 1)
     g = _abs_power(f, p)
     quad_tol = max(0.25 * tol, 1e-14)
     rungs, vals, incs = [], [], []
@@ -164,7 +169,7 @@ def hardy_norm_reinhardt(f, p: float = 1.0, domain: ReinhardtDomain = None,
         raise ValueError("a ReinhardtDomain is required")
     if p <= 0:
         raise ValueError(f"norm exponent must be positive, got {p}")
-    floors, _, _ = _grid(f, spike, domain.dim)
+    _, floors, _, _ = _grid(f, spike, domain.dim)
     sample = frontier_sample(domain, dirs)
     shells = sample.radii[_maximal_rows(sample.radii)]
     ts = 1.0 - 2.0 ** -np.arange(1, k_max + 1, dtype=np.float64)
@@ -239,18 +244,34 @@ def _bergman(f, p, tol, domain, spike, max_nodes) -> NormEstimate:
 
     Each level deepens the dyadic radial panels, which pile up toward the
     rim where holomorphic mass concentrates, and doubles every angular
-    axis.
+    count.  The counts are set ring by ring: a cell with coordinate radii
+    r_j gets the floor of the spike seen from its own radius,
+    ``angular_floor(r_j |s_j|)``, on axis j, since the trapezoid error on
+    that ring decays like (r_j |s_j|)^m.  Rings at r_j >= 1, on domains
+    wider than the unit polydisc, keep the rim's floor.  Cells with equal
+    counts share one shell call; their sums go back in cell order before
+    the one dot product with the weights, so values do not depend on the
+    grouping.
     """
     if p <= 0:
         raise ValueError(f"norm exponent must be positive, got {p}")
-    floors, order, depth = _grid(f, spike, domain.dim)
+    n = domain.dim
+    spikes, _, order, depth = _grid(f, spike, n)
     g = _abs_power(f, p)
 
     def level_fn(level):
         cells, weights = _radial_cells(domain, depth + level, order)
-        ms = [m << level for m in floors]
-        sums = torus_integrals(g, cells, ms)
-        return complex(float(sums @ weights)), (cells.shape[0], *ms)
+        radii = np.minimum(cells, 1.0)
+        counts = np.stack([angular_floor(radii[:, j] * s, n)
+                           for j, s in enumerate(spikes)], axis=1) << level
+        groups, inverse = np.unique(counts, axis=0, return_inverse=True)
+        inverse = inverse.reshape(-1)
+        sums = np.empty(cells.shape[0])
+        for k, ms in enumerate(groups.tolist()):
+            rows = np.flatnonzero(inverse == k)
+            sums[rows] = torus_integrals(g, cells[rows], ms)
+        total = int(np.prod(counts, axis=1).sum())
+        return complex(float(sums @ weights)), (total,)
 
     rep = refine_until(level_fn, max(tol, 1e-14), cap=max_nodes)
     return NormEstimate(value=max(rep.value.real, 0.0) ** (1.0 / p),
@@ -273,7 +294,7 @@ def monotonicity_check(f, p: float, r, R, tol: float = 1e-9, *,
         raise ValueError("shell radius vectors must share one shape")
     if np.any(r < 0) or np.any(R < r):
         raise ValueError("need componentwise 0 <= r <= R")
-    floors, _, _ = _grid(f, spike, r.size)
+    _, floors, _, _ = _grid(f, spike, r.size)
     i_r, i_R = torus_integrals(_abs_power(f, p), np.vstack([r, R]),
                                [m << 1 for m in floors])
     return bool(i_r <= i_R + tol * max(1.0, i_R))

@@ -62,21 +62,26 @@ def unit_nodes(m: int, axis: int = 0, ndim: int = 1) -> np.ndarray:
 _GRID = {1: (4096, 64.0, 64, 6), 2: (128, 16.0, 12, 2), 3: (32, 8.0, 8, 1)}
 
 
-def angular_floor(spike: float | None, dim: int = 1) -> int:
+def angular_floor(spike: float | np.ndarray | None,
+                  dim: int = 1) -> int | np.ndarray:
     """Initial node count of an angular axis in ``dim`` variables (its
     ``_GRID`` row), raised for a declared spike.
 
     ``spike`` is the modulus of a pole-like parameter sitting at distance
     1 - |spike| from the unit circle; resolving the induced boundary spike
-    needs on the order of 1/(1 - |spike|) angular nodes.
+    needs on the order of 1/(1 - |spike|) angular nodes.  The volume rule
+    passes an array of r * |spike|, one per radial node: seen from the
+    ring of radius r the spike sits at distance 1 - r |spike|, so each
+    ring gets its own count (an int64 array; a scalar gives an int).
     """
     base, scale, _, _ = _GRID[min(dim, 3)]
     if spike is None:
         return base
-    s = abs(spike)
-    if s >= 1.0:
-        raise ValueError(f"spike modulus must be < 1, got {s}")
-    return max(base, int(np.ceil(scale / (1.0 - s))))
+    s = np.abs(spike)
+    if np.any(s >= 1.0):
+        raise ValueError(f"spike modulus must be < 1, got {np.max(s)}")
+    m = np.maximum(base, np.ceil(scale / (1.0 - s)))
+    return int(m) if m.ndim == 0 else m.astype(np.int64)
 
 
 def dyadic_panels(depth: int) -> np.ndarray:

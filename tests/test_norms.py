@@ -1,9 +1,13 @@
+import functools
+import math
+
 import numpy as np
 import pytest
 
 from hardylab.norms import (NormEstimate, bergman_norm_disc,
                             bergman_norm_reinhardt, hardy_norm_disc,
                             hardy_norm_reinhardt, monotonicity_check)
+from hardylab.quadrature import angular_floor
 from hardylab.registry import default_registry
 from hardylab.reinhardt import ball, polydisc, power_egg
 from hardylab.series import PowerSeries
@@ -62,15 +66,35 @@ def test_bergman_disc_constants_and_monomials():
                                           rel=1e-10)
 
 
+def _fa_bergman_exact(a):
+    return np.pi * (1 - a * a) * np.log(1 / (1 - a * a)) / (a * a)
+
+
 def test_bergman_disc_extremal_family_closed_form():
     # ||f_a||_A1 = pi (1-a^2) log(1/(1-a^2)) / a^2
     for a in (0.5, 0.9):
         est = bergman_norm_disc(WitnessFa(a), 1.0)
-        expect = np.pi * (1 - a * a) * np.log(1 / (1 - a * a)) / (a * a)
         assert est.converged
-        assert est.value == pytest.approx(expect, rel=1e-9)
+        assert est.value == pytest.approx(_fa_bergman_exact(a), rel=1e-9)
     est9 = bergman_norm_disc(WitnessFa(0.9), 1.0)
     assert est9.value == pytest.approx(1.2238207187632835, rel=1e-9)
+    # sharp spikes, where each ring gets its own angular count
+    for a in (0.99, 0.999):
+        est = bergman_norm_disc(WitnessFa(a), 1.0, spike=a)
+        assert est.converged
+        assert est.value == pytest.approx(_fa_bergman_exact(a), rel=1e-9)
+
+
+@pytest.mark.parametrize("N", [8, 64])
+def test_bergman_partial_sums_obey_triangle_inequality(N):
+    # | ||S_N f_a|| - ||f_a|| | <= ||f_a - S_N f_a|| in A1, with ||f_a||
+    # exact, so both spiked estimates are checked against the closed form
+    ent = default_registry().get("fa-0.99")
+    part = bergman_norm_disc(ent.partial_evaluator(N), 1.0, spike=ent.spike)
+    tail = bergman_norm_disc(ent.tail_evaluator(N), 1.0, spike=ent.spike)
+    assert part.converged and tail.converged
+    gap = abs(part.value - _fa_bergman_exact(0.99))
+    assert gap <= tail.value * (1 + 1e-6)
 
 
 def test_embedding_constant_on_random_polynomials():
@@ -86,20 +110,27 @@ class _Level0Done(Exception):
     """Raised by the pinning integrand once level 0 is fully evaluated."""
 
 
-def _pin_level0(estimator, radii, m, **kw):
-    """Run estimator until it has evaluated f on radii x e^(2 pi i k/m).
+def _pin_level0(estimator, radii, counts, **kw):
+    """Run estimator until it has evaluated f on every ring
+    radii[i] * e^(2 pi i k / counts[i]), k < counts[i].
 
-    Each integrand call must hold the next rows of that grid, bit for bit.
+    Calls may take the rings in any order, each call holding rings of one
+    count; every ring must come bit for bit, and once.
     """
-    phases = np.exp(1j * (TWO_PI * np.arange(m) / m))
-    row = [0]
+    want = {r.tobytes(): int(m) for r, m in zip(radii, counts)}
+    seen = set()
 
     def f(z):
-        rows = np.size(z) // m
-        want = radii[row[0]:row[0] + rows, None] * phases[None, :]
-        assert np.ascontiguousarray(z).tobytes() == want.tobytes()
-        row[0] += rows
-        if row[0] == radii.size:
+        z = np.ascontiguousarray(z)
+        m = z.shape[-1]
+        phases = np.exp(1j * (TWO_PI * np.arange(m) / m))
+        for row in z.reshape(-1, m):
+            r = row[0].real                   # the first phase is exactly 1
+            key = r.tobytes()
+            assert want.get(key) == m and key not in seen
+            assert row.tobytes() == (r * phases).tobytes()
+            seen.add(key)
+        if len(seen) == len(want):
             raise _Level0Done
         return np.ones(np.shape(z))
 
@@ -107,17 +138,78 @@ def _pin_level0(estimator, radii, m, **kw):
         estimator(f, 1.0, **kw)
 
 
+def _unit_gauss_nodes(depth, order):
+    bounds = [0.0] + [1.0 - 2.0 ** -k for k in range(1, depth + 1)] + [1.0]
+    x, _ = np.polynomial.legendre.leggauss(order)
+    return np.concatenate([0.5 * (hi - lo) * x + 0.5 * (hi + lo)
+                           for lo, hi in zip(bounds[:-1], bounds[1:])])
+
+
 @pytest.mark.parametrize("spike, depth, m", [(None, 6, 4096),
                                              (0.999, 12, 64000)])
 def test_disc_estimators_level0_node_sets(spike, depth, m):
     # Bergman: 64-point Gauss-Legendre on the dyadic panels of [0, 1] times
-    # the equispaced angles; Hardy: the first rung r = 1/2 of its ladder
-    bounds = [0.0] + [1.0 - 2.0 ** -k for k in range(1, depth + 1)] + [1.0]
-    x, _ = np.polynomial.legendre.leggauss(64)
-    radii = np.concatenate([0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-                            for lo, hi in zip(bounds[:-1], bounds[1:])])
-    _pin_level0(bergman_norm_disc, radii, m, spike=spike)
-    _pin_level0(hardy_norm_disc, np.array([0.5]), m, spike=spike)
+    # the equispaced angles, max(4096, ceil(64 / (1 - r s))) of them on the
+    # ring of radius r; Hardy: the first rung r = 1/2 of its ladder, with
+    # the rim's m
+    radii = _unit_gauss_nodes(depth, 64)
+    counts = [4096 if spike is None
+              else max(4096, math.ceil(64 / (1 - r * spike))) for r in radii]
+    _pin_level0(bergman_norm_disc, radii, counts, spike=spike)
+    _pin_level0(hardy_norm_disc, np.array([0.5]), [m], spike=spike)
+
+
+def test_rings_past_the_unit_radius_keep_the_rim_floor():
+    # a disc of radius 1.5 reaches past the pole at 1/0.99; its rings at
+    # r >= 1 get the rim's 6400 nodes, inner rings their own count
+    radii = 1.5 * _unit_gauss_nodes(9, 64)
+    counts = [max(4096, math.ceil(64 / (1 - min(r, 1.0) * 0.99)))
+              for r in radii]
+    wide = functools.partial(bergman_norm_reinhardt,
+                             domain=polydisc(1, [1.5]))
+    _pin_level0(wide, radii, counts, spike=0.99)
+
+
+def test_bergman_polydisc_ring_counts():
+    # on polydisc(2) the cell (r1, r2) gets angular_floor(r_j s_j, 2) nodes
+    # on axis j; level 0 evaluates exactly the per-ring formula's total
+    s = (0.95, 0.9)
+    x = _unit_gauss_nodes(2, 12)
+
+    def floor2(r, sj):
+        return max(128, math.ceil(16 / (1 - r * sj)))
+
+    per_axis = [np.array([floor2(r, sj) for r in x]) for sj in s]
+    expect = int(np.outer(*per_axis).sum())
+    assert expect < x.size ** 2 * floor2(1.0, s[0]) * floor2(1.0, s[1])
+    points = [0]
+
+    def f(z1, z2):
+        for j, (zj, sj) in enumerate(((z1, s[0]), (z2, s[1]))):
+            r = zj.reshape(zj.shape[0], -1)[:, 0].real
+            assert all(angular_floor(rk * sj, 2) == zj.shape[j + 1]
+                       for rk in r)
+        points[0] += z1.shape[0] * z1.shape[1] * z2.shape[2]
+        if points[0] >= expect:
+            raise _Level0Done
+        return np.ones(np.broadcast(z1, z2).shape)
+
+    with pytest.raises(_Level0Done):
+        bergman_norm_reinhardt(f, 1.0, polydisc(2), spike=s)
+    assert points[0] == expect
+
+
+def test_boundary_spikes_are_refused_at_entry():
+    # per ring r * s < 1 even for s = 1; the rim's check must still fire
+    def f(*z):
+        raise AssertionError("evaluated a function with a boundary spike")
+
+    with pytest.raises(ValueError, match="spike modulus"):
+        bergman_norm_disc(f, 1.0, spike=1.0)
+    with pytest.raises(ValueError, match="spike modulus"):
+        hardy_norm_disc(f, 1.0, spike=1.0)
+    with pytest.raises(ValueError, match="spike modulus"):
+        bergman_norm_reinhardt(f, 1, polydisc(2), spike=(0.5, 1.0))
 
 
 def test_one_variable_spike_tuple_needs_one_entry():

@@ -27,6 +27,18 @@ def test_angular_floor_rejects_boundary_spike():
         angular_floor(1.5)
 
 
+def test_angular_floor_per_ring_matches_scalar_rule():
+    # an array of r * |spike|, one per ring, gets the scalar rule ring by ring
+    ts = 0.999 * np.linspace(0.0, 0.9999, 101)
+    for dim in (1, 2, 3):
+        counts = angular_floor(ts, dim)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [angular_floor(float(t), dim) for t in ts]
+    assert type(angular_floor(0.999)) is int
+    with pytest.raises(ValueError):
+        angular_floor(np.array([0.5, 1.0]))
+
+
 def _circle_mean(g, r, m):
     # a circle is the one-axis torus shell
     return torus_integrals(g, [[r]], [m])[0] / TWO_PI
