@@ -22,11 +22,17 @@ unnormalized torus integral of |f|^p.  The two normalizations are kept
 exactly as stated; values across dimensions differ by powers of 2pi by
 design.
 
-Radius suprema are approached along the dyadic ladder r_k = 1 - 2^{-k};
-each rung is integrated with doubling angular refinement, and the ladder
-stops once consecutive rungs agree to the requested tolerance.  Circle
-means of |f|^p are nondecreasing in the radius, so the last rung is also
-the largest and the ladder tail bounds the truncation error.
+A spike tag on every axis is a declaration: f is holomorphic on the
+polydisc of radii 1/|s_j| (a tag 0.0 declares an entire axis).  Circle
+means of |f|^p are nondecreasing in the radius and, for such f,
+continuous up to the boundary, so the Hardy supremum is the boundary
+mean itself.  The Hardy estimators then integrate |f|^p once on the
+boundary shells with doubling angular refinement; the trapezoid rule
+converges geometrically there, at the rate set by the spike.  For an
+undeclared f, or a frontier shell that reaches past 1/|s_j|, the
+supremum is approached along the dyadic ladder r_k = 1 - 2^{-k}: each
+rung is integrated the same way, and the ladder stops once consecutive
+rungs agree to the requested tolerance.
 """
 
 from __future__ import annotations
@@ -56,15 +62,17 @@ class NormEstimate:
 
 
 def _grid(f, spike, n):
-    """Per-axis spike moduli and angular floors, radial Gauss order and
-    base panel depth.
+    """Per-axis spike moduli and angular floors, radial Gauss order, base
+    panel depth, and whether f is declared holomorphic past the rim.
 
     A spike tag (keyword, else ``f.spike``; one per coordinate, or a
     scalar for all) is parsed into one modulus per axis, 0.0 for none;
-    a modulus >= 1 raises ``ValueError``.  The floor of an axis is the
-    rim's, about scale / (1 - |spike|); the volume rule lowers it ring by
-    ring from the moduli.  In one variable a spike also deepens the panel
-    stack so the smallest panel resolves the 1 - |spike| boundary scale.
+    a modulus >= 1 raises ``ValueError``.  A tag on every axis declares
+    f holomorphic on the polydisc of radii 1/|s_j|.  The floor of an
+    axis is the rim's, about scale / (1 - |spike|); the volume rule
+    lowers it ring by ring from the moduli.  In one variable a spike
+    also deepens the panel stack so the smallest panel resolves the
+    1 - |spike| boundary scale.
     """
     if spike is None:
         spike = getattr(f, "spike", None)
@@ -73,13 +81,14 @@ def _grid(f, spike, n):
             raise ValueError(f"need one spike tag per coordinate, got {spike}")
     else:
         spike = (spike,) * n
+    declared = all(s is not None for s in spike)
     spikes = tuple(0.0 if s is None else float(abs(s)) for s in spike)
     _, _, order, depth = _GRID[min(n, 3)]
     floors = tuple(angular_floor(s, n) for s in spikes)
     if n == 1 and spikes[0] > 0.0:
         depth = max(depth,
                     math.ceil(math.log2(1.0 / (1.0 - spikes[0]))) + 2)
-    return spikes, floors, order, depth
+    return spikes, floors, order, depth, declared
 
 
 def _abs_power(f, p):
@@ -89,31 +98,45 @@ def _abs_power(f, p):
 def hardy_norm_disc(f, p: float = 1.0, tol: float = 1e-6, *,
                     k_max: int = 24, spike=None,
                     max_nodes: int = 1 << 20) -> NormEstimate:
-    """Hardy p-norm of f on the unit disc via the dyadic radius ladder.
+    """Hardy p-norm of f on the unit disc.
 
     f is any vectorized callable on complex arrays.  A spike tag (the
-    modulus of a boundary concentration point, from the function itself
-    or the keyword) raises the angular floor to resolve narrow boundary
-    peaks.  Sharper spikes need more rungs: the default k_max resolves
-    tails with values up to roughly 1e3 * (1 - |spike|)^-1 contrast; pass
-    a larger k_max for parameters extremely close to the boundary.
+    modulus s of a boundary concentration point, from the function
+    itself or the keyword) raises the angular floor to resolve narrow
+    boundary peaks, and declares f holomorphic on |z| < 1/|s| (entire for
+    s = 0).  A declared f is integrated on the unit circle alone: the
+    estimate reports ``ladder=(1.0,)``, the boundary mean as its one
+    ladder value and the last relative change of the angular refinement
+    as its tail increment.  An undeclared f climbs the dyadic radius
+    ladder, which stops when two rungs agree to ``tol``; sharper peaks
+    need more rungs, and the default k_max resolves tails with values up
+    to roughly 1e3 * (1 - |s|)^-1 contrast.
     """
     if p <= 0:
         raise ValueError(f"norm exponent must be positive, got {p}")
-    _, (floor,), _, _ = _grid(f, spike, 1)
+    _, (floor,), _, _, declared = _grid(f, spike, 1)
     g = _abs_power(f, p)
     quad_tol = max(0.25 * tol, 1e-14)
+
+    def circle_mean(r):
+        def shell(level):
+            m = floor << level
+            return torus_integrals(g, [[r]], [m])[0] / TWO_PI, (m,)
+        return refine_until(shell, quad_tol, cap=max_nodes)
+
+    if declared:
+        rep = circle_mean(1.0)
+        v = float(rep.value.real)
+        return NormEstimate(value=v ** (1.0 / p), space="H", p=float(p),
+                            ladder=(1.0,), ladder_values=(v,),
+                            tail_increments=(rep.rel_change,),
+                            converged=bool(rep.converged))
     rungs, vals, incs = [], [], []
     quad_ok = True
     tail_ok = False
     for k in range(1, k_max + 1):
         r = 1.0 - 2.0 ** -k
-
-        def shell(level, r=r):
-            m = floor << level
-            return torus_integrals(g, [[r]], [m])[0] / TWO_PI, (m,)
-
-        rep = refine_until(shell, quad_tol, cap=max_nodes)
+        rep = circle_mean(r)
         quad_ok = quad_ok and rep.converged
         v = float(rep.value.real)
         rungs.append(r)
@@ -160,33 +183,43 @@ def hardy_norm_reinhardt(f, p: float = 1.0, domain: ReinhardtDomain = None,
     """Hardy p-norm over a complete Reinhardt domain.
 
     Value^p is the supremum over sampled frontier shells of the
-    unnormalized torus integral of |f|^p, approached along the dilation
-    ladder t_k = 1 - 2^{-k} within each shell.  Shells dominated
-    componentwise by another sampled shell are pruned, which leaves a
-    single shell on a polydisc and the full sample on a ball.
+    unnormalized torus integral of |f|^p.  Shells dominated componentwise
+    by another sampled shell are pruned, which leaves a single shell on a
+    polydisc and the full sample on a ball.  When a spike tag on every
+    axis declares f holomorphic on the polydisc of radii 1/|s_j| and every
+    remaining shell radius satisfies r_j |s_j| < 1, the shells themselves
+    carry the supremum: the estimate integrates them at the one dilation
+    t = 1 and reports the last relative change of the angular refinement
+    as its tail increment.  Otherwise each shell is approached along the
+    dilation ladder t_k = 1 - 2^{-k}, which must settle to ``tol``.
     """
     if domain is None:
         raise ValueError("a ReinhardtDomain is required")
     if p <= 0:
         raise ValueError(f"norm exponent must be positive, got {p}")
-    _, floors, _, _ = _grid(f, spike, domain.dim)
+    spikes, floors, _, _, declared = _grid(f, spike, domain.dim)
     sample = frontier_sample(domain, dirs)
     shells = sample.radii[_maximal_rows(sample.radii)]
-    ts = 1.0 - 2.0 ** -np.arange(1, k_max + 1, dtype=np.float64)
+    boundary = declared and bool(np.all(shells * np.array(spikes) < 1.0))
+    ts = (np.ones(1) if boundary
+          else 1.0 - 2.0 ** -np.arange(1, k_max + 1, dtype=np.float64))
     quad_tol = max(0.25 * tol, 1e-14)
     quad_ok = True
+    quad_change = 0.0
     best = None
     for radii in shells:
         prev = None
         level = 0
         ok = False
+        change = np.inf
         while True:
             vec = torus_integrals(_abs_power(f, p), ts[:, None] * radii,
                                   [m << level for m in floors])
             if prev is not None:
                 diff = float(np.max(np.abs(vec - prev)))
                 den = max(float(vec.max()), float(prev.max()), 1e-300)
-                if diff / den <= quad_tol:
+                change = diff / den
+                if change <= quad_tol:
                     ok = True
                     break
             nxt = int(np.prod([m << (level + 1) for m in floors]))
@@ -195,11 +228,15 @@ def hardy_norm_reinhardt(f, p: float = 1.0, domain: ReinhardtDomain = None,
             prev = vec
             level += 1
         quad_ok = quad_ok and ok
+        quad_change = max(quad_change, change)
         best = vec if best is None else np.maximum(best, vec)
     vals = best
-    incs = np.diff(vals) / np.maximum(np.maximum(np.abs(vals[1:]),
-                                                 np.abs(vals[:-1])), 1e-300)
-    tail_ok = bool(incs.size and abs(incs[-1]) <= tol)
+    if boundary:
+        incs, tail_ok = np.array([quad_change]), True
+    else:
+        incs = np.diff(vals) / np.maximum(
+            np.maximum(np.abs(vals[1:]), np.abs(vals[:-1])), 1e-300)
+        tail_ok = bool(incs.size and abs(incs[-1]) <= tol)
     return NormEstimate(value=float(np.max(vals)) ** (1.0 / p), space="H",
                         p=float(p), ladder=tuple(ts.tolist()),
                         ladder_values=tuple(vals.tolist()),
@@ -256,7 +293,7 @@ def _bergman(f, p, tol, domain, spike, max_nodes) -> NormEstimate:
     if p <= 0:
         raise ValueError(f"norm exponent must be positive, got {p}")
     n = domain.dim
-    spikes, _, order, depth = _grid(f, spike, n)
+    spikes, _, order, depth, _ = _grid(f, spike, n)
     g = _abs_power(f, p)
 
     def level_fn(level):
@@ -294,7 +331,7 @@ def monotonicity_check(f, p: float, r, R, tol: float = 1e-9, *,
         raise ValueError("shell radius vectors must share one shape")
     if np.any(r < 0) or np.any(R < r):
         raise ValueError("need componentwise 0 <= r <= R")
-    _, floors, _, _ = _grid(f, spike, r.size)
+    _, floors, _, _, _ = _grid(f, spike, r.size)
     i_r, i_R = torus_integrals(_abs_power(f, p), np.vstack([r, R]),
                                [m << 1 for m in floors])
     return bool(i_r <= i_R + tol * max(1.0, i_R))

@@ -13,8 +13,8 @@ This module owns the two pieces every estimator shares: :func:`unit_nodes`
 builds the equispaced nodes e^(2 pi i k / m) on the circle and, shaped for
 broadcasting, on the axes of a torus grid; :func:`refine_until` is the one
 node-doubling loop, for scalar and array values alike.  The only other
-doubling loop is ``norms.hardy_norm_reinhardt``'s, which refines a whole
-ladder of shells at once.
+doubling loop is ``norms.hardy_norm_reinhardt``'s, which refines all the
+dilations of a frontier shell at once.
 
 Everything here is binary64 and deterministic: node construction, chunking
 and accumulation order are fixed functions of the rule parameters, so two
@@ -69,7 +69,9 @@ def angular_floor(spike: float | np.ndarray | None,
 
     ``spike`` is the modulus of a pole-like parameter sitting at distance
     1 - |spike| from the unit circle; resolving the induced boundary spike
-    needs on the order of 1/(1 - |spike|) angular nodes.  The volume rule
+    needs on the order of 1/(1 - |spike|) angular nodes.  ``None`` and 0.0
+    give the same floor, but the estimators read a tag as a declaration
+    (holomorphic on |z| < 1/|spike|) and ``None`` as none.  The volume rule
     passes an array of r * |spike|, one per radial node: seen from the
     ring of radius r the spike sits at distance 1 - r |spike|, so each
     ring gets its own count (an int64 array; a scalar gives an int).

@@ -2,10 +2,14 @@
 
 Each entry bundles a series representation, a vectorized evaluator, and
 the metadata the norm estimators need (spike location, polynomial
-degree).  Partial sums are square partial sums in every dimension: they
-keep the multi-indices with max_j alpha_j <= N, in one variable S_N.  One
-pair, ``partial_evaluator``/``tail_evaluator``, serves every entry, with
-fast paths where a closed form exists, so high orders cost the same:
+degree).  A spike tag also declares the entry, its partial sums and its
+tails holomorphic past the closed unit polydisc: 0.0 for polynomials,
+|a| for the f_a family, the factors' tags for products; ``geom``, with
+its pole on the circle, declares nothing.  Partial sums are square
+partial sums in every dimension: they keep the multi-indices with
+max_j alpha_j <= N, in one variable S_N.  One pair,
+``partial_evaluator``/``tail_evaluator``, serves every entry, with fast
+paths where a closed form exists, so high orders cost the same:
 
     products          the factors' partials, and a telescoping tail
     extremal family   partial and tail from the two-term split
@@ -30,7 +34,13 @@ from .witnesses import T1T2Split, WitnessFa, fa_series
 
 @dataclass(frozen=True, eq=False)
 class TaggedEvaluator:
-    """Callable wrapper carrying the spike tag the estimators read."""
+    """Callable wrapper carrying the spike tag the estimators read.
+
+    A tag s (one per coordinate, or a scalar for all) sets the angular
+    floors and declares ``fn`` holomorphic on the polydisc of radii
+    1/|s_j|, entire for s = 0; the Hardy estimators then integrate on the
+    boundary.  ``None`` declares nothing.
+    """
 
     fn: Callable
     spike: float | tuple | None = None
@@ -167,7 +177,7 @@ def fa_entry(a: float, name: str | None = None) -> RegistryEntry:
 def polynomial_entry(name: str, coefficients) -> RegistryEntry:
     ps = PowerSeries.from_coefficients(coefficients)
     return RegistryEntry(name=name, dim=1, evaluator=ps, series=ps,
-                         degree=ps.degree)
+                         spike=0.0, degree=ps.degree)
 
 
 def monomial_entry(k: int) -> RegistryEntry:
@@ -175,7 +185,7 @@ def monomial_entry(k: int) -> RegistryEntry:
     coeffs[k] = 1.0
     ps = PowerSeries.from_coefficients(coeffs)
     return RegistryEntry(name=f"mono-{k}", dim=1, evaluator=ps, series=ps,
-                         degree=k)
+                         spike=0.0, degree=k)
 
 
 def geometric_entry() -> RegistryEntry:
@@ -206,7 +216,7 @@ def product_entry(factors: tuple[RegistryEntry, ...],
         dim=len(factors),
         evaluator=product_evaluator([f.evaluator for f in factors]),
         series=None,
-        spike=tuple(f.spike if f.spike is not None else 0.0 for f in factors),
+        spike=tuple(f.spike for f in factors),
         in_h1=all(f.in_h1 for f in factors),
         factors=tuple(factors))
 
@@ -233,5 +243,5 @@ def default_registry(seed: int = 12345) -> FunctionRegistry:
     reg.add(product_entry((fa09, fa05), name="prod-fa-0.9-0.5"))
     mono2 = MultiIndexSeries(2, {(1, 2): 1.0})
     reg.add(RegistryEntry(name="mono2-1-2", dim=2, evaluator=mono2,
-                          series=mono2))
+                          series=mono2, spike=0.0))
     return reg

@@ -45,8 +45,10 @@ class PowerSeries:
     Coefficients come either from a stored finite list (a polynomial) or
     from a generator function ``k -> a_k`` memoized on demand.  An optional
     ``closed_form`` callable provides fast evaluation; ``spike`` declares
-    the modulus of a pole-like parameter so norm quadratures can set their
-    angular node floors.
+    the modulus s of a pole-like parameter so norm quadratures can set their
+    angular node floors.  A tag also promises the series is holomorphic on
+    |z| < 1/|s| (entire for s = 0), so Hardy norms are taken on the unit
+    circle; ``None`` promises nothing.
     """
 
     def __init__(self, *, coefficients=None, coefficient_fn=None, degree=None,

@@ -8,10 +8,10 @@ from hardylab.norms import (NormEstimate, bergman_norm_disc,
                             bergman_norm_reinhardt, hardy_norm_disc,
                             hardy_norm_reinhardt, monotonicity_check)
 from hardylab.quadrature import angular_floor
-from hardylab.registry import default_registry
+from hardylab.registry import TaggedEvaluator, default_registry
 from hardylab.reinhardt import ball, polydisc, power_egg
 from hardylab.series import PowerSeries
-from hardylab.witnesses import WitnessFa
+from hardylab.witnesses import T1T2Split, WitnessFa
 
 TWO_PI = 2.0 * np.pi
 RNG = np.random.default_rng(7321)
@@ -40,19 +40,84 @@ def test_hardy_disc_extremal_family_is_isometric():
         assert est.value == pytest.approx(1.0, abs=1e-6)
 
 
+def _undeclared(f):
+    """f without its spike tag: the Hardy estimators climb the ladder."""
+    return lambda *z: f(*z)
+
+
 def test_hardy_disc_sharp_spike_needs_deeper_ladder():
-    est_short = hardy_norm_disc(WitnessFa(0.99), 1.0, 1e-6, k_max=20)
+    f = _undeclared(WitnessFa(0.99))
+    est_short = hardy_norm_disc(f, 1.0, 1e-6, k_max=20)
     assert not est_short.converged
-    est = hardy_norm_disc(WitnessFa(0.99), 1.0, 1e-6, k_max=36)
+    est = hardy_norm_disc(f, 1.0, 1e-6, k_max=36)
     assert est.converged
     assert est.value == pytest.approx(1.0, abs=1e-6)
 
 
 def test_hardy_disc_ladder_values_monotone():
-    est = hardy_norm_disc(WitnessFa(0.8), 1.0, 1e-6, k_max=28)
+    est = hardy_norm_disc(_undeclared(WitnessFa(0.8)), 1.0, 1e-6, k_max=28)
     vals = np.array(est.ladder_values)
+    assert vals.size > 2
     assert np.all(np.diff(vals) >= -1e-12)
     assert est.value == pytest.approx(vals.max(), rel=1e-15)
+
+
+def test_hardy_disc_ladder_climbs_to_the_boundary_mean():
+    # circle means increase to the boundary mean: every rung of the
+    # undeclared ladder lies below the declared estimate, the last within
+    # the ladder's stopping tolerance
+    f = WitnessFa(0.8)
+    ladder = hardy_norm_disc(_undeclared(f), 1.0, 1e-6, k_max=28)
+    rim = hardy_norm_disc(f, 1.0, 1e-6, k_max=28)
+    assert rim.converged and rim.ladder == (1.0,)
+    assert rim.ladder_values == (rim.value,)
+    assert max(ladder.ladder_values) <= rim.value
+    assert ladder.value == pytest.approx(rim.value, rel=2e-6)
+
+
+def _agm(x, y):
+    for _ in range(40):            # quadratic convergence: a few suffice
+        x, y = 0.5 * (x + y), math.sqrt(x * y)
+    return x
+
+
+@pytest.mark.parametrize("a", [0.99, 0.9999, 1.0 - 1e-5])
+def test_hardy_disc_sharp_spike_on_the_boundary(a):
+    # declared, a spike needs no ladder: any k_max, one circle
+    est = hardy_norm_disc(WitnessFa(a), 1.0, 1e-6, k_max=1)
+    assert est.converged and est.ladder == (1.0,)
+    assert abs(est.value - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("N", [16, 256, 4096])
+def test_hardy_boundary_rule_t2_agm(N):
+    # ||T2||_H1 = (1 - s^2)(N + 2) s^(N+1) / AGM(1 - s, 1 + s), s = N/(N+1)
+    s = N / (N + 1)
+    exact = (1 - s * s) * (N + 2) * s ** (N + 1) / _agm(1 - s, 1 + s)
+    t2 = TaggedEvaluator(T1T2Split(s, N).t2, s)
+    est = hardy_norm_disc(t2, 1.0, 1e-6)
+    assert est.converged and est.ladder == (1.0,)
+    assert est.value == pytest.approx(exact, rel=1e-12)
+
+
+def test_hardy_boundary_rule_kink_at_a_zero():
+    # |1 - z| = 2 |sin(t/2)| has a kink at t = 0; its mean is 4/pi
+    tol = 1e-6
+    est = hardy_norm_disc(TaggedEvaluator(lambda z: 1 - z, 0.0), 1.0, tol)
+    assert est.converged and est.ladder == (1.0,)
+    assert est.value == pytest.approx(4 / np.pi, rel=tol)
+
+
+def test_undeclared_and_overreaching_keep_the_ladder():
+    est = hardy_norm_disc(lambda z: 1 - z, 1.0, 1e-6)
+    assert len(est.ladder) > 1 and est.ladder[0] == 0.5
+    # a spike at 1/0.99 lies inside the disc of radius 1.5
+    wide = hardy_norm_reinhardt(WitnessFa(0.99), 1.0, polydisc(1, [1.5]),
+                                k_max=4, spike=0.99)
+    assert wide.ladder == (0.5, 0.75, 0.875, 0.9375)
+    mild = hardy_norm_reinhardt(WitnessFa(0.5), 1.0, polydisc(1, [1.5]),
+                                k_max=4, spike=0.5)
+    assert mild.ladder == (1.0,)
 
 
 def test_bergman_disc_constants_and_monomials():
@@ -150,13 +215,14 @@ def _unit_gauss_nodes(depth, order):
 def test_disc_estimators_level0_node_sets(spike, depth, m):
     # Bergman: 64-point Gauss-Legendre on the dyadic panels of [0, 1] times
     # the equispaced angles, max(4096, ceil(64 / (1 - r s))) of them on the
-    # ring of radius r; Hardy: the first rung r = 1/2 of its ladder, with
-    # the rim's m
+    # ring of radius r; Hardy, with the rim's m: the unit circle for the
+    # spiked (declared) function, else the first rung r = 1/2 of its ladder
     radii = _unit_gauss_nodes(depth, 64)
     counts = [4096 if spike is None
               else max(4096, math.ceil(64 / (1 - r * spike))) for r in radii]
     _pin_level0(bergman_norm_disc, radii, counts, spike=spike)
-    _pin_level0(hardy_norm_disc, np.array([0.5]), [m], spike=spike)
+    rung = 0.5 if spike is None else 1.0
+    _pin_level0(hardy_norm_disc, np.array([rung]), [m], spike=spike)
 
 
 def test_rings_past_the_unit_radius_keep_the_rim_floor():
@@ -243,6 +309,15 @@ def test_hardy_reinhardt_product_factorizes():
                                k_max=28, spike=ent.spike)
     assert est.converged
     assert est.value == pytest.approx(TWO_PI ** 2, rel=1e-6)
+
+
+def test_hardy_reinhardt_boundary_rule_product():
+    # a declared product is integrated on the bidisc's torus alone
+    ent = default_registry().get("prod-fa-0.9")
+    est = hardy_norm_reinhardt(ent.evaluator, 1.0, polydisc(2),
+                               spike=ent.spike)
+    assert est.converged and est.ladder == (1.0,)
+    assert est.value == pytest.approx(TWO_PI ** 2, rel=1e-12)
 
 
 def test_hardy_reinhardt_monomial_on_ball():

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from hardylab.norms import hardy_norm_reinhardt
 from hardylab.registry import (RegistryEntry, TaggedEvaluator,
                                default_registry, fa_entry, geometric_entry,
                                monomial_entry, polynomial_entry,
                                product_entry)
+from hardylab.reinhardt import polydisc
 from hardylab.series import partial_sum
 
 RNG = np.random.default_rng(5150)
@@ -123,6 +125,25 @@ def test_spike_tags_propagate():
     prod = default_registry().get("prod-fa-0.9-0.5")
     assert prod.spike == (0.9, 0.5)
     assert prod.tail_evaluator(3).spike == (0.9, 0.5)
+
+
+def test_product_with_an_undeclared_factor_takes_the_ladder():
+    # geom = 1/(1 - z) declares no spike: its pole sits on the rim, so a
+    # product with it must not be integrated on the boundary torus
+    reg = default_registry()
+    prod = product_entry((reg.get("fa-0.5"), reg.get("geom")))
+    assert prod.spike == (0.5, None)
+    est = hardy_norm_reinhardt(prod.evaluator, 1.0, polydisc(2), k_max=3,
+                               spike=prod.spike, max_nodes=1 << 16)
+    assert est.ladder == (0.5, 0.75, 0.875)
+    assert all(np.isfinite(est.ladder_values))
+
+
+def test_polynomial_entries_are_declared_entire():
+    reg = default_registry()
+    for name in ("const-1", "mono-1", "poly-7", "mono2-1-2"):
+        assert reg.get(name).spike == 0.0
+    assert reg.get("geom").spike is None
 
 
 def test_tagged_evaluator_passthrough():
