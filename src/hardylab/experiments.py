@@ -291,7 +291,7 @@ def run_ic_asymptotics(config: RunConfig | None = None,
     For each exponent c the integral is compared against its expected
     growth rate: (1-r^2)^-c above the critical exponent, the logarithm at
     it, a constant below.  The c = 1 rows are checked hard against the
-    closed form 2 pi / (1 - r^2).
+    closed form 2 pi / (1 - r^2), with 1 - r^2 taken as (1 - r)(1 + r).
     """
     cfg = config or RunConfig()
     res = ExperimentResult("ic",
@@ -311,7 +311,7 @@ def run_ic_asymptotics(config: RunConfig | None = None,
                     got.converged)
             ratios.setdefault(float(c), []).append(ratio)
             if c == 1.0:
-                exact = 2.0 * np.pi / (1.0 - r * r)
+                exact = 2.0 * np.pi / ((1.0 - r) * (1.0 + r))
                 c1_rel = max(c1_rel, abs(got.value - exact) / exact)
     bands = {c: (min(v), max(v)) for c, v in ratios.items()}
     return res.close({"c1_max_rel": c1_rel, "ratio_bands": bands},

@@ -42,8 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import (TWO_PI, _GRID, angular_floor, dyadic_panels,
-                         _panel_gauss, refine_until, torus_integrals)
+from .quadrature import (TWO_PI, _GRID, angular_floor,
+                         doubled_torus_integrals, dyadic_panels, _panel_gauss,
+                         refine_until, torus_integrals, torus_levels)
 from .reinhardt import (ReinhardtDomain, frontier_sample, polydisc,
                         section_tops)
 
@@ -119,10 +120,12 @@ def hardy_norm_disc(f, p: float = 1.0, tol: float = 1e-6, *,
     quad_tol = max(0.25 * tol, 1e-14)
 
     def circle_mean(r):
-        def shell(level):
-            m = floor << level
-            return torus_integrals(g, [[r]], [m])[0] / TWO_PI, (m,)
-        return refine_until(shell, quad_tol, cap=max_nodes)
+        shell = torus_levels(g, [[r]], (floor,))
+
+        def mean(level):
+            vals, points = shell(level)
+            return vals[0] / TWO_PI, points
+        return refine_until(mean, quad_tol, cap=max_nodes)
 
     if declared:
         rep = circle_mean(1.0)
@@ -207,14 +210,15 @@ def hardy_norm_reinhardt(f, p: float = 1.0, domain: ReinhardtDomain = None,
     quad_ok = True
     quad_change = 0.0
     best = None
+    g = _abs_power(f, p)
     for radii in shells:
+        levels = torus_levels(g, ts[:, None] * radii, floors)
         prev = None
         level = 0
         ok = False
         change = np.inf
         while True:
-            vec = torus_integrals(_abs_power(f, p), ts[:, None] * radii,
-                                  [m << level for m in floors])
+            vec, _ = levels(level)
             if prev is not None:
                 diff = float(np.max(np.abs(vec - prev)))
                 den = max(float(vec.max()), float(prev.max()), 1e-300)
@@ -289,26 +293,46 @@ def _bergman(f, p, tol, domain, spike, max_nodes) -> NormEstimate:
     counts share one shell call; their sums go back in cell order before
     the one dot product with the weights, so values do not depend on the
     grouping.
+
+    A level keeps every radial panel of the one before but the last, so a
+    cell whose radius vector the previous level also had carries its sum
+    over: the level adds only the half-shifted cosets of that cell's
+    previous grid (``doubled_torus_integrals``) and evaluates the cells of
+    the two new rim panels afresh.  It reports the points it evaluated.
     """
     if p <= 0:
         raise ValueError(f"norm exponent must be positive, got {p}")
     n = domain.dim
     spikes, _, order, depth, _ = _grid(f, spike, n)
     g = _abs_power(f, p)
+    carried = {}                    # radius vector bytes -> last level's sum
 
     def level_fn(level):
         cells, weights = _radial_cells(domain, depth + level, order)
         radii = np.minimum(cells, 1.0)
         counts = np.stack([angular_floor(radii[:, j] * s, n)
                            for j, s in enumerate(spikes)], axis=1) << level
-        groups, inverse = np.unique(counts, axis=0, return_inverse=True)
+        keys = [row.tobytes() for row in cells]
+        kept = np.array([k in carried for k in keys], dtype=np.int64)
+        # a carried cell is evaluated at its previous counts, shifted
+        groups, inverse = np.unique(
+            np.column_stack([kept, counts >> kept[:, None]]), axis=0,
+            return_inverse=True)
         inverse = inverse.reshape(-1)
         sums = np.empty(cells.shape[0])
-        for k, ms in enumerate(groups.tolist()):
+        points = 0
+        for k, (old, *ms) in enumerate(groups.tolist()):
             rows = np.flatnonzero(inverse == k)
-            sums[rows] = torus_integrals(g, cells[rows], ms)
-        total = int(np.prod(counts, axis=1).sum())
-        return complex(float(sums @ weights)), (total,)
+            if old:
+                sums[rows], pts = doubled_torus_integrals(
+                    g, cells[rows], ms, [carried[keys[i]] for i in rows])
+            else:
+                sums[rows] = torus_integrals(g, cells[rows], ms)
+                pts = rows.size * math.prod(ms)
+            points += pts
+        carried.clear()
+        carried.update(zip(keys, sums.tolist()))
+        return complex(float(sums @ weights)), (points,)
 
     rep = refine_until(level_fn, max(tol, 1e-14), cap=max_nodes)
     return NormEstimate(value=max(rep.value.real, 0.0) ** (1.0 / p),

@@ -9,12 +9,18 @@ panels in each radius with dyadic panel boundaries 1 - 2^-k concentrated
 toward the rim (:func:`dyadic_panels`), times the shell rule.  The disc
 is not special-cased; ``norms`` treats it as ``polydisc(1)``.
 
-This module owns the two pieces every estimator shares: :func:`unit_nodes`
-builds the equispaced nodes e^(2 pi i k / m) on the circle and, shaped for
-broadcasting, on the axes of a torus grid; :func:`refine_until` is the one
-node-doubling loop, for scalar and array values alike.  The only other
-doubling loop is ``norms.hardy_norm_reinhardt``'s, which refines all the
-dilations of a frontier shell at once.
+This module owns the pieces every estimator shares: :func:`unit_nodes`
+builds the equispaced nodes e^(2 pi i (k + shift) / m) on the circle and,
+shaped for broadcasting, on the axes of a torus grid; :func:`refine_until`
+is the node-doubling driver, for scalar and array values alike; and
+:func:`doubled` is the one nested-doubling step.  The trapezoid rule with
+2m nodes is the mean of the m-node rule and its copy shifted by half a
+step, so a level that doubles every count of n axes evaluates only the
+2^n - 1 half-shifted cosets of the previous grid and reuses its value
+(:func:`doubled_torus_integrals`).  Every doubling loop steps this way:
+the volume and shell rules of ``norms``, the frontier loop of
+``norms.hardy_norm_reinhardt``, which refines all the dilations of a
+frontier shell at once, and the circle integrals of ``witnesses``.
 
 Everything here is binary64 and deterministic: node construction, chunking
 and accumulation order are fixed functions of the rule parameters, so two
@@ -40,17 +46,21 @@ _CHUNK = 1 << 22
 _MAX_LEVELS = 40
 
 
-def unit_nodes(m: int, axis: int = 0, ndim: int = 1) -> np.ndarray:
-    """The m equispaced nodes exp(2 pi i k / m) on the unit circle.
+def unit_nodes(m: int, axis: int = 0, ndim: int = 1,
+               shift: float = 0.0) -> np.ndarray:
+    """The m equispaced nodes exp(2 pi i (k + shift) / m) on the unit circle.
 
     The nodes run along ``axis`` of an ``ndim``-dimensional array whose
     other axes have length one, so the axes of a torus grid broadcast
-    against each other.  The exponential is taken in place: building m
-    nodes holds one complex array of m values and, briefly, their angles.
+    against each other.  ``shift`` = 1/2 gives the nodes of the 2m-node
+    rule that the m-node rule lacks.  The exponential is taken in place:
+    building m nodes holds one complex array of m values and, briefly,
+    their angles.
     """
     shape = [1] * ndim
     shape[axis] = m
-    w = 1j * (TWO_PI * np.arange(m) / m)
+    k = np.arange(m) + shift if shift else np.arange(m)
+    w = 1j * (TWO_PI * k / m)
     np.exp(w, out=w)
     return w.reshape(shape)
 
@@ -105,21 +115,26 @@ def _panel_gauss(bounds: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def torus_integrals(g: Callable, radii, angular: Sequence[int]) -> np.ndarray:
+def torus_integrals(g: Callable, radii, angular: Sequence[int],
+                    shift: Sequence[float] | None = None) -> np.ndarray:
     """Unnormalized trapezoid integrals of g over the shells radii[k] * T^n.
 
     ``radii`` holds one radius vector per row, ``angular`` the node count
-    of each of the n circle factors.  The integrand is called as
-    ``g(z1, ..., zn)`` with coordinate arrays that broadcast to
-    (shells, m_1, ..., m_n), in blocks of shells that keep each call near
-    ``_CHUNK`` points.  Each result approximates the d theta_1 ...
-    d theta_n integral with total mass (2pi)^n, no normalization.
+    of each of the n circle factors and ``shift`` (default none) the
+    offset of each axis's nodes in steps, as in :func:`unit_nodes`.  The
+    integrand is called as ``g(z1, ..., zn)`` with coordinate arrays that
+    broadcast to (shells, m_1, ..., m_n), in blocks of shells that keep
+    each call near ``_CHUNK`` points.  Each result approximates the
+    d theta_1 ... d theta_n integral with total mass (2pi)^n, no
+    normalization.
     """
     radii = np.atleast_2d(np.asarray(radii, dtype=np.float64))
     n = radii.shape[1]
-    if len(angular) != n:
-        raise ValueError("radii and angular node counts must align")
-    axes = [unit_nodes(m, j + 1, n + 1) for j, m in enumerate(angular)]
+    shift = (0.0,) * n if shift is None else shift
+    if len(angular) != n or len(shift) != n:
+        raise ValueError("radii, angular node counts and shifts must align")
+    axes = [unit_nodes(m, j + 1, n + 1, h)
+            for j, (m, h) in enumerate(zip(angular, shift))]
     cells = math.prod(angular)
     block = max(1, _CHUNK // cells)
     sums = []
@@ -129,6 +144,70 @@ def torus_integrals(g: Callable, radii, angular: Sequence[int]) -> np.ndarray:
         vals = np.broadcast_to(np.asarray(g(*zs)), (rows.shape[0], *angular))
         sums.append(vals.reshape(rows.shape[0], -1).sum(axis=1))
     return np.concatenate(sums) * math.prod(TWO_PI / m for m in angular)
+
+
+def doubled(rule: Callable[[tuple], tuple], n: int, prev):
+    """One nested doubling of an n-axis trapezoid rule.
+
+    ``prev`` is the rule's value at some node counts; ``rule(shift)``
+    returns ``(value, points)`` at the same counts with the nodes of axis
+    j moved by shift[j] steps.  Returns ``(value, points)`` at twice every
+    count: the mean of ``prev`` and the 2^n - 1 cosets shifted by half a
+    step on a nonempty set of axes, which together hold the nodes of the
+    doubled grid, and the points the cosets evaluated.  The rule may be
+    normalized or not, as long as each coset is weighted like ``prev``.
+    """
+    acc, points = prev, 0
+    for mask in range(1, 1 << n):
+        value, pts = rule(tuple(0.5 * (mask >> j & 1) for j in range(n)))
+        acc = acc + value
+        points += pts
+    return acc / (1 << n), points
+
+
+def doubled_torus_integrals(g: Callable, radii, angular: Sequence[int],
+                            prev) -> tuple[np.ndarray, int]:
+    """``torus_integrals(g, radii, 2 * angular)`` from ``prev``, its values
+    at ``angular``, with the points evaluated: the (2^n - 1) *
+    prod(angular) new points of each shell."""
+    rows = np.atleast_2d(radii).shape[0]
+    return doubled(lambda shift: (torus_integrals(g, radii, angular, shift),
+                                  rows * math.prod(angular)),
+                   len(angular), np.asarray(prev))
+
+
+def nested_levels(rule: Callable[[int, tuple], tuple], n: int) -> Callable:
+    """A :func:`refine_until` integrator that doubles an n-axis trapezoid
+    rule per level by :func:`doubled`.
+
+    ``rule(level, shift)`` returns ``(value, points)`` at the node counts
+    of ``level``, the nodes of axis j moved by shift[j] steps.  Level 0 is
+    the unshifted rule; level L reuses level L-1's value and evaluates
+    only the half-shifted cosets at level L-1's counts.  Each level
+    returns its value and the points it evaluated.
+    """
+    last = []
+
+    def level_fn(level):
+        if level == 0:
+            value, points = rule(0, (0.0,) * n)
+        else:
+            value, points = doubled(lambda shift: rule(level - 1, shift), n,
+                                    last.pop())
+        last.append(value)
+        return value, (points,)
+    return level_fn
+
+
+def torus_levels(g: Callable, radii, floors: Sequence[int]) -> Callable:
+    """:func:`nested_levels` over torus shells: level L integrates g over
+    the shells ``radii`` at the node counts ``floors << L``."""
+    rows = np.atleast_2d(radii).shape[0]
+
+    def rule(level, shift):
+        ms = [m << level for m in floors]
+        return torus_integrals(g, radii, ms, shift), rows * math.prod(ms)
+    return nested_levels(rule, len(floors))
 
 
 @dataclass
@@ -153,13 +232,16 @@ def refine_until(integrator: Callable[[int], tuple[complex, Sequence[int]]],
 
     ``integrator(level)`` evaluates the quantity at refinement level
     ``level`` (level k doubles the node counts of level k-1) and returns
-    ``(value, node_counts)``.  The value is a complex scalar or an array;
+    ``(value, node_counts)``.  The product of the node counts is the
+    number of integrand points the level evaluated: a nested level that
+    reuses the previous level's value counts only its new points.  The
+    levels are called in order, so an integrator may carry state from one
+    level to the next.  The value is a complex scalar or an array;
     successive values are compared in max-norm, relative to the newer one.
     A change of at most ``floor`` also counts as agreement: an absolute
     roundoff level, below which a value that vanishes cannot settle in
-    relative terms.  Stops with ``converged=False`` when the node budget
-    ``cap`` (product of node counts) is reached or a value comes back
-    non-finite.
+    relative terms.  Stops with ``converged=False`` when one level's
+    points reach the budget ``cap`` or a value comes back non-finite.
     """
     prev = None
     rel = np.inf

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoleError
-from .quadrature import (TWO_PI, RefinementReport, angular_floor, refine_until,
-                         unit_nodes)
+from .quadrature import (TWO_PI, RefinementReport, angular_floor,
+                         nested_levels, refine_until)
 from .series import PowerSeries
 
 
@@ -192,52 +192,82 @@ class IcValue:
         return self.report.converged
 
 
-def _ic_mean(c: float, z: complex, m: int) -> float:
-    # In place, so the largest rules hold one complex and one real array:
-    # conj(e^(i theta)) is bit-identical to e^(-i theta).
-    w = unit_nodes(m)
-    np.conjugate(w, out=w)
-    np.multiply(z, w, out=w)
-    np.subtract(1.0, w, out=w)
-    mod = np.abs(w)
-    del w
-    mod **= -(1.0 + c)
-    return float(np.sum(mod) / m)
+def _ic_mean(c: float, z: complex, m: int,
+             shift: float = 0.0) -> tuple[float, int]:
+    """Mean of |1 - z e^(-i theta)|^(-(1+c)) over the m trapezoid nodes
+    theta_k = 2 pi (k + shift) / m, with the points evaluated.
+
+    The integrand depends on theta only through
+
+        |1 - r e^(-i theta)|^2 = (1 - r)^2 + 4 r sin^2(theta / 2),  r = |z|,
+
+    a sum of two nonnegative terms, so it is evaluated in real arithmetic
+    with no cancellation, and I_c(z) depends on |z| alone.  It is even in
+    theta, so only the nodes in [0, pi] are evaluated, at the angles
+    pi j / m with j = 2 shift, 2 shift + 2, ..., <= m: a node at 0 or pi
+    is its own mirror image and counts once, every other node twice.  This
+    holds for odd and even m, shifted or not.  The sum is numpy's pairwise
+    ``np.sum``.
+    """
+    r = abs(complex(z))
+    j = np.arange(2.0 * shift, m + 1, 2.0)
+    h = np.multiply(j, np.pi / (2 * m), out=j)         # theta / 2, in place
+    np.sin(h, out=h)
+    np.square(h, out=h)
+    h *= 4.0 * r
+    h += (1.0 - r) ** 2
+    h **= -0.5 * (1.0 + c)
+    if shift == 0.0:                                   # theta = 0
+        h[0] *= 0.5
+    if 2.0 * shift + 2.0 * (h.size - 1) == m:          # theta = pi
+        h[-1] *= 0.5
+    return float(2.0 * np.sum(h) / m), int(h.size)
+
+
+def _ic_levels(c: float, z: complex, floor: int):
+    """:func:`_ic_mean` at ``floor << level`` nodes as a nested
+    :func:`refine_until` integrator."""
+    return nested_levels(
+        lambda level, shift: _ic_mean(c, z, floor << level, shift[0]), 1)
 
 
 def eval_ic(query: IcQuery, tol: float = 1e-10,
             max_nodes: int = 1 << 22) -> IcValue:
     """Evaluate I_c(z) by the spike-aware trapezoid rule.
 
-    Points with 1 - |z| < 1e-12 are outside the practical window; they get
-    a capped evaluation flagged as non-converged rather than an exception.
+    I_c(z) depends on |z| only; the rule is :func:`_ic_mean`'s real
+    half-circle form, refined by nested doubling.  Points with
+    1 - |z| < 1e-12 are outside the practical window; they get a capped
+    evaluation flagged as non-converged rather than an exception.
     """
     z = complex(query.z)
     r = abs(z)
     if r >= 1.0:
         raise ValueError(f"I_c is defined for |z| < 1, got |z| = {r}")
     if 1.0 - r < 1e-12:
-        m = max_nodes
-        val = TWO_PI * _ic_mean(query.c, z, m)
-        report = RefinementReport(complex(val), (m,), np.inf, False, 0)
+        mean, points = _ic_mean(query.c, z, max_nodes)
+        val = TWO_PI * mean
+        report = RefinementReport(complex(val), (points,), np.inf, False, 0)
         return IcValue(query, val, report)
-    floor = angular_floor(r)
+    means = _ic_levels(query.c, z, angular_floor(r))
 
     def level_value(level: int):
-        m = floor * (1 << level)
-        return TWO_PI * _ic_mean(query.c, z, m), (m,)
+        mean, points = means(level)
+        return TWO_PI * mean, points
 
     report = refine_until(level_value, tol, cap=max_nodes)
     return IcValue(query, float(report.value.real), report)
 
 
 def ic_comparison(c: float, z: complex) -> float:
-    """The model growth rate I_c is compared against."""
-    r2 = abs(complex(z)) ** 2
+    """The model growth rate I_c is compared against, with 1 - |z|^2
+    taken as (1 - r)(1 + r), free of cancellation as r -> 1."""
+    r = abs(complex(z))
+    q = (1.0 - r) * (1.0 + r)
     if c > 0:
-        return (1.0 - r2) ** (-c)
+        return q ** (-c)
     if c == 0:
-        return float(np.log(1.0 / (1.0 - r2)))
+        return float(np.log(1.0 / q))
     return 1.0
 
 
@@ -265,13 +295,8 @@ def t2_hardy_vs_bound(a: complex, N: int, tol: float = 1e-10,
     if s == 0.0:
         raise ValueError("the lower bound vanishes at a = 0; no ratio")
     bound = blowup_lower_bound(a, N)
-    floor = angular_floor(s)
-
-    def level_value(level: int):
-        m = floor * (1 << level)
-        return _ic_mean(0.0, complex(s), m), (m,)
-
-    report = refine_until(level_value, tol, cap=max_nodes)
+    report = refine_until(_ic_levels(0.0, s, angular_floor(s)), tol,
+                          cap=max_nodes)
     t2 = (1.0 - s ** 2) * (N + 2) * s ** (N + 1) * float(report.value.real)
     return T2BoundRatio(t2_h1=t2, bound=bound, ratio=t2 / bound,
                         converged=report.converged)

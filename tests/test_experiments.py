@@ -62,6 +62,15 @@ def test_ic_closed_form_rows():
     assert res.summary["c1_max_rel"] <= 1e-8
 
 
+def test_ic_c1_rows_meet_the_closed_form_at_roundoff():
+    # the real half-circle kernel and (1 - r)(1 + r) in the closed form
+    # leave no cancellation, up to r = 0.99999
+    res = run_ic_asymptotics(RunConfig(), c_set=(1.0,),
+                             z_ladder=(0.9, 0.999, 0.9999, 0.99999))
+    assert res.exit_code == 0
+    assert res.summary["c1_max_rel"] <= 1e-14
+
+
 def test_csv_rendering_is_deterministic():
     kw = dict(c_set=(1.0, 0.0), z_ladder=(0.9, 0.99))
     r1 = run_ic_asymptotics(RunConfig(), **kw)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from hardylab import norms
 from hardylab.norms import (NormEstimate, bergman_norm_disc,
                             bergman_norm_reinhardt, hardy_norm_disc,
                             hardy_norm_reinhardt, monotonicity_check)
@@ -263,6 +264,91 @@ def test_bergman_polydisc_ring_counts():
     with pytest.raises(_Level0Done):
         bergman_norm_reinhardt(f, 1.0, polydisc(2), spike=s)
     assert points[0] == expect
+
+
+def _record_levels(monkeypatch, counter):
+    """Record every ``refine_until`` call of ``norms`` as a list of
+    (reported, evaluated) points per level; the integrand adds the points
+    it is evaluated on to ``counter[0]``."""
+    calls = []
+    orig = norms.refine_until
+
+    def recording(integrator, tol, cap=1 << 20, floor=0.0):
+        levels = []
+        calls.append(levels)
+
+        def counted(level):
+            before = counter[0]
+            value, nodes = integrator(level)
+            levels.append((math.prod(nodes), counter[0] - before))
+            return value, nodes
+        return orig(counted, tol, cap, floor)
+
+    monkeypatch.setattr(norms, "refine_until", recording)
+    return calls
+
+
+def _counting(f, counter):
+    def g(*z):
+        counter[0] += math.prod(np.broadcast(*z).shape)
+        return f(*z)
+    return g
+
+
+@pytest.mark.parametrize("dim, spike, depth, order, base, scale", [
+    (1, (0.99,), 9, 64, 4096, 64.0),
+    (2, (0.95, 0.9), 2, 12, 128, 16.0)])
+def test_bergman_nested_level_points(monkeypatch, dim, spike, depth, order,
+                                     base, scale):
+    # level 1 keeps all radial panels but the last: a cell in the kept
+    # panels adds (2^n - 1) * prod(m_j) points, the half-shifted cosets of
+    # its level-0 grid; a cell of the two new rim panels is evaluated at
+    # its doubled counts, 2^n * prod(m_j)
+    counter = [0]
+    calls = _record_levels(monkeypatch, counter)
+    f = default_registry().get("prod-fa-0.9-0.5" if dim == 2 else "fa-0.99")
+    bergman_norm_reinhardt(_counting(f.evaluator, counter), 1.0,
+                           polydisc(dim), tol=1e-4, spike=spike)
+    (levels,) = calls
+    x = _unit_gauss_nodes(depth + 1, order)
+    kept = np.arange(x.size) < depth * order
+    axes = [np.maximum(base, np.ceil(scale / (1.0 - x * s))) for s in spike]
+    m0 = functools.reduce(np.multiply.outer, axes)
+    old = functools.reduce(np.logical_and.outer, [kept] * dim)
+    want = int(np.sum(np.where(old, (1 << dim) - 1, 1 << dim) * m0))
+    assert levels[1] == (want, want)
+    assert all(reported == seen for reported, seen in levels)
+
+
+@pytest.mark.parametrize("case", ["bergman-disc", "bergman-ball",
+                                  "hardy-rim", "hardy-ladder"])
+def test_levels_report_the_points_they_evaluate(monkeypatch, case):
+    counter = [0]
+    calls = _record_levels(monkeypatch, counter)
+    if case == "bergman-disc":
+        est = bergman_norm_disc(_counting(WitnessFa(0.9), counter), 1.0,
+                                spike=0.9)
+        assert est.value == pytest.approx(np.pi * 0.19 / 0.81
+                                          * np.log(1 / 0.19), rel=1e-12)
+    elif case == "bergman-ball":
+        est = bergman_norm_reinhardt(
+            _counting(lambda z1, z2: z1 * z2, counter), 1.0, ball(2))
+        # (2 pi)^2 int r1^2 r2^2 over the quarter disc = pi^3 / 24
+        assert est.value == pytest.approx(np.pi ** 3 / 24, rel=1e-6)
+    elif case == "hardy-rim":
+        est = hardy_norm_disc(_counting(lambda z: 1 - z, counter), 1.0,
+                              1e-8, spike=0.0)
+        assert est.value == pytest.approx(4 / np.pi, rel=1e-8)
+    else:
+        est = hardy_norm_disc(_counting(lambda z: 1 - z, counter), 1.0)
+        assert len(calls) == len(est.ladder) > 1
+    assert est.converged
+    assert calls and all(len(levels) >= 2 for levels in calls)
+    for levels in calls:
+        assert all(reported == seen for reported, seen in levels)
+        if case.startswith("hardy"):
+            # a circle's doubling adds the m_0 half-shifted nodes alone
+            assert levels[1][0] == levels[0][0]
 
 
 def test_boundary_spikes_are_refused_at_entry():

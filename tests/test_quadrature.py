@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from hardylab.norms import bergman_norm_disc, bergman_norm_reinhardt
-from hardylab.quadrature import (angular_floor, dyadic_panels, refine_until,
-                                 torus_integrals, unit_nodes)
+from hardylab.quadrature import (angular_floor, doubled_torus_integrals,
+                                 dyadic_panels, refine_until, torus_integrals,
+                                 torus_levels, unit_nodes)
 from hardylab.reinhardt import polydisc
 
 TWO_PI = 2.0 * np.pi
@@ -111,6 +112,64 @@ def test_unit_nodes_formula_and_broadcast():
         theta = TWO_PI * np.arange(m) / m
         assert np.array_equal(unit_nodes(m), np.exp(1j * theta))
     assert unit_nodes(8, 1, 3).shape == (1, 8, 1)
+    # half a step: the nodes of the 2m-node rule the m-node rule lacks
+    assert np.array_equal(unit_nodes(24, shift=0.0), unit_nodes(24))
+    odd = np.exp(1j * TWO_PI * np.arange(1, 48, 2) / 48)
+    assert np.allclose(unit_nodes(24, shift=0.5), odd, rtol=0, atol=1e-15)
+
+
+def _smooth(*z):
+    # positive, analytic past the unit torus, not a trigonometric polynomial
+    out = np.ones(np.broadcast(*z).shape)
+    for j, zj in enumerate(z):
+        out = out * np.abs(1.0 + 0.5 * zj / (j + 1)) / np.abs(1.0 - 0.6 * zj)
+    return out
+
+
+class _Counted:
+    def __init__(self, g):
+        self.g, self.points = g, 0
+
+    def __call__(self, *z):
+        self.points += int(np.prod(np.broadcast(*z).shape))
+        return self.g(*z)
+
+
+_SHELLS = {1: [[0.9], [1.0], [0.3]],
+           2: [[0.9, 0.5], [1.0, 1.0]],
+           3: [[0.9, 0.5, 0.7], [1.0, 0.2, 1.0]]}
+_COUNTS = {1: (24,), 2: (12, 10), 3: (6, 8, 5)}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_doubled_torus_integrals_match_the_fresh_rule(dim):
+    radii, ms = np.array(_SHELLS[dim]), _COUNTS[dim]
+    prev = torus_integrals(_smooth, radii, ms)
+    g = _Counted(_smooth)
+    nested, points = doubled_torus_integrals(g, radii, ms, prev)
+    fresh = torus_integrals(_smooth, radii, [2 * m for m in ms])
+    assert np.max(np.abs(nested - fresh) / fresh) <= 1e-14
+    # only the 2^n - 1 half-shifted cosets are evaluated, and reported
+    assert g.points == points == ((1 << dim) - 1) * np.prod(ms) * len(radii)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_torus_levels_report_the_points_they_evaluate(dim):
+    radii, ms = np.array(_SHELLS[dim]), _COUNTS[dim]
+    g = _Counted(_smooth)
+    levels = torus_levels(g, radii, ms)
+    for level in range(4):
+        before = g.points
+        vals, (points,) = levels(level)
+        assert g.points - before == points
+        grid = [m << level for m in ms]
+        if level:
+            assert points == (((1 << dim) - 1) * np.prod(grid)
+                              // (1 << dim) * len(radii))
+        else:
+            assert points == np.prod(ms) * len(radii)
+        fresh = torus_integrals(_smooth, radii, grid)
+        assert np.max(np.abs(vals - fresh) / fresh) <= 1e-14
 
 
 def test_refine_until_converges_geometrically():

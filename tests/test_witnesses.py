@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from hardylab.errors import NonConvergenceError, PoleError
-from hardylab.witnesses import (IcQuery, T1T2Split, WitnessFa,
+from hardylab.quadrature import angular_floor
+from hardylab.witnesses import (IcQuery, T1T2Split, WitnessFa, _ic_mean,
                                 blowup_lower_bound, blowup_schedule, eval_fa,
                                 eval_ic, fa_series, ic_comparison,
                                 t2_hardy_vs_bound)
@@ -100,6 +101,37 @@ def test_ic_closed_form_at_critical_exponent_one():
         assert got.value == pytest.approx(2 * np.pi / (1 - r * r), rel=1e-10)
     got = eval_ic(IcQuery(1.0, 0.9))
     assert got.value == pytest.approx(33.06939635357677, rel=1e-10)
+
+
+def _agm(x, y):
+    for _ in range(40):
+        x, y = 0.5 * (x + y), np.sqrt(x * y)
+    return x
+
+
+@pytest.mark.parametrize("m", [angular_floor(0.9999),
+                               2 * angular_floor(0.9999)])
+@pytest.mark.parametrize("shift", [0.0, 0.5])
+@pytest.mark.parametrize("z", [0.9999, 0.9999 * np.exp(0.3j)])
+def test_ic_half_circle_rule_closed_forms(m, shift, z):
+    # I_1 = 2 pi / ((1 - r)(1 + r)) and I_0 = 2 pi / AGM(1 - r, 1 + r); the
+    # floor at r = 0.9999 is odd (640001), its double even
+    r = abs(z)
+    i1, points = _ic_mean(1.0, z, m, shift)
+    i0, _ = _ic_mean(0.0, z, m, shift)
+    assert abs(i1 * (1 - r) * (1 + r) - 1.0) <= 1e-13
+    assert abs(i0 * _agm(1 - r, 1 + r) - 1.0) <= 1e-13
+    # the nodes in [0, pi] alone: angles pi j / m, j = 2 shift, ... <= m
+    assert points == (m - int(2 * shift)) // 2 + 1
+
+
+def test_ic_levels_evaluate_the_new_half_circle_nodes():
+    # level 0 evaluates m // 2 + 1 nodes of [0, pi]; level 1 only the
+    # half-shifted ones, (m + 1) // 2, and no node twice
+    m = angular_floor(0.9999)
+    got = eval_ic(IcQuery(0.5, 0.9999))
+    assert got.converged and got.report.levels == 1
+    assert got.report.node_counts == ((m + 1) // 2,)
 
 
 def test_ic_rotation_invariance():
