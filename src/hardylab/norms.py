@@ -93,7 +93,14 @@ def _grid(f, spike, n):
 
 
 def _abs_power(f, p):
-    return lambda *z: np.abs(np.asarray(f(*z), dtype=np.complex128)) ** p
+    """|f|^p as an integrand: the power is taken in place on the fresh
+    modulus array, and skipped at p = 1, where x ** 1.0 == x exactly."""
+    def g(*z):
+        a = np.abs(np.asarray(f(*z), dtype=np.complex128))
+        if p != 1:
+            a **= p
+        return a
+    return g
 
 
 def hardy_norm_disc(f, p: float = 1.0, tol: float = 1e-6, *,

@@ -32,7 +32,24 @@ from .errors import (AliasingError, CoefficientUnavailable, NonConvergenceError,
                      SingularKernelError)
 from .quadrature import refine_until, unit_nodes
 
-_polyval = np.polynomial.polynomial.polyval
+
+def _polyval(x, c):
+    """sum_k c[k] x^k for a 1-d coefficient array c, by Horner's rule.
+
+    The operations and their order are those of
+    ``np.polynomial.polynomial.polyval`` (c[-1] + x * 0, then
+    c[k] + acc * x), so the values agree bit for bit, but the accumulator
+    is updated in place instead of allocating two arrays per degree.
+    ``x`` is never written.  A single point is left to numpy: it rounds a
+    one-element complex product differently in place.
+    """
+    if np.size(x) <= 1:
+        return np.polynomial.polynomial.polyval(x, c)
+    acc = c[-1] + x * 0
+    for ck in c[-2::-1]:
+        np.multiply(acc, x, out=acc)
+        np.add(ck, acc, out=acc)
+    return acc
 
 
 def _f17(x: float) -> str:
@@ -48,7 +65,8 @@ class PowerSeries:
     the modulus s of a pole-like parameter so norm quadratures can set their
     angular node floors.  A tag also promises the series is holomorphic on
     |z| < 1/|s| (entire for s = 0), so Hardy norms are taken on the unit
-    circle; ``None`` promises nothing.
+    circle; ``None`` promises nothing.  A series of known finite degree is
+    a polynomial, hence entire, and its tag defaults to 0.0.
     """
 
     def __init__(self, *, coefficients=None, coefficient_fn=None, degree=None,
@@ -56,7 +74,6 @@ class PowerSeries:
         if (coefficients is None) == (coefficient_fn is None):
             raise ValueError("give exactly one of coefficients / coefficient_fn")
         self.closed_form = closed_form
-        self.spike = spike
         if coefficients is not None:
             coeffs = [complex(c) for c in coefficients]
             while len(coeffs) > 1 and coeffs[-1] == 0:
@@ -71,6 +88,7 @@ class PowerSeries:
             self._fn = coefficient_fn
             self._cache = []
             self._degree = degree
+        self.spike = 0.0 if spike is None and self.is_polynomial else spike
 
     @classmethod
     def from_coefficients(cls, coefficients: Iterable[complex], **kw) -> "PowerSeries":

@@ -40,17 +40,18 @@ from .series import PowerSeries
 
 def _ipow(t, n: int):
     """t**n by repeated squaring; numpy's complex pow leaves its fast
-    path for large exponents and costs 2x more there."""
+    path for large exponents and costs 2x more there.  Returns a new
+    array; the squarings run in place on a copy of t."""
     if n <= 64:
-        return t ** n
+        return np.asarray(t ** n)
     out = np.ones_like(t)
-    base = t
+    base = np.array(t)
     while n:
         if n & 1:
-            out = out * base
+            out *= base
         n >>= 1
         if n:
-            base = base * base
+            base *= base
     return out
 
 
@@ -124,36 +125,68 @@ class T1T2Split:
     def spike(self) -> float:
         return abs(self.a)
 
+    # The four evaluators below own t = conj(a) z and every intermediate,
+    # so they update them in place; the caller's z is never written.  Each
+    # keeps its closed form's operations in their original order, so on two
+    # or more points the values are the plain expressions' bit for bit.  A
+    # single point agrees to roundoff: numpy rounds a one-element complex
+    # product differently in place.
+
     def _t(self, z):
-        return np.conj(complex(self.a)) * np.asarray(z, dtype=np.complex128)
+        return np.asarray(np.conj(complex(self.a))
+                          * np.asarray(z, dtype=np.complex128))
 
     def t1(self, z):
+        """one * (1 - t^(N+2)) / (1 - t)^2."""
         t = self._t(z)
         one = 1.0 - abs(complex(self.a)) ** 2
-        out = one * (1.0 - _ipow(t, self.N + 2)) / (1.0 - t) ** 2
+        out = _ipow(t, self.N + 2)
+        np.subtract(1.0, out, out=out)
+        np.multiply(one, out, out=out)
+        np.subtract(1.0, t, out=t)
+        t **= 2
+        out /= t
         return complex(out) if out.ndim == 0 else out
 
     def t2(self, z):
+        """-one * (N + 2) * t^(N+1) / (1 - t)."""
         t = self._t(z)
         one = 1.0 - abs(complex(self.a)) ** 2
-        out = -one * (self.N + 2) * _ipow(t, self.N + 1) / (1.0 - t)
+        out = _ipow(t, self.N + 1)
+        np.multiply(-one * (self.N + 2), out, out=out)
+        np.subtract(1.0, t, out=t)
+        out /= t
         return complex(out) if out.ndim == 0 else out
 
     def partial(self, z):
-        """S_N f_a in closed form, stable for |conj(a) z| < 1."""
+        """S_N f_a in closed form, stable for |conj(a) z| < 1:
+        one * ((1 - w t) / (1 - t)^2 - (N + 2) w / (1 - t)), w = t^(N+1)."""
         t = self._t(z)
         one = 1.0 - abs(complex(self.a)) ** 2
         w = _ipow(t, self.N + 1)
-        out = one * ((1.0 - w * t) / (1.0 - t) ** 2
-                     - (self.N + 2) * w / (1.0 - t))
+        out = np.asarray(w * t)
+        np.subtract(1.0, out, out=out)
+        np.subtract(1.0, t, out=t)                     # t is now 1 - t
+        out /= t ** 2
+        np.multiply(self.N + 2, w, out=w)
+        w /= t
+        out -= w
+        np.multiply(one, out, out=out)
         return complex(out) if out.ndim == 0 else out
 
     def tail(self, z):
-        """f_a - S_N f_a in closed form (no cancellation of large terms)."""
+        """f_a - S_N f_a in closed form (no cancellation of large terms):
+        one * t^(N+1) * ((N + 2) - (N + 1) t) / (1 - t)^2."""
         t = self._t(z)
         one = 1.0 - abs(complex(self.a)) ** 2
-        out = one * _ipow(t, self.N + 1) * ((self.N + 2) - (self.N + 1) * t) \
-            / (1.0 - t) ** 2
+        out = _ipow(t, self.N + 1)
+        np.multiply(one, out, out=out)
+        lin = np.asarray((self.N + 1) * t)
+        np.subtract(self.N + 2, lin, out=lin)
+        out *= lin
+        np.subtract(1.0, t, out=t)
+        t **= 2
+        out /= t
         return complex(out) if out.ndim == 0 else out
 
 

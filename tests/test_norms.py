@@ -481,3 +481,46 @@ def test_norm_estimate_is_frozen():
     est = NormEstimate(1.0, "H", 1.0, (), (), (), True)
     with pytest.raises(Exception):
         est.value = 2.0
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+def test_abs_power_kernel_matches_the_plain_expression(p):
+    r = RNG.uniform(0.0, 1.0, (3, 1, 1))
+    z = (r * np.exp(1j * RNG.uniform(0.0, 6.3, (1, 17, 1))),
+         np.exp(1j * RNG.uniform(0.0, 6.3, (1, 1, 11))))
+    kept = [zj.copy() for zj in z]
+    f = TaggedEvaluator(lambda z1, z2: (1.0 - 0.7 * z1) ** 2 * (0.2 + z2), 0.7)
+    cases = [(f, z), (lambda z1: z1, z[:1]), (lambda z1: np.abs(z1), z[:1])]
+    for fn, args in cases:
+        got = norms._abs_power(fn, p)(*args)
+        want = np.abs(np.asarray(fn(*args), dtype=np.complex128)) ** p
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for zj, k in zip(z, kept):
+        assert zj.tobytes() == k.tobytes()
+
+
+def test_untagged_polynomial_takes_the_boundary_rule():
+    # a PowerSeries of known degree is entire: no ladder, exact boundary mean
+    z5 = PowerSeries.from_coefficients([0] * 5 + [1])
+    assert z5.spike == 0.0
+    est = hardy_norm_disc(z5, 1.0, 1e-8)
+    assert est.converged and est.ladder == (1.0,)
+    assert abs(est.value - 1.0) <= 1e-12
+    # a series of unknown degree declares nothing
+    assert PowerSeries.from_generator(lambda k: 1.0 + 0j).spike is None
+
+
+def test_bergman_disc_peak_memory_stays_in_cache_sized_blocks():
+    # the volume rule evaluates torus shells in blocks of about
+    # quadrature._CHUNK points, so its temporaries stay small
+    import tracemalloc
+    f = default_registry().get("mono-5").evaluator
+    tracemalloc.start()
+    try:
+        est = bergman_norm_disc(f, 1.0, spike=0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.converged
+    assert est.value == pytest.approx(TWO_PI / 7, rel=1e-8)
+    assert peak <= 16 * 2 ** 20

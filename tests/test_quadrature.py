@@ -221,3 +221,35 @@ def test_refine_until_rejects_nan():
 
     rep = refine_until(integrator, 1e-6)
     assert not rep.converged
+
+
+def _complex_smooth(*z):
+    # complex valued, so both parts of every shell sum are compared
+    out = np.ones(np.broadcast(*z).shape, dtype=np.complex128)
+    for j, zj in enumerate(z):
+        out = out * (1.0 + 0.3 * zj) / (1.0 - (0.5 + 0.1 * j) * zj)
+    return out
+
+
+# a shell of the last row of each dimension holds more points than a block
+# of 4096 (and, in one variable, more than a block of 1 << 16)
+_BLOCK_CASES = {1: ([[0.9], [1.0], [0.3], [0.7]], (5000,), (70001,)),
+                2: ([[0.9, 0.5], [1.0, 1.0], [0.2, 0.8]], (24, 20), (96, 80)),
+                3: ([[0.9, 0.5, 0.7], [1.0, 0.2, 1.0]], (6, 8, 5),
+                    (20, 18, 16))}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("shifted", [False, True])
+def test_torus_integrals_do_not_depend_on_the_block_size(monkeypatch, dim,
+                                                         shifted):
+    from hardylab import quadrature
+    radii, small, large = _BLOCK_CASES[dim]
+    for ms in (small, large):
+        shift = (0.5,) + (0.0, 0.5)[:dim - 1] if shifted else None
+        values = []
+        for chunk in (1, 4096, 1 << 16, 1 << 22):
+            monkeypatch.setattr(quadrature, "_CHUNK", chunk)
+            values.append(torus_integrals(_complex_smooth, radii, ms, shift))
+        for v in values[1:]:
+            assert v.tobytes() == values[0].tobytes()

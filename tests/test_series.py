@@ -274,3 +274,36 @@ def test_json_float_format_is_repr_faithful():
     text = series_to_json(p)
     assert "0.10000000000000001" in text
     assert "0.20000000000000001" in text
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and a.tobytes() == b.tobytes())
+
+
+def _polyval_inputs():
+    r = RNG.uniform(0.0, 1.2, 24)
+    w = np.exp(1j * RNG.uniform(0.0, 2 * np.pi, 24))
+    grid = (r[:4, None, None] * w[None, :6, None]
+            * np.exp(1j * np.linspace(0.0, 1.0, 5))[None, None, :])
+    return [0.3 - 0.8j,                                   # Python scalar
+            np.array(-0.7 + 0.2j),                        # 0-d array
+            np.array([0.2 + 0.4j]),                       # one point
+            r * w,                                        # 1-d
+            grid,                                         # 3-d
+            np.broadcast_to((r[:3] * w[:3])[:, None, None], (3, 4, 5))]
+
+
+@pytest.mark.parametrize("deg", range(21))
+def test_polyval_kernel_matches_numpy_bit_for_bit(deg):
+    from hardylab.series import _polyval
+    c = RNG.uniform(-1, 1, deg + 1) + 1j * RNG.uniform(-1, 1, deg + 1)
+    c[deg % 3] = -0.0          # a signed zero coefficient keeps its sign
+    for x in _polyval_inputs():
+        kept = np.array(x, copy=True)
+        got = _polyval(x, c)
+        ref = np.polynomial.polynomial.polyval(x, c)
+        assert type(got) is type(ref)
+        assert _same_bits(got, ref)
+        assert _same_bits(x, kept)            # the input is not written

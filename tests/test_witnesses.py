@@ -204,3 +204,75 @@ def test_t2_ratio_band_on_schedule():
               for N in (16, 64, 256)]
     assert max(ratios) / min(ratios) < 3.0
     assert all(0.1 < r < 10.0 for r in ratios)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and a.tobytes() == b.tobytes())
+
+
+def _ipow_reference(t, n):
+    # the plain repeated squaring the in-place kernel must reproduce
+    if n <= 64:
+        return t ** n
+    out = np.ones_like(t)
+    base = t
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
+
+
+def _kernel_points(radius):
+    r = radius * np.sqrt(RNG.uniform(0.0, 1.0, (4, 33)))
+    z = r * np.exp(1j * RNG.uniform(0.0, 2 * np.pi, (4, 33)))
+    z[0, :3] = [0.0, radius, -radius]
+    return [z,                                             # 2-d
+            z[:, ::3],                                     # strided view
+            np.broadcast_to(z[1], (3, 33)),                # read-only view
+            z[2, :2]]                                      # two points
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65, 513, 4097])
+def test_ipow_kernel_matches_repeated_squaring_bit_for_bit(n):
+    from hardylab.witnesses import _ipow
+    for t in _kernel_points(0.9995):
+        kept = t.copy()
+        assert _same_bits(_ipow(t, n), _ipow_reference(t, n))
+        assert _same_bits(t, kept)
+
+
+def _split_reference(a, N, z):
+    # the closed forms of T1T2Split written out as plain expressions
+    t = np.conj(complex(a)) * np.asarray(z, dtype=np.complex128)
+    one = 1.0 - abs(complex(a)) ** 2
+    w = _ipow_reference(t, N + 1)
+    return {"t1": one * (1.0 - _ipow_reference(t, N + 2)) / (1.0 - t) ** 2,
+            "t2": -one * (N + 2) * w / (1.0 - t),
+            "partial": one * ((1.0 - w * t) / (1.0 - t) ** 2
+                              - (N + 2) * w / (1.0 - t)),
+            "tail": one * w * ((N + 2) - (N + 1) * t) / (1.0 - t) ** 2}
+
+
+@pytest.mark.parametrize("N", [0, 7, 63, 64, 200, 4095])
+def test_split_kernels_match_the_closed_forms_bit_for_bit(N):
+    a = 0.9 * np.exp(0.3j)
+    split = T1T2Split(a, N)
+    for z in _kernel_points(1.0):
+        kept = z.copy()
+        ref = _split_reference(a, N, z)
+        for name, want in ref.items():
+            assert _same_bits(getattr(split, name)(z), want), name
+        assert _same_bits(z, kept)
+    # numpy rounds a one-element complex product differently in place and
+    # out of place, so a single point agrees to a few roundoffs per
+    # squaring, not bit for bit
+    for z in (0.4 - 0.7j, np.array([0.4 - 0.7j])):
+        ref = _split_reference(a, N, z)
+        for name, want in ref.items():
+            got = getattr(split, name)(z)
+            assert np.abs(got - want) <= 1e-14 * np.abs(want), name
