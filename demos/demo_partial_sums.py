@@ -1,17 +1,14 @@
-"""Partial sums three ways: truncation, closed form, contour kernel.
+"""Partial sums three ways: truncation, closed-form split, contour kernel.
 
 Builds the extremal family member f_a for a = 0.7, takes the order-12
 partial sum by plain coefficient truncation, by the two-term closed-form
 split, and by the discrete Cauchy integral with the truncated geometric
-kernel, then confirms all three agree at sample points.  Finishes with
-coefficient extraction and a JSON round trip of a series.
+kernel, then confirms all three agree at sample points.
 """
 
 import numpy as np
 
-from hardylab.series import (extract_coefficient, partial_sum,
-                             partial_sum_kernel, series_from_json,
-                             series_to_json)
+from hardylab.series import partial_sum, partial_sum_kernel
 from hardylab.witnesses import T1T2Split, fa_series
 
 
@@ -32,20 +29,6 @@ def main():
           float(np.max(np.abs(split.partial(pts) - trunc(pts)))))
     print("max |kernel - truncation|:",
           float(np.max(np.abs(kern - trunc(pts)))))
-
-    # coefficients of f_a are (1 - a^2)(k + 1) a^k; extraction from point
-    # values alone must reproduce them
-    print("\ncoefficient extraction against the closed form:")
-    for k in (0, 3, 9):
-        got = extract_coefficient(f, k)
-        want = (1 - a * a) * (k + 1) * a ** k
-        print(f"  a_{k}: extracted {got.real:.12f}  closed form {want:.12f}")
-
-    blob = series_to_json(partial_sum(f, 4))
-    back = series_from_json(blob)
-    z = 0.35 + 0.1j
-    print("\nJSON round trip of S_4 f: value drift",
-          abs(complex(back(z)) - complex(partial_sum(f, 4)(z))))
 
 
 if __name__ == "__main__":

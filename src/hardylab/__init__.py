@@ -6,9 +6,8 @@ versus Hardy norm (unbounded along a near-boundary schedule), on the
 unit disc and on complete Reinhardt domains.
 """
 
-from .errors import (AliasingError, CoefficientUnavailable, DomainModelError,
-                     HardyLabError, NonConvergenceError, PoleError,
-                     SingularKernelError)
+from .errors import (CoefficientUnavailable, DomainModelError, HardyLabError,
+                     NonConvergenceError, PoleError)
 from .experiments import (ExperimentResult, RunConfig, render_csv,
                           render_json, run_a1_convergence, run_all,
                           run_blowup, run_density, run_ic_asymptotics,
@@ -19,18 +18,15 @@ from .norms import (NormEstimate, bergman_norm_disc, bergman_norm_reinhardt,
 from .quadrature import (RefinementReport, angular_floor, refine_until,
                          torus_integrals, unit_nodes)
 from .registry import (FunctionRegistry, RegistryEntry, TaggedEvaluator,
-                       default_registry, fa_entry, geometric_entry,
-                       monomial_entry, polynomial_entry, product_entry)
+                       default_registry, fa_entry, monomial_entry,
+                       polynomial_entry, product_entry)
 from .reinhardt import (DensityRow, FrontierSample, ReinhardtDomain, ball,
                         contains, custom_domain, density_experiment,
                         dilate_truncate, domain_from_config,
                         frontier_max_radius, frontier_sample, polydisc,
                         power_egg, section_tops, simplex_directions)
-from .series import (MultiIndexSeries, PartialSumReport, PowerSeries,
-                     block_coefficients, block_coefficients_nd,
-                     extract_coefficient, kernel_identity_check, partial_sum,
-                     partial_sum_kernel, partial_sum_with_report,
-                     series_from_json, series_to_json, square_partial_sum)
+from .series import (MultiIndexSeries, PowerSeries, partial_sum,
+                     partial_sum_kernel, square_partial_sum)
 from .witnesses import (IcQuery, IcValue, T1T2Split, T2BoundRatio,
                         WitnessFa, blowup_lower_bound, blowup_schedule,
                         eval_fa, eval_ic, fa_series, ic_comparison,
@@ -39,9 +35,8 @@ from .witnesses import (IcQuery, IcValue, T1T2Split, T2BoundRatio,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AliasingError", "CoefficientUnavailable", "DomainModelError",
-    "HardyLabError", "NonConvergenceError", "PoleError",
-    "SingularKernelError",
+    "CoefficientUnavailable", "DomainModelError", "HardyLabError",
+    "NonConvergenceError", "PoleError",
     "ExperimentResult", "RunConfig", "render_csv", "render_json",
     "run_a1_convergence", "run_all", "run_blowup", "run_density",
     "run_ic_asymptotics", "run_reinhardt", "run_uniform_bound",
@@ -51,16 +46,13 @@ __all__ = [
     "RefinementReport", "angular_floor", "refine_until", "torus_integrals",
     "unit_nodes",
     "FunctionRegistry", "RegistryEntry", "TaggedEvaluator",
-    "default_registry", "fa_entry", "geometric_entry", "monomial_entry",
-    "polynomial_entry", "product_entry",
+    "default_registry", "fa_entry", "monomial_entry", "polynomial_entry",
+    "product_entry",
     "DensityRow", "FrontierSample", "ReinhardtDomain", "ball", "contains",
     "custom_domain", "density_experiment", "dilate_truncate",
     "domain_from_config", "frontier_max_radius", "frontier_sample",
     "polydisc", "power_egg", "section_tops", "simplex_directions",
-    "MultiIndexSeries", "PartialSumReport", "PowerSeries",
-    "block_coefficients", "block_coefficients_nd", "extract_coefficient",
-    "kernel_identity_check", "partial_sum", "partial_sum_kernel",
-    "partial_sum_with_report", "series_from_json", "series_to_json",
+    "MultiIndexSeries", "PowerSeries", "partial_sum", "partial_sum_kernel",
     "square_partial_sum",
     "IcQuery", "IcValue", "T1T2Split", "T2BoundRatio", "WitnessFa",
     "blowup_lower_bound", "blowup_schedule", "eval_fa", "eval_ic",

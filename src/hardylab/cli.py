@@ -16,7 +16,8 @@ the runners that take them, ``all`` included.  Every key is parsed before
 any runner starts; a key no runner reads, a value its parser refuses, or
 a ``function`` whose dimension is not the ``domain``'s (either one taken
 from ``run_reinhardt`` if left out) ends the command with a message naming
-the key.  The subcommands and the runners of ``all`` are ``RUNNERS``'s.
+the key, and so does a value from a flag or the file that ``RunConfig``
+refuses.  The subcommands and the runners of ``all`` are ``RUNNERS``'s.
 """
 
 from __future__ import annotations
@@ -120,7 +121,10 @@ def _build_config(args, fcfg: dict) -> RunConfig:
     given.update((key, v) for key, v in flags.items() if v is not None)
     if "n_set" in given:
         given["n_set_square"] = given["n_set"]
-    return RunConfig(**given)
+    try:
+        return RunConfig(**given)
+    except ValueError as exc:
+        raise SystemExit(f"hardylab: {exc}") from None
 
 
 def main(argv=None) -> int:

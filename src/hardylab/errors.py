@@ -9,14 +9,6 @@ class CoefficientUnavailable(HardyLabError, LookupError):
     """A requested Taylor coefficient could not be produced."""
 
 
-class AliasingError(HardyLabError, ValueError):
-    """A discrete contour rule has too few nodes for the requested mode."""
-
-
-class SingularKernelError(HardyLabError, ZeroDivisionError):
-    """A contour kernel was evaluated at a singular configuration."""
-
-
 class PoleError(HardyLabError, ZeroDivisionError):
     """An evaluation point collided with a pole of the integrand."""
 

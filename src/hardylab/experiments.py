@@ -28,7 +28,6 @@ from .registry import (FunctionRegistry, RegistryEntry, default_registry,
                        fa_entry)
 from .reinhardt import (ReinhardtDomain, density_experiment,
                         domain_from_config, frontier_sample, polydisc)
-from .series import _f17
 from .witnesses import (IcQuery, T1T2Split, WitnessFa, blowup_lower_bound,
                         blowup_schedule, eval_ic, ic_comparison,
                         t2_hardy_vs_bound)
@@ -56,6 +55,19 @@ class RunConfig:
     a_set: tuple = DEFAULT_A_SET
     seed: int = 12345
     k_max: int = 36
+
+    def __post_init__(self):
+        # Refused before any runner starts: each of these would otherwise
+        # fail mid-run, or never converge for a NaN tolerance.
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
+        for key in ("n_set", "n_set_square"):
+            orders = getattr(self, key)
+            if not orders or min(orders) < 0:
+                raise ValueError(f"{key} must hold orders N >= 0, got {orders}")
+        if not all(abs(a) < 1.0 for a in self.a_set):
+            raise ValueError(f"a_set must hold parameters |a| < 1, "
+                             f"got {self.a_set}")
 
     def vol_cap(self) -> int:
         return self.max_nodes << 6
@@ -113,6 +125,10 @@ def _plain(obj):
     return obj
 
 
+def _f17(x: float) -> str:
+    return format(float(x), ".17g")
+
+
 def _cell(v) -> str:
     if v is None:
         return ""
@@ -148,7 +164,7 @@ def write_result(result: ExperimentResult, out: str = "-",
 
 def _uniform_bound_functions(cfg: RunConfig,
                              reg: FunctionRegistry) -> list[RegistryEntry]:
-    base = [e for e in reg.entries(dim=1, in_h1=True)
+    base = [e for e in reg.entries(dim=1)
             if not e.name.startswith("fa-")]
     fas = []
     for a in cfg.a_set:

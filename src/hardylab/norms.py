@@ -77,11 +77,10 @@ def _grid(f, spike, n):
     """
     if spike is None:
         spike = getattr(f, "spike", None)
-    if isinstance(spike, (tuple, list, np.ndarray)):
-        if len(spike) != n:
-            raise ValueError(f"need one spike tag per coordinate, got {spike}")
-    else:
+    if np.ndim(spike) == 0:
         spike = (spike,) * n
+    elif len(spike) != n:
+        raise ValueError(f"need one spike tag per coordinate, got {spike}")
     declared = all(s is not None for s in spike)
     spikes = tuple(0.0 if s is None else float(abs(s)) for s in spike)
     _, _, order, depth = _GRID[min(n, 3)]

@@ -4,16 +4,15 @@ Each entry bundles a series representation, a vectorized evaluator, and
 the metadata the norm estimators need (spike location, polynomial
 degree).  A spike tag also declares the entry, its partial sums and its
 tails holomorphic past the closed unit polydisc: 0.0 for polynomials,
-|a| for the f_a family, the factors' tags for products; ``geom``, with
-its pole on the circle, declares nothing.  Partial sums are square
-partial sums in every dimension: they keep the multi-indices with
-max_j alpha_j <= N, in one variable S_N.  One pair,
+|a| for the f_a family, the factors' tags for products; ``None``
+declares nothing.  Partial sums are square partial sums in every
+dimension: they keep the multi-indices with max_j alpha_j <= N, in one
+variable S_N.  One pair,
 ``partial_evaluator``/``tail_evaluator``, serves every entry, with fast
 paths where a closed form exists, so high orders cost the same:
 
     products          the factors' partials, and a telescoping tail
     extremal family   partial and tail from the two-term split
-    geometric         finite geometric sum
     finite series     exact truncated coefficient evaluation
 
 The default catalog is seeded so polynomial coefficients, and hence
@@ -70,7 +69,6 @@ class RegistryEntry:
     evaluator: Callable
     series: PowerSeries | MultiIndexSeries | None = None
     spike: float | tuple | None = None
-    in_h1: bool = True
     degree: int | None = None
     factors: tuple | None = None
     partial_factory: Callable | None = field(default=None, repr=False)
@@ -141,13 +139,10 @@ class FunctionRegistry:
             raise KeyError(f"no registry entry named {name!r}; "
                            f"known: {sorted(self._entries)}") from None
 
-    def entries(self, dim: int | None = None,
-                in_h1: bool | None = None) -> list[RegistryEntry]:
+    def entries(self, dim: int | None = None) -> list[RegistryEntry]:
         out = []
         for e in self._entries.values():
             if dim is not None and e.dim != dim:
-                continue
-            if in_h1 is not None and e.in_h1 != in_h1:
                 continue
             out.append(e)
         return out
@@ -168,7 +163,7 @@ def fa_entry(a: float, name: str | None = None) -> RegistryEntry:
     w = WitnessFa(a)
     return RegistryEntry(
         name=name or f"fa-{_format_a(a)}", dim=1, evaluator=w,
-        series=fa_series(a), spike=abs(a), in_h1=True,
+        series=fa_series(a), spike=abs(a),
         degree=0 if a == 0 else None,
         partial_factory=lambda N, a=a: T1T2Split(a, N).partial,
         tail_factory=lambda N, a=a: T1T2Split(a, N).tail)
@@ -188,24 +183,6 @@ def monomial_entry(k: int) -> RegistryEntry:
                          spike=0.0, degree=k)
 
 
-def geometric_entry() -> RegistryEntry:
-    """1/(1-z): bounded Bergman norm, infinite Hardy norm (not in H^1)."""
-    ps = PowerSeries.from_generator(lambda k: 1.0 + 0j,
-                                    closed_form=lambda z: 1.0 / (1.0 - z))
-
-    def partial(N):
-        return lambda z: (1.0 - np.asarray(z, dtype=np.complex128) ** (N + 1)) \
-            / (1.0 - np.asarray(z, dtype=np.complex128))
-
-    def tail(N):
-        return lambda z: np.asarray(z, dtype=np.complex128) ** (N + 1) \
-            / (1.0 - np.asarray(z, dtype=np.complex128))
-
-    return RegistryEntry(name="geom", dim=1, evaluator=ps, series=ps,
-                         in_h1=False, partial_factory=partial,
-                         tail_factory=tail)
-
-
 def product_entry(factors: tuple[RegistryEntry, ...],
                   name: str | None = None) -> RegistryEntry:
     """Tensor product f(z) = prod_j f_j(z_j) of one-variable entries."""
@@ -217,7 +194,6 @@ def product_entry(factors: tuple[RegistryEntry, ...],
         evaluator=product_evaluator([f.evaluator for f in factors]),
         series=None,
         spike=tuple(f.spike for f in factors),
-        in_h1=all(f.in_h1 for f in factors),
         factors=tuple(factors))
 
 
@@ -235,7 +211,6 @@ def default_registry(seed: int = 12345) -> FunctionRegistry:
         reg.add(polynomial_entry(f"poly-{deg}", coeffs))
     for a in (0.0, 0.5, 0.9, 0.99, 0.999):
         reg.add(fa_entry(a))
-    reg.add(geometric_entry())
 
     fa05 = reg.get("fa-0.5")
     fa09 = reg.get("fa-0.9")

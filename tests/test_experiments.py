@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,6 +99,13 @@ def test_json_rendering_carries_timing_and_summary():
         assert [rec[col] for col in res.columns] == row
 
 
+def test_csv_float_format_is_repr_faithful():
+    res = ExperimentResult("t", ("x", "y", "converged"))
+    res.add(time.perf_counter(), 0.1, np.float64(0.2), True)
+    assert render_csv(res).splitlines()[1] == \
+        "0.10000000000000001,0.20000000000000001,true"
+
+
 def test_close_sets_exit_code_and_summary():
     def result(*flags):
         res = ExperimentResult("t", ("x", "converged"))
@@ -125,6 +134,13 @@ def test_package_exports_resolve():
     assert len(hardylab.__all__) == len(set(hardylab.__all__))
     for name in hardylab.__all__:
         assert getattr(hardylab, name) is not None
+    # every demo imports: each runs main() only under its __main__ guard,
+    # so loading it runs just its imports from the package
+    demos = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
+    assert len(demos) == 6
+    for path in demos:
+        spec = importlib.util.spec_from_file_location(path.stem, path)
+        spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
 
 def test_write_result_file_and_stdout(tmp_path, capsys):
@@ -292,6 +308,39 @@ def test_cli_rejects_bad_flag_values(monkeypatch, tmp_path, argv, flag):
     with pytest.raises(SystemExit, match=flag) as exc:
         main(["ic", *argv])
     assert isinstance(exc.value.code, str)
+
+
+_BAD_RUN_SETTINGS = [("n_set", "--n-set", ",", []),
+                     ("n_set", "--n-set", "-3", [-3]),
+                     ("a_set", "--a-set", "1.5", [1.5]),
+                     ("tol", "--tol", "nan", float("nan")),
+                     ("tol", "--tol", "0", 0.0)]
+
+
+@pytest.mark.parametrize("key, flag, text, value", _BAD_RUN_SETTINGS)
+def test_cli_rejects_bad_run_settings(monkeypatch, tmp_path, key, flag, text,
+                                      value):
+    # refused, naming the key, before any runner starts; flag and file alike
+    def no_run(*args, **kw):
+        raise AssertionError("a runner started")
+    monkeypatch.setattr("hardylab.cli.run_all", no_run)
+    for name in RUNNERS:
+        monkeypatch.setitem(RUNNERS, name, no_run)
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({key: value}))
+    for argv in ([flag, text], ["--config", str(cfgp)]):
+        for command in ("blowup", "all"):
+            with pytest.raises(SystemExit, match=key) as exc:
+                main([command, *argv, "--out", str(tmp_path / "out")])
+            assert isinstance(exc.value.code, str)
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_config_refuses_bad_settings():
+    for kw in ({"n_set": ()}, {"n_set_square": (4, -1)}, {"a_set": (-1.0,)},
+               {"tol": float("inf")}, {"tol": -1e-6}):
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            RunConfig(**kw)
 
 
 def test_run_reinhardt_refuses_dimension_mismatch():

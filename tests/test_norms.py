@@ -375,6 +375,15 @@ def test_one_variable_spike_tuple_needs_one_entry():
     assert one == hardy_norm_disc(f, 1.0, spike=0.9)
 
 
+def test_zero_dimensional_array_spike_is_a_scalar_tag():
+    f = WitnessFa(0.5)
+    for estimate in (hardy_norm_disc, bergman_norm_disc):
+        assert estimate(f, 1.0, spike=np.array(0.5)) == \
+            estimate(f, 1.0, spike=0.5)
+    assert hardy_norm_disc(lambda z: z, spike=np.array(0.5)).value == \
+        pytest.approx(1.0, abs=1e-12)
+
+
 def test_hardy_reinhardt_constant_mass():
     U2 = polydisc(2)
     est = hardy_norm_reinhardt(lambda z1, z2: np.ones(np.broadcast(z1, z2).shape),

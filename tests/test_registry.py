@@ -3,9 +3,8 @@ import pytest
 
 from hardylab.norms import hardy_norm_reinhardt
 from hardylab.registry import (RegistryEntry, TaggedEvaluator,
-                               default_registry, fa_entry, geometric_entry,
-                               monomial_entry, polynomial_entry,
-                               product_entry)
+                               default_registry, fa_entry, monomial_entry,
+                               polynomial_entry, product_entry)
 from hardylab.reinhardt import polydisc
 from hardylab.series import partial_sum
 
@@ -13,17 +12,19 @@ RNG = np.random.default_rng(5150)
 PTS = RNG.uniform(-0.65, 0.65, 12) + 1j * RNG.uniform(-0.65, 0.65, 12)
 
 
+def undeclared_entry():
+    """1/(1 - z) with no spike tag: its pole sits on the rim."""
+    return RegistryEntry("u", 1, lambda z: 1 / (1 - z))
+
+
 def test_default_registry_contents():
     reg = default_registry()
     for name in ("const-1", "mono-1", "mono-5", "poly-3", "poly-12",
-                 "fa-0", "fa-0.9", "fa-0.999", "geom", "prod-fa-0.9",
+                 "fa-0", "fa-0.9", "fa-0.999", "prod-fa-0.9",
                  "prod-fa-0.9-0.5", "mono2-1-2"):
         assert name in reg
-    assert len(reg.entries(dim=1)) == 13
+    assert len(reg.entries(dim=1)) == 12
     assert len(reg.entries(dim=2)) == 3
-    # the geometric series is flagged out of the Hardy class
-    assert not reg.get("geom").in_h1
-    assert all(e.in_h1 for e in reg.entries(dim=1) if e.name != "geom")
 
 
 def test_registry_seeding_is_reproducible():
@@ -54,8 +55,7 @@ def test_fa_partial_fast_path_matches_truncation():
 
 
 def test_tail_plus_partial_reassembles():
-    for ent in (fa_entry(0.6), geometric_entry(),
-                polynomial_entry("p", [1, 2, 3, 4, 5])):
+    for ent in (fa_entry(0.6), polynomial_entry("p", [1, 2, 3, 4, 5])):
         for N in (1, 3, 9):
             total = np.asarray(ent.partial_evaluator(N)(PTS)) \
                 + np.asarray(ent.tail_evaluator(N)(PTS))
@@ -69,14 +69,6 @@ def test_polynomial_tail_vanishes_at_degree():
     assert np.all(tail == 0)
     tail2 = ent.tail_evaluator(1)(PTS)
     assert np.allclose(tail2, 0.5 * PTS ** 2 + 3.0 * PTS ** 3, rtol=1e-13)
-
-
-def test_geometric_partial_closed_form():
-    ent = geometric_entry()
-    z = PTS
-    got = ent.partial_evaluator(4)(z)
-    direct = 1 + z + z ** 2 + z ** 3 + z ** 4
-    assert np.allclose(got, direct, rtol=1e-12)
 
 
 def test_product_entry_evaluator_and_square_partial():
@@ -128,10 +120,10 @@ def test_spike_tags_propagate():
 
 
 def test_product_with_an_undeclared_factor_takes_the_ladder():
-    # geom = 1/(1 - z) declares no spike: its pole sits on the rim, so a
-    # product with it must not be integrated on the boundary torus
+    # a factor that declares no spike keeps its None in the product, which
+    # must then not be integrated on the boundary torus
     reg = default_registry()
-    prod = product_entry((reg.get("fa-0.5"), reg.get("geom")))
+    prod = product_entry((reg.get("fa-0.5"), undeclared_entry()))
     assert prod.spike == (0.5, None)
     est = hardy_norm_reinhardt(prod.evaluator, 1.0, polydisc(2), k_max=3,
                                spike=prod.spike, max_nodes=1 << 16)
@@ -143,7 +135,7 @@ def test_polynomial_entries_are_declared_entire():
     reg = default_registry()
     for name in ("const-1", "mono-1", "poly-7", "mono2-1-2"):
         assert reg.get(name).spike == 0.0
-    assert reg.get("geom").spike is None
+    assert undeclared_entry().spike is None
 
 
 def test_tagged_evaluator_passthrough():
