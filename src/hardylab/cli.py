@@ -17,6 +17,7 @@ any runner starts; a key no runner reads, a value its parser refuses, or
 a ``function`` whose dimension is not the ``domain``'s (either one taken
 from ``run_reinhardt`` if left out) ends the command with a message naming
 the key, and so does a value from a flag or the file that ``RunConfig``
+refuses or, for ``blowup`` and ``all``, an ``n_set`` that ``blowup_orders``
 refuses.  The subcommands and the runners of ``all`` are ``RUNNERS``'s.
 """
 
@@ -28,8 +29,8 @@ import os
 import sys
 
 from .experiments import (RUNNER_OPTIONS, RUNNERS, RunConfig, array_of,
-                          reinhardt_case, run_all, runner_options,
-                          write_result)
+                          blowup_orders, reinhardt_case, run_all,
+                          runner_options, write_result)
 from .registry import default_registry
 
 _COMMANDS = (*RUNNERS, "all")
@@ -122,9 +123,12 @@ def _build_config(args, fcfg: dict) -> RunConfig:
     if "n_set" in given:
         given["n_set_square"] = given["n_set"]
     try:
-        return RunConfig(**given)
+        cfg = RunConfig(**given)
+        if args.command in ("blowup", "all"):
+            blowup_orders(cfg)
     except ValueError as exc:
         raise SystemExit(f"hardylab: {exc}") from None
+    return cfg
 
 
 def main(argv=None) -> int:

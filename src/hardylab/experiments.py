@@ -61,6 +61,8 @@ class RunConfig:
         # fail mid-run, or never converge for a NaN tolerance.
         if not (np.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be finite and > 0, got {self.tol}")
+        if self.max_nodes < 1:
+            raise ValueError(f"max_nodes must be >= 1, got {self.max_nodes}")
         for key in ("n_set", "n_set_square"):
             orders = getattr(self, key)
             if not orders or min(orders) < 0:
@@ -193,10 +195,10 @@ def run_uniform_bound(config: RunConfig | None = None,
         for N in cfg.n_set:
             t1 = time.perf_counter()
             sn = entry.partial_evaluator(N)
-            a1 = bergman_norm_disc(sn, 1.0, cfg.tol, spike=entry.spike,
+            a1 = bergman_norm_disc(sn, 1.0, cfg.tol, spike=sn.spike,
                                    max_nodes=cfg.vol_cap())
             h1n = hardy_norm_disc(sn, 1.0, cfg.tol, k_max=cfg.k_max,
-                                  spike=entry.spike, max_nodes=cfg.max_nodes)
+                                  spike=sn.spike, max_nodes=cfg.max_nodes)
             res.add(t1, entry.name, N, a_val, h1.value, a1.value,
                     a1.value / h1.value, h1n.value, h1n.value / h1.value,
                     h1.converged and a1.converged and h1n.converged)
@@ -253,6 +255,17 @@ def run_a1_convergence(config: RunConfig | None = None,
                      polynomials_exact_ok=poly_ok)
 
 
+def blowup_orders(cfg: RunConfig) -> tuple:
+    """The orders ``run_blowup`` tabulates: those of ``n_set`` from 16 on,
+    else all of them.  N = 0 is refused, naming ``n_set``: a = 0 there, so
+    f_a has no spike and the lower bound of T2 vanishes."""
+    ns = tuple(N for N in cfg.n_set if N >= 16) or cfg.n_set
+    if min(ns) < 1:
+        raise ValueError(f"n_set: blowup needs orders N >= 1, "
+                         f"got {cfg.n_set}")
+    return ns
+
+
 def run_blowup(config: RunConfig | None = None) -> ExperimentResult:
     """Hardy blow-up of partial sums along the near-boundary schedule.
 
@@ -262,7 +275,7 @@ def run_blowup(config: RunConfig | None = None) -> ExperimentResult:
     tabulated against the logarithmic lower bound.
     """
     cfg = config or RunConfig()
-    ns = tuple(N for N in cfg.n_set if N >= 16) or cfg.n_set
+    ns = blowup_orders(cfg)
     res = ExperimentResult("blowup",
                            ("N", "a", "h1_f", "h1_partial", "a1_partial",
                             "ratio_h1", "ratio_a1", "t1_h1", "t2_h1",

@@ -7,8 +7,13 @@ grid policy per dimension: the angular floor and spike scale of each
 axis, the radial Gauss order and the base dyadic panel depth.  ``_grid``
 reads it and raises the floors, and in one variable the panel depth, for
 a declared spike.  The shell rules use the rim's floor; the volume rule
-gives each ring the floor of the spike seen from its own radius, doubled
-per level, so inner rings are not resolved for a peak they never see.
+gives each ring the floor of the spike seen from its own radius, rounded
+up onto a ladder of at most eight counts per octave and doubled per
+level, so inner rings are not resolved for a peak they never see and
+rings with equal counts share one shell call.  Only the angular floors
+are lean: every level doubles every angular count, so the stopping rule
+sees the angular error, but a level deepens only the rim panel, so the
+radial Gauss order of the inner panels stays high (see ``_GRID``).
 
 One-variable conventions: the Hardy p-norm is the supremum over radii of
 the normalized circle mean
@@ -285,6 +290,14 @@ def bergman_norm_reinhardt(f, p: float = 1.0, domain: ReinhardtDomain = None,
     return _bergman(f, p, tol, domain, spike, max_nodes)
 
 
+def _on_ladder(m: np.ndarray) -> np.ndarray:
+    """Each count rounded up to a multiple of 2^(floor(log2 m) - 3): at most
+    eight counts per octave, and at most 12.5% more nodes than asked for."""
+    _, e = np.frexp(m)                          # m = x 2^e, 1/2 <= x < 1
+    step = np.int64(1) << np.maximum(e - 4, 0)
+    return -(-m // step) * step
+
+
 def _bergman(f, p, tol, domain, spike, max_nodes) -> NormEstimate:
     """Refine radial cells x torus shells until the volume integral of
     |f|^p settles; report its p-th root.
@@ -295,10 +308,20 @@ def _bergman(f, p, tol, domain, spike, max_nodes) -> NormEstimate:
     r_j gets the floor of the spike seen from its own radius,
     ``angular_floor(r_j |s_j|)``, on axis j, since the trapezoid error on
     that ring decays like (r_j |s_j|)^m.  Rings at r_j >= 1, on domains
-    wider than the unit polydisc, keep the rim's floor.  Cells with equal
-    counts share one shell call; their sums go back in cell order before
-    the one dot product with the weights, so values do not depend on the
-    grouping.
+    wider than the unit polydisc, take the rim's floor.  Each count is
+    then rounded up onto a ladder, to a multiple of 2^(floor(log2 m) - 3)
+    (``_on_ladder``): at most eight counts per octave, at most 12.5% more
+    points per ring.  Cells with equal counts share one shell call, one
+    node table per axis and multi-row blocks; their sums go back in cell
+    order before the one dot product with the weights, so values do not
+    depend on the grouping.  The rounding commutes with the doubling
+    (the ladder of 2m is twice the ladder of m), so nested levels stay
+    exact.
+
+    The stopping rule sees the angular error, which every level halves
+    geometrically, but not the Gauss error of the inner radial panels,
+    which no level touches; that is why the radial order is not lowered
+    with the angular floor (``quadrature._GRID``).
 
     A level keeps every radial panel of the one before but the last, so a
     cell whose radius vector the previous level also had carries its sum
@@ -316,8 +339,9 @@ def _bergman(f, p, tol, domain, spike, max_nodes) -> NormEstimate:
     def level_fn(level):
         cells, weights = _radial_cells(domain, depth + level, order)
         radii = np.minimum(cells, 1.0)
-        counts = np.stack([angular_floor(radii[:, j] * s, n)
-                           for j, s in enumerate(spikes)], axis=1) << level
+        counts = _on_ladder(np.stack([angular_floor(radii[:, j] * s, n)
+                                      for j, s in enumerate(spikes)],
+                                     axis=1)) << level
         keys = [row.tobytes() for row in cells]
         kept = np.array([k in carried for k in keys], dtype=np.int64)
         # a carried cell is evaluated at its previous counts, shifted

@@ -5,7 +5,8 @@ the metadata the norm estimators need (spike location, polynomial
 degree).  A spike tag also declares the entry, its partial sums and its
 tails holomorphic past the closed unit polydisc: 0.0 for polynomials,
 |a| for the f_a family, the factors' tags for products; ``None``
-declares nothing.  Partial sums are square partial sums in every
+declares nothing.  Tails carry the entry's tag; a partial sum of order
+N, a polynomial, carries min(|s_j|, N/(N+1)) on each axis.  Partial sums are square partial sums in every
 dimension: they keep the multi-indices with max_j alpha_j <= N, in one
 variable S_N.  One pair,
 ``partial_evaluator``/``tail_evaluator``, serves every entry, with fast
@@ -60,6 +61,18 @@ def product_evaluator(fns) -> Callable:
     return fn
 
 
+def _degree_tag(spike, N: int):
+    """The spike tag of an order-N partial sum: min(|s_j|, N/(N+1)) on each
+    axis.  A polynomial of degree N on an axis is entire there, so any tag
+    is a true declaration; this one sets the floor of degree N instead of
+    the pole's.  ``None`` stays ``None``."""
+    if spike is None:
+        return None
+    if np.ndim(spike):
+        return tuple(_degree_tag(s, N) for s in spike)
+    return min(abs(spike), N / (N + 1.0))
+
+
 @dataclass(frozen=True, eq=False)
 class RegistryEntry:
     """A named test function with evaluators for it and its partial sums."""
@@ -76,7 +89,11 @@ class RegistryEntry:
 
     def partial_evaluator(self, N: int) -> TaggedEvaluator:
         """Pointwise evaluator of the square partial sum of order N, the
-        terms with max_j alpha_j <= N; in one variable this is S_N f."""
+        terms with max_j alpha_j <= N; in one variable this is S_N f.
+
+        It is tagged min(|s_j|, N/(N+1)) on each axis: a polynomial keeps no
+        pole, so its floors follow its degree.  Tails keep the entry's tag,
+        as they keep the pole."""
         if self.factors is not None:
             fn = product_evaluator([fac.partial_evaluator(N)
                                     for fac in self.factors])
@@ -86,7 +103,7 @@ class RegistryEntry:
             fn = square_partial_sum(self.series, N)
         else:
             fn = partial_sum(self.series, N)
-        return TaggedEvaluator(fn, self.spike)
+        return TaggedEvaluator(fn, _degree_tag(self.spike, N))
 
     def tail_evaluator(self, N: int) -> TaggedEvaluator:
         """Pointwise evaluator of f minus its order-N square partial sum.

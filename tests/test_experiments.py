@@ -9,7 +9,7 @@ import pytest
 import hardylab
 from hardylab.cli import _parse_floats, _parse_ints, main
 from hardylab.experiments import (RUNNERS, ExperimentResult, RunConfig,
-                                  render_csv, render_json,
+                                  blowup_orders, render_csv, render_json,
                                   run_blowup, run_ic_asymptotics,
                                   run_reinhardt, run_uniform_bound,
                                   write_result)
@@ -314,7 +314,11 @@ _BAD_RUN_SETTINGS = [("n_set", "--n-set", ",", []),
                      ("n_set", "--n-set", "-3", [-3]),
                      ("a_set", "--a-set", "1.5", [1.5]),
                      ("tol", "--tol", "nan", float("nan")),
-                     ("tol", "--tol", "0", 0.0)]
+                     ("tol", "--tol", "0", 0.0),
+                     ("max_nodes", "--max-nodes", "0", 0),
+                     # blowup's a = N/(N+1) is 0 there; refused for blowup
+                     # and all alike
+                     ("n_set", "--n-set", "0", [0])]
 
 
 @pytest.mark.parametrize("key, flag, text, value", _BAD_RUN_SETTINGS)
@@ -338,9 +342,22 @@ def test_cli_rejects_bad_run_settings(monkeypatch, tmp_path, key, flag, text,
 
 def test_run_config_refuses_bad_settings():
     for kw in ({"n_set": ()}, {"n_set_square": (4, -1)}, {"a_set": (-1.0,)},
-               {"tol": float("inf")}, {"tol": -1e-6}):
+               {"tol": float("inf")}, {"tol": -1e-6}, {"max_nodes": 0},
+               {"max_nodes": -4}):
         with pytest.raises(ValueError, match=next(iter(kw))):
             RunConfig(**kw)
+
+
+def test_run_blowup_refuses_order_zero(monkeypatch):
+    # refused before the first estimator, naming n_set; N = 0 is kept only
+    # when no order reaches 16, so (0, 16) runs N = 16 alone
+    def no_estimate(*args, **kw):
+        raise AssertionError("an estimator ran")
+    monkeypatch.setattr("hardylab.experiments.hardy_norm_disc", no_estimate)
+    for n_set in ((0,), (0, 8)):
+        with pytest.raises(ValueError, match="n_set"):
+            run_blowup(RunConfig(n_set=n_set))
+    assert blowup_orders(RunConfig(n_set=(0, 16))) == (16,)
 
 
 def test_run_reinhardt_refuses_dimension_mismatch():

@@ -9,7 +9,7 @@ from hardylab.norms import (NormEstimate, bergman_norm_disc,
                             bergman_norm_reinhardt, hardy_norm_disc,
                             hardy_norm_reinhardt, monotonicity_check)
 from hardylab.quadrature import angular_floor
-from hardylab.registry import TaggedEvaluator, default_registry
+from hardylab.registry import TaggedEvaluator, default_registry, fa_entry
 from hardylab.reinhardt import ball, polydisc, power_egg
 from hardylab.series import PowerSeries
 from hardylab.witnesses import T1T2Split, WitnessFa
@@ -163,6 +163,29 @@ def test_bergman_partial_sums_obey_triangle_inequality(N):
     assert gap <= tail.value * (1 + 1e-6)
 
 
+# A^1 norms of partial sums computed outside the package: scipy.integrate.quad
+# over r in [0, 1] (relative tolerance 1e-12) with breakpoints at 1 - 2^-k and
+# at the moduli of the polynomial's zeros, of 2 pi r times the circle mean of
+# |S_N f|, taken by the trapezoid rule on 2^16 nodes (2^18 for S_512) as an FFT
+# of the coefficients c_k r^k.
+_A1_REFERENCES = [("fa", 512 / 513, 512, 0.08072784720004747),
+                  ("fa", 16 / 17, 16, 0.9696338769918226),
+                  ("fa", 0.999, 32, 0.0336688891651961),
+                  # poly-3 of default_registry(1); its zeros lie at moduli
+                  # 0.32, 0.50 and 0.80, inside the inner radial panels
+                  ("poly-3", None, 8, 4.450427395296814)]
+
+
+@pytest.mark.parametrize("kind, a, N, ref", _A1_REFERENCES)
+def test_bergman_disc_partial_sums_match_references(kind, a, N, ref):
+    # with the degree tag of partial_evaluator, as run_uniform_bound calls it
+    entry = fa_entry(a) if kind == "fa" else default_registry(1).get(kind)
+    sn = entry.partial_evaluator(N)
+    est = bergman_norm_disc(sn, 1.0, 1e-6, spike=sn.spike)
+    assert est.converged
+    assert est.value == pytest.approx(ref, rel=1e-6)
+
+
 def test_embedding_constant_on_random_polynomials():
     # ||f||_A1 <= pi ||f||_H1, with equality approached by constants
     for deg in (0, 2, 5, 9):
@@ -211,16 +234,25 @@ def _unit_gauss_nodes(depth, order):
                            for lo, hi in zip(bounds[:-1], bounds[1:])])
 
 
-@pytest.mark.parametrize("spike, depth, m", [(None, 6, 4096),
+def _ladder(m):
+    # the volume rule's counts: m rounded up to the next multiple of
+    # 2^(floor(log2 m) - 3), eight counts per octave
+    step = 1 << max(int(m).bit_length() - 4, 0)
+    return -(-int(m) // step) * step
+
+
+@pytest.mark.parametrize("spike, depth, m", [(None, 6, 256),
                                              (0.999, 12, 64000)])
 def test_disc_estimators_level0_node_sets(spike, depth, m):
     # Bergman: 64-point Gauss-Legendre on the dyadic panels of [0, 1] times
-    # the equispaced angles, max(4096, ceil(64 / (1 - r s))) of them on the
-    # ring of radius r; Hardy, with the rim's m: the unit circle for the
-    # spiked (declared) function, else the first rung r = 1/2 of its ladder
+    # the equispaced angles, max(256, ceil(64 / (1 - r s))) of them on the
+    # ring of radius r, rounded up onto the ladder; Hardy, with the rim's m
+    # and no ladder: the unit circle for the spiked (declared) function,
+    # else the first rung r = 1/2 of its ladder
     radii = _unit_gauss_nodes(depth, 64)
-    counts = [4096 if spike is None
-              else max(4096, math.ceil(64 / (1 - r * spike))) for r in radii]
+    counts = [256 if spike is None
+              else _ladder(max(256, math.ceil(64 / (1 - r * spike))))
+              for r in radii]
     _pin_level0(bergman_norm_disc, radii, counts, spike=spike)
     rung = 0.5 if spike is None else 1.0
     _pin_level0(hardy_norm_disc, np.array([rung]), [m], spike=spike)
@@ -228,10 +260,12 @@ def test_disc_estimators_level0_node_sets(spike, depth, m):
 
 def test_rings_past_the_unit_radius_keep_the_rim_floor():
     # a disc of radius 1.5 reaches past the pole at 1/0.99; its rings at
-    # r >= 1 get the rim's 6400 nodes, inner rings their own count
+    # r >= 1 get the rim's 6400 nodes on the ladder (6656), inner rings
+    # their own count
     radii = 1.5 * _unit_gauss_nodes(9, 64)
-    counts = [max(4096, math.ceil(64 / (1 - min(r, 1.0) * 0.99)))
+    counts = [_ladder(max(256, math.ceil(64 / (1 - min(r, 1.0) * 0.99))))
               for r in radii]
+    assert counts[-1] == 6656
     wide = functools.partial(bergman_norm_reinhardt,
                              domain=polydisc(1, [1.5]))
     _pin_level0(wide, radii, counts, spike=0.99)
@@ -239,12 +273,13 @@ def test_rings_past_the_unit_radius_keep_the_rim_floor():
 
 def test_bergman_polydisc_ring_counts():
     # on polydisc(2) the cell (r1, r2) gets angular_floor(r_j s_j, 2) nodes
-    # on axis j; level 0 evaluates exactly the per-ring formula's total
+    # on axis j, on the ladder; level 0 evaluates exactly the per-ring
+    # formula's total
     s = (0.95, 0.9)
     x = _unit_gauss_nodes(2, 12)
 
     def floor2(r, sj):
-        return max(128, math.ceil(16 / (1 - r * sj)))
+        return _ladder(max(128, math.ceil(16 / (1 - r * sj))))
 
     per_axis = [np.array([floor2(r, sj) for r in x]) for sj in s]
     expect = int(np.outer(*per_axis).sum())
@@ -254,7 +289,7 @@ def test_bergman_polydisc_ring_counts():
     def f(z1, z2):
         for j, (zj, sj) in enumerate(((z1, s[0]), (z2, s[1]))):
             r = zj.reshape(zj.shape[0], -1)[:, 0].real
-            assert all(angular_floor(rk * sj, 2) == zj.shape[j + 1]
+            assert all(_ladder(angular_floor(rk * sj, 2)) == zj.shape[j + 1]
                        for rk in r)
         points[0] += z1.shape[0] * z1.shape[1] * z2.shape[2]
         if points[0] >= expect:
@@ -296,7 +331,7 @@ def _counting(f, counter):
 
 
 @pytest.mark.parametrize("dim, spike, depth, order, base, scale", [
-    (1, (0.99,), 9, 64, 4096, 64.0),
+    (1, (0.99,), 9, 64, 256, 64.0),
     (2, (0.95, 0.9), 2, 12, 128, 16.0)])
 def test_bergman_nested_level_points(monkeypatch, dim, spike, depth, order,
                                      base, scale):
@@ -312,7 +347,9 @@ def test_bergman_nested_level_points(monkeypatch, dim, spike, depth, order,
     (levels,) = calls
     x = _unit_gauss_nodes(depth + 1, order)
     kept = np.arange(x.size) < depth * order
-    axes = [np.maximum(base, np.ceil(scale / (1.0 - x * s))) for s in spike]
+    axes = [np.array([_ladder(m) for m in
+                      np.maximum(base, np.ceil(scale / (1.0 - x * s)))])
+            for s in spike]
     m0 = functools.reduce(np.multiply.outer, axes)
     old = functools.reduce(np.logical_and.outer, [kept] * dim)
     want = int(np.sum(np.where(old, (1 << dim) - 1, 1 << dim) * m0))

@@ -11,9 +11,11 @@ TWO_PI = 2.0 * np.pi
 
 
 def test_angular_floor_defaults_and_spike():
-    assert angular_floor(None) == 4096
-    assert angular_floor(0.0) == 4096
-    assert angular_floor(0.5) == 4096
+    assert angular_floor(None) == 256
+    assert angular_floor(0.0) == 256
+    assert angular_floor(0.5) == 256
+    # 64 / (1 - 0.875) = 512 lifts the floor above the base
+    assert angular_floor(0.875) == 512
     # 64 / (1 - 0.999) = 64000 dominates the base
     assert angular_floor(0.999) == 64000
     # a bidisc axis starts leaner, 128 nodes, with spike scale 16

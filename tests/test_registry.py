@@ -6,7 +6,7 @@ from hardylab.registry import (RegistryEntry, TaggedEvaluator,
                                default_registry, fa_entry, monomial_entry,
                                polynomial_entry, product_entry)
 from hardylab.reinhardt import polydisc
-from hardylab.series import partial_sum
+from hardylab.series import PowerSeries, partial_sum
 
 RNG = np.random.default_rng(5150)
 PTS = RNG.uniform(-0.65, 0.65, 12) + 1j * RNG.uniform(-0.65, 0.65, 12)
@@ -111,12 +111,20 @@ def test_generic_square_partial_on_finite_series():
 
 
 def test_spike_tags_propagate():
+    # a partial sum of order N is tagged min(|s|, N/(N+1)), the floor of its
+    # degree, on each axis; tails keep the pole's tag
     ent = fa_entry(0.9)
     assert ent.spike == pytest.approx(0.9)
-    assert ent.partial_evaluator(4).spike == pytest.approx(0.9)
+    assert ent.partial_evaluator(4).spike == 0.8
+    assert ent.partial_evaluator(16).spike == 0.9
+    assert ent.tail_evaluator(4).spike == 0.9
     prod = default_registry().get("prod-fa-0.9-0.5")
     assert prod.spike == (0.9, 0.5)
+    assert prod.partial_evaluator(3).spike == (0.75, 0.5)
     assert prod.tail_evaluator(3).spike == (0.9, 0.5)
+    geometric = RegistryEntry("g", 1, lambda z: 1 / (1 - z),
+                              series=PowerSeries.from_generator(lambda k: 1.0))
+    assert geometric.partial_evaluator(3).spike is None
 
 
 def test_product_with_an_undeclared_factor_takes_the_ladder():
