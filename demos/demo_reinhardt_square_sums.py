@@ -22,7 +22,7 @@ def main():
     ent = reg.get("prod-fa-0.9")
     dom = polydisc(2)
     h1 = hardy_norm_reinhardt(ent.evaluator, 1.0, dom, dirs=64, tol=1e-6,
-                              k_max=30, spike=ent.spike)
+                              spike=ent.spike)
     print(f"frontier Hardy norm of f_0.9 x f_0.9 on U^2: {h1.value:.6f} "
           f"(exact (2 pi)^2 = {(2 * np.pi) ** 2:.6f})")
 

@@ -13,8 +13,9 @@ c_set, z_ladder, function, and domain (a mapping with kind, dim, and
 radii/radius/powers).  List values are JSON arrays.  Explicit flags win
 over the file.  A runner's keys are accepted by every command and read by
 the runners that take them, ``all`` included.  Every key is parsed before
-any runner starts; a key no runner reads, a value its parser refuses, or
-a ``function`` whose dimension is not the ``domain``'s (either one taken
+any runner starts; a key no runner reads, a value its parser refuses, a
+``function`` whose dimension is not the ``domain``'s, or a ``domain`` that
+reaches a pole the ``function``'s spike tag declares (either one taken
 from ``run_reinhardt`` if left out) ends the command with a message naming
 the key, and so does a value from a flag or the file that ``RunConfig``
 refuses or, for ``blowup`` and ``all``, an ``n_set`` that ``blowup_orders``
@@ -28,6 +29,7 @@ import json
 import os
 import sys
 
+from .errors import DomainModelError
 from .experiments import (RUNNER_OPTIONS, RUNNERS, RunConfig, array_of,
                           blowup_orders, reinhardt_case, run_all,
                           runner_options, write_result)
@@ -67,7 +69,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--tol", type=float, default=None,
-                    help="relative tolerance for quadrature and ladders")
+                    help="relative tolerance of the quadrature")
     sp.add_argument("--max-nodes", type=int, default=None,
                     help="node budget per circle/torus integral "
                          "(volume rules get a 64x radial allowance)")
@@ -110,8 +112,8 @@ def _load_file_config(path: str | None) -> dict:
         reinhardt_case(default_registry(),
                        **runner_options("reinhardt", parsed))
     except ValueError as exc:
-        raise SystemExit(f"config file {path}: key 'function': {exc}") \
-            from None
+        key = "domain" if isinstance(exc, DomainModelError) else "function"
+        raise SystemExit(f"config file {path}: key {key!r}: {exc}") from None
     return parsed
 
 

@@ -14,7 +14,8 @@ class PoleError(HardyLabError, ZeroDivisionError):
 
 
 class DomainModelError(HardyLabError, ValueError):
-    """A gauge function does not describe a bounded domain."""
+    """A domain does not fit the model: its gauge describes no bounded
+    domain, or its frontier reaches a pole that a spike tag declares."""
 
 
 class NonConvergenceError(HardyLabError, RuntimeError):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .norms import (bergman_norm_disc, bergman_norm_reinhardt,
+from .norms import (bergman_norm_disc, bergman_norm_reinhardt, boundary_grid,
                     hardy_norm_disc, hardy_norm_reinhardt, monotonicity_check)
 from .registry import (FunctionRegistry, RegistryEntry, default_registry,
                        fa_entry)
@@ -54,6 +54,7 @@ class RunConfig:
     n_set_square: tuple = DEFAULT_N_SET_SQUARE
     a_set: tuple = DEFAULT_A_SET
     seed: int = 12345
+    # unused; kept because perfbench/workloads.py:112 reads cfg.k_max
     k_max: int = 36
 
     def __post_init__(self):
@@ -190,15 +191,15 @@ def run_uniform_bound(config: RunConfig | None = None,
                             "ratio_a1", "h1_partial", "ratio_h1", "converged"))
     for entry in _uniform_bound_functions(cfg, reg):
         a_val = float(entry.spike) if entry.name.startswith("fa-") else None
-        h1 = hardy_norm_disc(entry.evaluator, 1.0, cfg.tol, k_max=cfg.k_max,
+        h1 = hardy_norm_disc(entry.evaluator, 1.0, cfg.tol,
                              spike=entry.spike, max_nodes=cfg.max_nodes)
         for N in cfg.n_set:
             t1 = time.perf_counter()
             sn = entry.partial_evaluator(N)
             a1 = bergman_norm_disc(sn, 1.0, cfg.tol, spike=sn.spike,
                                    max_nodes=cfg.vol_cap())
-            h1n = hardy_norm_disc(sn, 1.0, cfg.tol, k_max=cfg.k_max,
-                                  spike=sn.spike, max_nodes=cfg.max_nodes)
+            h1n = hardy_norm_disc(sn, 1.0, cfg.tol, spike=sn.spike,
+                                  max_nodes=cfg.max_nodes)
             res.add(t1, entry.name, N, a_val, h1.value, a1.value,
                     a1.value / h1.value, h1n.value, h1n.value / h1.value,
                     h1.converged and a1.converged and h1n.converged)
@@ -284,14 +285,14 @@ def run_blowup(config: RunConfig | None = None) -> ExperimentResult:
         t0 = time.perf_counter()
         a = blowup_schedule(N)
         split = T1T2Split(a, N)
-        h1f = hardy_norm_disc(WitnessFa(a), 1.0, cfg.tol, k_max=cfg.k_max,
-                              spike=a, max_nodes=cfg.max_nodes)
-        h1n = hardy_norm_disc(split.partial, 1.0, cfg.tol, k_max=cfg.k_max,
-                              spike=a, max_nodes=cfg.max_nodes)
+        h1f = hardy_norm_disc(WitnessFa(a), 1.0, cfg.tol, spike=a,
+                              max_nodes=cfg.max_nodes)
+        h1n = hardy_norm_disc(split.partial, 1.0, cfg.tol, spike=a,
+                              max_nodes=cfg.max_nodes)
         a1n = bergman_norm_disc(split.partial, 1.0, cfg.tol, spike=a,
                                 max_nodes=cfg.vol_cap())
-        t1n = hardy_norm_disc(split.t1, 1.0, cfg.tol, k_max=cfg.k_max,
-                              spike=a, max_nodes=cfg.max_nodes)
+        t1n = hardy_norm_disc(split.t1, 1.0, cfg.tol, spike=a,
+                              max_nodes=cfg.max_nodes)
         t2row = t2_hardy_vs_bound(a, N, tol=min(cfg.tol, 1e-10),
                                   max_nodes=cfg.max_nodes)
         res.add(t0, N, a, h1f.value, h1n.value, a1n.value,
@@ -300,14 +301,18 @@ def run_blowup(config: RunConfig | None = None) -> ExperimentResult:
                 h1f.converged and h1n.converged and a1n.converged
                 and t1n.converged and t2row.converged)
     h1p = [row[3] for row in res.rows]
+    a1p = [row[4] for row in res.rows]
     t2r = [row[10] for row in res.rows]
     t1m = max(row[7] for row in res.rows)
     increasing = all(b > a for a, b in zip(h1p, h1p[1:]))
+    # ||f_a||_A1 = pi (1-a^2) log(1/(1-a^2)) / a^2 -> 0 along a = N/(N+1)
+    decreasing = all(b < a for a, b in zip(a1p, a1p[1:]))
     growth = h1p[-1] / h1p[0] if h1p[0] > 0 else np.inf
     band = max(t2r) / min(t2r) if min(t2r) > 0 else np.inf
     return res.close({"h1_growth": growth, "t1_max": t1m, "t2_band": band,
-                      "a1_max": max(row[4] for row in res.rows)},
+                      "a1_max": max(a1p)},
                      h1_strictly_increasing=increasing,
+                     a1_strictly_decreasing=decreasing,
                      growth_ok=growth >= 1.5, t1_ok=t1m <= 2.0 + 1e-6,
                      t2_band_ok=band <= 3.0)
 
@@ -352,11 +357,14 @@ def run_ic_asymptotics(config: RunConfig | None = None,
 def reinhardt_case(registry: FunctionRegistry, domain=None,
                    function: str = DEFAULT_FUNCTION):
     """The entry and the domain (default ``polydisc(2)``) ``run_reinhardt``
-    tabulates; ValueError if their dimensions differ."""
+    tabulates; ValueError if their dimensions differ, DomainModelError if
+    the domain reaches a pole the entry's spike tag declares
+    (``norms.boundary_grid``)."""
     entry, dom = registry.get(function), domain or polydisc(2)
     if entry.dim != dom.dim:
         raise ValueError(f"function {function!r} has dimension {entry.dim} "
                          f"but the {dom.kind} domain has dimension {dom.dim}")
+    boundary_grid(entry.evaluator, dom, spike=entry.spike)
     return entry, dom
 
 
@@ -377,8 +385,8 @@ def run_reinhardt(config: RunConfig | None = None,
                            ("domain", "function", "N", "h1_f", "a1_partial",
                             "ratio", "err_a1", "converged"))
     h1 = hardy_norm_reinhardt(entry.evaluator, 1.0, dom, dirs=64,
-                              tol=cfg.tol, k_max=min(cfg.k_max, 30),
-                              spike=entry.spike, max_nodes=cfg.max_nodes)
+                              tol=cfg.tol, spike=entry.spike,
+                              max_nodes=cfg.max_nodes)
     for N in cfg.n_set_square:
         t0 = time.perf_counter()
         sn = entry.partial_evaluator(N)

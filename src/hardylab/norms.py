@@ -27,17 +27,17 @@ unnormalized torus integral of |f|^p.  The two normalizations are kept
 exactly as stated; values across dimensions differ by powers of 2pi by
 design.
 
-A spike tag on every axis is a declaration: f is holomorphic on the
-polydisc of radii 1/|s_j| (a tag 0.0 declares an entire axis).  Circle
-means of |f|^p are nondecreasing in the radius and, for such f,
-continuous up to the boundary, so the Hardy supremum is the boundary
-mean itself.  The Hardy estimators then integrate |f|^p once on the
-boundary shells with doubling angular refinement; the trapezoid rule
-converges geometrically there, at the rate set by the spike.  For an
-undeclared f, or a frontier shell that reaches past 1/|s_j|, the
-supremum is approached along the dyadic ladder r_k = 1 - 2^{-k}: each
-rung is integrated the same way, and the ladder stops once consecutive
-rungs agree to the requested tolerance.
+A Hardy norm is the boundary mean: by Duren, *Theory of H^p Spaces*,
+ch. 2, ||f||_{H^p} = ||f*||_{L^p(T)}, since circle means of |f|^p are
+nondecreasing in the radius and reach the boundary mean in the limit.
+The Hardy estimators therefore integrate |f|^p once on the boundary
+shells, with doubling angular refinement, and need f declared
+holomorphic past them: a spike tag on every axis declares f holomorphic
+on the polydisc of radii 1/|s_j| (a tag 0.0 declares an entire axis), so
+the trapezoid rule converges geometrically on the shells, at the rate
+set by the spike.  An undeclared f is refused, and so is a domain whose
+frontier shells reach a declared pole, r_j |s_j| >= 1: f has no Hardy
+norm there (:func:`boundary_grid`).
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainModelError
 from .quadrature import (TWO_PI, _GRID, angular_floor,
                          doubled_torus_integrals, dyadic_panels, _panel_gauss,
                          refine_until, torus_integrals, torus_levels)
@@ -56,14 +57,15 @@ from .reinhardt import (ReinhardtDomain, frontier_sample, polydisc,
 
 @dataclass(frozen=True)
 class NormEstimate:
-    """A norm value together with the ladder evidence behind it."""
+    """A norm value together with the evidence behind it."""
 
     value: float
     space: str                      # "H" for Hardy, "A" for Bergman
     p: float
-    ladder: tuple                   # shell parameters visited, innermost first
-    ladder_values: tuple            # p-th power shell values per rung
-    tail_increments: tuple          # trailing relative increments
+    # (1.0,) for Hardy, () for Bergman; kept because perfbench/tracer.py:149
+    # reads len(ladder)
+    ladder: tuple
+    tail_increments: tuple          # last relative change of the refinement
     converged: bool
 
 
@@ -107,63 +109,61 @@ def _abs_power(f, p):
     return g
 
 
-def hardy_norm_disc(f, p: float = 1.0, tol: float = 1e-6, *,
-                    k_max: int = 24, spike=None,
-                    max_nodes: int = 1 << 20) -> NormEstimate:
-    """Hardy p-norm of f on the unit disc.
+def boundary_grid(f, domain: ReinhardtDomain, dirs: int = 64, *,
+                  spike=None) -> tuple:
+    """The angular floors and the frontier shells on which a Hardy norm of
+    f over ``domain`` is integrated.
 
-    f is any vectorized callable on complex arrays.  A spike tag (the
-    modulus s of a boundary concentration point, from the function
-    itself or the keyword) raises the angular floor to resolve narrow
-    boundary peaks, and declares f holomorphic on |z| < 1/|s| (entire for
-    s = 0).  A declared f is integrated on the unit circle alone: the
-    estimate reports ``ladder=(1.0,)``, the boundary mean as its one
-    ladder value and the last relative change of the angular refinement
-    as its tail increment.  An undeclared f climbs the dyadic radius
-    ladder, which stops when two rungs agree to ``tol``; sharper peaks
-    need more rungs, and the default k_max resolves tails with values up
-    to roughly 1e3 * (1 - |s|)^-1 contrast.
+    The shells are the sampled frontier radius vectors that no other
+    sampled one dominates.  Raises ``ValueError`` unless a spike tag
+    (keyword, else ``f.spike``) declares every axis, and
+    ``DomainModelError`` when a shell reaches a declared pole,
+    r_j |s_j| >= 1 on some axis j.
     """
+    spikes, floors, _, _, declared = _grid(f, spike, domain.dim)
+    if not declared:
+        raise ValueError("a Hardy norm is the boundary mean of an f declared "
+                         "holomorphic past the boundary: pass spike= with a "
+                         "tag on every axis (0.0 for an entire one)")
+    sample = frontier_sample(domain, dirs)
+    shells = sample.radii[_maximal_rows(sample.radii)]
+    reach = shells * np.array(spikes) >= 1.0
+    if np.any(reach):
+        i, j = np.argwhere(reach)[0]
+        raise DomainModelError(
+            f"the shell radius {shells[i, j]:g} on axis {j} reaches the pole "
+            f"at 1/{spikes[j]:g} declared by the spike tag: f has no Hardy "
+            f"norm on this {domain.kind}")
+    return floors, shells
+
+
+def hardy_norm_disc(f, p: float = 1.0, tol: float = 1e-6, *,
+                    k_max=None, spike=None,
+                    max_nodes: int = 1 << 20) -> NormEstimate:
+    """Hardy p-norm of f on the unit disc: the mean of |f|^p on the unit
+    circle, to the power 1/p.
+
+    f is any vectorized callable on complex arrays, declared holomorphic
+    on |z| < 1/|s| by a spike tag s (from the function itself or the
+    keyword; 0.0 for an entire f), which also raises the angular floor to
+    resolve the boundary peak near the spike.  The estimate reports the
+    last relative change of the angular refinement as its tail increment.
+    """
+    # k_max is ignored; it stays because perfbench/workloads.py:112 passes it
     if p <= 0:
         raise ValueError(f"norm exponent must be positive, got {p}")
-    _, (floor,), _, _, declared = _grid(f, spike, 1)
-    g = _abs_power(f, p)
-    quad_tol = max(0.25 * tol, 1e-14)
+    floors, shells = boundary_grid(f, polydisc(1), spike=spike)
+    circle = torus_levels(_abs_power(f, p), shells, floors)
 
-    def circle_mean(r):
-        shell = torus_levels(g, [[r]], (floor,))
+    def mean(level):
+        vals, points = circle(level)
+        return vals[0] / TWO_PI, points
 
-        def mean(level):
-            vals, points = shell(level)
-            return vals[0] / TWO_PI, points
-        return refine_until(mean, quad_tol, cap=max_nodes)
-
-    if declared:
-        rep = circle_mean(1.0)
-        v = float(rep.value.real)
-        return NormEstimate(value=v ** (1.0 / p), space="H", p=float(p),
-                            ladder=(1.0,), ladder_values=(v,),
-                            tail_increments=(rep.rel_change,),
-                            converged=bool(rep.converged))
-    rungs, vals, incs = [], [], []
-    quad_ok = True
-    tail_ok = False
-    for k in range(1, k_max + 1):
-        r = 1.0 - 2.0 ** -k
-        rep = circle_mean(r)
-        quad_ok = quad_ok and rep.converged
-        v = float(rep.value.real)
-        rungs.append(r)
-        if vals:
-            incs.append((v - vals[-1]) / max(abs(v), abs(vals[-1]), 1e-300))
-        vals.append(v)
-        if incs and abs(incs[-1]) <= tol:
-            tail_ok = True
-            break
-    return NormEstimate(value=max(vals) ** (1.0 / p), space="H", p=float(p),
-                        ladder=tuple(rungs), ladder_values=tuple(vals),
-                        tail_increments=tuple(incs[-3:]),
-                        converged=bool(quad_ok and tail_ok))
+    rep = refine_until(mean, max(0.25 * tol, 1e-14), cap=max_nodes)
+    return NormEstimate(value=float(rep.value.real) ** (1.0 / p), space="H",
+                        p=float(p), ladder=(1.0,),
+                        tail_increments=(rep.rel_change,),
+                        converged=bool(rep.converged))
 
 
 def bergman_norm_disc(f, p: float = 1.0, tol: float = 1e-8, *,
@@ -191,72 +191,44 @@ def _maximal_rows(radii: np.ndarray) -> np.ndarray:
 
 
 def hardy_norm_reinhardt(f, p: float = 1.0, domain: ReinhardtDomain = None,
-                         dirs: int = 64, tol: float = 1e-6, *,
-                         k_max: int = 24, spike=None,
+                         dirs: int = 64, tol: float = 1e-6, *, spike=None,
                          max_nodes: int = 1 << 24) -> NormEstimate:
     """Hardy p-norm over a complete Reinhardt domain.
 
     Value^p is the supremum over sampled frontier shells of the
-    unnormalized torus integral of |f|^p.  Shells dominated componentwise
-    by another sampled shell are pruned, which leaves a single shell on a
-    polydisc and the full sample on a ball.  When a spike tag on every
-    axis declares f holomorphic on the polydisc of radii 1/|s_j| and every
-    remaining shell radius satisfies r_j |s_j| < 1, the shells themselves
-    carry the supremum: the estimate integrates them at the one dilation
-    t = 1 and reports the last relative change of the angular refinement
-    as its tail increment.  Otherwise each shell is approached along the
-    dilation ladder t_k = 1 - 2^{-k}, which must settle to ``tol``.
+    unnormalized torus integral of |f|^p (:func:`boundary_grid`).  Shells
+    dominated componentwise by another sampled shell are pruned, which
+    leaves a single shell on a polydisc and the full sample on a ball.
+    The remaining shells are refined together, every angular count
+    doubling per level, until the largest change relative to the largest
+    shell value is within the tolerance; the estimate reports that change
+    as its tail increment.
     """
     if domain is None:
         raise ValueError("a ReinhardtDomain is required")
     if p <= 0:
         raise ValueError(f"norm exponent must be positive, got {p}")
-    spikes, floors, _, _, declared = _grid(f, spike, domain.dim)
-    sample = frontier_sample(domain, dirs)
-    shells = sample.radii[_maximal_rows(sample.radii)]
-    boundary = declared and bool(np.all(shells * np.array(spikes) < 1.0))
-    ts = (np.ones(1) if boundary
-          else 1.0 - 2.0 ** -np.arange(1, k_max + 1, dtype=np.float64))
+    floors, shells = boundary_grid(f, domain, dirs, spike=spike)
+    levels = torus_levels(_abs_power(f, p), shells, floors)
     quad_tol = max(0.25 * tol, 1e-14)
-    quad_ok = True
-    quad_change = 0.0
-    best = None
-    g = _abs_power(f, p)
-    for radii in shells:
-        levels = torus_levels(g, ts[:, None] * radii, floors)
-        prev = None
-        level = 0
-        ok = False
-        change = np.inf
-        while True:
-            vec, _ = levels(level)
-            if prev is not None:
-                diff = float(np.max(np.abs(vec - prev)))
-                den = max(float(vec.max()), float(prev.max()), 1e-300)
-                change = diff / den
-                if change <= quad_tol:
-                    ok = True
-                    break
-            nxt = int(np.prod([m << (level + 1) for m in floors]))
-            if nxt > max_nodes or not np.all(np.isfinite(vec)):
+    # Its own loop, not refine_until: perfbench/tracer.py:137 traces this
+    # estimator with levels=None, which refine_until's wrapper would append to.
+    prev, change, level = None, np.inf, 0
+    while True:
+        vec, _ = levels(level)
+        if prev is not None:
+            change = float(np.max(np.abs(vec - prev))) / max(
+                float(vec.max()), float(prev.max()), 1e-300)
+            if change <= quad_tol:
                 break
-            prev = vec
-            level += 1
-        quad_ok = quad_ok and ok
-        quad_change = max(quad_change, change)
-        best = vec if best is None else np.maximum(best, vec)
-    vals = best
-    if boundary:
-        incs, tail_ok = np.array([quad_change]), True
-    else:
-        incs = np.diff(vals) / np.maximum(
-            np.maximum(np.abs(vals[1:]), np.abs(vals[:-1])), 1e-300)
-        tail_ok = bool(incs.size and abs(incs[-1]) <= tol)
-    return NormEstimate(value=float(np.max(vals)) ** (1.0 / p), space="H",
-                        p=float(p), ladder=tuple(ts.tolist()),
-                        ladder_values=tuple(vals.tolist()),
-                        tail_increments=tuple(incs[-3:].tolist()),
-                        converged=bool(quad_ok and tail_ok))
+        nxt = math.prod(m << (level + 1) for m in floors)
+        if nxt > max_nodes or not np.all(np.isfinite(vec)):
+            break
+        prev = vec
+        level += 1
+    return NormEstimate(value=float(np.max(vec)) ** (1.0 / p), space="H",
+                        p=float(p), ladder=(1.0,), tail_increments=(change,),
+                        converged=change <= quad_tol)
 
 
 def _radial_cells(domain: ReinhardtDomain, depth: int, order: int):
@@ -366,7 +338,7 @@ def _bergman(f, p, tol, domain, spike, max_nodes) -> NormEstimate:
 
     rep = refine_until(level_fn, max(tol, 1e-14), cap=max_nodes)
     return NormEstimate(value=max(rep.value.real, 0.0) ** (1.0 / p),
-                        space="A", p=float(p), ladder=(), ladder_values=(),
+                        space="A", p=float(p), ladder=(),
                         tail_increments=(rep.rel_change,),
                         converged=bool(rep.converged))
 

@@ -19,8 +19,8 @@ step, so a level that doubles every count of n axes evaluates only the
 2^n - 1 half-shifted cosets of the previous grid and reuses its value
 (:func:`doubled_torus_integrals`).  Every doubling loop steps this way:
 the volume and shell rules of ``norms``, the frontier loop of
-``norms.hardy_norm_reinhardt``, which refines all the dilations of a
-frontier shell at once, and the circle integrals of ``witnesses``.
+``norms.hardy_norm_reinhardt``, which refines all its frontier shells at
+once, and the circle integrals of ``witnesses``.
 
 Everything here is binary64 and deterministic: node construction, chunking
 and accumulation order are fixed functions of the rule parameters, so two
@@ -266,7 +266,8 @@ def refine_until(integrator: Callable[[int], tuple[complex, Sequence[int]]],
     A change of at most ``floor`` also counts as agreement: an absolute
     roundoff level, below which a value that vanishes cannot settle in
     relative terms.  Stops with ``converged=False`` when one level's
-    points reach the budget ``cap`` or a value comes back non-finite.
+    points reach the budget ``cap``, level 0 included, or a value comes
+    back non-finite.
     """
     prev = None
     rel = np.inf
@@ -282,7 +283,7 @@ def refine_until(integrator: Callable[[int], tuple[complex, Sequence[int]]],
             rel = 0.0 if diff == 0.0 else diff / max(_max_abs(value), 1e-300)
             if rel <= tol or diff <= floor:
                 return RefinementReport(value, nodes, rel, True, level)
-            if math.prod(nodes) >= cap:
-                return RefinementReport(value, nodes, rel, False, level)
+        if math.prod(nodes) >= cap:
+            return RefinementReport(value, nodes, rel, False, level)
         prev = value
     return RefinementReport(prev, nodes, rel, False, _MAX_LEVELS)

@@ -400,10 +400,10 @@ def density_experiment(f, domain: ReinhardtDomain, p: float = 1.0,
             return np.asarray(f.evaluator(*zs)) - q_eval(*zs)
         diff_tagged = TaggedEvaluator(diff, f.spike)
         if n == 1:
-            est = hardy_norm_disc(diff_tagged, p, norm_tol, k_max=30)
+            est = hardy_norm_disc(diff_tagged, p, norm_tol)
         else:
             est = hardy_norm_reinhardt(diff_tagged, p, domain, dirs=24,
-                                       tol=norm_tol, k_max=24)
+                                       tol=norm_tol)
         rows.append(DensityRow(eps=float(eps), rho=float(rho), M=int(M),
                                error=float(est.value),
                                met=bool(est.value <= eps),

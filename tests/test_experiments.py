@@ -8,14 +8,15 @@ import pytest
 
 import hardylab
 from hardylab.cli import _parse_floats, _parse_ints, main
+from hardylab.errors import DomainModelError
 from hardylab.experiments import (RUNNERS, ExperimentResult, RunConfig,
-                                  blowup_orders, render_csv, render_json,
-                                  run_blowup, run_ic_asymptotics,
-                                  run_reinhardt, run_uniform_bound,
-                                  write_result)
-from hardylab.registry import (FunctionRegistry, fa_entry, monomial_entry,
-                               polynomial_entry)
-from hardylab.reinhardt import ball
+                                  blowup_orders, reinhardt_case, render_csv,
+                                  render_json, run_blowup,
+                                  run_ic_asymptotics, run_reinhardt,
+                                  run_uniform_bound, write_result)
+from hardylab.registry import (FunctionRegistry, default_registry, fa_entry,
+                               monomial_entry, polynomial_entry)
+from hardylab.reinhardt import ball, polydisc
 
 
 def small_registry():
@@ -52,6 +53,23 @@ def test_blowup_truncated_grid_trips_growth_gate():
     assert not res.summary["growth_ok"]
     assert 1.0 < res.summary["h1_growth"] < 1.5
     assert res.summary["t1_ok"]
+    assert res.summary["a1_strictly_decreasing"]
+
+
+def test_blowup_a1_gate_catches_a_hardy_column(monkeypatch):
+    # ||f_a||_A1 -> 0 along a = N/(N+1), so the A1 column must fall; taken
+    # as the Hardy norm of the same S_N it grows (1.30 -> 2.24 over N = 16
+    # ... 1024), which only the a1 gate catches
+    def hardy_as_bergman(f, p, tol, **kw):
+        return hardylab.norms.hardy_norm_disc(f, p, tol, **kw)
+    monkeypatch.setattr("hardylab.experiments.bergman_norm_disc",
+                        hardy_as_bergman)
+    res = run_blowup(RunConfig(n_set=(16, 1024)))
+    assert res.exit_code == 1
+    assert not res.summary["a1_strictly_decreasing"]
+    assert res.summary["all_converged"] and res.summary["growth_ok"]
+    assert res.summary["h1_strictly_increasing"]
+    assert res.summary["t1_ok"] and res.summary["t2_band_ok"]
 
 
 def test_ic_closed_form_rows():
@@ -264,7 +282,12 @@ def test_cli_rejects_unread_config_keys(tmp_path, doc, key):
                                       ({"function": "fa-0.9"}, "function"),
                                       # the default prod-fa-0.9 on a 3-ball
                                       ({"domain": {"kind": "ball", "dim": 3}},
-                                       "function")])
+                                       "function"),
+                                      # past the poles of prod-fa-0.9 at 1/0.9
+                                      ({"domain": {"kind": "polydisc",
+                                                   "dim": 2,
+                                                   "radii": [1.2, 1.2]}},
+                                       "domain")])
 def test_cli_rejects_bad_config_values(monkeypatch, tmp_path, doc, key):
     # the values are parsed before any runner starts, ``all`` included
     def no_run(*args, **kw):
@@ -367,6 +390,29 @@ def test_run_reinhardt_refuses_dimension_mismatch():
         run_reinhardt(cfg, function="fa-0.9")
     with pytest.raises(ValueError, match="dimension 2 .* dimension 3"):
         run_reinhardt(cfg, domain=ball(3))
+
+
+def test_run_reinhardt_refuses_a_domain_past_the_pole(monkeypatch):
+    # prod-fa-0.9 has poles at 1/0.9 = 1.11 on each axis: a polydisc of
+    # radii 1.1 is a domain for its Hardy norm, one of radii 1.2 is not
+    def no_estimate(*args, **kw):
+        raise AssertionError("an estimator ran")
+    monkeypatch.setattr("hardylab.experiments.hardy_norm_reinhardt",
+                        no_estimate)
+    with pytest.raises(DomainModelError, match="axis 0 .* pole"):
+        run_reinhardt(RunConfig(n_set_square=(1,)),
+                      domain=polydisc(2, [1.2, 1.2]))
+    entry, dom = reinhardt_case(default_registry(), polydisc(2, [1.1, 1.1]))
+    assert entry.name == "prod-fa-0.9" and dom.params == (1.1, 1.1)
+
+
+def test_cli_budget_below_the_first_level_exits_2(tmp_path):
+    # every I_c row stops after level 0, unconverged
+    outp = tmp_path / "ic.json"
+    assert main(["ic", "--max-nodes", "1", "--format", "json",
+                 "--out", str(outp)]) == 2
+    doc = json.loads(outp.read_text())
+    assert not any(row[-1] for row in doc["rows"])
 
 
 def test_cli_rejects_bad_config(tmp_path):

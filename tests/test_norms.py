@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hardylab import norms
+from hardylab.errors import DomainModelError
 from hardylab.norms import (NormEstimate, bergman_norm_disc,
                             bergman_norm_reinhardt, hardy_norm_disc,
                             hardy_norm_reinhardt, monotonicity_check)
@@ -24,11 +25,11 @@ def _rand_poly(deg):
 
 
 def test_hardy_disc_constant_and_monomials():
-    one = hardy_norm_disc(lambda z: np.ones_like(z), 1.0, 1e-8)
+    one = hardy_norm_disc(lambda z: np.ones_like(z), 1.0, 1e-8, spike=0.0)
     assert one.converged
     assert one.value == pytest.approx(1.0, abs=1e-12)
     for k, p in ((1, 1.0), (3, 2.0)):
-        est = hardy_norm_disc(lambda z, k=k: z ** k, p, 1e-6)
+        est = hardy_norm_disc(lambda z, k=k: z ** k, p, 1e-6, spike=0.0)
         assert est.converged
         assert est.value == pytest.approx(1.0, rel=2e-6)
 
@@ -36,44 +37,9 @@ def test_hardy_disc_constant_and_monomials():
 def test_hardy_disc_extremal_family_is_isometric():
     # the family is normalized: Hardy norm 1 for every parameter
     for a in (0.0, 0.5, 0.9):
-        est = hardy_norm_disc(WitnessFa(a), 1.0, 1e-6, k_max=30)
+        est = hardy_norm_disc(WitnessFa(a), 1.0, 1e-6)
         assert est.converged
         assert est.value == pytest.approx(1.0, abs=1e-6)
-
-
-def _undeclared(f):
-    """f without its spike tag: the Hardy estimators climb the ladder."""
-    return lambda *z: f(*z)
-
-
-def test_hardy_disc_sharp_spike_needs_deeper_ladder():
-    f = _undeclared(WitnessFa(0.99))
-    est_short = hardy_norm_disc(f, 1.0, 1e-6, k_max=20)
-    assert not est_short.converged
-    est = hardy_norm_disc(f, 1.0, 1e-6, k_max=36)
-    assert est.converged
-    assert est.value == pytest.approx(1.0, abs=1e-6)
-
-
-def test_hardy_disc_ladder_values_monotone():
-    est = hardy_norm_disc(_undeclared(WitnessFa(0.8)), 1.0, 1e-6, k_max=28)
-    vals = np.array(est.ladder_values)
-    assert vals.size > 2
-    assert np.all(np.diff(vals) >= -1e-12)
-    assert est.value == pytest.approx(vals.max(), rel=1e-15)
-
-
-def test_hardy_disc_ladder_climbs_to_the_boundary_mean():
-    # circle means increase to the boundary mean: every rung of the
-    # undeclared ladder lies below the declared estimate, the last within
-    # the ladder's stopping tolerance
-    f = WitnessFa(0.8)
-    ladder = hardy_norm_disc(_undeclared(f), 1.0, 1e-6, k_max=28)
-    rim = hardy_norm_disc(f, 1.0, 1e-6, k_max=28)
-    assert rim.converged and rim.ladder == (1.0,)
-    assert rim.ladder_values == (rim.value,)
-    assert max(ladder.ladder_values) <= rim.value
-    assert ladder.value == pytest.approx(rim.value, rel=2e-6)
 
 
 def _agm(x, y):
@@ -84,10 +50,14 @@ def _agm(x, y):
 
 @pytest.mark.parametrize("a", [0.99, 0.9999, 1.0 - 1e-5])
 def test_hardy_disc_sharp_spike_on_the_boundary(a):
-    # declared, a spike needs no ladder: any k_max, one circle
-    est = hardy_norm_disc(WitnessFa(a), 1.0, 1e-6, k_max=1)
+    # declared, a spike is integrated on the unit circle alone; its level 0
+    # holds ceil(64 / (1 - a)) points, 6.4M at a = 1 - 1e-5, which the
+    # default budget of 2^20 points refuses after that one level
+    est = hardy_norm_disc(WitnessFa(a), 1.0, 1e-6, max_nodes=1 << 23)
     assert est.converged and est.ladder == (1.0,)
     assert abs(est.value - 1.0) <= 1e-10
+    capped = hardy_norm_disc(WitnessFa(a), 1.0, 1e-6)
+    assert capped.converged == (angular_floor(a) < 1 << 20)
 
 
 @pytest.mark.parametrize("N", [16, 256, 4096])
@@ -109,16 +79,29 @@ def test_hardy_boundary_rule_kink_at_a_zero():
     assert est.value == pytest.approx(4 / np.pi, rel=tol)
 
 
-def test_undeclared_and_overreaching_keep_the_ladder():
-    est = hardy_norm_disc(lambda z: 1 - z, 1.0, 1e-6)
-    assert len(est.ladder) > 1 and est.ladder[0] == 0.5
-    # a spike at 1/0.99 lies inside the disc of radius 1.5
-    wide = hardy_norm_reinhardt(WitnessFa(0.99), 1.0, polydisc(1, [1.5]),
-                                k_max=4, spike=0.99)
-    assert wide.ladder == (0.5, 0.75, 0.875, 0.9375)
+def _never(*z):
+    raise AssertionError("a refused function was evaluated")
+
+
+def test_undeclared_and_overreaching_are_refused():
+    # an undeclared f has no boundary to be integrated on: refused, naming
+    # the keyword, before any evaluation; None on one axis is undeclared
+    with pytest.raises(ValueError, match="spike="):
+        hardy_norm_disc(_never, 1.0, 1e-6)
+    with pytest.raises(ValueError, match="spike="):
+        hardy_norm_reinhardt(_never, 1.0, polydisc(2), spike=(0.5, None))
+    # a spike at 1/0.99 lies inside the disc of radius 1.5, and on the
+    # ball of radius 1.2 the corner shell (1.2, 0) reaches 1/0.9
+    with pytest.raises(DomainModelError, match="pole"):
+        hardy_norm_reinhardt(_never, 1.0, polydisc(1, [1.5]), spike=0.99)
+    with pytest.raises(ValueError, match="axis 0"):
+        hardy_norm_reinhardt(_never, 1.0, ball(2, 1.2), spike=(0.9, 0.0))
     mild = hardy_norm_reinhardt(WitnessFa(0.5), 1.0, polydisc(1, [1.5]),
-                                k_max=4, spike=0.5)
-    assert mild.ladder == (1.0,)
+                                spike=0.5)
+    assert mild.converged and mild.ladder == (1.0,)
+    # f_0.5 at radius 1.5: (1 - a^2) / (1 - a^2 r^2) times 2 pi
+    assert mild.value == pytest.approx(TWO_PI * 0.75 / (1 - 0.5625),
+                                       rel=1e-6)
 
 
 def test_bergman_disc_constants_and_monomials():
@@ -191,7 +174,7 @@ def test_embedding_constant_on_random_polynomials():
     for deg in (0, 2, 5, 9):
         f = _rand_poly(deg)
         a1 = bergman_norm_disc(f, 1.0)
-        h1 = hardy_norm_disc(f, 1.0, 1e-7, k_max=30)
+        h1 = hardy_norm_disc(f, 1.0, 1e-7)
         assert a1.value <= np.pi * h1.value * (1 + 1e-6)
 
 
@@ -246,16 +229,19 @@ def _ladder(m):
 def test_disc_estimators_level0_node_sets(spike, depth, m):
     # Bergman: 64-point Gauss-Legendre on the dyadic panels of [0, 1] times
     # the equispaced angles, max(256, ceil(64 / (1 - r s))) of them on the
-    # ring of radius r, rounded up onto the ladder; Hardy, with the rim's m
-    # and no ladder: the unit circle for the spiked (declared) function,
-    # else the first rung r = 1/2 of its ladder
+    # ring of radius r, rounded up onto the ladder; Hardy: the unit circle
+    # with the rim's m, for the entire (0.0) or spiked function, and no
+    # evaluation at all for an undeclared one
     radii = _unit_gauss_nodes(depth, 64)
     counts = [256 if spike is None
               else _ladder(max(256, math.ceil(64 / (1 - r * spike))))
               for r in radii]
     _pin_level0(bergman_norm_disc, radii, counts, spike=spike)
-    rung = 0.5 if spike is None else 1.0
-    _pin_level0(hardy_norm_disc, np.array([rung]), [m], spike=spike)
+    _pin_level0(hardy_norm_disc, np.array([1.0]), [m],
+                spike=0.0 if spike is None else spike)
+    if spike is None:
+        with pytest.raises(ValueError, match="spike="):
+            hardy_norm_disc(_never, 1.0)
 
 
 def test_rings_past_the_unit_radius_keep_the_rim_floor():
@@ -358,7 +344,7 @@ def test_bergman_nested_level_points(monkeypatch, dim, spike, depth, order,
 
 
 @pytest.mark.parametrize("case", ["bergman-disc", "bergman-ball",
-                                  "hardy-rim", "hardy-ladder"])
+                                  "hardy-rim"])
 def test_levels_report_the_points_they_evaluate(monkeypatch, case):
     counter = [0]
     calls = _record_levels(monkeypatch, counter)
@@ -372,18 +358,15 @@ def test_levels_report_the_points_they_evaluate(monkeypatch, case):
             _counting(lambda z1, z2: z1 * z2, counter), 1.0, ball(2))
         # (2 pi)^2 int r1^2 r2^2 over the quarter disc = pi^3 / 24
         assert est.value == pytest.approx(np.pi ** 3 / 24, rel=1e-6)
-    elif case == "hardy-rim":
+    else:
         est = hardy_norm_disc(_counting(lambda z: 1 - z, counter), 1.0,
                               1e-8, spike=0.0)
         assert est.value == pytest.approx(4 / np.pi, rel=1e-8)
-    else:
-        est = hardy_norm_disc(_counting(lambda z: 1 - z, counter), 1.0)
-        assert len(calls) == len(est.ladder) > 1
     assert est.converged
     assert calls and all(len(levels) >= 2 for levels in calls)
     for levels in calls:
         assert all(reported == seen for reported, seen in levels)
-        if case.startswith("hardy"):
+        if case == "hardy-rim":
             # a circle's doubling adds the m_0 half-shifted nodes alone
             assert levels[1][0] == levels[0][0]
 
@@ -424,11 +407,11 @@ def test_zero_dimensional_array_spike_is_a_scalar_tag():
 def test_hardy_reinhardt_constant_mass():
     U2 = polydisc(2)
     est = hardy_norm_reinhardt(lambda z1, z2: np.ones(np.broadcast(z1, z2).shape),
-                               1.0, U2, k_max=10)
+                               1.0, U2, spike=0.0)
     assert est.converged
     assert est.value == pytest.approx(TWO_PI ** 2, rel=1e-12)
     est2 = hardy_norm_reinhardt(lambda z1, z2: np.ones(np.broadcast(z1, z2).shape),
-                                2.0, U2, k_max=10)
+                                2.0, U2, spike=0.0)
     assert est2.value == pytest.approx(TWO_PI, rel=1e-12)
 
 
@@ -438,7 +421,7 @@ def test_hardy_reinhardt_product_factorizes():
     reg = default_registry()
     ent = reg.get("prod-fa-0.9-0.5")
     est = hardy_norm_reinhardt(ent.evaluator, 1.0, polydisc(2), tol=1e-7,
-                               k_max=28, spike=ent.spike)
+                               spike=ent.spike)
     assert est.converged
     assert est.value == pytest.approx(TWO_PI ** 2, rel=1e-6)
 
@@ -457,7 +440,7 @@ def test_hardy_reinhardt_monomial_on_ball():
     B2 = ball(2)
     est = hardy_norm_reinhardt(
         lambda z1, z2: z1 * np.ones(np.broadcast(z1, z2).shape), 2.0, B2,
-        k_max=26)
+        spike=0.0)
     assert est.converged
     assert est.value == pytest.approx(TWO_PI, rel=1e-6)
 
@@ -524,7 +507,7 @@ def test_monotonicity_rejects_bad_pairs():
 
 
 def test_norm_estimate_is_frozen():
-    est = NormEstimate(1.0, "H", 1.0, (), (), (), True)
+    est = NormEstimate(1.0, "H", 1.0, (), (), True)
     with pytest.raises(Exception):
         est.value = 2.0
 
@@ -546,7 +529,7 @@ def test_abs_power_kernel_matches_the_plain_expression(p):
 
 
 def test_untagged_polynomial_takes_the_boundary_rule():
-    # a PowerSeries of known degree is entire: no ladder, exact boundary mean
+    # a PowerSeries of known degree is entire: exact boundary mean
     z5 = PowerSeries.from_coefficients([0] * 5 + [1])
     assert z5.spike == 0.0
     est = hardy_norm_disc(z5, 1.0, 1e-8)

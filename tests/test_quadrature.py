@@ -193,6 +193,22 @@ def test_refine_until_budget_cap():
     assert not rep.converged
 
 
+def test_refine_until_budget_binds_at_level_zero():
+    # a budget that level 0's points already reach stops after that level
+    calls = []
+
+    def integrator(level):
+        calls.append(level)
+        return 1.0, (64 << level,)
+
+    rep = refine_until(integrator, 1e-6, cap=64)
+    assert calls == [0]
+    assert not rep.converged and rep.levels == 0
+    calls.clear()
+    assert refine_until(integrator, 1e-6, cap=65).converged
+    assert calls == [0, 1]
+
+
 def test_refine_until_array_values_max_norm():
     # the second entry settles last; convergence waits for it
     def integrator(level):

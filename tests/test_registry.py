@@ -127,16 +127,15 @@ def test_spike_tags_propagate():
     assert geometric.partial_evaluator(3).spike is None
 
 
-def test_product_with_an_undeclared_factor_takes_the_ladder():
+def test_product_with_an_undeclared_factor_is_refused():
     # a factor that declares no spike keeps its None in the product, which
-    # must then not be integrated on the boundary torus
+    # then has no Hardy norm the estimator can integrate on the torus
     reg = default_registry()
     prod = product_entry((reg.get("fa-0.5"), undeclared_entry()))
     assert prod.spike == (0.5, None)
-    est = hardy_norm_reinhardt(prod.evaluator, 1.0, polydisc(2), k_max=3,
-                               spike=prod.spike, max_nodes=1 << 16)
-    assert est.ladder == (0.5, 0.75, 0.875)
-    assert all(np.isfinite(est.ladder_values))
+    with pytest.raises(ValueError, match="spike="):
+        hardy_norm_reinhardt(prod.evaluator, 1.0, polydisc(2),
+                             spike=prod.spike)
 
 
 def test_polynomial_entries_are_declared_entire():
