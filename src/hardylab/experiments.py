@@ -376,7 +376,8 @@ def run_reinhardt(config: RunConfig | None = None,
 
     Tabulates Bergman norms and errors of square truncations against the
     frontier Hardy norm, and batch-checks shell monotonicity on seeded
-    radius pairs.
+    radius pairs.  A product on a polydisc also gets the product oracle
+    (:func:`_product_oracle`) as a gate.
     """
     cfg = config or RunConfig()
     reg = registry or default_registry(cfg.seed)
@@ -387,12 +388,13 @@ def run_reinhardt(config: RunConfig | None = None,
     h1 = hardy_norm_reinhardt(entry.evaluator, 1.0, dom, dirs=64,
                               tol=cfg.tol, spike=entry.spike,
                               max_nodes=cfg.max_nodes)
+    # The ratio gate is 10%, so 1e-4 relative quadrature leaves three
+    # orders of headroom and stays inside the node budget.
+    a1_tol = max(cfg.tol, 1e-4)
     for N in cfg.n_set_square:
         t0 = time.perf_counter()
         sn = entry.partial_evaluator(N)
-        # The ratio gate is 10%, so 1e-4 relative quadrature leaves three
-        # orders of headroom and stays inside the node budget.
-        a1 = bergman_norm_reinhardt(sn, 1.0, dom, tol=max(cfg.tol, 1e-4),
+        a1 = bergman_norm_reinhardt(sn, 1.0, dom, tol=a1_tol,
                                     spike=entry.spike,
                                     max_nodes=cfg.vol_cap())
         # The error integrand has modulus kinks along its zero set, so it
@@ -420,13 +422,46 @@ def run_reinhardt(config: RunConfig | None = None,
                                   t_hi * radii, tol=1e-9,
                                   spike=entry.spike):
             failures += 1
-    return res.close({"h1_f": h1.value, "plateau_base": base,
-                      "plateau_tail_max": tail_max, "final_err": final_err,
-                      "monotone_pairs": MONOTONE_PAIRS,
-                      "monotone_failures": failures},
-                     plateau_ok=tail_max <= 1.10 * base,
+    info = {"h1_f": h1.value, "plateau_base": base,
+            "plateau_tail_max": tail_max, "final_err": final_err,
+            "monotone_pairs": MONOTONE_PAIRS, "monotone_failures": failures}
+    gates = {}
+    if dom.kind == "polydisc" and entry.factors is not None:
+        rel, converged = _product_oracle(entry, dom, res.rows, cfg.vol_cap())
+        info["product_max_rel"] = rel
+        gates["product_ok"] = converged and rel <= a1_tol
+    return res.close(info, plateau_ok=tail_max <= 1.10 * base,
                      final_err_ok=final_err < 1e-2,
-                     monotone_ok=failures == 0)
+                     monotone_ok=failures == 0, **gates)
+
+
+def _product_oracle(entry: RegistryEntry, dom: ReinhardtDomain, rows,
+                   max_nodes: int) -> tuple[float, bool]:
+    """Worst relative distance of the ``a1_partial`` column of ``rows`` from
+    the product of the factors' one-variable norms, and whether every
+    one-variable norm converged.
+
+    On a polydisc the volume integral of a product splits into the
+    factors' integrals over their discs, so the A1 norm of the square
+    partial sum of order N is prod_j ||S_N f_j||_A1(|z| < R_j).  Each
+    factor norm is taken to tol 1e-10, far below the row's own tolerance,
+    and once per distinct factor, radius and order.
+    """
+    one_var = {}
+    worst, converged = 0.0, True
+    for row in rows:
+        N, a1 = row[2], row[4]
+        oracle = 1.0
+        for fac, R in zip(entry.factors, dom.params):
+            key = (fac.name, R, N)
+            if key not in one_var:
+                one_var[key] = bergman_norm_reinhardt(
+                    fac.partial_evaluator(N), 1.0, polydisc(1, [R]),
+                    tol=1e-10, max_nodes=max_nodes)
+            converged = converged and one_var[key].converged
+            oracle *= one_var[key].value
+        worst = max(worst, abs(a1 - oracle) / oracle)
+    return worst, converged
 
 
 def run_density(config: RunConfig | None = None,

@@ -91,8 +91,15 @@ def unit_nodes(m: int, axis: int = 0, ndim: int = 1,
 # error of the inner panels never shows as a change between levels.  At
 # tol 1e-6, the A^1 norm of a cubic (poly-3 of default_registry(1)) came
 # out 2.2e-6 off with order 16 and converged=True, 2.7e-7 off with order
-# 32 and 6.9e-8 with order 64, which is kept.
-_GRID = {1: (256, 64.0, 64, 6), 2: (128, 16.0, 12, 2), 3: (32, 8.0, 8, 1)}
+# 32 and 6.9e-8 with order 64, which is kept.  In two variables the spike
+# scale alone holds each ring's error near exp(-16) ~ 1e-7, below the 1e-4
+# and 1e-3 tolerances of the two-variable tables, so the base need only
+# cover undeclared functions: against 128, base 64 cut the Bergman points
+# of the perfbench bidisc table 336M -> 121M and its time by half.  Base 32
+# was faster still, but left an untagged 1/(1 - 0.95 z1)^2 on polydisc(2)
+# at tol 1e-4 unconverged within the runners' volume budget, where 64 and
+# 128 converge.
+_GRID = {1: (256, 64.0, 64, 6), 2: (64, 16.0, 12, 2), 3: (32, 8.0, 8, 1)}
 
 
 def angular_floor(spike: float | np.ndarray | None,

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import time
@@ -16,7 +17,7 @@ from hardylab.experiments import (RUNNERS, ExperimentResult, RunConfig,
                                   run_uniform_bound, write_result)
 from hardylab.registry import (FunctionRegistry, default_registry, fa_entry,
                                monomial_entry, polynomial_entry)
-from hardylab.reinhardt import ball, polydisc
+from hardylab.reinhardt import ball, polydisc, power_egg
 
 
 def small_registry():
@@ -381,6 +382,48 @@ def test_run_blowup_refuses_order_zero(monkeypatch):
         with pytest.raises(ValueError, match="n_set"):
             run_blowup(RunConfig(n_set=n_set))
     assert blowup_orders(RunConfig(n_set=(0, 16))) == (16,)
+
+
+@pytest.mark.parametrize("mutation", ["hardy", "high"])
+def test_reinhardt_product_gate_catches_a_wrong_a1_column(monkeypatch,
+                                                          mutation):
+    # on a polydisc the A1 column of prod-fa-0.9 is the square of the
+    # one-variable norm of S_N f_0.9.  Taken as the Hardy norm of the same
+    # S_N, or 3 tol too high, it passes every other gate; only the product
+    # oracle catches it.  The err_a1 column (tol 1e-3) and the oracle's
+    # one-variable calls stay exact.
+    exact = hardylab.experiments.bergman_norm_reinhardt
+
+    def wrong_a1(f, p, domain, tol, **kw):
+        if domain.dim < 2 or tol >= 1e-3:
+            return exact(f, p, domain, tol=tol, **kw)
+        if mutation == "hardy":
+            return hardylab.norms.hardy_norm_reinhardt(f, p, domain, tol=tol,
+                                                       spike=kw["spike"])
+        est = exact(f, p, domain, tol=tol, **kw)
+        return dataclasses.replace(est, value=est.value * (1 + 3 * tol))
+    monkeypatch.setattr("hardylab.experiments.bergman_norm_reinhardt",
+                        wrong_a1)
+    res = run_reinhardt(RunConfig(n_set_square=(64,)))
+    assert res.exit_code == 1
+    s = res.summary
+    assert not s["product_ok"] and s["product_max_rel"] > 1e-4
+    assert s["all_converged"] and s["plateau_ok"]
+    assert s["final_err_ok"] and s["monotone_ok"]
+
+
+@pytest.mark.parametrize("domain", [ball(2), power_egg([1.0, 1.0])],
+                         ids=["ball", "power-egg"])
+def test_run_reinhardt_on_other_domains(domain):
+    # the supremum of the frontier Hardy integral of prod-fa-0.9 sits on a
+    # corner shell of radii (1, 0) or (0, 1): (2 pi)^2 (1 - 0.9^2).  The
+    # product oracle is a polydisc gate and does not apply here.
+    cfg = RunConfig(n_set_square=(32, 64))
+    res = run_reinhardt(cfg, domain=domain)
+    assert res.exit_code == 0
+    exact = (2 * np.pi) ** 2 * (1 - 0.9 ** 2)       # 7.500899344828...
+    assert res.summary["h1_f"] == pytest.approx(exact, rel=cfg.tol)
+    assert "product_ok" not in res.summary
 
 
 def test_run_reinhardt_refuses_dimension_mismatch():

@@ -39,3 +39,19 @@ def test_estimators_run_under_the_tracer():
     # hardy_norm_disc and bergman_norm_disc refine through refine_until
     assert layers["trace.selfcheck_checked"]["value"] == 2
     assert layers["trace.selfcheck_mismatches"]["value"] == 0
+
+
+def test_two_variable_volume_rule_runs_under_the_tracer():
+    # the tensor-grid Bergman rule on the bidisc reports the points its
+    # integrand sees, level by level
+    tracer = _tracer()
+    prod = default_registry().get("prod-fa-0.9")
+    with tracer.installed(hardylab):
+        est = hardylab.norms.bergman_norm_reinhardt(
+            prod.partial_evaluator(4), 1.0, polydisc(2), tol=1e-3)
+    assert est.converged
+    layers = tracer.per_layer(1)
+    assert layers["norms.bergman_norm_reinhardt.calls"]["value"] == 1
+    assert layers["norms.bergman_norm_reinhardt.points"]["value"] > 0
+    assert layers["trace.selfcheck_checked"]["value"] == 1
+    assert layers["trace.selfcheck_mismatches"]["value"] == 0

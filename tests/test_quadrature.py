@@ -18,8 +18,8 @@ def test_angular_floor_defaults_and_spike():
     assert angular_floor(0.875) == 512
     # 64 / (1 - 0.999) = 64000 dominates the base
     assert angular_floor(0.999) == 64000
-    # a bidisc axis starts leaner, 128 nodes, with spike scale 16
-    assert angular_floor(None, dim=2) == 128
+    # a bidisc axis starts leaner, 64 nodes, with spike scale 16
+    assert angular_floor(None, dim=2) == 64
     assert angular_floor(0.999, dim=2) == 16000
 
 
