@@ -3,9 +3,11 @@
 I_c(z) integrates |1 - z e^{-i theta}|^{-(1+c)} over the circle.  As |z|
 approaches 1 the integral grows like (1 - |z|^2)^{-c} for c > 0, like
 log(1/(1 - |z|^2)) at c = 0, and stays bounded for c < 0.  At c = 1 the
-closed form 2 pi / (1 - |z|^2) pins the quadrature to eight digits or
-better; the other rows print the measured ratio against the comparison
-growth rate for a ladder of radii.
+closed form 2 pi / (1 - |z|^2), with 1 - |z|^2 taken as (1 - r)(1 + r),
+pins the quadrature to roundoff up to r = 0.99999; the other rows print
+the measured ratio against the comparison growth rate for a ladder of
+radii.  Each value takes about a millisecond: the rule integrates in a
+Moebius variable on the order of 1/sqrt(1 - r) nodes.
 """
 
 import numpy as np
@@ -17,10 +19,10 @@ def main():
     ladder = (0.9, 0.99, 0.999, 0.9999)
 
     print("c = 1 against the closed form 2 pi / (1 - r^2):")
-    for r in (0.9, 0.99, 0.999):
+    for r in ladder + (0.99999,):
         got = eval_ic(IcQuery(1.0, complex(r)))
-        exact = 2 * np.pi / (1 - r * r)
-        print(f"  r = {r:<6} value {got.value:>14.6f}  "
+        exact = 2 * np.pi / ((1 - r) * (1 + r))
+        print(f"  r = {r:<7} value {got.value:>14.6f}  "
               f"rel err {abs(got.value - exact) / exact:.2e}  "
               f"levels {got.report.levels}")
 

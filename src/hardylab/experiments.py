@@ -505,6 +505,18 @@ def array_of(kind):
     return parse
 
 
+def _finite(value) -> float:
+    if not np.isfinite(x := float(value)):
+        raise ValueError(f"must be finite, got {value!r}")
+    return x
+
+
+def _radius(value) -> float:
+    if not 0.0 <= (x := float(value)) < 1.0:           # NaN too
+        raise ValueError(f"must lie in [0, 1), got {value!r}")
+    return x
+
+
 def _entry_name(name) -> str:
     # Registry names do not depend on the seed.
     if not isinstance(name, str) or name not in default_registry():
@@ -514,8 +526,8 @@ def _entry_name(name) -> str:
 
 # The keyword arguments runners read from a config file, with the parser
 # that turns the file's JSON value into the argument.
-RUNNER_OPTIONS = {"ic": {"c_set": array_of(float),
-                         "z_ladder": array_of(float)},
+RUNNER_OPTIONS = {"ic": {"c_set": array_of(_finite),
+                         "z_ladder": array_of(_radius)},
                   "reinhardt": {"domain": domain_from_config,
                                 "function": _entry_name},
                   "density": {"eps_ladder": array_of(float)}}

@@ -23,11 +23,18 @@ The sharpness of that lower bound is probed through the boundary integrals
     I_c(z) = integral_0^2pi |1 - z e^(-i theta)|^(-(1+c)) d theta,
 
 bounded for c < 0, logarithmic at c = 0, and growing like
-(1-|z|^2)^(-c) for c > 0 (exactly 2 pi / (1-|z|^2) at c = 1).
+(1-|z|^2)^(-c) for c > 0 (exactly 2 pi / (1-|z|^2) at c = 1, and
+2 pi 2F1((1+c)/2, (1+c)/2; 1; |z|^2) in general).  Near |z| = 1 the
+integrand is analytic only in a strip of half-width eps = 1 - |z|, so I_c
+is integrated in the Moebius variable phi, e^(i theta) = (e^(i phi) + rho)
+/ (1 + rho e^(i phi)) with 1 - rho = sqrt(2 eps), whose strip is about
+sqrt(2 eps) wide: 14,311 trapezoid nodes at |z| = 0.99999 instead of about
+6.4 million (``_ic_mean`` gives the integrand).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +64,7 @@ def _ipow(t, n: int):
 
 def _check_param(a: complex) -> complex:
     a = complex(a)
-    if abs(a) >= 1.0:
+    if not abs(a) < 1.0:                               # NaN too
         raise ValueError(f"family parameter must satisfy |a| < 1, got |a| = {abs(a)}")
     return a
 
@@ -227,68 +234,92 @@ class IcValue:
 
 def _ic_mean(c: float, z: complex, m: int,
              shift: float = 0.0) -> tuple[float, int]:
-    """Mean of |1 - z e^(-i theta)|^(-(1+c)) over the m trapezoid nodes
-    theta_k = 2 pi (k + shift) / m, with the points evaluated.
+    """Mean over the m trapezoid nodes phi_k = 2 pi (k + shift) / m of
+    I_c's integrand in the Moebius variable phi, e^(i theta) = (e^(i phi)
+    + rho) / (1 + rho e^(i phi)), with the points evaluated.
 
-    The integrand depends on theta only through
+    With eps = 1 - |z| and delta = 1 - rho = min(1, sqrt(2 eps)), never
+    formed as 1 - rho, the integrand is num^(-(1+c)/2) den^((c-1)/2)
+    delta (2 - delta), where (r = |z|)
 
-        |1 - r e^(-i theta)|^2 = (1 - r)^2 + 4 r sin^2(theta / 2),  r = |z|,
+        num = eps^2 (2-delta)^2 + 4 (eps + delta r)(delta - eps) sin^2(phi/2),
+        den = delta^2 + 4 (1 - delta) cos^2(phi/2):
 
-    a sum of two nonnegative terms, so it is evaluated in real arithmetic
-    with no cancellation, and I_c(z) depends on |z| alone.  It is even in
-    theta, so only the nodes in [0, pi] are evaluated, at the angles
-    pi j / m with j = 2 shift, 2 shift + 2, ..., <= m: a node at 0 or pi
-    is its own mirror image and counts once, every other node twice.  This
-    holds for odd and even m, shifted or not.  The sum is numpy's pairwise
+    sums of nonnegative terms, so there is no cancellation, and I_c(z)
+    depends on |z| alone.  The map widens the spike at theta = 0 from
+    half-width eps to about eps / delta and puts its own pole, of half-width
+    about delta / 2, at phi = pi; delta = sqrt(2 eps) balances the two, so the
+    rule converges like exp(-m sqrt(2 eps)), not exp(-m eps).  The
+    integrand is even in phi, so only the nodes in [0, pi] are evaluated,
+    at pi j / m with j = 2 shift, 2 shift + 2, ..., <= m: a node at 0 or
+    pi is its own mirror image and counts once, every other node twice,
+    for odd and even m, shifted or not.  The sum is numpy's pairwise
     ``np.sum``.
     """
     r = abs(complex(z))
+    eps = 1.0 - r
+    delta = _ic_delta(eps)
     j = np.arange(2.0 * shift, m + 1, 2.0)
-    h = np.multiply(j, np.pi / (2 * m), out=j)         # theta / 2, in place
-    np.sin(h, out=h)
-    np.square(h, out=h)
-    h *= 4.0 * r
-    h += (1.0 - r) ** 2
+    step = np.pi / (2 * m)                             # phi / 2 = j * step
+    h = np.sin(j * step)
+    h *= h
+    # cos(phi/2) as sin((pi - phi)/2) of the exact m - j: the integrand
+    # varies on the scale delta near phi = pi, so np.cos of a rounded
+    # phi/2 cost up to 3.6e-14 relative there.
+    den = np.subtract(m, j, out=j)
+    den *= step
+    np.sin(den, out=den)
+    den *= den
+    h *= 4.0 * (eps + delta * r) * (delta - eps)
+    h += (eps * (2.0 - delta)) ** 2
     h **= -0.5 * (1.0 + c)
-    if shift == 0.0:                                   # theta = 0
+    den *= 4.0 * (1.0 - delta)
+    den += delta * delta
+    den **= 0.5 * (c - 1.0)
+    h *= den
+    h *= delta * (2.0 - delta)
+    if shift == 0.0:                                   # phi = 0
         h[0] *= 0.5
-    if 2.0 * shift + 2.0 * (h.size - 1) == m:          # theta = pi
+    if 2.0 * shift + 2.0 * (h.size - 1) == m:          # phi = pi
         h[-1] *= 0.5
     return float(2.0 * np.sum(h) / m), int(h.size)
 
 
-def _ic_levels(c: float, z: complex, floor: int):
-    """:func:`_ic_mean` at ``floor << level`` nodes as a nested
-    :func:`refine_until` integrator."""
-    return nested_levels(
-        lambda level, shift: _ic_mean(c, z, floor << level, shift[0]), 1)
+def _ic_delta(eps: float) -> float:
+    """1 - rho = min(1, sqrt(2 eps)) of :func:`_ic_mean`'s map."""
+    return min(1.0, math.sqrt(2.0 * eps))
+
+
+def _ic_report(c: float, r: float, tol: float,
+               max_nodes: int) -> RefinementReport:
+    """The mean of :func:`_ic_mean`, nested-doubled (``floor << L``
+    nodes at level L) from the angular floor at distance delta; a floor
+    past ``max_nodes`` gets one evaluation at ``max_nodes`` nodes, flagged
+    non-converged, so no level exceeds it."""
+    floor = angular_floor(1.0 - _ic_delta(1.0 - r))
+    if floor > max_nodes:
+        mean, points = _ic_mean(c, r, max_nodes)
+        return RefinementReport(complex(mean), (points,), np.inf, False, 0)
+    means = nested_levels(
+        lambda level, shift: _ic_mean(c, r, floor << level, shift[0]), 1)
+    return refine_until(means, tol, cap=max_nodes)
 
 
 def eval_ic(query: IcQuery, tol: float = 1e-10,
             max_nodes: int = 1 << 22) -> IcValue:
-    """Evaluate I_c(z) by the spike-aware trapezoid rule.
+    """Evaluate I_c(z) by the trapezoid rule in the Moebius variable.
 
     I_c(z) depends on |z| only; the rule is :func:`_ic_mean`'s real
-    half-circle form, refined by nested doubling.  Points with
-    1 - |z| < 1e-12 are outside the practical window; they get a capped
-    evaluation flagged as non-converged rather than an exception.
+    half-circle form, refined by nested doubling (:func:`_ic_report`).  A
+    non-finite c and a |z| that is not below 1 are refused.
     """
-    z = complex(query.z)
-    r = abs(z)
-    if r >= 1.0:
+    r = abs(complex(query.z))
+    if not math.isfinite(query.c):
+        raise ValueError(f"I_c needs a finite exponent c, got {query.c}")
+    if not r < 1.0:
         raise ValueError(f"I_c is defined for |z| < 1, got |z| = {r}")
-    if 1.0 - r < 1e-12:
-        mean, points = _ic_mean(query.c, z, max_nodes)
-        val = TWO_PI * mean
-        report = RefinementReport(complex(val), (points,), np.inf, False, 0)
-        return IcValue(query, val, report)
-    means = _ic_levels(query.c, z, angular_floor(r))
-
-    def level_value(level: int):
-        mean, points = means(level)
-        return TWO_PI * mean, points
-
-    report = refine_until(level_value, tol, cap=max_nodes)
+    report = _ic_report(query.c, r, tol, max_nodes)
+    report.value *= TWO_PI
     return IcValue(query, float(report.value.real), report)
 
 
@@ -318,8 +349,8 @@ def t2_hardy_vs_bound(a: complex, N: int, tol: float = 1e-10,
 
     The boundary modulus of T2 is (1-|a|^2)(N+2)|a|^(N+1) / |1 - |a| e^{i
     theta}|, so its Hardy norm is that prefactor times the mean of the
-    reciprocal distance to the boundary point, computed with spike-aware
-    nodes.
+    reciprocal distance to the boundary point, I_0(|a|) / (2 pi), computed
+    by :func:`_ic_report`.  A non-finite a is refused.
     """
     a = _check_param(a)
     if N < 0:
@@ -328,8 +359,7 @@ def t2_hardy_vs_bound(a: complex, N: int, tol: float = 1e-10,
     if s == 0.0:
         raise ValueError("the lower bound vanishes at a = 0; no ratio")
     bound = blowup_lower_bound(a, N)
-    report = refine_until(_ic_levels(0.0, s, angular_floor(s)), tol,
-                          cap=max_nodes)
+    report = _ic_report(0.0, s, tol, max_nodes)
     t2 = (1.0 - s ** 2) * (N + 2) * s ** (N + 1) * float(report.value.real)
     return T2BoundRatio(t2_h1=t2, bound=bound, ratio=t2 / bound,
                         converged=report.converged)

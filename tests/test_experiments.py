@@ -162,6 +162,19 @@ def test_package_exports_resolve():
         spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
 
+def test_circle_integrals_demo_runs(capsys):
+    # the demo end to end: its c = 1 lines meet the closed form at roundoff
+    path = Path(__file__).parents[1] / "demos" / "demo_circle_integrals.py"
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    demo.main()
+    errs = [float(line.split("rel err")[1].split()[0])
+            for line in capsys.readouterr().out.splitlines()
+            if "rel err" in line]
+    assert len(errs) == 5 and max(errs) <= 1e-14
+
+
 def test_write_result_file_and_stdout(tmp_path, capsys):
     res = run_ic_asymptotics(RunConfig(), c_set=(1.0,), z_ladder=(0.9,))
     path = tmp_path / "ic.csv"
@@ -288,7 +301,13 @@ def test_cli_rejects_unread_config_keys(tmp_path, doc, key):
                                       ({"domain": {"kind": "polydisc",
                                                    "dim": 2,
                                                    "radii": [1.2, 1.2]}},
-                                       "domain")])
+                                       "domain"),
+                                      # I_c needs a finite c and 0 <= r < 1
+                                      ({"c_set": [1.0, "NaN"]}, "c_set"),
+                                      ({"z_ladder": [0.5, 1.2]},
+                                       "z_ladder"),
+                                      ({"z_ladder": [-0.5]}, "z_ladder"),
+                                      ({"z_ladder": ["nan"]}, "z_ladder")])
 def test_cli_rejects_bad_config_values(monkeypatch, tmp_path, doc, key):
     # the values are parsed before any runner starts, ``all`` included
     def no_run(*args, **kw):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hardylab.errors import NonConvergenceError, PoleError
+from hardylab.experiments import DEFAULT_C_SET
 from hardylab.quadrature import angular_floor
 from hardylab.witnesses import (IcQuery, T1T2Split, WitnessFa, _ic_mean,
                                 blowup_lower_bound, blowup_schedule, eval_fa,
@@ -125,13 +126,96 @@ def test_ic_half_circle_rule_closed_forms(m, shift, z):
     assert points == (m - int(2 * shift)) // 2 + 1
 
 
+def _ic_floor(r):
+    # the angular floor at the Moebius distance delta = min(1, sqrt(2 eps))
+    return angular_floor(1.0 - min(1.0, np.sqrt(2.0 * (1.0 - r))))
+
+
 def test_ic_levels_evaluate_the_new_half_circle_nodes():
     # level 0 evaluates m // 2 + 1 nodes of [0, pi]; level 1 only the
     # half-shifted ones, (m + 1) // 2, and no node twice
-    m = angular_floor(0.9999)
+    m = _ic_floor(0.9999)
     got = eval_ic(IcQuery(0.5, 0.9999))
     assert got.converged and got.report.levels == 1
     assert got.report.node_counts == ((m + 1) // 2,)
+
+
+@pytest.fixture
+def ic_points(monkeypatch):
+    """The points of each ``_ic_mean`` call, in order."""
+    import hardylab.witnesses as w
+    seen = []
+
+    def counted(*args, **kw):
+        mean, points = _ic_mean(*args, **kw)
+        seen.append(points)
+        return mean, points
+    monkeypatch.setattr(w, "_ic_mean", counted)
+    return seen
+
+
+@pytest.mark.parametrize("c", DEFAULT_C_SET)
+def test_ic_points_at_the_benchmark_radius(ic_points, c):
+    # on the order of 1/sqrt(1 - r) nodes: the floor at r = 0.99999 is
+    # 14,311 and its two levels evaluate 7,156 points each
+    assert _ic_floor(0.99999) == 14311
+    got = eval_ic(IcQuery(c, 0.99999))
+    assert got.converged
+    assert sum(ic_points) <= 2 * -(-14311 // 2) + 2
+
+
+@pytest.mark.parametrize("r, max_nodes", [(1 - 1e-11, 1 << 22),
+                                          (1 - 2.0 ** -52, 1 << 22),
+                                          (0.99999, 1000)])
+def test_ic_near_rim_stays_within_the_node_budget(ic_points, r, max_nodes):
+    # a floor past max_nodes gets one capped evaluation, flagged
+    got = eval_ic(IcQuery(1.0, r), max_nodes=max_nodes)
+    assert not got.converged and np.isfinite(got.value)
+    assert ic_points and max(ic_points) <= max_nodes
+    row = t2_hardy_vs_bound(r, 16, max_nodes=max_nodes)
+    assert not row.converged and max(ic_points) <= max_nodes
+
+
+@pytest.mark.parametrize("c, z", [(float("nan"), 0.5), (float("inf"), 0.5),
+                                  (0.5, float("nan")), (0.5, complex("nan")),
+                                  (0.5, complex(0.5, float("inf"))),
+                                  (0.5, 1.0)])
+def test_ic_refuses_non_finite_inputs(ic_points, c, z):
+    with pytest.raises(ValueError):
+        eval_ic(IcQuery(c, z))
+    if np.isfinite(c):
+        with pytest.raises(ValueError):
+            t2_hardy_vs_bound(z, 16)
+    assert not ic_points
+
+
+def test_ic_every_c_meets_the_hypergeometric_form():
+    # I_c(r) = 2 pi 2F1((1+c)/2, (1+c)/2; 1; r^2), the Taylor series of
+    # |1 - r e^(i theta)|^(-(1+c)) integrated term by term
+    mp = pytest.importorskip("mpmath")
+    for c in DEFAULT_C_SET:
+        for r in (0.0, 0.5, 0.9, 0.99, 0.999, 0.9999, 0.99999):
+            got = eval_ic(IcQuery(c, complex(r)))
+            with mp.workdps(30):
+                b = mp.mpf(c + 1) / 2
+                exact = 2 * mp.pi * mp.hyp2f1(b, b, 1, mp.mpf(r) ** 2)
+                assert got.converged
+                assert abs(got.value - exact) <= 1e-14 * exact, (c, r)
+
+
+def test_t2_meets_the_agm_form_along_the_schedule():
+    # ||T2||_H1 = (1 - s^2)(N + 2) s^(N+1) / AGM(1 - s, 1 + s), s the float
+    # the function receives
+    mp = pytest.importorskip("mpmath")
+    for k in range(4, 13):
+        N = 1 << k
+        s = blowup_schedule(N)
+        row = t2_hardy_vs_bound(s, N)
+        with mp.workdps(30):
+            S = mp.mpf(s)
+            exact = (1 - S**2) * (N + 2) * S ** (N + 1) / mp.agm(1 - S, 1 + S)
+            assert row.converged
+            assert abs(row.t2_h1 - exact) <= 1e-13 * exact, N
 
 
 def test_ic_rotation_invariance():
