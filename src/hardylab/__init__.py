@@ -16,17 +16,16 @@ from .norms import (NormEstimate, bergman_norm_disc, bergman_norm_reinhardt,
                     hardy_norm_disc, hardy_norm_reinhardt,
                     monotonicity_check)
 from .quadrature import (RefinementReport, angular_floor, refine_until,
-                         torus_integrals, unit_nodes)
+                         torus_blocks, torus_integrals, unit_nodes)
 from .registry import (FunctionRegistry, RegistryEntry, TaggedEvaluator,
                        default_registry, fa_entry, monomial_entry,
                        polynomial_entry, product_entry)
-from .reinhardt import (DensityRow, FrontierSample, ReinhardtDomain, ball,
-                        contains, custom_domain, density_experiment,
+from .reinhardt import (DensityRow, ReinhardtDomain, ball, contains,
+                        custom_domain, density_experiment,
                         dilate_truncate, domain_from_config,
                         frontier_max_radius, frontier_sample, polydisc,
                         power_egg, section_tops, simplex_directions)
-from .series import (MultiIndexSeries, PowerSeries, partial_sum,
-                     partial_sum_kernel, square_partial_sum)
+from .series import PowerSeries, partial_sum, partial_sum_kernel
 from .witnesses import (IcQuery, IcValue, T1T2Split, T2BoundRatio,
                         WitnessFa, blowup_lower_bound, blowup_schedule,
                         eval_fa, eval_ic, fa_series, ic_comparison,
@@ -43,17 +42,16 @@ __all__ = [
     "write_result",
     "NormEstimate", "bergman_norm_disc", "bergman_norm_reinhardt",
     "hardy_norm_disc", "hardy_norm_reinhardt", "monotonicity_check",
-    "RefinementReport", "angular_floor", "refine_until", "torus_integrals",
-    "unit_nodes",
+    "RefinementReport", "angular_floor", "refine_until", "torus_blocks",
+    "torus_integrals", "unit_nodes",
     "FunctionRegistry", "RegistryEntry", "TaggedEvaluator",
     "default_registry", "fa_entry", "monomial_entry", "polynomial_entry",
     "product_entry",
-    "DensityRow", "FrontierSample", "ReinhardtDomain", "ball", "contains",
+    "DensityRow", "ReinhardtDomain", "ball", "contains",
     "custom_domain", "density_experiment", "dilate_truncate",
     "domain_from_config", "frontier_max_radius", "frontier_sample",
     "polydisc", "power_egg", "section_tops", "simplex_directions",
-    "MultiIndexSeries", "PowerSeries", "partial_sum", "partial_sum_kernel",
-    "square_partial_sum",
+    "PowerSeries", "partial_sum", "partial_sum_kernel",
     "IcQuery", "IcValue", "T1T2Split", "T2BoundRatio", "WitnessFa",
     "blowup_lower_bound", "blowup_schedule", "eval_fa", "eval_ic",
     "fa_series", "ic_comparison", "t2_hardy_vs_bound",

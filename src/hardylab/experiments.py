@@ -412,7 +412,7 @@ def run_reinhardt(config: RunConfig | None = None,
     final_err = res.rows[-1][6]
 
     rng = np.random.default_rng(cfg.seed)
-    shells = frontier_sample(dom, 16).radii
+    shells = frontier_sample(dom, 16)
     failures = 0
     for _ in range(MONOTONE_PAIRS):
         radii = shells[int(rng.integers(0, shells.shape[0]))]
@@ -445,7 +445,9 @@ def _product_oracle(entry: RegistryEntry, dom: ReinhardtDomain, rows,
     factors' integrals over their discs, so the A1 norm of the square
     partial sum of order N is prod_j ||S_N f_j||_A1(|z| < R_j).  Each
     factor norm is taken to tol 1e-10, far below the row's own tolerance,
-    and once per distinct factor, radius and order.
+    and once per distinct factor, radius and order.  A factor's S_N may
+    vanish (z^2 at N = 1): a column equal to its oracle is at distance 0,
+    any other column against a zero oracle at distance infinity.
     """
     one_var = {}
     worst, converged = 0.0, True
@@ -460,7 +462,9 @@ def _product_oracle(entry: RegistryEntry, dom: ReinhardtDomain, rows,
                     tol=1e-10, max_nodes=max_nodes)
             converged = converged and one_var[key].converged
             oracle *= one_var[key].value
-        worst = max(worst, abs(a1 - oracle) / oracle)
+        if a1 != oracle:
+            worst = max(worst, abs(a1 - oracle) / oracle if oracle
+                        else np.inf)
     return worst, converged
 
 

@@ -126,7 +126,7 @@ def boundary_grid(f, domain: ReinhardtDomain, dirs: int = 64, *,
                          "holomorphic past the boundary: pass spike= with a "
                          "tag on every axis (0.0 for an entire one)")
     sample = frontier_sample(domain, dirs)
-    shells = sample.radii[_maximal_rows(sample.radii)]
+    shells = sample[_maximal_rows(sample)]
     reach = shells * np.array(spikes) >= 1.0
     if np.any(reach):
         i, j = np.argwhere(reach)[0]

@@ -26,15 +26,16 @@ Everything here is binary64 and deterministic: node construction, chunking
 and accumulation order are fixed functions of the rule parameters, so two
 runs with the same inputs produce bit-identical values.
 
-:func:`torus_integrals` evaluates its integrand in blocks of whole shell
+:func:`torus_blocks` builds the one torus grid, in blocks of whole shell
 rows of about ``_CHUNK`` points, sized for the cache rather than for the
-memory limit.  An integrand is a chain of elementwise numpy passes
-(f(z), products, ``np.abs``, ``** p``), and each pass streams its
-temporaries through memory; a block that fits in the per-core L2 cache
-keeps that traffic out of DRAM.  No value depends on the block size: the
-integrand is evaluated pointwise, and each shell's sum is one ``np.sum``
-over the same elements of one row in the same order, whichever block the
-row lands in.
+memory limit; :func:`torus_integrals` sums its integrand over them, and
+the density probe of ``reinhardt`` takes its maximum.  An integrand is a
+chain of elementwise numpy passes (f(z), products, ``np.abs``, ``** p``),
+and each pass streams its temporaries through memory; a block that fits
+in the per-core L2 cache keeps that traffic out of DRAM.  No value
+depends on the block size: the integrand is evaluated pointwise, and each
+shell's sum is one ``np.sum`` over the same elements of one row in the
+same order, whichever block the row lands in.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-# Points per integrand call of torus_integrals, in whole shell rows.  1 << 16
+# Points per block of torus_blocks, in whole shell rows.  1 << 16
 # complex128 points are 1 MiB, so a block and the few temporaries of its
 # integrand stay near a 4 MiB L2 cache instead of streaming through DRAM;
 # blocks of 1 << 22 points made the perfbench bidisc table 1.6x slower.
@@ -145,20 +146,17 @@ def _panel_gauss(bounds: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def torus_integrals(g: Callable, radii, angular: Sequence[int],
-                    shift: Sequence[float] | None = None) -> np.ndarray:
-    """Unnormalized trapezoid integrals of g over the shells radii[k] * T^n.
+def torus_blocks(radii, angular: Sequence[int],
+                 shift: Sequence[float] | None = None):
+    """The torus grid over the shells radii[k] * T^n, block by block.
 
     ``radii`` holds one radius vector per row, ``angular`` the node count
     of each of the n circle factors and ``shift`` (default none) the
     offset of each axis's nodes in steps, as in :func:`unit_nodes`.  The
-    integrand is called as ``g(z1, ..., zn)`` with coordinate arrays that
-    broadcast to (shells, m_1, ..., m_n), in blocks of whole shells that
-    keep each call near ``_CHUNK`` points (one shell per call when a shell
-    is larger); every shell is summed alone, so the block size moves no
-    value.  Each result approximates the
-    d theta_1 ... d theta_n integral with total mass (2pi)^n, no
-    normalization.
+    node axes are built once; each block is a list of n coordinate arrays
+    that broadcast to (shells, m_1, ..., m_n), over whole shells in order,
+    keeping a block near ``_CHUNK`` points (one shell per block when a
+    shell is larger).
     """
     radii = np.atleast_2d(np.asarray(radii, dtype=np.float64))
     n = radii.shape[1]
@@ -167,14 +165,27 @@ def torus_integrals(g: Callable, radii, angular: Sequence[int],
         raise ValueError("radii, angular node counts and shifts must align")
     axes = [unit_nodes(m, j + 1, n + 1, h)
             for j, (m, h) in enumerate(zip(angular, shift))]
-    cells = math.prod(angular)
-    block = max(1, _CHUNK // cells)
-    sums = []
+    block = max(1, _CHUNK // math.prod(angular))
     for s in range(0, radii.shape[0], block):
         rows = radii[s:s + block]
-        zs = [rows[:, j].reshape(-1, *[1] * n) * axes[j] for j in range(n)]
-        vals = np.broadcast_to(np.asarray(g(*zs)), (rows.shape[0], *angular))
-        sums.append(vals.reshape(rows.shape[0], -1).sum(axis=1))
+        yield [rows[:, j].reshape(-1, *[1] * n) * axes[j] for j in range(n)]
+
+
+def torus_integrals(g: Callable, radii, angular: Sequence[int],
+                    shift: Sequence[float] | None = None) -> np.ndarray:
+    """Unnormalized trapezoid integrals of g over the shells radii[k] * T^n.
+
+    The integrand is called as ``g(z1, ..., zn)`` on each block of
+    :func:`torus_blocks` (same arguments); every shell is summed alone, so
+    the block size moves no value.  Each result approximates the
+    d theta_1 ... d theta_n integral with total mass (2pi)^n, no
+    normalization.
+    """
+    sums = []
+    for zs in torus_blocks(radii, angular, shift):
+        rows = zs[0].shape[0]
+        vals = np.broadcast_to(np.asarray(g(*zs)), (rows, *angular))
+        sums.append(vals.reshape(rows, -1).sum(axis=1))
     return np.concatenate(sums) * math.prod(TWO_PI / m for m in angular)
 
 

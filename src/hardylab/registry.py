@@ -6,15 +6,16 @@ degree).  A spike tag also declares the entry, its partial sums and its
 tails holomorphic past the closed unit polydisc: 0.0 for polynomials,
 |a| for the f_a family, the factors' tags for products; ``None``
 declares nothing.  Tails carry the entry's tag; a partial sum of order
-N, a polynomial, carries min(|s_j|, N/(N+1)) on each axis.  Partial sums are square partial sums in every
-dimension: they keep the multi-indices with max_j alpha_j <= N, in one
-variable S_N.  One pair,
+N, a polynomial, carries min(|s_j|, N/(N+1)) on each axis.  A
+several-variable entry is a product of one-variable entries, and its
+partial sums are square partial sums: they keep the multi-indices with
+max_j alpha_j <= N, the product of the factors' S_N.  One pair,
 ``partial_evaluator``/``tail_evaluator``, serves every entry, with fast
 paths where a closed form exists, so high orders cost the same:
 
     products          the factors' partials, and a telescoping tail
     extremal family   partial and tail from the two-term split
-    finite series     exact truncated coefficient evaluation
+    polynomials       their coefficients up to N, and above N
 
 The default catalog is seeded so polynomial coefficients, and hence
 every derived table, are reproducible.
@@ -27,8 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .series import (MultiIndexSeries, PowerSeries, partial_sum,
-                     square_partial_sum)
+from .series import PowerSeries, partial_sum
 from .witnesses import T1T2Split, WitnessFa, fa_series
 
 
@@ -80,7 +80,7 @@ class RegistryEntry:
     name: str
     dim: int
     evaluator: Callable
-    series: PowerSeries | MultiIndexSeries | None = None
+    series: PowerSeries | None = None
     spike: float | tuple | None = None
     degree: int | None = None
     factors: tuple | None = None
@@ -99,8 +99,6 @@ class RegistryEntry:
                                     for fac in self.factors])
         elif self.partial_factory is not None:
             fn = self.partial_factory(N)
-        elif isinstance(self.series, MultiIndexSeries):
-            fn = square_partial_sum(self.series, N)
         else:
             fn = partial_sum(self.series, N)
         return TaggedEvaluator(fn, _degree_tag(self.spike, N))
@@ -233,7 +231,6 @@ def default_registry(seed: int = 12345) -> FunctionRegistry:
     fa09 = reg.get("fa-0.9")
     reg.add(product_entry((fa09, fa09), name="prod-fa-0.9"))
     reg.add(product_entry((fa09, fa05), name="prod-fa-0.9-0.5"))
-    mono2 = MultiIndexSeries(2, {(1, 2): 1.0})
-    reg.add(RegistryEntry(name="mono2-1-2", dim=2, evaluator=mono2,
-                          series=mono2, spike=0.0))
+    reg.add(product_entry((reg.get("mono-1"), reg.get("mono-2")),
+                          name="mono2-1-2"))
     return reg

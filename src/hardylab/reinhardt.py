@@ -10,10 +10,12 @@ with gauge nondecreasing in each coordinate.  Built-in kinds:
 
 The frontier set collects the radius vectors r whose full torus shell
 r * T^n stays inside the domain; suprema of shell integrals over the
-frontier define the Hardy norm in several variables.  The dilate and
-truncate construction approximates a function f by the polynomial
+frontier define the Hardy norm in several variables.  Several-variable
+functions are products f(z) = prod_j f_j(z_j) of one-variable series, and
+the dilate and truncate construction approximates f by the product of
+the factors' dilated truncations
 
-    Q(z) = sum_{|alpha|_inf <= M} a_alpha rho^(|alpha|_1) z^alpha,
+    Q(z) = prod_j sum_{k <= M} a_{j,k} rho^k z_j^k,
 
 the square truncation of z -> f(rho z); for holomorphic f on a complete
 Reinhardt domain these polynomials are dense, and density_experiment
@@ -29,9 +31,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainModelError
-from .quadrature import unit_nodes
+from .quadrature import torus_blocks
 from .registry import TaggedEvaluator, product_evaluator
-from .series import MultiIndexSeries, PowerSeries
+from .series import PowerSeries
 
 _GOLDEN = 0.6180339887498949
 
@@ -186,15 +188,6 @@ def section_tops(domain: ReinhardtDomain, prefix: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class FrontierSample:
-    """A finite sample of the frontier set with its generating directions."""
-
-    directions: np.ndarray          # (k, dim) radius-profile simplex points
-    scales: np.ndarray              # (k,) gauge-saturating ray scales
-    radii: np.ndarray               # (k, dim) frontier radius vectors
-
-
 def simplex_directions(dim: int, count: int) -> np.ndarray:
     """Corner, barycenter, and low-discrepancy interior directions on the
     radius-profile simplex."""
@@ -222,36 +215,24 @@ def simplex_directions(dim: int, count: int) -> np.ndarray:
     return np.vstack(rows)
 
 
-def frontier_sample(domain: ReinhardtDomain, count: int = 64) -> FrontierSample:
+def frontier_sample(domain: ReinhardtDomain, count: int = 64) -> np.ndarray:
+    """The (k, dim) frontier radius vectors along the simplex directions."""
     dirs = simplex_directions(domain.dim, count)
     scales = np.array([_ray_scale(domain, u) for u in dirs])
-    return FrontierSample(directions=dirs, scales=scales,
-                          radii=scales[:, None] * dirs)
+    return scales[:, None] * dirs
 
 
-def dilate_truncate(f, rho: float, square_degree: int) -> MultiIndexSeries:
-    """Square truncation of the dilate z -> f(rho z).
-
-    Coefficients b_alpha = a_alpha rho^(|alpha|_1) for |alpha|_inf <= M.
-    Accepts a PowerSeries (one variable) or a finitely supported
-    MultiIndexSeries.
-    """
+def dilate_truncate(f: PowerSeries, rho: float, M: int) -> PowerSeries:
+    """Truncation at degree M of the dilate z -> f(rho z): the polynomial
+    with coefficients a_k rho^k for k <= M."""
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"dilation factor must lie in (0, 1], got {rho}")
-    if square_degree < 0:
-        raise ValueError("square truncation degree must be >= 0")
-    if isinstance(f, PowerSeries):
-        dim = 1
-        terms = [((k,), f.coefficient(k)) for k in range(square_degree + 1)]
-    elif isinstance(f, MultiIndexSeries):
-        dim = f.dim
-        terms = f.coeffs.items()
-    else:
-        raise TypeError("dilate_truncate needs a series with coefficient access")
-    return MultiIndexSeries(dim, {alpha: c * rho ** sum(alpha)
-                                  for alpha, c in terms
-                                  if max(alpha) <= square_degree},
-                            spike=f.spike)
+    if M < 0:
+        raise ValueError("truncation degree must be >= 0")
+    if not isinstance(f, PowerSeries):
+        raise TypeError("dilate_truncate needs a PowerSeries")
+    return PowerSeries.from_coefficients(f.coefficients(M)
+                                         * rho ** np.arange(M + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -307,63 +288,55 @@ def density_experiment(f, domain: ReinhardtDomain, p: float = 1.0,
     probe sup of |f - f_rho| on boundary shells clears half the target,
     then the square degree M is grown until the coefficient tail bound on
     the closed domain clears the other half; the achieved Hardy error of
-    the resulting polynomial is then measured and reported.
+    the resulting polynomial is then measured and reported.  ``f`` must
+    be a product of one-variable power series (``factors``), or one
+    variable with a ``PowerSeries``; anything else is refused with
+    ``ValueError`` before the probe runs.
     """
     from .norms import hardy_norm_disc, hardy_norm_reinhardt
 
     n = domain.dim
     if f.dim != n:
         raise ValueError(f"function dimension {f.dim} != domain dimension {n}")
-    factors = ([fac.series for fac in f.factors] if f.factors is not None
-               else [f.series] if isinstance(f.series, PowerSeries) else None)
+    factors = [fac.series for fac in
+               (f.factors if f.factors is not None else (f,))]
+    if len(factors) != n or not all(isinstance(s, PowerSeries)
+                                    for s in factors):
+        raise ValueError(f"{f.name!r} is not a product of one-variable power "
+                         "series: density_experiment needs an entry with "
+                         "factors=, or one variable with a PowerSeries")
 
     # Sup-to-norm conversion: the one-variable Hardy norm is a normalized
     # mean, in several variables the torus integral is unnormalized.
     norm_factor = 1.0 if n == 1 else (2.0 * np.pi) ** (n / p)
 
-    # Probe grids: the torus shells of a frontier sample, one per row.
-    shells = frontier_sample(domain, 16).radii
+    # Probe grid: the torus shells of a frontier sample, block by block,
+    # each with its values of f.
     m_probe = 2048 if n == 1 else (128 if n == 2 else 32)
-    probe = [shells[:, j].reshape(-1, *[1] * n)
-             * unit_nodes(m_probe, j + 1, n + 1) for j in range(n)]
-    probe_base = np.asarray(f.evaluator(*probe))
+    probe = [(zs, np.asarray(f.evaluator(*zs))) for zs in
+             torus_blocks(frontier_sample(domain, 16), (m_probe,) * n)]
 
     # Per-coordinate closure bounds for the coefficient tail estimate.
     closure = np.array([frontier_max_radius(domain, np.eye(n)[j])[j]
                         for j in range(n)])
 
     def probe_sup_diff(rho: float) -> float:
-        moved = np.asarray(f.evaluator(*[rho * z for z in probe]))
-        return float(np.max(np.abs(probe_base - moved)))
+        return float(np.max([np.max(np.abs(
+            base - np.asarray(f.evaluator(*[rho * z for z in zs]))))
+            for zs, base in probe]))
 
     def tail_bound_fn(rho: float):
-        if factors is not None:
-            tot = [_abs_coeff_sum(s, rho * closure[j], None)
-                   for j, s in enumerate(factors)]
-
-            def tail(M: int) -> float:
-                part = 1.0
-                full = 1.0
-                for j, s in enumerate(factors):
-                    part *= _abs_coeff_sum(s, rho * closure[j], M)
-                    full *= tot[j]
-                return max(full - part, 0.0)
-            return tail
+        tot = [_abs_coeff_sum(s, rho * closure[j], None)
+               for j, s in enumerate(factors)]
 
         def tail(M: int) -> float:
-            acc = 0.0
-            for alpha, c in f.series.coeffs.items():
-                if max(alpha) > M:
-                    acc += abs(c) * rho ** sum(alpha) * float(
-                        np.prod(closure ** np.array(alpha)))
-            return acc
+            part = 1.0
+            full = 1.0
+            for j, s in enumerate(factors):
+                part *= _abs_coeff_sum(s, rho * closure[j], M)
+                full *= tot[j]
+            return max(full - part, 0.0)
         return tail
-
-    def build_q(rho: float, M: int):
-        if factors is not None:
-            return product_evaluator([PowerSeries.from_coefficients(
-                s.coefficients(M) * rho ** np.arange(M + 1)) for s in factors])
-        return dilate_truncate(f.series, rho, M)
 
     rows = []
     for eps in eps_ladder:
@@ -394,7 +367,8 @@ def density_experiment(f, domain: ReinhardtDomain, p: float = 1.0,
                 else:
                     lo = mid
             M = hi
-        q_eval = build_q(rho, M)
+        q_eval = product_evaluator([dilate_truncate(s, rho, M)
+                                    for s in factors])
 
         def diff(*zs):
             return np.asarray(f.evaluator(*zs)) - q_eval(*zs)

@@ -1,4 +1,8 @@
-"""Power series, Taylor and square partial sums, and the kernel route.
+"""One-variable power series, their Taylor partial sums, and the kernel route.
+
+A several-variable function is a product of one-variable series
+(:func:`hardylab.registry.product_entry`); its square partial sum of
+order N is the product of the factors' partial sums S_N.
 
 Two routes to the same partial sum are kept side by side on purpose:
 truncating the coefficient sequence, and applying the discrete Cauchy
@@ -16,7 +20,7 @@ agreement, so vanishing partial sums settle like any other.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -130,80 +134,11 @@ class PowerSeries:
                          "degree cannot be evaluated")
 
 
-class MultiIndexSeries:
-    """A several-variable series sum a_alpha z^alpha with finite support.
-
-    ``coefficients`` maps multi-indices (tuples of length ``dim``) to
-    complex values.  ``inf_degree`` is max_j alpha_j over the support.
-    """
-
-    def __init__(self, dim: int, coefficients: Mapping[tuple, complex], *,
-                 spike=None):
-        if dim < 1:
-            raise ValueError(f"dimension must be >= 1, got {dim}")
-        self.dim = dim
-        clean = {}
-        support_max = 0
-        for alpha, val in coefficients.items():
-            alpha = tuple(int(a) for a in alpha)
-            if len(alpha) != dim or any(a < 0 for a in alpha):
-                raise ValueError(f"bad multi-index {alpha} for dim {dim}")
-            c = complex(val)
-            if c != 0:
-                clean[alpha] = c
-                support_max = max(support_max, max(alpha))
-        self.coeffs = clean
-        self.inf_degree = support_max
-        self.spike = spike
-
-    def coefficient(self, alpha) -> complex:
-        return self.coeffs.get(tuple(int(a) for a in alpha), 0j)
-
-    def dense(self) -> np.ndarray:
-        shape = tuple(self.inf_degree + 1 for _ in range(self.dim))
-        out = np.zeros(shape, dtype=np.complex128)
-        for alpha, c in self.coeffs.items():
-            out[alpha] = c
-        return out
-
-    def __call__(self, *zs):
-        if len(zs) != self.dim:
-            raise ValueError(f"expected {self.dim} coordinates, got {len(zs)}")
-        zs = [np.asarray(z, dtype=np.complex128) for z in zs]
-        if self.dim > 1:
-            # the polyval helpers require equal shapes, not broadcastable ones
-            zs = np.broadcast_arrays(*zs)
-        c = self.dense()
-        if self.dim == 1:
-            return _polyval(zs[0], c)
-        if self.dim == 2:
-            return np.polynomial.polynomial.polyval2d(zs[0], zs[1], c)
-        if self.dim == 3:
-            return np.polynomial.polynomial.polyval3d(zs[0], zs[1], zs[2], c)
-        out = np.zeros(np.broadcast(*zs).shape, dtype=np.complex128)
-        for alpha, coef in sorted(self.coeffs.items()):
-            term = np.full_like(out, coef)
-            for z, a in zip(zs, alpha):
-                if a:
-                    term = term * z ** a
-            out = out + term
-        return out
-
-
 def partial_sum(f: PowerSeries, N: int) -> PowerSeries:
     """Coefficient truncation S_N f = sum_{k<=N} a_k z^k."""
     if N < 0:
         raise ValueError(f"partial sum order must be >= 0, got {N}")
     return PowerSeries.from_coefficients(f.coefficients(N), spike=f.spike)
-
-
-def square_partial_sum(F: MultiIndexSeries, N: int) -> MultiIndexSeries:
-    """Keep the multi-indices with max_j alpha_j <= N; in one variable
-    this is the coefficient truncation S_N."""
-    if N < 0:
-        raise ValueError(f"partial sum order must be >= 0, got {N}")
-    kept = {a: c for a, c in F.coeffs.items() if max(a) <= N}
-    return MultiIndexSeries(F.dim, kept, spike=F.spike)
 
 
 # Changes between refinement levels up to this multiple of the mean modulus

@@ -16,7 +16,8 @@ from hardylab.experiments import (RUNNERS, ExperimentResult, RunConfig,
                                   run_ic_asymptotics, run_reinhardt,
                                   run_uniform_bound, write_result)
 from hardylab.registry import (FunctionRegistry, default_registry, fa_entry,
-                               monomial_entry, polynomial_entry)
+                               monomial_entry, polynomial_entry,
+                               product_entry)
 from hardylab.reinhardt import ball, polydisc, power_egg
 
 
@@ -429,6 +430,49 @@ def test_reinhardt_product_gate_catches_a_wrong_a1_column(monkeypatch,
     assert not s["product_ok"] and s["product_max_rel"] > 1e-4
     assert s["all_converged"] and s["plateau_ok"]
     assert s["final_err_ok"] and s["monotone_ok"]
+
+
+def _z1_z2_squared(case):
+    # z1 z2^2 as the catalog's mono2-1-2, and as a product built by hand
+    if case == "catalog":
+        return default_registry(), "mono2-1-2"
+    reg = FunctionRegistry()
+    return reg, reg.add(product_entry((monomial_entry(1),
+                                       monomial_entry(2)))).name
+
+
+@pytest.mark.parametrize("case", ["catalog", "library"])
+def test_reinhardt_product_oracle_takes_a_vanishing_factor(case):
+    # S_1 z^2 = 0, so at N = 1 the a1_partial column and its oracle are
+    # both 0: distance 0, not a division by zero.  The orders are the
+    # CLI's 1,2,4,8; with (1, 2) alone the plateau gate's base would be
+    # the N = 1 ratio, 0.
+    reg, name = _z1_z2_squared(case)
+    res = run_reinhardt(RunConfig(n_set_square=(1, 2, 4, 8)), reg,
+                        function=name)
+    assert res.rows[0][4] == 0.0
+    assert res.exit_code == 0
+    assert res.summary["product_ok"] and res.summary["product_max_rel"] == 0
+
+
+def test_reinhardt_product_oracle_fails_a_nonzero_column_on_a_zero_oracle(
+        monkeypatch):
+    # a column of 1e-3 where S_1 z1 z2^2 = 0 is infinitely far off
+    exact = hardylab.experiments.bergman_norm_reinhardt
+
+    def nonzero_a1(f, p, domain, tol, **kw):
+        est = exact(f, p, domain, tol=tol, **kw)
+        if domain.dim < 2 or tol >= 1e-3:
+            return est
+        return dataclasses.replace(est, value=est.value + 1e-3)
+    monkeypatch.setattr("hardylab.experiments.bergman_norm_reinhardt",
+                        nonzero_a1)
+    reg, name = _z1_z2_squared("catalog")
+    res = run_reinhardt(RunConfig(n_set_square=(1, 2, 4, 8)), reg,
+                        function=name)
+    assert res.exit_code == 1
+    assert not res.summary["product_ok"]
+    assert res.summary["product_max_rel"] == np.inf
 
 
 @pytest.mark.parametrize("domain", [ball(2), power_egg([1.0, 1.0])],

@@ -55,3 +55,17 @@ def test_two_variable_volume_rule_runs_under_the_tracer():
     assert layers["norms.bergman_norm_reinhardt.points"]["value"] > 0
     assert layers["trace.selfcheck_checked"]["value"] == 1
     assert layers["trace.selfcheck_mismatches"]["value"] == 0
+
+
+def test_density_experiment_runs_under_the_tracer():
+    # the traced bidisc table runs density_experiment through the tracer's
+    # span wrapper, and its Hardy estimates through refine_until
+    tracer = _tracer()
+    fa09 = default_registry().get("fa-0.9")
+    with tracer.installed(hardylab):
+        rows = hardylab.reinhardt.density_experiment(
+            fa09, polydisc(1), 1.0, (0.5,), norm_tol=1e-3)
+    assert rows[0].converged and rows[0].met
+    layers = tracer.per_layer(1)
+    assert layers["reinhardt.density_experiment.calls"]["value"] == 1
+    assert layers["trace.selfcheck_mismatches"]["value"] == 0

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from hardylab.errors import DomainModelError
-from hardylab.registry import default_registry, product_entry
+from hardylab import quadrature
+from hardylab.registry import RegistryEntry, default_registry, product_entry
 from hardylab.reinhardt import (ReinhardtDomain, ball, contains,
                                 custom_domain, density_experiment,
                                 dilate_truncate, domain_from_config,
                                 frontier_max_radius, frontier_sample,
                                 polydisc, power_egg, section_tops,
                                 simplex_directions)
-from hardylab.series import MultiIndexSeries, PowerSeries
+from hardylab.series import PowerSeries
 from hardylab.witnesses import fa_series
 
 RNG = np.random.default_rng(99017)
@@ -92,7 +93,7 @@ def test_simplex_directions_cover_and_normalize():
 def test_frontier_sample_sits_on_frontier():
     for dom in (polydisc(2), ball(2), power_egg([2.0, 3.0])):
         fs = frontier_sample(dom, 24)
-        g = np.array([dom.gauge_at(r) for r in fs.radii])
+        g = np.array([dom.gauge_at(r) for r in fs])
         assert np.all(g <= 1.0 + 1e-10)
         assert np.all(g >= 1.0 - 1e-10)
 
@@ -101,19 +102,11 @@ def test_dilate_truncate_one_variable():
     # geometric coefficients 1, rho, rho^2, ... truncated at M
     g = PowerSeries.from_generator(lambda k: 1.0 + 0j)
     q = dilate_truncate(g, 0.5, 3)
-    assert q.coefficient((0,)) == pytest.approx(1.0)
-    assert q.coefficient((1,)) == pytest.approx(0.5)
-    assert q.coefficient((2,)) == pytest.approx(0.25)
-    assert q.coefficient((3,)) == pytest.approx(0.125)
-    assert q.coefficient((4,)) == 0j
-
-
-def test_dilate_truncate_multi_index():
-    F = MultiIndexSeries(2, {(1, 2): 2.0, (4, 0): 1.0})
-    q = dilate_truncate(F, 0.5, 3)
-    # |alpha|_1 = 3 scales by rho^3; max index 4 is cut
-    assert q.coefficient((1, 2)) == pytest.approx(2.0 * 0.125)
-    assert q.coefficient((4, 0)) == 0j
+    assert q.coefficient(0) == pytest.approx(1.0)
+    assert q.coefficient(1) == pytest.approx(0.5)
+    assert q.coefficient(2) == pytest.approx(0.25)
+    assert q.coefficient(3) == pytest.approx(0.125)
+    assert q.coefficient(4) == 0j
 
 
 def test_dilate_truncate_validates():
@@ -172,6 +165,30 @@ def test_density_one_factor_product_matches_disc_entry():
                                norm_tol=1e-3)
             for ent in (fa09, product_entry((fa09,)))]
     assert rows[0] == rows[1]
+
+
+def test_density_probe_does_not_depend_on_the_block_size(monkeypatch):
+    # the probe takes its max over the blocks of quadrature.torus_blocks:
+    # one shell per block at 1024 points gives the same rows as the default
+    ent = default_registry().get("prod-fa-0.9")
+
+    def rows():
+        return density_experiment(ent, polydisc(2), 1.0, (0.5, 0.1, 0.02),
+                                  norm_tol=1e-3)
+    default = rows()
+    monkeypatch.setattr(quadrature, "_CHUNK", 1024)
+    assert rows() == default
+
+
+def test_density_experiment_refuses_a_non_product():
+    # refused before the probe evaluates f, naming factors
+    def never(*zs):
+        raise AssertionError("the probe ran")
+    for ent in (RegistryEntry("g", 2, lambda z1, z2: z1 * z2, spike=0.0),
+                RegistryEntry("g", 2, never, spike=0.0),
+                RegistryEntry("h", 1, never, spike=0.0)):
+        with pytest.raises(ValueError, match="factors"):
+            density_experiment(ent, polydisc(ent.dim), 1.0, (0.5,))
 
 
 def test_density_experiment_dimension_mismatch():

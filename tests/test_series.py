@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from hardylab.errors import NonConvergenceError
-from hardylab.series import (MultiIndexSeries, PowerSeries, partial_sum,
-                             partial_sum_kernel, square_partial_sum)
+from hardylab.series import PowerSeries, partial_sum, partial_sum_kernel
 from hardylab.witnesses import fa_series
 
 RNG = np.random.default_rng(20260823)
@@ -53,33 +52,6 @@ def test_partial_sum_truncates():
     assert s2.degree == 2
     assert [s2.coefficient(k) for k in range(3)] == [3, 1, 4]
     assert s2.coefficient(3) == 0j
-
-
-def test_square_partial_sum_keeps_max_index():
-    F = MultiIndexSeries(2, {(0, 0): 1, (1, 2): 2, (3, 1): 4, (2, 2): 5})
-    S2 = square_partial_sum(F, 2)
-    assert S2.coefficient((1, 2)) == 2
-    assert S2.coefficient((2, 2)) == 5
-    assert S2.coefficient((3, 1)) == 0j
-
-
-def test_multi_index_eval_matches_loop():
-    F = MultiIndexSeries(2, {(0, 0): 1.0, (2, 1): -0.5 + 1j, (1, 3): 0.25})
-    z1 = RNG.uniform(-0.6, 0.6, 4) + 1j * RNG.uniform(-0.6, 0.6, 4)
-    z2 = RNG.uniform(-0.6, 0.6, 4) + 1j * RNG.uniform(-0.6, 0.6, 4)
-    direct = 1.0 + (-0.5 + 1j) * z1 ** 2 * z2 + 0.25 * z1 * z2 ** 3
-    assert np.allclose(F(z1, z2), direct, rtol=1e-13)
-
-
-def test_multi_index_eval_broadcasts_tensor_axes():
-    F = MultiIndexSeries(2, {(1, 0): 2.0, (0, 2): 1.0})
-    ax1 = np.array([0.1, 0.2 + 0.1j])
-    ax2 = np.array([0.3j, -0.2, 0.5])
-    grid = F(ax1[:, None], ax2[None, :])
-    assert grid.shape == (2, 3)
-    for i, a in enumerate(ax1):
-        for j, b in enumerate(ax2):
-            assert grid[i, j] == pytest.approx(2 * a + b * b)
 
 
 def _node_guard(f, sizes):
