@@ -27,7 +27,8 @@ from .norms import (bergman_norm_disc, bergman_norm_reinhardt, boundary_grid,
 from .registry import (FunctionRegistry, RegistryEntry, default_registry,
                        fa_entry)
 from .reinhardt import (ReinhardtDomain, density_experiment,
-                        domain_from_config, frontier_sample, polydisc)
+                        domain_from_config, frontier_sample,
+                        monomial_moments, polydisc)
 from .witnesses import (IcQuery, T1T2Split, WitnessFa, blowup_lower_bound,
                         blowup_schedule, eval_ic, ic_comparison,
                         t2_hardy_vs_bound)
@@ -357,13 +358,18 @@ def run_ic_asymptotics(config: RunConfig | None = None,
 def reinhardt_case(registry: FunctionRegistry, domain=None,
                    function: str = DEFAULT_FUNCTION):
     """The entry and the domain (default ``polydisc(2)``) ``run_reinhardt``
-    tabulates; ValueError if their dimensions differ, DomainModelError if
-    the domain reaches a pole the entry's spike tag declares
-    (``norms.boundary_grid``)."""
+    tabulates; ValueError if their dimensions differ or the entry has no
+    partial sums (no ``factors``, ``partial_factory`` or ``series``),
+    DomainModelError if the domain reaches a pole the entry's spike tag
+    declares (``norms.boundary_grid``)."""
     entry, dom = registry.get(function), domain or polydisc(2)
     if entry.dim != dom.dim:
         raise ValueError(f"function {function!r} has dimension {entry.dim} "
                          f"but the {dom.kind} domain has dimension {dom.dim}")
+    if (entry.factors is None and entry.partial_factory is None
+            and entry.series is None):
+        raise ValueError(f"function {function!r} has no partial sums: it "
+                         f"needs factors, a partial_factory or a series")
     boundary_grid(entry.evaluator, dom, spike=entry.spike)
     return entry, dom
 
@@ -377,7 +383,8 @@ def run_reinhardt(config: RunConfig | None = None,
     Tabulates Bergman norms and errors of square truncations against the
     frontier Hardy norm, and batch-checks shell monotonicity on seeded
     radius pairs.  A product on a polydisc also gets the product oracle
-    (:func:`_product_oracle`) as a gate.
+    (:func:`_product_oracle`) as a gate, and every domain with closed-form
+    moments the A^2 moment oracle (:func:`_a2_oracle`).
     """
     cfg = config or RunConfig()
     reg = registry or default_registry(cfg.seed)
@@ -407,7 +414,12 @@ def run_reinhardt(config: RunConfig | None = None,
                 h1.converged and a1.converged and errn.converged)
     ratios = [row[5] for row in res.rows]
     # Plateau gate: over the last two doublings the ratio may grow <= 10%.
-    base = ratios[-3] if len(ratios) >= 3 else ratios[0]
+    # The base is the last nonzero ratio before them (else the first
+    # nonzero one): a square partial sum that vanishes, z1 z2^2 at N = 1,
+    # sets no scale.
+    head = ratios[:-2] if len(ratios) >= 3 else ratios[:1]
+    base = next((r for r in reversed(head) if r),
+                next((r for r in ratios if r), 0.0))
     tail_max = max(ratios[-2:])
     final_err = res.rows[-1][6]
 
@@ -430,6 +442,11 @@ def run_reinhardt(config: RunConfig | None = None,
         rel, converged = _product_oracle(entry, dom, res.rows, cfg.vol_cap())
         info["product_max_rel"] = rel
         gates["product_ok"] = converged and rel <= a1_tol
+    a2 = _a2_oracle(entry, dom, cfg.n_set_square[-1], a1_tol, cfg.vol_cap())
+    if a2 is not None:
+        rel, converged = a2
+        info["a2_rel"] = rel
+        gates["a2_ok"] = converged and rel <= a1_tol
     return res.close(info, plateau_ok=tail_max <= 1.10 * base,
                      final_err_ok=final_err < 1e-2,
                      monotone_ok=failures == 0, **gates)
@@ -462,10 +479,46 @@ def _product_oracle(entry: RegistryEntry, dom: ReinhardtDomain, rows,
                     tol=1e-10, max_nodes=max_nodes)
             converged = converged and one_var[key].converged
             oracle *= one_var[key].value
-        if a1 != oracle:
-            worst = max(worst, abs(a1 - oracle) / oracle if oracle
-                        else np.inf)
+        worst = max(worst, _rel_distance(a1, oracle))
     return worst, converged
+
+
+def _rel_distance(value: float, oracle: float) -> float:
+    """|value - oracle| / oracle; 0 when they are equal, and infinity for
+    any other value against a zero oracle."""
+    if value == oracle:
+        return 0.0
+    return abs(value - oracle) / oracle if oracle else np.inf
+
+
+def _a2_oracle(entry: RegistryEntry, dom: ReinhardtDomain, N: int,
+               tol: float, max_nodes: int) -> tuple[float, bool] | None:
+    """Relative distance of the A^2 norm of the square partial sum S_N f,
+    by ``bergman_norm_reinhardt`` at ``tol``, from its moment sum, and
+    whether the norm converged; ``None`` when the domain has no
+    closed-form moments (custom) or a factor has no ``series``.
+
+    Monomials are orthogonal on a complete Reinhardt domain, so
+    ||S_N f||^2 = sum over max_j alpha_j <= N of |a_alpha|^2 m_alpha, with
+    a_alpha the product of the factors' coefficients and m_alpha from
+    ``reinhardt.monomial_moments``.  The oracle shares no quadrature with
+    the estimator: it checks the radial cells, the section tops, the
+    jacobian prod r_j and the (2 pi)^n mass on every domain kind.
+    """
+    moments = monomial_moments(dom, N)
+    series = [fac.series for fac in (entry.factors or (entry,))]
+    if moments is None or any(s is None for s in series):
+        return None
+    weights = moments
+    for j, s in enumerate(series):
+        shape = [1] * dom.dim
+        shape[j] = N + 1
+        weights = weights * (np.abs(s.coefficients(N)) ** 2).reshape(shape)
+    est = bergman_norm_reinhardt(entry.partial_evaluator(N), 2.0, dom,
+                                 tol=tol, spike=entry.spike,
+                                 max_nodes=max_nodes)
+    return (_rel_distance(est.value, float(np.sqrt(np.sum(weights)))),
+            est.converged)
 
 
 def run_density(config: RunConfig | None = None,

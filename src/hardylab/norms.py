@@ -38,6 +38,17 @@ the trapezoid rule converges geometrically on the shells, at the rate
 set by the spike.  An undeclared f is refused, and so is a domain whose
 frontier shells reach a declared pole, r_j |s_j| >= 1: f has no Hardy
 norm there (:func:`boundary_grid`).
+
+Every estimator builds its integrand |f|^p with :func:`_abs_power`.  When
+f holds one-variable ``factors`` (a ``registry.product_evaluator``, or a
+``TaggedEvaluator`` around one), so does the integrand, and
+``quadrature.torus_cosets`` integrates it factor by factor, at sum_j m_j
+points per shell instead of prod_j m_j; the estimators themselves do not
+branch.  The Hardy norm of a product, the Bergman norm of its square
+partial sums (S_N f is the product of the factors' S_N) and the shell
+checks take that path on every domain kind, since the radial cells need
+not form a product.  Tails and density differences are sums of products
+and stay on the tensor grid.
 """
 
 from __future__ import annotations
@@ -50,7 +61,8 @@ import numpy as np
 from .errors import DomainModelError
 from .quadrature import (TWO_PI, _GRID, angular_floor,
                          doubled_torus_integrals, dyadic_panels, _panel_gauss,
-                         refine_until, torus_integrals, torus_levels)
+                         half_shifts, refine_until, torus_cosets,
+                         torus_integrals, torus_levels, torus_points)
 from .reinhardt import (ReinhardtDomain, frontier_sample, polydisc,
                         section_tops)
 
@@ -100,12 +112,19 @@ def _grid(f, spike, n):
 
 def _abs_power(f, p):
     """|f|^p as an integrand: the power is taken in place on the fresh
-    modulus array, and skipped at p = 1, where x ** 1.0 == x exactly."""
+    modulus array, and skipped at p = 1, where x ** 1.0 == x exactly.
+
+    When f itself holds one-variable ``factors`` f_j, so does the
+    integrand: the |f_j|^p, whose product is |f|^p, and which
+    ``quadrature.torus_cosets`` sums axis by axis."""
     def g(*z):
         a = np.abs(np.asarray(f(*z), dtype=np.complex128))
         if p != 1:
             a **= p
         return a
+    factors = getattr(f, "factors", None)
+    if factors is not None:
+        g.factors = tuple(_abs_power(fj, p) for fj in factors)
     return g
 
 
@@ -202,14 +221,17 @@ def hardy_norm_reinhardt(f, p: float = 1.0, domain: ReinhardtDomain = None,
     The remaining shells are refined together, every angular count
     doubling per level, until the largest change relative to the largest
     shell value is within the tolerance; the estimate reports that change
-    as its tail increment.
+    as its tail increment.  A level whose points
+    (``quadrature.torus_points``) would exceed ``max_nodes`` is not
+    evaluated, and the estimate is then flagged non-converged.
     """
     if domain is None:
         raise ValueError("a ReinhardtDomain is required")
     if p <= 0:
         raise ValueError(f"norm exponent must be positive, got {p}")
     floors, shells = boundary_grid(f, domain, dirs, spike=spike)
-    levels = torus_levels(_abs_power(f, p), shells, floors)
+    g = _abs_power(f, p)
+    levels = torus_levels(g, shells, floors)
     quad_tol = max(0.25 * tol, 1e-14)
     # Its own loop, not refine_until: perfbench/tracer.py:137 traces this
     # estimator with levels=None, which refine_until's wrapper would append to.
@@ -221,7 +243,9 @@ def hardy_norm_reinhardt(f, p: float = 1.0, domain: ReinhardtDomain = None,
                 float(vec.max()), float(prev.max()), 1e-300)
             if change <= quad_tol:
                 break
-        nxt = math.prod(m << (level + 1) for m in floors)
+        # the points of level + 1: the half-shifted cosets at these counts
+        nxt = torus_points(g, shells, [m << level for m in floors],
+                           half_shifts(domain.dim))
         if nxt > max_nodes or not np.all(np.isfinite(vec)):
             break
         prev = vec
@@ -329,8 +353,8 @@ def _bergman(f, p, tol, domain, spike, max_nodes) -> NormEstimate:
                 sums[rows], pts = doubled_torus_integrals(
                     g, cells[rows], ms, [carried[keys[i]] for i in rows])
             else:
-                sums[rows] = torus_integrals(g, cells[rows], ms)
-                pts = rows.size * math.prod(ms)
+                (sums[rows],), pts = torus_cosets(g, cells[rows], ms,
+                                                  [(0.0,) * n])
             points += pts
         carried.clear()
         carried.update(zip(keys, sums.tolist()))

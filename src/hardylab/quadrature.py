@@ -20,7 +20,22 @@ step, so a level that doubles every count of n axes evaluates only the
 (:func:`doubled_torus_integrals`).  Every doubling loop steps this way:
 the volume and shell rules of ``norms``, the frontier loop of
 ``norms.hardy_norm_reinhardt``, which refines all its frontier shells at
-once, and the circle integrals of ``witnesses``.
+once, and the circle integrals of ``witnesses``.  :func:`doubled` asks its
+rule for all 2^n - 1 cosets at once, so a rule can share work between
+them.
+
+:func:`torus_cosets` is the one shell rule, with two ways of evaluating
+it, chosen in one place (:func:`_axis_factors`).  A product integrand,
+one that holds one-variable ``factors`` g_j with g(z) = prod_j g_j(z_j),
+is integrated factor by factor: at the same counts and shifts, the
+tensor trapezoid sum over a shell is the product of the per-axis circle
+sums, so a shell costs sum_j m_j points instead of prod_j m_j.  Each
+axis is evaluated once per distinct radius on it (the q^2 radial cells
+of a polydisc share q radii per axis) and once per distinct shift, so
+the 2^n - 1 cosets of a doubling share each axis's shift-0 and
+shift-1/2 sums.  Every other integrand, a sum of products such as a tail
+or a density difference included, is evaluated on the tensor grid.
+Every rule reports the points it actually evaluated.
 
 Everything here is binary64 and deterministic: node construction, chunking
 and accumulation order are fixed functions of the rule parameters, so two
@@ -28,8 +43,9 @@ runs with the same inputs produce bit-identical values.
 
 :func:`torus_blocks` builds the one torus grid, in blocks of whole shell
 rows of about ``_CHUNK`` points, sized for the cache rather than for the
-memory limit; :func:`torus_integrals` sums its integrand over them, and
-the density probe of ``reinhardt`` takes its maximum.  An integrand is a
+memory limit; :func:`torus_cosets` sums its integrand over them (a
+factor's circles are one-axis grids), and the density probe of
+``reinhardt`` takes its maximum.  An integrand is a
 chain of elementwise numpy passes (f(z), products, ``np.abs``, ``** p``),
 and each pass streams its temporaries through memory; a block that fits
 in the per-core L2 cache keeps that traffic out of DRAM.  No value
@@ -171,40 +187,109 @@ def torus_blocks(radii, angular: Sequence[int],
         yield [rows[:, j].reshape(-1, *[1] * n) * axes[j] for j in range(n)]
 
 
-def torus_integrals(g: Callable, radii, angular: Sequence[int],
-                    shift: Sequence[float] | None = None) -> np.ndarray:
-    """Unnormalized trapezoid integrals of g over the shells radii[k] * T^n.
-
-    The integrand is called as ``g(z1, ..., zn)`` on each block of
-    :func:`torus_blocks` (same arguments); every shell is summed alone, so
-    the block size moves no value.  Each result approximates the
-    d theta_1 ... d theta_n integral with total mass (2pi)^n, no
-    normalization.
-    """
+def _grid_sums(g: Callable, radii, angular: Sequence[int], shift) -> np.ndarray:
+    """Plain sums of g over the tensor grid of each shell, block by block
+    (:func:`torus_blocks`)."""
     sums = []
     for zs in torus_blocks(radii, angular, shift):
         rows = zs[0].shape[0]
         vals = np.broadcast_to(np.asarray(g(*zs)), (rows, *angular))
         sums.append(vals.reshape(rows, -1).sum(axis=1))
-    return np.concatenate(sums) * math.prod(TWO_PI / m for m in angular)
+    return np.concatenate(sums)
 
 
-def doubled(rule: Callable[[tuple], tuple], n: int, prev):
+def _axis_factors(g: Callable, n: int):
+    """The one-variable integrands g_1, ..., g_n when g(z) = prod_j g_j(z_j),
+    else ``None``: the one choice between the factor path and the tensor
+    grid.  They are read from g's own ``factors`` and nowhere else, so a
+    wrapper that does not pass them on takes the tensor grid."""
+    factors = getattr(g, "factors", None)
+    if factors is not None and len(factors) != n:
+        raise ValueError(f"an integrand on {n} axes has {len(factors)} "
+                         f"factors")
+    return factors
+
+
+def torus_cosets(g: Callable, radii, angular: Sequence[int],
+                 shifts: Sequence[Sequence[float]]) -> tuple[list, int]:
+    """Unnormalized trapezoid integrals of g over the shells radii[k] * T^n,
+    one array per shift in ``shifts``, and the points evaluated.
+
+    A shift gives the offset of each axis's nodes in steps, as in
+    :func:`unit_nodes`.  The integrand is called as ``g(z1, ..., zn)``.
+    Each integral approximates the d theta_1 ... d theta_n integral with
+    total mass (2pi)^n, no normalization.  A product integrand
+    (:func:`_axis_factors`) is summed factor by factor, each axis once per
+    distinct radius and shift on it, and the per-axis circle sums are
+    multiplied; any other is summed on the tensor grid
+    (:func:`torus_blocks`).  Every shell is summed alone, so the block
+    size moves no value.
+    """
+    radii = np.atleast_2d(np.asarray(radii, dtype=np.float64))
+    rows, n = radii.shape
+    if len(angular) != n or any(len(s) != n for s in shifts):
+        raise ValueError("radii, angular node counts and shifts must align")
+    weight = math.prod(TWO_PI / m for m in angular)
+    points = torus_points(g, radii, angular, shifts)
+    factors = _axis_factors(g, n)
+    if factors is None:
+        return ([_grid_sums(g, radii, angular, s) * weight for s in shifts],
+                points)
+    sums = {}
+    for j, (gj, m) in enumerate(zip(factors, angular)):
+        r, inverse = np.unique(radii[:, j], return_inverse=True)
+        for h in {s[j] for s in shifts}:
+            sums[j, h] = _grid_sums(gj, r[:, None], (m,), (h,))[inverse]
+    return ([math.prod(sums[j, h] for j, h in enumerate(s)) * weight
+             for s in shifts], points)
+
+
+def torus_points(g: Callable, radii, angular: Sequence[int],
+                 shifts: Sequence[Sequence[float]]) -> int:
+    """The points :func:`torus_cosets` evaluates for the same arguments,
+    counted without evaluating g: prod_j m_j per shell and shift on the
+    tensor grid; on the factor path m_j per distinct radius and distinct
+    shift on axis j."""
+    radii = np.atleast_2d(np.asarray(radii, dtype=np.float64))
+    if _axis_factors(g, radii.shape[1]) is None:
+        return len(shifts) * radii.shape[0] * math.prod(angular)
+    return sum(np.unique(radii[:, j]).size * m * len({s[j] for s in shifts})
+               for j, m in enumerate(angular))
+
+
+def torus_integrals(g: Callable, radii, angular: Sequence[int],
+                    shift: Sequence[float] | None = None) -> np.ndarray:
+    """The :func:`torus_cosets` integrals of g at one shift (default
+    none)."""
+    n = len(angular)
+    (values,), _ = torus_cosets(g, radii, angular,
+                                [(0.0,) * n if shift is None else shift])
+    return values
+
+
+def half_shifts(n: int) -> list[tuple]:
+    """The shifts of the 2^n - 1 cosets that double an n-axis trapezoid
+    rule: half a step on each axis of a nonempty set, in mask order."""
+    return [tuple(0.5 * (mask >> j & 1) for j in range(n))
+            for mask in range(1, 1 << n)]
+
+
+def doubled(rule: Callable[[list], tuple], n: int, prev):
     """One nested doubling of an n-axis trapezoid rule.
 
-    ``prev`` is the rule's value at some node counts; ``rule(shift)``
-    returns ``(value, points)`` at the same counts with the nodes of axis
-    j moved by shift[j] steps.  Returns ``(value, points)`` at twice every
-    count: the mean of ``prev`` and the 2^n - 1 cosets shifted by half a
-    step on a nonempty set of axes, which together hold the nodes of the
-    doubled grid, and the points the cosets evaluated.  The rule may be
-    normalized or not, as long as each coset is weighted like ``prev``.
+    ``prev`` is the rule's value at some node counts; ``rule(shifts)``
+    returns ``(values, points)``: one value per shift, at the same counts
+    with the nodes of axis j moved by shift[j] steps, and the points
+    evaluated for all of them.  Returns ``(value, points)`` at twice every
+    count: the mean of ``prev`` and the 2^n - 1 cosets of
+    :func:`half_shifts`, which together hold the nodes of the doubled
+    grid, and the points the cosets evaluated.  The rule may be normalized
+    or not, as long as each coset is weighted like ``prev``.
     """
-    acc, points = prev, 0
-    for mask in range(1, 1 << n):
-        value, pts = rule(tuple(0.5 * (mask >> j & 1) for j in range(n)))
+    values, points = rule(half_shifts(n))
+    acc = prev
+    for value in values:
         acc = acc + value
-        points += pts
     return acc / (1 << n), points
 
 
@@ -212,30 +297,30 @@ def doubled_torus_integrals(g: Callable, radii, angular: Sequence[int],
                             prev) -> tuple[np.ndarray, int]:
     """``torus_integrals(g, radii, 2 * angular)`` from ``prev``, its values
     at ``angular``, with the points evaluated: the (2^n - 1) *
-    prod(angular) new points of each shell."""
-    rows = np.atleast_2d(radii).shape[0]
-    return doubled(lambda shift: (torus_integrals(g, radii, angular, shift),
-                                  rows * math.prod(angular)),
+    prod(angular) new points of each shell on the tensor grid, and each
+    axis's shift-0 and shift-1/2 circles on the factor path."""
+    return doubled(lambda shifts: torus_cosets(g, radii, angular, shifts),
                    len(angular), np.asarray(prev))
 
 
-def nested_levels(rule: Callable[[int, tuple], tuple], n: int) -> Callable:
+def nested_levels(rule: Callable[[int, list], tuple], n: int) -> Callable:
     """A :func:`refine_until` integrator that doubles an n-axis trapezoid
     rule per level by :func:`doubled`.
 
-    ``rule(level, shift)`` returns ``(value, points)`` at the node counts
-    of ``level``, the nodes of axis j moved by shift[j] steps.  Level 0 is
-    the unshifted rule; level L reuses level L-1's value and evaluates
-    only the half-shifted cosets at level L-1's counts.  Each level
-    returns its value and the points it evaluated.
+    ``rule(level, shifts)`` returns ``(values, points)``: one value per
+    shift at the node counts of ``level``, the nodes of axis j moved by
+    shift[j] steps, and the points evaluated.  Level 0 is the unshifted
+    rule; level L reuses level L-1's value and evaluates only the
+    half-shifted cosets at level L-1's counts.  Each level returns its
+    value and the points it evaluated.
     """
     last = []
 
     def level_fn(level):
         if level == 0:
-            value, points = rule(0, (0.0,) * n)
+            (value,), points = rule(0, [(0.0,) * n])
         else:
-            value, points = doubled(lambda shift: rule(level - 1, shift), n,
+            value, points = doubled(lambda shifts: rule(level - 1, shifts), n,
                                     last.pop())
         last.append(value)
         return value, (points,)
@@ -244,13 +329,13 @@ def nested_levels(rule: Callable[[int, tuple], tuple], n: int) -> Callable:
 
 def torus_levels(g: Callable, radii, floors: Sequence[int]) -> Callable:
     """:func:`nested_levels` over torus shells: level L integrates g over
-    the shells ``radii`` at the node counts ``floors << L``."""
-    rows = np.atleast_2d(radii).shape[0]
-
-    def rule(level, shift):
-        ms = [m << level for m in floors]
-        return torus_integrals(g, radii, ms, shift), rows * math.prod(ms)
-    return nested_levels(rule, len(floors))
+    the shells ``radii`` at the node counts ``floors << L``
+    (:func:`torus_cosets`)."""
+    return nested_levels(
+        lambda level, shifts: torus_cosets(g, radii,
+                                           [m << level for m in floors],
+                                           shifts),
+        len(floors))
 
 
 @dataclass

@@ -48,9 +48,21 @@ class TaggedEvaluator:
     def __call__(self, *z):
         return self.fn(*z)
 
+    @property
+    def factors(self) -> tuple | None:
+        """The one-variable factors of ``fn`` when it is a product, else
+        ``None``."""
+        return getattr(self.fn, "factors", None)
+
 
 def product_evaluator(fns) -> Callable:
-    """(z_1, ..., z_n) -> fns[0](z_1) * ... * fns[n-1](z_n), left to right."""
+    """(z_1, ..., z_n) -> fns[0](z_1) * ... * fns[n-1](z_n), left to right.
+
+    The callable holds the one-variable callables as its ``factors``; the
+    norm estimators read them to integrate a product factor by factor
+    (``quadrature.torus_cosets``)."""
+    fns = tuple(fns)
+
     def fn(*zs):
         if len(zs) != len(fns):
             raise ValueError(f"expected {len(fns)} coordinates, got {len(zs)}")
@@ -58,6 +70,7 @@ def product_evaluator(fns) -> Callable:
         for f, z in zip(fns[1:], zs[1:]):
             out = out * np.asarray(f(z))
         return out
+    fn.factors = fns
     return fn
 
 

@@ -25,6 +25,7 @@ taking a one-variable function as the one-factor product.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -186,6 +187,42 @@ def section_tops(domain: ReinhardtDomain, prefix: np.ndarray) -> np.ndarray:
         out[i] = 0.0 if g(0.0) >= 1.0 else _gauge_crossing(
             g, 4.0 * domain.diameter_bound, "in the radius region")
     return out
+
+
+def monomial_moments(domain: ReinhardtDomain, N: int) -> np.ndarray | None:
+    """The moments m_alpha = int_D |z^alpha|^2 dV of the monomials with
+    max_j alpha_j <= N, as an array indexed by alpha (shape (N+1,)*n), in
+    closed form; ``None`` for a custom domain, which has none.
+
+        polydisc   prod_j pi R_j^(2 alpha_j + 2) / (alpha_j + 1)
+        ball       pi^n alpha! R^(2|alpha| + 2n) / (|alpha| + n)!
+        power-egg  (2 pi)^n prod_j (Gamma(b_j) / p_j) / Gamma(1 + sum_j b_j),
+                   with b_j = (2 alpha_j + 2) / p_j
+
+    The power-egg form is a Dirichlet integral after u_j = r_j^(p_j).
+    Monomials are orthogonal on a complete Reinhardt domain, so these give
+    the A^2 norm of any polynomial from its coefficients.
+    """
+    n = domain.dim
+    alpha = np.indices((N + 1,) * n, dtype=np.float64)
+    lgamma = np.vectorize(math.lgamma, otypes=[np.float64])
+    params = np.asarray(domain.params, dtype=np.float64)
+    if domain.kind == "polydisc":
+        R = params.reshape(-1, *[1] * n)
+        return np.prod(np.pi * R ** (2.0 * alpha + 2.0) / (alpha + 1.0),
+                       axis=0)
+    if domain.kind == "ball":
+        size = alpha.sum(axis=0)
+        log = (lgamma(alpha + 1.0).sum(axis=0) - lgamma(size + n + 1.0)
+               + (2.0 * size + 2.0 * n) * math.log(params[0]))
+        return np.pi ** n * np.exp(log)
+    if domain.kind == "power-egg":
+        p = params.reshape(-1, *[1] * n)
+        b = (2.0 * alpha + 2.0) / p
+        log = ((lgamma(b) - np.log(p)).sum(axis=0)
+               - lgamma(1.0 + b.sum(axis=0)))
+        return (2.0 * np.pi) ** n * np.exp(log)
+    return None
 
 
 def simplex_directions(dim: int, count: int) -> np.ndarray:

@@ -300,9 +300,11 @@ def _ic_report(c: float, r: float, tol: float,
     if floor > max_nodes:
         mean, points = _ic_mean(c, r, max_nodes)
         return RefinementReport(complex(mean), (points,), np.inf, False, 0)
-    means = nested_levels(
-        lambda level, shift: _ic_mean(c, r, floor << level, shift[0]), 1)
-    return refine_until(means, tol, cap=max_nodes)
+
+    def means(level, shifts):
+        out = [_ic_mean(c, r, floor << level, shift) for (shift,) in shifts]
+        return [mean for mean, _ in out], sum(points for _, points in out)
+    return refine_until(nested_levels(means, 1), tol, cap=max_nodes)
 
 
 def eval_ic(query: IcQuery, tol: float = 1e-10,

@@ -11,14 +11,14 @@ import hardylab
 from hardylab.cli import _parse_floats, _parse_ints, main
 from hardylab.errors import DomainModelError
 from hardylab.experiments import (RUNNERS, ExperimentResult, RunConfig,
-                                  blowup_orders, reinhardt_case, render_csv,
-                                  render_json, run_blowup,
+                                  _a2_oracle, blowup_orders, reinhardt_case,
+                                  render_csv, render_json, run_blowup,
                                   run_ic_asymptotics, run_reinhardt,
                                   run_uniform_bound, write_result)
-from hardylab.registry import (FunctionRegistry, default_registry, fa_entry,
-                               monomial_entry, polynomial_entry,
-                               product_entry)
-from hardylab.reinhardt import ball, polydisc, power_egg
+from hardylab.registry import (FunctionRegistry, RegistryEntry,
+                               default_registry, fa_entry, monomial_entry,
+                               polynomial_entry, product_entry)
+from hardylab.reinhardt import ball, custom_domain, polydisc, power_egg
 
 
 def small_registry():
@@ -410,12 +410,12 @@ def test_reinhardt_product_gate_catches_a_wrong_a1_column(monkeypatch,
     # on a polydisc the A1 column of prod-fa-0.9 is the square of the
     # one-variable norm of S_N f_0.9.  Taken as the Hardy norm of the same
     # S_N, or 3 tol too high, it passes every other gate; only the product
-    # oracle catches it.  The err_a1 column (tol 1e-3) and the oracle's
-    # one-variable calls stay exact.
+    # oracle catches it.  The err_a1 column (tol 1e-3), the A2 norm of the
+    # moment gate (p = 2) and the oracle's one-variable calls stay exact.
     exact = hardylab.experiments.bergman_norm_reinhardt
 
     def wrong_a1(f, p, domain, tol, **kw):
-        if domain.dim < 2 or tol >= 1e-3:
+        if domain.dim < 2 or tol >= 1e-3 or p != 1:
             return exact(f, p, domain, tol=tol, **kw)
         if mutation == "hardy":
             return hardylab.norms.hardy_norm_reinhardt(f, p, domain, tol=tol,
@@ -428,7 +428,7 @@ def test_reinhardt_product_gate_catches_a_wrong_a1_column(monkeypatch,
     assert res.exit_code == 1
     s = res.summary
     assert not s["product_ok"] and s["product_max_rel"] > 1e-4
-    assert s["all_converged"] and s["plateau_ok"]
+    assert s["all_converged"] and s["plateau_ok"] and s["a2_ok"]
     assert s["final_err_ok"] and s["monotone_ok"]
 
 
@@ -445,14 +445,62 @@ def _z1_z2_squared(case):
 def test_reinhardt_product_oracle_takes_a_vanishing_factor(case):
     # S_1 z^2 = 0, so at N = 1 the a1_partial column and its oracle are
     # both 0: distance 0, not a division by zero.  The orders are the
-    # CLI's 1,2,4,8; with (1, 2) alone the plateau gate's base would be
-    # the N = 1 ratio, 0.
+    # CLI's 1,2,4,8.
     reg, name = _z1_z2_squared(case)
     res = run_reinhardt(RunConfig(n_set_square=(1, 2, 4, 8)), reg,
                         function=name)
     assert res.rows[0][4] == 0.0
     assert res.exit_code == 0
     assert res.summary["product_ok"] and res.summary["product_max_rel"] == 0
+
+
+def test_reinhardt_plateau_base_skips_a_vanishing_partial_sum():
+    # S_1 z1 z2^2 = 0: the ratio at N = 1 is 0 and sets no scale, so the
+    # base is the N = 2 ratio, 1/12, which the tail equals
+    res = run_reinhardt(RunConfig(n_set_square=(1, 2)), function="mono2-1-2")
+    assert res.rows[0][5] == 0.0
+    assert res.exit_code == 0
+    s = res.summary
+    assert s["plateau_ok"]
+    assert s["plateau_base"] == s["plateau_tail_max"] == pytest.approx(1 / 12)
+    # S_2 = z1 z2^2 has A2 norm pi / sqrt(6) on the bidisc
+    assert s["a2_ok"] and s["a2_rel"] <= 1e-14
+
+
+def _no_jacobian(monkeypatch):
+    # the radial cells' weights without the polar jacobian prod r_j
+    cells_of = hardylab.norms._radial_cells
+
+    def cells(domain, depth, order):
+        radii, weights = cells_of(domain, depth, order)
+        return radii, weights / np.prod(radii, axis=1)
+    monkeypatch.setattr(hardylab.norms, "_radial_cells", cells)
+
+
+@pytest.mark.parametrize("domain", [polydisc(2), ball(2)],
+                         ids=["polydisc", "ball"])
+def test_reinhardt_a2_gate_catches_a_dropped_jacobian(monkeypatch, domain):
+    # without the jacobian the A1 column and the product oracle's
+    # one-variable norms are wrong together, so product_ok still holds; the
+    # moment sum shares no quadrature and the A2 gate fails
+    _no_jacobian(monkeypatch)
+    res = run_reinhardt(RunConfig(n_set_square=(1, 2)), domain=domain,
+                        function="mono2-1-2")
+    assert res.exit_code == 1
+    s = res.summary
+    assert not s["a2_ok"] and s["a2_rel"] > 0.1
+    assert s.get("product_ok", True)
+
+
+def test_a2_oracle_needs_closed_form_moments():
+    # a custom domain has no closed-form moments: no A2 gate
+    entry = default_registry().get("mono2-1-2")
+    box = custom_domain(lambda r: np.max(r, axis=-1), 2, 1.0)
+    assert _a2_oracle(entry, box, 2, 1e-4, 1 << 28) is None
+    res = run_reinhardt(RunConfig(n_set_square=(2,)), domain=box,
+                        function="mono2-1-2")
+    assert res.exit_code == 0
+    assert "a2_ok" not in res.summary and "a2_rel" not in res.summary
 
 
 def test_reinhardt_product_oracle_fails_a_nonzero_column_on_a_zero_oracle(
@@ -510,6 +558,18 @@ def test_run_reinhardt_refuses_a_domain_past_the_pole(monkeypatch):
                       domain=polydisc(2, [1.2, 1.2]))
     entry, dom = reinhardt_case(default_registry(), polydisc(2, [1.1, 1.1]))
     assert entry.name == "prod-fa-0.9" and dom.params == (1.1, 1.1)
+
+
+def test_run_reinhardt_refuses_an_entry_without_partial_sums(monkeypatch):
+    # no factors, partial_factory or series: refused before any estimator
+    def no_estimate(*args, **kw):
+        raise AssertionError("an estimator ran")
+    monkeypatch.setattr("hardylab.experiments.hardy_norm_reinhardt",
+                        no_estimate)
+    reg = FunctionRegistry()
+    reg.add(RegistryEntry("g", 2, lambda z1, z2: z1 * z2, spike=0.0))
+    with pytest.raises(ValueError, match="function 'g' has no partial sums"):
+        run_reinhardt(RunConfig(n_set_square=(1,)), reg, function="g")
 
 
 def test_cli_budget_below_the_first_level_exits_2(tmp_path):

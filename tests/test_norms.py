@@ -10,8 +10,9 @@ from hardylab.norms import (NormEstimate, bergman_norm_disc,
                             bergman_norm_reinhardt, hardy_norm_disc,
                             hardy_norm_reinhardt, monotonicity_check)
 from hardylab.quadrature import angular_floor
-from hardylab.registry import TaggedEvaluator, default_registry, fa_entry
-from hardylab.reinhardt import ball, polydisc, power_egg
+from hardylab.registry import (TaggedEvaluator, default_registry, fa_entry,
+                               product_entry, product_evaluator)
+from hardylab.reinhardt import ball, frontier_sample, polydisc, power_egg
 from hardylab.series import PowerSeries
 from hardylab.witnesses import T1T2Split, WitnessFa
 
@@ -369,6 +370,86 @@ def test_levels_report_the_points_they_evaluate(monkeypatch, case):
         if case == "hardy-rim":
             # a circle's doubling adds the m_0 half-shifted nodes alone
             assert levels[1][0] == levels[0][0]
+
+
+_PRODUCT_DOMAINS = pytest.mark.parametrize(
+    "domain", [polydisc(2), ball(2), power_egg([1.0, 1.0])],
+    ids=["polydisc", "ball", "power-egg"])
+
+
+def _hidden(f):
+    # the same callable with its factors out of sight: the tensor grid
+    return TaggedEvaluator(lambda *z: f(*z), f.spike)
+
+
+@_PRODUCT_DOMAINS
+def test_products_integrate_factor_by_factor(domain):
+    # A1 of a square partial sum and H1 of the product itself: the factor
+    # path gives the tensor grid's value
+    entry = default_registry().get("prod-fa-0.9-0.5")
+    sn = entry.partial_evaluator(8)
+    f = TaggedEvaluator(entry.evaluator, entry.spike)
+    assert len(sn.factors) == len(f.factors) == 2
+    a1 = [bergman_norm_reinhardt(g, 1.0, domain, tol=1e-4)
+          for g in (sn, _hidden(sn))]
+    h1 = [hardy_norm_reinhardt(g, 1.0, domain) for g in (f, _hidden(f))]
+    for fast, tensor in (a1, h1):
+        assert fast.converged and tensor.converged
+        assert fast.value == pytest.approx(tensor.value, rel=1e-13, abs=0)
+
+
+@_PRODUCT_DOMAINS
+def test_monotonicity_check_integrates_products_factor_by_factor(
+        monkeypatch, domain):
+    seen = []
+    orig = norms.torus_integrals
+
+    def recording(*args):
+        seen.append(orig(*args))
+        return seen[-1]
+    monkeypatch.setattr(norms, "torus_integrals", recording)
+    f = default_registry().get("prod-fa-0.9-0.5").partial_evaluator(16)
+    rng = np.random.default_rng(11)
+    for u in frontier_sample(domain, 8):
+        t = np.sort(rng.uniform(0.2, 1.0, 2))
+        checks = [monotonicity_check(g, 1.0, t[0] * u, t[1] * u)
+                  for g in (f, _hidden(f))]
+        assert checks == [True, True]
+        fast, tensor = seen[-2:]
+        assert np.max(np.abs(fast - tensor) / tensor) <= 1e-13
+
+
+@_PRODUCT_DOMAINS
+def test_product_levels_report_the_points_the_factors_evaluate(
+        monkeypatch, domain):
+    # the points each level reports, and refine_until's cap counts, are
+    # the points the one-variable factors are evaluated on
+    counter = [0]
+    calls = _record_levels(monkeypatch, counter)
+    entry = default_registry().get("prod-fa-0.9-0.5")
+    f = product_evaluator([_counting(fac.partial_evaluator(8), counter)
+                           for fac in entry.factors])
+    est = bergman_norm_reinhardt(f, 1.0, domain, tol=1e-4, spike=entry.spike)
+    assert est.converged
+    (levels,) = calls
+    assert len(levels) >= 2 and counter[0] > 0
+    assert all(reported == seen for reported, seen in levels)
+
+
+@pytest.mark.parametrize("domain, exact", [
+    (polydisc(3), TWO_PI ** 3),
+    (ball(3), TWO_PI ** 3 * (1 - 0.81) ** 2)], ids=["polydisc", "ball"])
+def test_three_variable_hardy_norm_of_a_product(domain, exact):
+    # (fa-0.9)^3: every frontier shell of the polydisc is the unit torus;
+    # the supremum over the ball's frontier sits on a corner shell,
+    # (2 pi)^3 (1 - 0.9^2)^2 = 8.954613...  On the tensor grid, level 1
+    # alone would exceed the budget.
+    fa = default_registry().get("fa-0.9")
+    f = product_entry((fa, fa, fa))
+    est = hardy_norm_reinhardt(f.evaluator, 1.0, domain, spike=f.spike,
+                               max_nodes=1 << 22)
+    assert est.converged
+    assert est.value == pytest.approx(exact, rel=1e-6)
 
 
 def test_boundary_spikes_are_refused_at_entry():

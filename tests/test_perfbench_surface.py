@@ -69,3 +69,24 @@ def test_density_experiment_runs_under_the_tracer():
     layers = tracer.per_layer(1)
     assert layers["reinhardt.density_experiment.calls"]["value"] == 1
     assert layers["trace.selfcheck_mismatches"]["value"] == 0
+
+
+def test_products_under_the_tracer_count_their_points():
+    # the tracer's integrand wrapper does not pass a product's factors on,
+    # so a traced product takes the tensor grid: every point it evaluates
+    # goes through the wrapper, and the self-check still holds
+    tracer = _tracer()
+    prod = default_registry().get("prod-fa-0.9")
+    sn = prod.partial_evaluator(4)
+    assert sn.factors is not None
+    with tracer.installed(hardylab):
+        norms = hardylab.norms
+        est = norms.bergman_norm_reinhardt(sn, 1.0, polydisc(2), tol=1e-3)
+        ok = norms.monotonicity_check(prod.evaluator, 1.0, [0.5, 0.5],
+                                      [0.6, 0.7], spike=prod.spike)
+    assert est.converged and ok
+    layers = tracer.per_layer(1)
+    assert layers["norms.monotonicity_check.points"]["value"] > 0
+    assert layers["norms.bergman_norm_reinhardt.points"]["value"] > 0
+    assert layers["trace.selfcheck_checked"]["value"] == 1
+    assert layers["trace.selfcheck_mismatches"]["value"] == 0

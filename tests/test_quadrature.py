@@ -3,8 +3,10 @@ import pytest
 
 from hardylab.norms import bergman_norm_disc, bergman_norm_reinhardt
 from hardylab.quadrature import (angular_floor, doubled_torus_integrals,
-                                 dyadic_panels, refine_until, torus_integrals,
-                                 torus_levels, unit_nodes)
+                                 dyadic_panels, half_shifts, refine_until,
+                                 torus_cosets, torus_integrals, torus_levels,
+                                 torus_points, unit_nodes)
+from hardylab.registry import product_evaluator
 from hardylab.reinhardt import polydisc
 
 TWO_PI = 2.0 * np.pi
@@ -172,6 +174,73 @@ def test_torus_levels_report_the_points_they_evaluate(dim):
             assert points == np.prod(ms) * len(radii)
         fresh = torus_integrals(_smooth, radii, grid)
         assert np.max(np.abs(vals - fresh) / fresh) <= 1e-14
+
+
+def _smooth_factor(j):
+    # the one-variable factor of _smooth on axis j
+    return lambda z: np.abs(1.0 + 0.5 * z / (j + 1)) / np.abs(1.0 - 0.6 * z)
+
+
+# rows that share radii on some axes, so an axis has fewer distinct radii
+# than the grid has shells
+_FACTOR_SHELLS = {1: [[0.9], [0.3], [0.9]],
+                  2: [[0.9, 0.5], [0.9, 1.0], [0.3, 0.5], [0.3, 1.0]],
+                  3: [[0.9, 0.5, 0.7], [0.9, 0.2, 0.7], [1.0, 0.5, 0.7]]}
+
+
+def _counted_product(dim):
+    counted = [_Counted(_smooth_factor(j)) for j in range(dim)]
+    return product_evaluator(counted), counted
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_product_integrands_sum_factor_by_factor(dim):
+    # the product of the per-axis circle sums is the tensor sum, and each
+    # axis is evaluated once per distinct radius and shift on that axis
+    radii, ms = np.array(_FACTOR_SHELLS[dim]), _COUNTS[dim]
+    for shifts in ([(0.0,) * dim], [(0.5,) + (0.0,) * (dim - 1)],
+                   half_shifts(dim)):
+        g, counted = _counted_product(dim)
+        values, points = torus_cosets(g, radii, ms, shifts)
+        per_axis = [np.unique(radii[:, j]).size * m
+                    * len({s[j] for s in shifts}) for j, m in enumerate(ms)]
+        assert [c.points for c in counted] == per_axis
+        assert points == sum(per_axis) == torus_points(g, radii, ms, shifts)
+        # the same product with its factors hidden takes the tensor grid
+        tensor, tensor_points = torus_cosets(lambda *z: g(*z), radii, ms,
+                                             shifts)
+        for v, t in zip(values, tensor, strict=True):
+            assert np.max(np.abs(v - t) / t) <= 1e-13
+        assert tensor_points == torus_points(lambda *z: g(*z), radii, ms,
+                                             shifts)
+        assert tensor_points == len(shifts) * len(radii) * np.prod(ms)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_product_levels_report_the_points_they_evaluate(dim):
+    radii, ms = np.array(_FACTOR_SHELLS[dim]), _COUNTS[dim]
+    g, counted = _counted_product(dim)
+    levels = torus_levels(g, radii, ms)
+    for level in range(4):
+        before = sum(c.points for c in counted)
+        vals, (points,) = levels(level)
+        assert sum(c.points for c in counted) - before == points
+        grid = [m << level for m in ms]
+        fresh = torus_integrals(_smooth, radii, grid)
+        assert np.max(np.abs(vals - fresh) / fresh) <= 1e-13
+    prev = torus_integrals(g, radii, ms)
+    before = sum(c.points for c in counted)
+    nested, points = doubled_torus_integrals(g, radii, ms, prev)
+    assert sum(c.points for c in counted) - before == points
+    # one variable has one coset, shifted; more have shift 0 and 1/2 per axis
+    assert points == (1 if dim == 1 else 2) * sum(
+        np.unique(radii[:, j]).size * m for j, m in enumerate(ms))
+
+
+def test_product_integrand_needs_a_factor_per_axis():
+    g = product_evaluator([_smooth_factor(0), _smooth_factor(1)])
+    with pytest.raises(ValueError, match="3 axes has 2 factors"):
+        torus_integrals(g, [[0.5, 0.5, 0.5]], (8, 8, 8))
 
 
 def test_refine_until_converges_geometrically():

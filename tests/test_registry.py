@@ -187,3 +187,17 @@ def test_product_evaluator_rejects_wrong_coordinate_count():
         ent.evaluator(0.1, 0.2, 0.3)
     with pytest.raises(ValueError, match="expected 2 coordinates"):
         ent.evaluator(0.1)
+
+
+def test_products_expose_their_factors():
+    # the estimators integrate a product factor by factor when the callable
+    # they get holds one-variable factors; sums of products hold none
+    ent = default_registry().get("prod-fa-0.9-0.5")
+    fa09, fa05 = ent.factors
+    assert ent.evaluator.factors == (fa09.evaluator, fa05.evaluator)
+    sn = ent.partial_evaluator(5)
+    assert [f.spike for f in sn.factors] == [5 / 6, 0.5]
+    z1, z2 = PTS[:, None], PTS[None, :]
+    assert np.array_equal(sn(z1, z2), sn.factors[0](z1) * sn.factors[1](z2))
+    assert ent.tail_evaluator(5).factors is None
+    assert fa09.partial_evaluator(5).factors is None

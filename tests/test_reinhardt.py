@@ -8,8 +8,8 @@ from hardylab.reinhardt import (ReinhardtDomain, ball, contains,
                                 custom_domain, density_experiment,
                                 dilate_truncate, domain_from_config,
                                 frontier_max_radius, frontier_sample,
-                                polydisc, power_egg, section_tops,
-                                simplex_directions)
+                                monomial_moments, polydisc, power_egg,
+                                section_tops, simplex_directions)
 from hardylab.series import PowerSeries
 from hardylab.witnesses import fa_series
 
@@ -207,3 +207,28 @@ def test_domain_validation():
     with pytest.raises(ValueError):
         ReinhardtDomain(dim=0, kind="custom", gauge=lambda r: r,
                         params=(), diameter_bound=1.0)
+
+
+def test_monomial_moments_closed_forms():
+    # m_alpha = int_D |z^alpha|^2 dV; alpha = 0 is the volume
+    m = monomial_moments(polydisc(2, [0.5, 2.0]), 3)
+    assert m.shape == (4, 4)
+    assert m[2, 1] == pytest.approx(np.pi * 0.5 ** 6 / 3 * np.pi * 2.0 ** 4
+                                    / 2, rel=1e-15)
+    # the unit ball is the power-egg with p = (2, ..., 2), of volume
+    # pi^n / n!
+    for n in (1, 2, 3):
+        b, e = monomial_moments(ball(n), 4), monomial_moments(
+            power_egg([2.0] * n), 4)
+        assert b.shape == (5,) * n
+        assert np.allclose(b, e, rtol=1e-13, atol=0)
+        assert b.flat[0] == pytest.approx(np.pi ** n / np.prod(range(1, n + 1)),
+                                          rel=1e-14)
+    # ball of radius R: |z1|^2 has moment pi^2 R^6 / 6
+    assert monomial_moments(ball(2, 1.5), 1)[1, 0] == pytest.approx(
+        np.pi ** 2 * 1.5 ** 6 / 6, rel=1e-14)
+    # the simplex |z1| + |z2| < 1: (2 pi)^2 / 4! for alpha = 0
+    assert monomial_moments(power_egg([1.0, 1.0]), 0)[0, 0] == pytest.approx(
+        (2 * np.pi) ** 2 / 24, rel=1e-14)
+    assert monomial_moments(custom_domain(lambda r: r[..., 0], 1, 1.0),
+                            3) is None
