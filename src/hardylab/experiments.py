@@ -183,15 +183,19 @@ def run_uniform_bound(config: RunConfig | None = None,
 
     The ratio column ||S_N f||_A1 / ||f||_H1 must plateau in N; the same
     ratio with the Hardy norm of S_N in the numerator is reported as a
-    contrast and is allowed to grow.
+    contrast and is allowed to grow.  A monomial z^k (``const-1`` is z^0)
+    has closed forms from N = k on, gated to ``tol`` relative: S_N z^k =
+    z^k, whose A1 norm is 2 pi / (k + 2) and whose H1 norm is 1.
     """
     cfg = config or RunConfig()
     reg = registry or default_registry(cfg.seed)
     res = ExperimentResult("uniform-bound",
                            ("function", "N", "a", "h1_f", "a1_partial",
                             "ratio_a1", "h1_partial", "ratio_h1", "converged"))
+    closed_rel = 0.0
     for entry in _uniform_bound_functions(cfg, reg):
         a_val = float(entry.spike) if entry.name.startswith("fa-") else None
+        k = _monomial_degree(entry)
         h1 = hardy_norm_disc(entry.evaluator, 1.0, cfg.tol,
                              spike=entry.spike, max_nodes=cfg.max_nodes)
         for N in cfg.n_set:
@@ -204,6 +208,10 @@ def run_uniform_bound(config: RunConfig | None = None,
             res.add(t1, entry.name, N, a_val, h1.value, a1.value,
                     a1.value / h1.value, h1n.value, h1n.value / h1.value,
                     h1.converged and a1.converged and h1n.converged)
+            if k is not None and N >= k:
+                closed_rel = max(closed_rel,
+                                 _rel_distance(a1.value, 2.0 * np.pi / (k + 2)),
+                                 _rel_distance(h1n.value, 1.0))
     ratios = {}
     for row in res.rows:
         ratios.setdefault(row[1], []).append(row[5])
@@ -213,8 +221,20 @@ def run_uniform_bound(config: RunConfig | None = None,
     late = max(max(ratios[n]) for n in late_ns)
     return res.close({"max_ratio_a1": max(max(v) for v in ratios.values()),
                       "early_ns": early_ns, "late_ns": late_ns,
-                      "max_early": early, "max_late": late},
-                     plateau_ok=late <= 1.10 * early)
+                      "max_early": early, "max_late": late,
+                      "closed_form_max_rel": closed_rel},
+                     plateau_ok=late <= 1.10 * early,
+                     closed_forms_ok=closed_rel <= cfg.tol)
+
+
+def _monomial_degree(entry: RegistryEntry) -> int | None:
+    """k when the entry's series is the monomial z^k (its one nonzero
+    coefficient a_k is 1), else ``None``."""
+    k = entry.degree
+    if k is None or k < 0 or entry.series is None:
+        return None
+    coeffs = entry.series.coefficients(k)
+    return k if coeffs[k] == 1 and not np.any(coeffs[:k]) else None
 
 
 def run_a1_convergence(config: RunConfig | None = None,
@@ -223,8 +243,9 @@ def run_a1_convergence(config: RunConfig | None = None,
     """Bergman error of partial sums: ||S_N f - f||_A1 down the N grid.
 
     For the extremal-family member the errors must decrease strictly from
-    N = 16 on and end below A1_FINAL_TOL; polynomials must hit 1e-12 as
-    soon as N reaches their degree.
+    N = 16 on and end below A1_FINAL_TOL (the error at N = 512, else at the
+    last order run from 16 on, else at the last order run); polynomials
+    must hit 1e-12 as soon as N reaches their degree.
     """
     cfg = config or RunConfig()
     reg = registry or default_registry(cfg.seed)
@@ -250,7 +271,7 @@ def run_a1_convergence(config: RunConfig | None = None,
         tail = [(n, e) for n, e in pairs if n >= 16]
         decreasing = decreasing and all(e2 < e1 for (_, e1), (_, e2)
                                         in zip(tail, tail[1:]))
-        finals[name] = dict(pairs).get(512, tail[-1][1] if tail else np.inf)
+        finals[name] = dict(pairs).get(512, (tail or pairs)[-1][1])
     return res.close({"fa_final_errors": finals, "final_tol": A1_FINAL_TOL},
                      fa_strictly_decreasing=decreasing,
                      final_ok=all(v < A1_FINAL_TOL for v in finals.values()),

@@ -206,9 +206,7 @@ def polynomial_entry(name: str, coefficients) -> RegistryEntry:
 def monomial_entry(k: int) -> RegistryEntry:
     coeffs = np.zeros(k + 1, dtype=np.complex128)
     coeffs[k] = 1.0
-    ps = PowerSeries.from_coefficients(coeffs)
-    return RegistryEntry(name=f"mono-{k}", dim=1, evaluator=ps, series=ps,
-                         spike=0.0, degree=k)
+    return polynomial_entry(f"mono-{k}", coeffs)
 
 
 def product_entry(factors: tuple[RegistryEntry, ...],

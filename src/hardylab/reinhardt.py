@@ -293,16 +293,12 @@ class DensityRow:
     converged: bool
 
 
-def _abs_coeff_sum(series: PowerSeries, x: float, upto: int | None,
-                   hard_cap: int = 20000) -> float:
-    """Sum of |a_k| x^k over k <= upto (or the full series with a measured
-    geometric remainder when upto is None)."""
-    if upto is not None:
-        return float(sum(abs(series.coefficient(k)) * x ** k
-                         for k in range(upto + 1)))
+def _abs_coeff_sum(series: PowerSeries, x: float) -> float:
+    """Sum of |a_k| x^k over the full series, at most 20000 terms, with a
+    measured geometric remainder."""
     total = 0.0
     prev_term = None
-    for k in range(hard_cap):
+    for k in range(20000):
         term = abs(series.coefficient(k)) * x ** k
         total += term
         if k > 8 and term <= 1e-18 * max(total, 1e-300):
@@ -321,14 +317,16 @@ def density_experiment(f, domain: ReinhardtDomain, p: float = 1.0,
     """Drive the dilate-truncate construction for the registry entry ``f``
     down an error ladder.
 
-    For each target eps the dilation rho is pushed toward 1 until the
-    probe sup of |f - f_rho| on boundary shells clears half the target,
-    then the square degree M is grown until the coefficient tail bound on
-    the closed domain clears the other half; the achieved Hardy error of
-    the resulting polynomial is then measured and reported.  ``f`` must
-    be a product of one-variable power series (``factors``), or one
-    variable with a ``PowerSeries``; anything else is refused with
-    ``ValueError`` before the probe runs.
+    For each target eps two forward scans pick the construction: rho is
+    the first rung rho_k = 1 - 2^-k (k <= _RHO_K_MAX) whose probe sup of
+    |f - f_rho| on boundary shells clears half the target, and M is the
+    smallest square degree (M <= _M_CAP) whose coefficient tail bound on
+    the closed domain clears the other half.  A scan that runs off its
+    ladder keeps its last value and marks the row unconverged.  The
+    achieved Hardy error of the resulting polynomial is then measured and
+    reported.  ``f`` must be a product of one-variable power series
+    (``factors``), or one variable with a ``PowerSeries``; anything else
+    is refused with ``ValueError`` before the probe runs.
     """
     from .norms import hardy_norm_disc, hardy_norm_reinhardt
 
@@ -362,48 +360,28 @@ def density_experiment(f, domain: ReinhardtDomain, p: float = 1.0,
             base - np.asarray(f.evaluator(*[rho * z for z in zs]))))
             for zs, base in probe]))
 
-    def tail_bound_fn(rho: float):
-        tot = [_abs_coeff_sum(s, rho * closure[j], None)
-               for j, s in enumerate(factors)]
-
-        def tail(M: int) -> float:
-            part = 1.0
-            full = 1.0
-            for j, s in enumerate(factors):
-                part *= _abs_coeff_sum(s, rho * closure[j], M)
-                full *= tot[j]
-            return max(full - part, 0.0)
-        return tail
-
     rows = []
     for eps in eps_ladder:
         sup_target = eps / (2.0 * norm_factor)
-        rho = None
         ok = True
         for k in range(1, _RHO_K_MAX + 1):
-            cand = 1.0 - 2.0 ** -k
-            if probe_sup_diff(cand) <= sup_target:
-                rho = cand
+            rho = 1.0 - 2.0 ** -k
+            if probe_sup_diff(rho) <= sup_target:
                 break
-        if rho is None:
-            rho = 1.0 - 2.0 ** -_RHO_K_MAX
+        else:
             ok = False
-        tail = tail_bound_fn(rho)
-        M = 0
-        while M <= _M_CAP and tail(M) > sup_target:
-            M = max(1, 2 * M)
-        if M > _M_CAP:
-            M = _M_CAP
+        # Tail bound prod_j full_j - prod_j sum_{k <= M} |a_{j,k}| x_j^k,
+        # x_j = rho * closure_j, with one running partial sum per factor.
+        xs = rho * closure
+        full = math.prod(_abs_coeff_sum(s, x) for s, x in zip(factors, xs))
+        partial = [0.0] * n
+        for M in range(_M_CAP + 1):
+            for j, (s, x) in enumerate(zip(factors, xs)):
+                partial[j] += abs(s.coefficient(M)) * x ** M
+            if max(full - math.prod(partial), 0.0) <= sup_target:
+                break
+        else:
             ok = False
-        elif M > 1:
-            lo, hi = M // 2, M
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if tail(mid) <= sup_target:
-                    hi = mid
-                else:
-                    lo = mid
-            M = hi
         q_eval = product_evaluator([dilate_truncate(s, rho, M)
                                     for s in factors])
 

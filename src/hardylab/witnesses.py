@@ -82,7 +82,7 @@ def eval_fa(a: complex, z):
 
 @dataclass(frozen=True)
 class WitnessFa:
-    """The function f_a as a callable with coefficient access."""
+    """The function f_a as a callable carrying its spike tag."""
 
     a: complex
 
@@ -95,13 +95,6 @@ class WitnessFa:
 
     def __call__(self, z):
         return eval_fa(self.a, z)
-
-    def coefficient(self, k: int) -> complex:
-        a = complex(self.a)
-        return (1.0 - abs(a) ** 2) * (k + 1) * np.conj(a) ** k
-
-    def series(self) -> PowerSeries:
-        return fa_series(self.a)
 
 
 def fa_series(a: complex) -> PowerSeries:

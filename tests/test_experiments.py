@@ -11,10 +11,11 @@ import hardylab
 from hardylab.cli import _parse_floats, _parse_ints, main
 from hardylab.errors import DomainModelError
 from hardylab.experiments import (RUNNERS, ExperimentResult, RunConfig,
-                                  _a2_oracle, blowup_orders, reinhardt_case,
-                                  render_csv, render_json, run_blowup,
-                                  run_ic_asymptotics, run_reinhardt,
-                                  run_uniform_bound, write_result)
+                                  _a2_oracle, _monomial_degree, blowup_orders,
+                                  reinhardt_case, render_csv, render_json,
+                                  run_blowup, run_ic_asymptotics,
+                                  run_reinhardt, run_uniform_bound,
+                                  write_result)
 from hardylab.registry import (FunctionRegistry, RegistryEntry,
                                default_registry, fa_entry, monomial_entry,
                                polynomial_entry, product_entry)
@@ -43,6 +44,31 @@ def test_uniform_bound_small_grid():
     # the a parameter is only recorded for extremal-family rows
     assert by_fn[("const-1", 8)][2] is None
     assert by_fn[("fa-0.5", 8)][2] == pytest.approx(0.5)
+    assert res.summary["closed_forms_ok"]
+    assert res.summary["closed_form_max_rel"] <= cfg.tol
+
+
+def test_uniform_bound_closed_forms_cover_the_monomials():
+    # f_0 is the constant 1, so it gets the closed forms of z^0 as well
+    degrees = {e.name: _monomial_degree(e)
+               for e in default_registry().entries(dim=1)}
+    assert {name: k for name, k in degrees.items() if k is not None} == {
+        "const-1": 0, "mono-1": 1, "mono-2": 2, "mono-5": 5, "fa-0": 0}
+
+
+def test_uniform_bound_closed_form_gate_catches_a_hardy_column(monkeypatch):
+    # S_N z^k = z^k has A1 norm 2 pi / (k + 2) but H1 norm 1; an A1 column
+    # taken as the Hardy norm still plateaus on this grid, so only the
+    # closed-form gate catches it
+    def hardy_as_bergman(f, p, tol, **kw):
+        return hardylab.norms.hardy_norm_disc(f, p, tol, **kw)
+    monkeypatch.setattr("hardylab.experiments.bergman_norm_disc",
+                        hardy_as_bergman)
+    res = run_uniform_bound(RunConfig(n_set=(8, 16), a_set=(0.5,)),
+                            small_registry())
+    assert res.exit_code == 1
+    assert not res.summary["closed_forms_ok"]
+    assert res.summary["all_converged"] and res.summary["plateau_ok"]
 
 
 def test_blowup_truncated_grid_trips_growth_gate():
@@ -229,6 +255,20 @@ def test_cli_flag_beats_config(tmp_path):
     rows = outp.read_text().splitlines()[1:]
     ns = {int(line.split(",")[1]) for line in rows}
     assert ns == {16, 32}
+
+
+def test_cli_a1_converge_json_is_strict_json(capsys):
+    # with no order from 16 on, the final error is the last one run (N = 8),
+    # which is above A1_FINAL_TOL; Infinity would not be JSON at all
+    assert main(["a1-converge", "--n-set", "8", "--format", "json"]) == 1
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    first = doc["records"][0]
+    assert (first["function"], first["N"]) == ("fa-0.9", 8)
+    assert doc["summary"]["fa_final_errors"] == {"fa-0.9": first["err_a1"]}
+    assert not doc["summary"]["final_ok"]
 
 
 def test_cli_all_uses_outdir(monkeypatch, tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 from hardylab.errors import DomainModelError
 from hardylab import quadrature
+from hardylab.experiments import run_density
 from hardylab.registry import RegistryEntry, default_registry, product_entry
 from hardylab.reinhardt import (ReinhardtDomain, ball, contains,
                                 custom_domain, density_experiment,
@@ -178,6 +179,26 @@ def test_density_probe_does_not_depend_on_the_block_size(monkeypatch):
     default = rows()
     monkeypatch.setattr(quadrature, "_CHUNK", 1024)
     assert rows() == default
+
+
+def test_density_degree_is_the_smallest_that_clears_the_tail_target():
+    # M is the smallest degree whose coefficient tail bound
+    # prod_j full_j - prod_j sum_{k <= M} |a_{j,k}| x_j^k, with x_j rho times
+    # the domain's extent on axis j, is at most eps / (2 norm_factor)
+    reg = default_registry()
+    domains = {"disc": polydisc(1), "bidisc": polydisc(2)}
+    k = np.arange(2048)
+    for label, name, eps, rho, M, *_ in run_density().rows:
+        dom, entry = domains[label], reg.get(name)
+        n = dom.dim
+        sums = [np.cumsum(np.abs(fac.series.coefficients(k[-1]))
+                          * (rho * frontier_max_radius(dom, axis)[j]) ** k)
+                for j, (fac, axis) in enumerate(zip(entry.factors or (entry,),
+                                                    np.eye(n)))]
+        tail = np.prod([s[-1] for s in sums]) - np.prod(sums, axis=0)
+        target = eps / (2.0 * (1.0 if n == 1 else (2.0 * np.pi) ** n))
+        assert tail[M] <= target
+        assert M == 0 or tail[M - 1] > target
 
 
 def test_density_experiment_refuses_a_non_product():

@@ -35,13 +35,11 @@ def test_eval_fa_pole_guard():
 
 
 def test_fa_coefficients_closed_form():
-    a = 0.75
-    w = WitnessFa(a)
-    assert w.coefficient(0) == pytest.approx(1 - a * a)
-    assert w.coefficient(1) == pytest.approx((1 - a * a) * 2 * a)
-    assert w.coefficient(2) == pytest.approx((1 - a * a) * 3 * a * a)
-    s = fa_series(a)
-    assert s.coefficient(5) == pytest.approx((1 - a * a) * 6 * a ** 5)
+    for a in (0.75, 0.6 + 0.3j):
+        s = fa_series(a)
+        for k in (0, 1, 2, 5):
+            assert s.coefficient(k) == pytest.approx(
+                (1 - abs(a) ** 2) * (k + 1) * np.conj(a) ** k)
 
 
 def test_fa_circle_mean_closed_form():
