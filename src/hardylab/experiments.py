@@ -166,15 +166,13 @@ def write_result(result: ExperimentResult, out: str = "-",
             fh.write(text)
 
 
-def _uniform_bound_functions(cfg: RunConfig,
-                             reg: FunctionRegistry) -> list[RegistryEntry]:
-    base = [e for e in reg.entries(dim=1)
+def _uniform_bound_functions(cfg: RunConfig, reg: FunctionRegistry
+                             ) -> list[tuple[RegistryEntry, float | None]]:
+    """The one-variable entries of ``reg`` other than the f_a, then f_a for
+    each a of ``cfg.a_set``, each with its a (``None`` for the others)."""
+    base = [(e, None) for e in reg.entries(dim=1)
             if not e.name.startswith("fa-")]
-    fas = []
-    for a in cfg.a_set:
-        name = f"fa-{format(float(a), 'g')}"
-        fas.append(reg.get(name) if name in reg else fa_entry(a))
-    return base + fas
+    return base + [(fa_entry(a), float(a)) for a in cfg.a_set]
 
 
 def run_uniform_bound(config: RunConfig | None = None,
@@ -193,8 +191,7 @@ def run_uniform_bound(config: RunConfig | None = None,
                            ("function", "N", "a", "h1_f", "a1_partial",
                             "ratio_a1", "h1_partial", "ratio_h1", "converged"))
     closed_rel = 0.0
-    for entry in _uniform_bound_functions(cfg, reg):
-        a_val = float(entry.spike) if entry.name.startswith("fa-") else None
+    for entry, a_val in _uniform_bound_functions(cfg, reg):
         k = _monomial_degree(entry)
         h1 = hardy_norm_disc(entry.evaluator, 1.0, cfg.tol,
                              spike=entry.spike, max_nodes=cfg.max_nodes)
@@ -230,10 +227,11 @@ def run_uniform_bound(config: RunConfig | None = None,
 def _monomial_degree(entry: RegistryEntry) -> int | None:
     """k when the entry's series is the monomial z^k (its one nonzero
     coefficient a_k is 1), else ``None``."""
-    k = entry.degree
-    if k is None or k < 0 or entry.series is None:
+    series = entry.factors[0]
+    k = series.degree
+    if k is None or k < 0:
         return None
-    coeffs = entry.series.coefficients(k)
+    coeffs = series.coefficients(k)
     return k if coeffs[k] == 1 and not np.any(coeffs[:k]) else None
 
 
@@ -255,15 +253,16 @@ def run_a1_convergence(config: RunConfig | None = None,
     poly_ok = True
     for name in A1_FUNCTIONS:
         entry = reg.get(name)
+        degree = entry.factors[0].degree
         for N in cfg.n_set:
             t0 = time.perf_counter()
             err = bergman_norm_disc(entry.tail_evaluator(N), 1.0, cfg.tol,
                                     spike=entry.spike,
                                     max_nodes=cfg.vol_cap())
-            res.add(t0, name, N, entry.degree, err.value, err.converged)
-            if name.startswith("fa-") and entry.degree is None:
+            res.add(t0, name, N, degree, err.value, err.converged)
+            if name.startswith("fa-") and degree is None:
                 fa_errs.setdefault(name, []).append((N, err.value))
-            elif entry.degree is not None and N >= entry.degree:
+            elif degree is not None and N >= degree:
                 poly_ok = poly_ok and err.value < 1e-12
     decreasing = True
     finals = {}
@@ -379,18 +378,13 @@ def run_ic_asymptotics(config: RunConfig | None = None,
 def reinhardt_case(registry: FunctionRegistry, domain=None,
                    function: str = DEFAULT_FUNCTION):
     """The entry and the domain (default ``polydisc(2)``) ``run_reinhardt``
-    tabulates; ValueError if their dimensions differ or the entry has no
-    partial sums (no ``factors``, ``partial_factory`` or ``series``),
-    DomainModelError if the domain reaches a pole the entry's spike tag
-    declares (``norms.boundary_grid``)."""
+    tabulates; ValueError if their dimensions differ, DomainModelError if
+    the domain reaches a pole the entry's spike tag declares
+    (``norms.boundary_grid``)."""
     entry, dom = registry.get(function), domain or polydisc(2)
     if entry.dim != dom.dim:
         raise ValueError(f"function {function!r} has dimension {entry.dim} "
                          f"but the {dom.kind} domain has dimension {dom.dim}")
-    if (entry.factors is None and entry.partial_factory is None
-            and entry.series is None):
-        raise ValueError(f"function {function!r} has no partial sums: it "
-                         f"needs factors, a partial_factory or a series")
     boundary_grid(entry.evaluator, dom, spike=entry.spike)
     return entry, dom
 
@@ -403,7 +397,7 @@ def run_reinhardt(config: RunConfig | None = None,
 
     Tabulates Bergman norms and errors of square truncations against the
     frontier Hardy norm, and batch-checks shell monotonicity on seeded
-    radius pairs.  A product on a polydisc also gets the product oracle
+    radius pairs.  A polydisc also gets the product oracle
     (:func:`_product_oracle`) as a gate, and every domain with closed-form
     moments the A^2 moment oracle (:func:`_a2_oracle`).
     """
@@ -459,7 +453,7 @@ def run_reinhardt(config: RunConfig | None = None,
             "plateau_tail_max": tail_max, "final_err": final_err,
             "monotone_pairs": MONOTONE_PAIRS, "monotone_failures": failures}
     gates = {}
-    if dom.kind == "polydisc" and entry.factors is not None:
+    if dom.kind == "polydisc":
         rel, converged = _product_oracle(entry, dom, res.rows, cfg.vol_cap())
         info["product_max_rel"] = rel
         gates["product_ok"] = converged and rel <= a1_tol
@@ -481,11 +475,12 @@ def _product_oracle(entry: RegistryEntry, dom: ReinhardtDomain, rows,
 
     On a polydisc the volume integral of a product splits into the
     factors' integrals over their discs, so the A1 norm of the square
-    partial sum of order N is prod_j ||S_N f_j||_A1(|z| < R_j).  Each
-    factor norm is taken to tol 1e-10, far below the row's own tolerance,
-    and once per distinct factor, radius and order.  A factor's S_N may
-    vanish (z^2 at N = 1): a column equal to its oracle is at distance 0,
-    any other column against a zero oracle at distance infinity.
+    partial sum of order N is prod_j ||S_N f_j||_A1(|z| < R_j), each S_N
+    f_j the partial sum of the one-factor entry of f_j.  Each factor norm
+    is taken to tol 1e-10, far below the row's own tolerance, and once per
+    distinct factor, radius and order.  A factor's S_N may vanish (z^2 at
+    N = 1): a column equal to its oracle is at distance 0, any other
+    column against a zero oracle at distance infinity.
     """
     one_var = {}
     worst, converged = 0.0, True
@@ -493,11 +488,11 @@ def _product_oracle(entry: RegistryEntry, dom: ReinhardtDomain, rows,
         N, a1 = row[2], row[4]
         oracle = 1.0
         for fac, R in zip(entry.factors, dom.params):
-            key = (fac.name, R, N)
+            key = (fac, R, N)
             if key not in one_var:
                 one_var[key] = bergman_norm_reinhardt(
-                    fac.partial_evaluator(N), 1.0, polydisc(1, [R]),
-                    tol=1e-10, max_nodes=max_nodes)
+                    RegistryEntry(entry.name, (fac,)).partial_evaluator(N),
+                    1.0, polydisc(1, [R]), tol=1e-10, max_nodes=max_nodes)
             converged = converged and one_var[key].converged
             oracle *= one_var[key].value
         worst = max(worst, _rel_distance(a1, oracle))
@@ -517,7 +512,7 @@ def _a2_oracle(entry: RegistryEntry, dom: ReinhardtDomain, N: int,
     """Relative distance of the A^2 norm of the square partial sum S_N f,
     by ``bergman_norm_reinhardt`` at ``tol``, from its moment sum, and
     whether the norm converged; ``None`` when the domain has no
-    closed-form moments (custom) or a factor has no ``series``.
+    closed-form moments (custom).
 
     Monomials are orthogonal on a complete Reinhardt domain, so
     ||S_N f||^2 = sum over max_j alpha_j <= N of |a_alpha|^2 m_alpha, with
@@ -527,11 +522,10 @@ def _a2_oracle(entry: RegistryEntry, dom: ReinhardtDomain, N: int,
     jacobian prod r_j and the (2 pi)^n mass on every domain kind.
     """
     moments = monomial_moments(dom, N)
-    series = [fac.series for fac in (entry.factors or (entry,))]
-    if moments is None or any(s is None for s in series):
+    if moments is None:
         return None
     weights = moments
-    for j, s in enumerate(series):
+    for j, s in enumerate(entry.factors):
         shape = [1] * dom.dim
         shape[j] = N + 1
         weights = weights * (np.abs(s.coefficients(N)) ** 2).reshape(shape)

@@ -1,35 +1,34 @@
 """Catalog of test functions driving the experiment runners.
 
-Each entry bundles a series representation, a vectorized evaluator, and
-the metadata the norm estimators need (spike location, polynomial
-degree).  A spike tag also declares the entry, its partial sums and its
-tails holomorphic past the closed unit polydisc: 0.0 for polynomials,
-|a| for the f_a family, the factors' tags for products; ``None``
-declares nothing.  Tails carry the entry's tag; a partial sum of order
-N, a polynomial, carries min(|s_j|, N/(N+1)) on each axis.  A
-several-variable entry is a product of one-variable entries, and its
-partial sums are square partial sums: they keep the multi-indices with
-max_j alpha_j <= N, the product of the factors' S_N.  One pair,
-``partial_evaluator``/``tail_evaluator``, serves every entry, with fast
-paths where a closed form exists, so high orders cost the same:
+An entry is a name and its one-variable series factors: it stands for
+the product f(z) = prod_j f_j(z_j), a function of one variable when it
+has one factor, as the disc is ``polydisc(1)``.  Its partial sums are
+square partial sums, the terms with max_j alpha_j <= N, the product of
+the factors' S_N; its tail f - S_N is their telescoping sum.  Each
+factor gives its own S_N and tail (``PowerSeries.partial``/``tail``):
 
-    products          the factors' partials, and a telescoping tail
-    extremal family   partial and tail from the two-term split
+    extremal family   closed forms from the two-term split, so high
+                      orders cost the same
     polynomials       their coefficients up to N, and above N
 
-The default catalog is seeded so polynomial coefficients, and hence
-every derived table, are reproducible.
+A spike tag declares a function holomorphic past the closed unit
+polydisc: 0.0 for polynomials, |a| for the f_a family, one tag per
+factor; ``None`` declares nothing.  Tails carry the entry's tag; a
+partial sum of order N, a polynomial, carries min(|s_j|, N/(N+1)) on
+each axis.  The default catalog is seeded so polynomial coefficients,
+and hence every derived table, are reproducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .series import PowerSeries, partial_sum
-from .witnesses import T1T2Split, WitnessFa, fa_series
+from .series import PowerSeries
+from .witnesses import fa_series
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,76 +74,75 @@ def product_evaluator(fns) -> Callable:
 
 
 def _degree_tag(spike, N: int):
-    """The spike tag of an order-N partial sum: min(|s_j|, N/(N+1)) on each
-    axis.  A polynomial of degree N on an axis is entire there, so any tag
-    is a true declaration; this one sets the floor of degree N instead of
-    the pole's.  ``None`` stays ``None``."""
-    if spike is None:
-        return None
-    if np.ndim(spike):
-        return tuple(_degree_tag(s, N) for s in spike)
-    return min(abs(spike), N / (N + 1.0))
+    """The spike tag of an order-N partial sum: min(|s|, N/(N+1)).  A
+    polynomial of degree N is entire, so any tag is a true declaration;
+    this one sets the floor of degree N instead of the pole's.  ``None``
+    stays ``None``."""
+    return None if spike is None else min(abs(spike), N / (N + 1.0))
 
 
 @dataclass(frozen=True, eq=False)
 class RegistryEntry:
-    """A named test function with evaluators for it and its partial sums."""
+    """A named test function, the product of its one-variable series
+    ``factors``, with evaluators for it and its partial sums."""
 
     name: str
-    dim: int
-    evaluator: Callable
-    series: PowerSeries | None = None
-    spike: float | tuple | None = None
-    degree: int | None = None
-    factors: tuple | None = None
-    partial_factory: Callable | None = field(default=None, repr=False)
-    tail_factory: Callable | None = field(default=None, repr=False)
+    factors: tuple
+
+    def __post_init__(self):
+        if not (self.factors and all(isinstance(s, PowerSeries)
+                                     for s in self.factors)):
+            raise TypeError(f"{self.name!r} needs one-variable PowerSeries "
+                            f"factors, got {self.factors!r}")
+
+    @property
+    def dim(self) -> int:
+        return len(self.factors)
+
+    @property
+    def spike(self) -> float | tuple | None:
+        """The factor's tag in one variable, the tuple of tags otherwise."""
+        spikes = tuple(s.spike for s in self.factors)
+        return spikes if self.dim > 1 else spikes[0]
+
+    @cached_property
+    def evaluator(self) -> Callable:
+        """The series itself in one variable, else their product."""
+        return self.factors[0] if self.dim == 1 \
+            else product_evaluator(self.factors)
 
     def partial_evaluator(self, N: int) -> TaggedEvaluator:
         """Pointwise evaluator of the square partial sum of order N, the
-        terms with max_j alpha_j <= N; in one variable this is S_N f.
+        product of the factors' S_N; in one variable this is S_N f.
 
-        It is tagged min(|s_j|, N/(N+1)) on each axis: a polynomial keeps no
+        Each factor is tagged min(|s_j|, N/(N+1)): a polynomial keeps no
         pole, so its floors follow its degree.  Tails keep the entry's tag,
         as they keep the pole."""
-        if self.factors is not None:
-            fn = product_evaluator([fac.partial_evaluator(N)
-                                    for fac in self.factors])
-        elif self.partial_factory is not None:
-            fn = self.partial_factory(N)
-        else:
-            fn = partial_sum(self.series, N)
-        return TaggedEvaluator(fn, _degree_tag(self.spike, N))
+        parts = [TaggedEvaluator(s.partial(N), _degree_tag(s.spike, N))
+                 for s in self.factors]
+        if self.dim == 1:
+            return parts[0]
+        return TaggedEvaluator(product_evaluator(parts),
+                               tuple(p.spike for p in parts))
 
     def tail_evaluator(self, N: int) -> TaggedEvaluator:
         """Pointwise evaluator of f minus its order-N square partial sum.
 
-        Free of the cancellation in f - S_N f for products, as the sum over
-        j of f1 ... f(j-1) tj S(j+1) ... Sn with the factors' tails tj, left
-        to right, and for polynomials, as their coefficients above N."""
-        if self.factors is not None:
-            evals = [fac.evaluator for fac in self.factors]
-            parts = [fac.partial_evaluator(N) for fac in self.factors]
-            terms = [product_evaluator(evals[:j] + [fac.tail_evaluator(N)]
-                                       + parts[j + 1:])
-                     for j, fac in enumerate(self.factors)]
+        Free of the cancellation in f - S_N f: the sum over j of f1 ...
+        f(j-1) tj S(j+1) ... Sn with the factors' tails tj, left to right;
+        in one variable, the factor's tail."""
+        tails = [s.tail(N) for s in self.factors]
+        if self.dim == 1:
+            return TaggedEvaluator(tails[0], self.spike)
+        parts = [s.partial(N) for s in self.factors]
+        terms = [product_evaluator(self.factors[:j] + (t, *parts[j + 1:]))
+                 for j, t in enumerate(tails)]
 
-            def fn(*zs):
-                acc = terms[0](*zs)
-                for term in terms[1:]:
-                    acc = acc + term(*zs)
-                return acc
-        elif self.tail_factory is not None:
-            fn = self.tail_factory(N)
-        elif isinstance(self.series, PowerSeries) and self.degree is not None:
-            hi = self.series.coefficients(max(self.degree, N))
-            hi[:N + 1] = 0
-            fn = PowerSeries.from_coefficients(hi, spike=self.spike)
-        else:
-            sn = self.partial_evaluator(N)
-
-            def fn(*zs):
-                return np.asarray(self.evaluator(*zs)) - np.asarray(sn(*zs))
+        def fn(*zs):
+            acc = terms[0](*zs)
+            for term in terms[1:]:
+                acc = acc + term(*zs)
+            return acc
         return TaggedEvaluator(fn, self.spike)
 
 
@@ -178,9 +176,6 @@ class FunctionRegistry:
     def __contains__(self, name: str) -> bool:
         return name in self._entries
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
 
 def _format_a(a: float) -> str:
     return format(float(a), "g")
@@ -188,19 +183,11 @@ def _format_a(a: float) -> str:
 
 def fa_entry(a: float, name: str | None = None) -> RegistryEntry:
     """Extremal family member (1-|a|^2) / (1 - conj(a) z)^2."""
-    w = WitnessFa(a)
-    return RegistryEntry(
-        name=name or f"fa-{_format_a(a)}", dim=1, evaluator=w,
-        series=fa_series(a), spike=abs(a),
-        degree=0 if a == 0 else None,
-        partial_factory=lambda N, a=a: T1T2Split(a, N).partial,
-        tail_factory=lambda N, a=a: T1T2Split(a, N).tail)
+    return RegistryEntry(name or f"fa-{_format_a(a)}", (fa_series(a),))
 
 
 def polynomial_entry(name: str, coefficients) -> RegistryEntry:
-    ps = PowerSeries.from_coefficients(coefficients)
-    return RegistryEntry(name=name, dim=1, evaluator=ps, series=ps,
-                         spike=0.0, degree=ps.degree)
+    return RegistryEntry(name, (PowerSeries.from_coefficients(coefficients),))
 
 
 def monomial_entry(k: int) -> RegistryEntry:
@@ -214,13 +201,8 @@ def product_entry(factors: tuple[RegistryEntry, ...],
     """Tensor product f(z) = prod_j f_j(z_j) of one-variable entries."""
     if any(f.dim != 1 for f in factors):
         raise ValueError("product factors must be one-variable entries")
-    return RegistryEntry(
-        name=name or "prod-" + "-".join(f.name for f in factors),
-        dim=len(factors),
-        evaluator=product_evaluator([f.evaluator for f in factors]),
-        series=None,
-        spike=tuple(f.spike for f in factors),
-        factors=tuple(factors))
+    return RegistryEntry(name or "prod-" + "-".join(f.name for f in factors),
+                         tuple(f.factors[0] for f in factors))
 
 
 def default_registry(seed: int = 12345) -> FunctionRegistry:

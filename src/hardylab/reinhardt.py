@@ -293,9 +293,10 @@ class DensityRow:
     converged: bool
 
 
-def _abs_coeff_sum(series: PowerSeries, x: float) -> float:
-    """Sum of |a_k| x^k over the full series, at most 20000 terms, with a
-    measured geometric remainder."""
+def _abs_coeff_sum(series: PowerSeries, x: float) -> tuple[float, bool]:
+    """Sum of |a_k| x^k over the full series with a measured geometric
+    remainder, and whether it settled within 20000 terms; a sum that did
+    not (a slow series, or one unbounded at x) is the sum of those terms."""
     total = 0.0
     prev_term = None
     for k in range(20000):
@@ -305,10 +306,9 @@ def _abs_coeff_sum(series: PowerSeries, x: float) -> float:
             if prev_term and prev_term > 0 and term < prev_term:
                 q = term / prev_term
                 total += term * q / (1.0 - q)
-            return total
+            return total, True
         prev_term = term
-    raise DomainModelError("absolute coefficient sum did not converge; "
-                           "is the series bounded on the closed domain?")
+    return total, False
 
 
 def density_experiment(f, domain: ReinhardtDomain, p: float = 1.0,
@@ -322,24 +322,16 @@ def density_experiment(f, domain: ReinhardtDomain, p: float = 1.0,
     |f - f_rho| on boundary shells clears half the target, and M is the
     smallest square degree (M <= _M_CAP) whose coefficient tail bound on
     the closed domain clears the other half.  A scan that runs off its
-    ladder keeps its last value and marks the row unconverged.  The
-    achieved Hardy error of the resulting polynomial is then measured and
-    reported.  ``f`` must be a product of one-variable power series
-    (``factors``), or one variable with a ``PowerSeries``; anything else
-    is refused with ``ValueError`` before the probe runs.
+    ladder, or a coefficient sum that does not settle
+    (:func:`_abs_coeff_sum`), keeps its last value and marks the row
+    unconverged.  The achieved Hardy error of the resulting polynomial is
+    then measured and reported.
     """
     from .norms import hardy_norm_disc, hardy_norm_reinhardt
 
     n = domain.dim
     if f.dim != n:
         raise ValueError(f"function dimension {f.dim} != domain dimension {n}")
-    factors = [fac.series for fac in
-               (f.factors if f.factors is not None else (f,))]
-    if len(factors) != n or not all(isinstance(s, PowerSeries)
-                                    for s in factors):
-        raise ValueError(f"{f.name!r} is not a product of one-variable power "
-                         "series: density_experiment needs an entry with "
-                         "factors=, or one variable with a PowerSeries")
 
     # Sup-to-norm conversion: the one-variable Hardy norm is a normalized
     # mean, in several variables the torus integral is unnormalized.
@@ -373,17 +365,19 @@ def density_experiment(f, domain: ReinhardtDomain, p: float = 1.0,
         # Tail bound prod_j full_j - prod_j sum_{k <= M} |a_{j,k}| x_j^k,
         # x_j = rho * closure_j, with one running partial sum per factor.
         xs = rho * closure
-        full = math.prod(_abs_coeff_sum(s, x) for s, x in zip(factors, xs))
+        sums = [_abs_coeff_sum(s, x) for s, x in zip(f.factors, xs)]
+        full = math.prod(total for total, _ in sums)
+        ok = ok and all(settled for _, settled in sums)
         partial = [0.0] * n
         for M in range(_M_CAP + 1):
-            for j, (s, x) in enumerate(zip(factors, xs)):
+            for j, (s, x) in enumerate(zip(f.factors, xs)):
                 partial[j] += abs(s.coefficient(M)) * x ** M
             if max(full - math.prod(partial), 0.0) <= sup_target:
                 break
         else:
             ok = False
         q_eval = product_evaluator([dilate_truncate(s, rho, M)
-                                    for s in factors])
+                                    for s in f.factors])
 
         def diff(*zs):
             return np.asarray(f.evaluator(*zs)) - q_eval(*zs)

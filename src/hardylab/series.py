@@ -1,8 +1,11 @@
 """One-variable power series, their Taylor partial sums, and the kernel route.
 
-A several-variable function is a product of one-variable series
-(:func:`hardylab.registry.product_entry`); its square partial sum of
-order N is the product of the factors' partial sums S_N.
+Every function in the registry is a product of one-variable series, one
+factor in one variable (:class:`hardylab.registry.RegistryEntry`); its
+square partial sum of order N is the product of the factors' partial sums
+S_N.  Each series gives its own S_N and tail f - S_N
+(:meth:`PowerSeries.partial`, :meth:`PowerSeries.tail`), from closed forms
+when it was given them, else from its coefficients.
 
 Two routes to the same partial sum are kept side by side on purpose:
 truncating the coefficient sequence, and applying the discrete Cauchy
@@ -53,7 +56,9 @@ class PowerSeries:
     Coefficients come either from a stored finite list (a polynomial) or
     from a generator function ``k -> a_k`` memoized on demand.  A call
     goes to the optional ``closed_form`` callable, else sums a series of
-    finite degree by Horner's rule, else raises ``ValueError``.  ``spike``
+    finite degree by Horner's rule, else raises ``ValueError``.  The
+    optional ``partial_form`` and ``tail_form`` map an order N to closed
+    forms of S_N and of f - S_N (:meth:`partial`, :meth:`tail`).  ``spike``
     declares the modulus s of a pole-like parameter so norm quadratures can
     set their angular node floors.  A tag also promises the series is
     holomorphic on |z| < 1/|s| (entire for s = 0), so Hardy norms are taken
@@ -63,10 +68,13 @@ class PowerSeries:
     """
 
     def __init__(self, *, coefficients=None, coefficient_fn=None, degree=None,
-                 closed_form=None, spike=None):
+                 closed_form=None, spike=None, partial_form=None,
+                 tail_form=None):
         if (coefficients is None) == (coefficient_fn is None):
             raise ValueError("give exactly one of coefficients / coefficient_fn")
         self.closed_form = closed_form
+        self.partial_form = partial_form
+        self.tail_form = tail_form
         if coefficients is not None:
             coeffs = [complex(c) for c in coefficients]
             while len(coeffs) > 1 and coeffs[-1] == 0:
@@ -132,6 +140,26 @@ class PowerSeries:
                             self.coefficients(d))
         raise ValueError("a series with neither a closed form nor a finite "
                          "degree cannot be evaluated")
+
+    def partial(self, N: int) -> Callable:
+        """S_N as a callable: the closed form when one was given, else the
+        coefficient truncation :func:`partial_sum`."""
+        if self.partial_form is not None:
+            return self.partial_form(N)
+        return partial_sum(self, N)
+
+    def tail(self, N: int) -> Callable:
+        """f - S_N as a callable, free of the cancellation in that
+        difference: the closed form when one was given, else, for a
+        polynomial, the series of its coefficients above N."""
+        if self.tail_form is not None:
+            return self.tail_form(N)
+        if not self.is_polynomial:
+            raise ValueError("a series with neither a closed-form tail nor "
+                             "a finite degree has no tail evaluator")
+        hi = self.coefficients(max(self._degree, N))
+        hi[:N + 1] = 0
+        return PowerSeries.from_coefficients(hi, spike=self.spike)
 
 
 def partial_sum(f: PowerSeries, N: int) -> PowerSeries:

@@ -34,6 +34,7 @@ sqrt(2 eps) wide: 14,311 trapezoid nodes at |z| = 0.99999 instead of about
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -98,7 +99,8 @@ class WitnessFa:
 
 
 def fa_series(a: complex) -> PowerSeries:
-    """The Taylor series of f_a with its closed form attached."""
+    """The Taylor series of f_a with its closed forms attached: f_a itself,
+    and S_N f_a and f_a - S_N f_a from the split (:class:`T1T2Split`)."""
     a = _check_param(a)
     amod = abs(a)
     c0 = 1.0 - amod ** 2
@@ -106,7 +108,9 @@ def fa_series(a: complex) -> PowerSeries:
     degree = 0 if a == 0 else None
     return PowerSeries.from_generator(
         lambda k: c0 * (k + 1) * abar ** k, degree=degree,
-        closed_form=lambda z: eval_fa(a, z), spike=amod)
+        closed_form=functools.partial(eval_fa, a), spike=amod,
+        partial_form=lambda N: T1T2Split(a, N).partial,
+        tail_form=lambda N: T1T2Split(a, N).tail)
 
 
 @dataclass(frozen=True)
@@ -120,10 +124,6 @@ class T1T2Split:
         _check_param(self.a)
         if self.N < 0:
             raise ValueError(f"partial sum order must be >= 0, got {self.N}")
-
-    @property
-    def spike(self) -> float:
-        return abs(self.a)
 
     # The four evaluators below own t = conj(a) z and every intermediate,
     # so they update them in place; the caller's z is never written.  Each

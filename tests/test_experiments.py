@@ -1,6 +1,8 @@
 import dataclasses
 import importlib.util
+import itertools
 import json
+import math
 import time
 from pathlib import Path
 
@@ -17,8 +19,9 @@ from hardylab.experiments import (RUNNERS, ExperimentResult, RunConfig,
                                   run_reinhardt, run_uniform_bound,
                                   write_result)
 from hardylab.registry import (FunctionRegistry, RegistryEntry,
-                               default_registry, fa_entry, monomial_entry,
-                               polynomial_entry, product_entry)
+                               TaggedEvaluator, default_registry, fa_entry,
+                               monomial_entry, polynomial_entry,
+                               product_entry)
 from hardylab.reinhardt import ball, custom_domain, polydisc, power_egg
 
 
@@ -46,6 +49,16 @@ def test_uniform_bound_small_grid():
     assert by_fn[("fa-0.5", 8)][2] == pytest.approx(0.5)
     assert res.summary["closed_forms_ok"]
     assert res.summary["closed_form_max_rel"] <= cfg.tol
+
+
+def test_uniform_bound_a_column_is_the_parameter():
+    # a negative a is tabulated as a, not as the modulus of the spike
+    res = run_uniform_bound(RunConfig(n_set=(8,), a_set=(-0.5,)),
+                            small_registry())
+    assert res.exit_code == 0
+    (row,) = [r for r in res.rows if r[0].startswith("fa-")]
+    assert row[:3] == ("fa--0.5", 8, -0.5)
+    assert row[3] == pytest.approx(1.0, rel=1e-6)
 
 
 def test_uniform_bound_closed_forms_cover_the_monomials():
@@ -532,6 +545,45 @@ def test_reinhardt_a2_gate_catches_a_dropped_jacobian(monkeypatch, domain):
     assert s.get("product_ok", True)
 
 
+def _total_degree_partials(monkeypatch):
+    # S_N of a product taken as the total-degree truncation |alpha| <= N
+    # instead of the square one max_j alpha_j <= N; one factor has one kind
+    square = RegistryEntry.partial_evaluator
+
+    def total(entry, N):
+        sn = square(entry, N)
+        if entry.dim == 1:
+            return sn
+        coeffs = [s.coefficients(N) for s in entry.factors]
+
+        def fn(*zs):
+            out = np.zeros(np.broadcast_shapes(*map(np.shape, zs)), complex)
+            for alpha in itertools.product(range(N + 1), repeat=entry.dim):
+                a = math.prod(c[k] for c, k in zip(coeffs, alpha))
+                if sum(alpha) <= N and a:
+                    out = out + a * math.prod(np.asarray(z) ** k
+                                              for z, k in zip(zs, alpha))
+            return out
+        return TaggedEvaluator(fn, sn.spike)
+    monkeypatch.setattr(RegistryEntry, "partial_evaluator", total)
+
+
+@pytest.mark.parametrize("domain", [polydisc(2), ball(2)],
+                         ids=["polydisc", "ball"])
+def test_reinhardt_gates_catch_total_degree_partial_sums(monkeypatch,
+                                                         domain):
+    # the total-degree S_1 and S_2 of z1 z2^2 vanish, the square S_2 is
+    # z1 z2^2 itself: the moment gate fails on every domain, and the
+    # product oracle, whose one-variable sums stay right, on the polydisc
+    _total_degree_partials(monkeypatch)
+    res = run_reinhardt(RunConfig(n_set_square=(1, 2)), domain=domain,
+                        function="mono2-1-2")
+    assert res.exit_code == 1
+    s = res.summary
+    assert s["all_converged"] and not s["a2_ok"]
+    assert s.get("product_ok", False) is False
+
+
 def test_a2_oracle_needs_closed_form_moments():
     # a custom domain has no closed-form moments: no A2 gate
     entry = default_registry().get("mono2-1-2")
@@ -598,18 +650,6 @@ def test_run_reinhardt_refuses_a_domain_past_the_pole(monkeypatch):
                       domain=polydisc(2, [1.2, 1.2]))
     entry, dom = reinhardt_case(default_registry(), polydisc(2, [1.1, 1.1]))
     assert entry.name == "prod-fa-0.9" and dom.params == (1.1, 1.1)
-
-
-def test_run_reinhardt_refuses_an_entry_without_partial_sums(monkeypatch):
-    # no factors, partial_factory or series: refused before any estimator
-    def no_estimate(*args, **kw):
-        raise AssertionError("an estimator ran")
-    monkeypatch.setattr("hardylab.experiments.hardy_norm_reinhardt",
-                        no_estimate)
-    reg = FunctionRegistry()
-    reg.add(RegistryEntry("g", 2, lambda z1, z2: z1 * z2, spike=0.0))
-    with pytest.raises(ValueError, match="function 'g' has no partial sums"):
-        run_reinhardt(RunConfig(n_set_square=(1,)), reg, function="g")
 
 
 def test_cli_budget_below_the_first_level_exits_2(tmp_path):

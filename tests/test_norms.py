@@ -427,8 +427,8 @@ def test_product_levels_report_the_points_the_factors_evaluate(
     counter = [0]
     calls = _record_levels(monkeypatch, counter)
     entry = default_registry().get("prod-fa-0.9-0.5")
-    f = product_evaluator([_counting(fac.partial_evaluator(8), counter)
-                           for fac in entry.factors])
+    f = product_evaluator([_counting(fac, counter)
+                           for fac in entry.partial_evaluator(8).factors])
     est = bergman_norm_reinhardt(f, 1.0, domain, tol=1e-4, spike=entry.spike)
     assert est.converged
     (levels,) = calls

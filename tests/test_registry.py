@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,14 @@ RNG = np.random.default_rng(5150)
 PTS = RNG.uniform(-0.65, 0.65, 12) + 1j * RNG.uniform(-0.65, 0.65, 12)
 
 
-def undeclared_entry():
+def geometric_series():
     """1/(1 - z) with no spike tag: its pole sits on the rim."""
-    return RegistryEntry("u", 1, lambda z: 1 / (1 - z))
+    return PowerSeries.from_generator(lambda k: 1.0,
+                                      closed_form=lambda z: 1 / (1 - z))
+
+
+def undeclared_entry():
+    return RegistryEntry("u", (geometric_series(),))
 
 
 def test_default_registry_contents():
@@ -31,9 +38,9 @@ def test_registry_seeding_is_reproducible():
     r1 = default_registry(777)
     r2 = default_registry(777)
     r3 = default_registry(778)
-    c1 = r1.get("poly-7").series.coefficients(7)
-    c2 = r2.get("poly-7").series.coefficients(7)
-    c3 = r3.get("poly-7").series.coefficients(7)
+    c1 = r1.get("poly-7").factors[0].coefficients(7)
+    c2 = r2.get("poly-7").factors[0].coefficients(7)
+    c3 = r3.get("poly-7").factors[0].coefficients(7)
     assert np.array_equal(c1, c2)
     assert not np.array_equal(c1, c3)
 
@@ -50,7 +57,7 @@ def test_fa_partial_fast_path_matches_truncation():
     ent = fa_entry(0.85)
     for N in (0, 5, 33):
         fast = ent.partial_evaluator(N)(PTS)
-        slow = partial_sum(ent.series, N)(PTS)
+        slow = partial_sum(ent.factors[0], N)(PTS)
         assert np.allclose(fast, slow, rtol=1e-11, atol=1e-13)
 
 
@@ -122,9 +129,7 @@ def test_spike_tags_propagate():
     assert prod.spike == (0.9, 0.5)
     assert prod.partial_evaluator(3).spike == (0.75, 0.5)
     assert prod.tail_evaluator(3).spike == (0.9, 0.5)
-    geometric = RegistryEntry("g", 1, lambda z: 1 / (1 - z),
-                              series=PowerSeries.from_generator(lambda k: 1.0))
-    assert geometric.partial_evaluator(3).spike is None
+    assert undeclared_entry().partial_evaluator(3).spike is None
 
 
 def test_product_with_an_undeclared_factor_is_refused():
@@ -192,12 +197,27 @@ def test_product_evaluator_rejects_wrong_coordinate_count():
 def test_products_expose_their_factors():
     # the estimators integrate a product factor by factor when the callable
     # they get holds one-variable factors; sums of products hold none
-    ent = default_registry().get("prod-fa-0.9-0.5")
-    fa09, fa05 = ent.factors
-    assert ent.evaluator.factors == (fa09.evaluator, fa05.evaluator)
+    reg = default_registry()
+    ent = reg.get("prod-fa-0.9-0.5")
+    assert ent.evaluator.factors == ent.factors
     sn = ent.partial_evaluator(5)
     assert [f.spike for f in sn.factors] == [5 / 6, 0.5]
     z1, z2 = PTS[:, None], PTS[None, :]
     assert np.array_equal(sn(z1, z2), sn.factors[0](z1) * sn.factors[1](z2))
     assert ent.tail_evaluator(5).factors is None
-    assert fa09.partial_evaluator(5).factors is None
+    assert reg.get("fa-0.9").partial_evaluator(5).factors is None
+
+
+def test_entries_are_products_of_power_series():
+    # an entry is a name and its one-variable series; the rest is derived,
+    # and the evaluator is built once
+    assert [f.name for f in dataclasses.fields(RegistryEntry)] == \
+        ["name", "factors"]
+    reg = default_registry()
+    fa09, prod = reg.get("fa-0.9"), reg.get("prod-fa-0.9")
+    assert fa09.evaluator is fa09.factors[0] and fa09.dim == 1
+    assert prod.evaluator is prod.evaluator and prod.dim == 2
+    assert prod.factors == (fa09.factors[0],) * 2
+    for factors in ((), (lambda z: z,), (geometric_series(), 1.0)):
+        with pytest.raises(TypeError, match="PowerSeries"):
+            RegistryEntry("g", factors)

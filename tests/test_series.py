@@ -54,6 +54,25 @@ def test_partial_sum_truncates():
     assert s2.coefficient(3) == 0j
 
 
+def test_series_give_their_own_partial_sums_and_tails():
+    # closed forms when given (f_a's split), else the coefficients up to N
+    # and above N; a tail needs one or the other
+    z = RNG.uniform(-0.6, 0.6, 7) + 1j * RNG.uniform(-0.6, 0.6, 7)
+    p = PowerSeries.from_coefficients([3, 1, 4, 1, 5])
+    assert np.array_equal(p.partial(2)(z), partial_sum(p, 2)(z))
+    assert np.allclose(p.tail(2)(z), z ** 3 + 5 * z ** 4, rtol=1e-14)
+    fa = fa_series(0.7)
+    for N in (0, 3, 40):
+        assert np.allclose(fa.partial(N)(z), partial_sum(fa, N)(z),
+                           rtol=1e-12, atol=1e-14)
+        assert np.allclose(np.asarray(fa.partial(N)(z)) + fa.tail(N)(z),
+                           fa(z), rtol=1e-12, atol=1e-14)
+    g = PowerSeries.from_generator(lambda k: 1.0 + 0j)
+    assert np.allclose(g.partial(3)(z), 1 + z + z ** 2 + z ** 3, rtol=1e-14)
+    with pytest.raises(ValueError, match="closed-form tail"):
+        g.tail(3)
+
+
 def _node_guard(f, sizes):
     """Record each contour rule f is sampled on and refuse, before any
     work, rules past 2^22 nodes."""
