@@ -179,11 +179,12 @@ def run_uniform_bound(config: RunConfig | None = None,
                       registry: FunctionRegistry | None = None) -> ExperimentResult:
     """Bergman norms of partial sums against the Hardy norm of the limit.
 
-    The ratio column ||S_N f||_A1 / ||f||_H1 must plateau in N; the same
-    ratio with the Hardy norm of S_N in the numerator is reported as a
-    contrast and is allowed to grow.  A monomial z^k (``const-1`` is z^0)
-    has closed forms from N = k on, gated to ``tol`` relative: S_N z^k =
-    z^k, whose A1 norm is 2 pi / (k + 2) and whose H1 norm is 1.
+    The ratio column ||S_N f||_A1 / ||f||_H1 must plateau in N, from a
+    positive base; the same ratio with the Hardy norm of S_N in the
+    numerator is reported as a contrast and is allowed to grow.  A
+    monomial z^k (``const-1`` is z^0) has closed forms from N = k on,
+    gated to ``tol`` relative: S_N z^k = z^k, whose A1 norm is
+    2 pi / (k + 2) and whose H1 norm is 1.
     """
     cfg = config or RunConfig()
     reg = registry or default_registry(cfg.seed)
@@ -220,7 +221,7 @@ def run_uniform_bound(config: RunConfig | None = None,
                       "early_ns": early_ns, "late_ns": late_ns,
                       "max_early": early, "max_late": late,
                       "closed_form_max_rel": closed_rel},
-                     plateau_ok=late <= 1.10 * early,
+                     plateau_ok=0.0 < early and late <= 1.10 * early,
                      closed_forms_ok=closed_rel <= cfg.tol)
 
 
@@ -431,7 +432,7 @@ def run_reinhardt(config: RunConfig | None = None,
     # Plateau gate: over the last two doublings the ratio may grow <= 10%.
     # The base is the last nonzero ratio before them (else the first
     # nonzero one): a square partial sum that vanishes, z1 z2^2 at N = 1,
-    # sets no scale.
+    # sets no scale.  A column with no nonzero ratio has no base and fails.
     head = ratios[:-2] if len(ratios) >= 3 else ratios[:1]
     base = next((r for r in reversed(head) if r),
                 next((r for r in ratios if r), 0.0))
@@ -462,7 +463,7 @@ def run_reinhardt(config: RunConfig | None = None,
         rel, converged = a2
         info["a2_rel"] = rel
         gates["a2_ok"] = converged and rel <= a1_tol
-    return res.close(info, plateau_ok=tail_max <= 1.10 * base,
+    return res.close(info, plateau_ok=0.0 < base and tail_max <= 1.10 * base,
                      final_err_ok=final_err < 1e-2,
                      monotone_ok=failures == 0, **gates)
 

@@ -41,17 +41,20 @@ Everything here is binary64 and deterministic: node construction, chunking
 and accumulation order are fixed functions of the rule parameters, so two
 runs with the same inputs produce bit-identical values.
 
-:func:`torus_blocks` builds the one torus grid, in blocks of whole shell
-rows of about ``_CHUNK`` points, sized for the cache rather than for the
-memory limit; :func:`torus_cosets` sums its integrand over them (a
-factor's circles are one-axis grids), and the density probe of
-``reinhardt`` takes its maximum.  An integrand is a
-chain of elementwise numpy passes (f(z), products, ``np.abs``, ``** p``),
-and each pass streams its temporaries through memory; a block that fits
-in the per-core L2 cache keeps that traffic out of DRAM.  No value
-depends on the block size: the integrand is evaluated pointwise, and each
-shell's sum is one ``np.sum`` over the same elements of one row in the
-same order, whichever block the row lands in.
+:func:`torus_blocks` builds the one torus grid in cache-sized blocks of
+about ``_CHUNK`` points; :func:`torus_cosets` sums its integrand over
+them (a factor's circles are one-axis grids), and the density probe of
+``reinhardt`` takes its maximum.  An integrand is a chain of elementwise
+numpy passes (f(z), products, ``np.abs``, ``** p``), and each pass
+streams its temporaries through memory; a block that fits in the
+per-core L2 cache keeps that traffic out of DRAM, and temporaries that
+small stay on the same heap pages from one integrand call to the next
+instead of being trimmed and faulted back in.  Whole shells are grouped
+into a block while they fit; a larger one-axis shell, a circle, is cut
+into near-equal arcs.  No value depends on the block size: the integrand
+is evaluated pointwise, and each shell's sum is one ``np.sum`` over the
+same elements of one row in the same order, whichever block the row
+lands in and however it was cut.
 """
 
 from __future__ import annotations
@@ -63,16 +66,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
-
-# Points per block of torus_blocks, in whole shell rows.  1 << 16
-# complex128 points are 1 MiB, so a block and the few temporaries of its
-# integrand stay near a 4 MiB L2 cache instead of streaming through DRAM;
-# blocks of 1 << 22 points made the perfbench bidisc table 1.6x slower.
-# Smaller blocks measured faster on the one-variable tables, larger ones on
-# the bidisc (1 << 15: disc 6-14% faster, bidisc 1-7% slower; 1 << 17: disc
-# 11-16% slower, bidisc 6% faster; on a 2-vCPU x86-64 VM).  Any value gives
-# the same integrals bit for bit: only speed and memory move.
-_CHUNK = 1 << 16
 
 # Hard stop for refine_until; the node budget normally ends a refinement
 # long before this many doublings.
@@ -117,6 +110,19 @@ def unit_nodes(m: int, axis: int = 0, ndim: int = 1,
 # at tol 1e-4 unconverged within the runners' volume budget, where 64 and
 # 128 converge.
 _GRID = {1: (256, 64.0, 64, 6), 2: (64, 16.0, 12, 2), 3: (32, 8.0, 8, 1)}
+
+# Points per block of torus_blocks, by the number of axes of the grid (3
+# stands for three or more).  A block and the temporaries of its
+# integrand should fit a 4 MiB L2 cache and stay below glibc's heap trim
+# threshold, so that successive integrand calls reuse the same heap
+# pages.  With one-axis blocks of 1 << 16 points the six complex
+# temporaries of S_N f_a's closed form (1 MiB each) were trimmed and
+# faulted back in on every call: 364k minor faults and 2.0 s per perfbench
+# disc repetition, against 2k and 1.25 s at 1 << 14 (1 << 13 and 1 << 15
+# were slower).  Several axes keep 1 << 16 (1 << 22 made bidisc 1.6x
+# slower), and their shells are not cut (see torus_blocks).  Any value
+# gives the same integrals bit for bit.  Timings on a 2-vCPU x86-64 VM.
+_CHUNK = {1: 1 << 14, 2: 1 << 16, 3: 1 << 16}
 
 
 def angular_floor(spike: float | np.ndarray | None,
@@ -170,9 +176,15 @@ def torus_blocks(radii, angular: Sequence[int],
     of each of the n circle factors and ``shift`` (default none) the
     offset of each axis's nodes in steps, as in :func:`unit_nodes`.  The
     node axes are built once; each block is a list of n coordinate arrays
-    that broadcast to (shells, m_1, ..., m_n), over whole shells in order,
-    keeping a block near ``_CHUNK`` points (one shell per block when a
-    shell is larger).
+    that broadcast to (shells, m_1, ..., m_n): whole shells in order, as
+    many as fit in about ``_CHUNK[n]`` points (one when a shell is
+    larger).  A one-axis shell larger than a block is cut instead into
+    k = ceil(m_1 / block) near-equal pieces, in order, each a block of
+    shape (1, m') built from a slice of the node axis, with m' >= 2 (so
+    k <= m_1 // 2): a one-point array takes other rounding paths in
+    numpy.  A shell of several axes is not cut: each piece would evaluate
+    a product's factors on its other axes again, which made the perfbench
+    bidisc table 8% slower.
     """
     radii = np.atleast_2d(np.asarray(radii, dtype=np.float64))
     n = radii.shape[1]
@@ -181,20 +193,37 @@ def torus_blocks(radii, angular: Sequence[int],
         raise ValueError("radii, angular node counts and shifts must align")
     axes = [unit_nodes(m, j + 1, n + 1, h)
             for j, (m, h) in enumerate(zip(angular, shift))]
-    block = max(1, _CHUNK // math.prod(angular))
+    chunk, size = _CHUNK[min(n, 3)], math.prod(angular)
+    block = max(1, chunk // size)
+    pieces = max(1, min(-(-size // chunk), size // 2)) if n == 1 else 1
+    cuts = [angular[0] * i // pieces for i in range(pieces + 1)]
     for s in range(0, radii.shape[0], block):
         rows = radii[s:s + block]
-        yield [rows[:, j].reshape(-1, *[1] * n) * axes[j] for j in range(n)]
+        for lo, hi in zip(cuts, cuts[1:]):
+            yield [rows[:, j].reshape(-1, *[1] * n)
+                   * (axes[j][:, lo:hi] if j == 0 else axes[j])
+                   for j in range(n)]
 
 
 def _grid_sums(g: Callable, radii, angular: Sequence[int], shift) -> np.ndarray:
     """Plain sums of g over the tensor grid of each shell, block by block
-    (:func:`torus_blocks`)."""
+    (:func:`torus_blocks`).  The arcs of a cut circle are written into
+    one row, whose one ``np.sum`` is the circle's, as for a whole one."""
     sums = []
+    row, filled = None, 0
     for zs in torus_blocks(radii, angular, shift):
-        rows = zs[0].shape[0]
-        vals = np.broadcast_to(np.asarray(g(*zs)), (rows, *angular))
-        sums.append(vals.reshape(rows, -1).sum(axis=1))
+        shape = np.broadcast_shapes(*(z.shape for z in zs))
+        vals = np.broadcast_to(np.asarray(g(*zs)), shape).reshape(shape[0], -1)
+        if shape[1] == angular[0]:
+            sums.append(vals.sum(axis=1))
+            continue
+        if row is None:
+            row = np.empty((1, math.prod(angular)), dtype=vals.dtype)
+        row[:, filled:filled + vals.size] = vals
+        filled += vals.size
+        if filled == row.size:
+            sums.append(row.sum(axis=1))
+            filled = 0
     return np.concatenate(sums)
 
 

@@ -23,6 +23,7 @@ agreement, so vanishing partial sums settle like any other.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, Iterable
 
 import numpy as np
@@ -131,13 +132,19 @@ class PowerSeries:
         return np.array([self.coefficient(k) for k in range(upto + 1)],
                         dtype=np.complex128)
 
+    @cached_property
+    def _horner(self) -> np.ndarray:
+        """A polynomial's coefficients a_0, ..., a_max(degree, 0), built
+        once for :meth:`__call__` and read-only."""
+        c = self.coefficients(max(self._degree, 0))
+        c.flags.writeable = False
+        return c
+
     def __call__(self, z):
         if self.closed_form is not None:
             return self.closed_form(z)
         if self.is_polynomial:
-            d = max(self._degree, 0)
-            return _polyval(np.asarray(z, dtype=np.complex128),
-                            self.coefficients(d))
+            return _polyval(np.asarray(z, dtype=np.complex128), self._horner)
         raise ValueError("a series with neither a closed form nor a finite "
                          "degree cannot be evaluated")
 

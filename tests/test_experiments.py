@@ -584,6 +584,38 @@ def test_reinhardt_gates_catch_total_degree_partial_sums(monkeypatch,
     assert s.get("product_ok", False) is False
 
 
+def test_reinhardt_plateau_gate_fails_an_all_zero_column(monkeypatch):
+    # a custom domain has neither the product nor the moment gate, and the
+    # total-degree S_1 and S_2 of z1 z2^2 both vanish: a ratio column of
+    # zeros has no base to plateau from, so the plateau gate fails the run
+    _total_degree_partials(monkeypatch)
+    box = custom_domain(lambda r: np.max(r, axis=-1), 2, 1.0)
+    res = run_reinhardt(RunConfig(n_set_square=(1, 2)), domain=box,
+                        function="mono2-1-2")
+    assert [row[5] for row in res.rows] == [0.0, 0.0]
+    assert res.exit_code == 1
+    s = res.summary
+    assert s["plateau_base"] == 0.0 and not s["plateau_ok"]
+    assert s["all_converged"] and s["final_err_ok"] and s["monotone_ok"]
+    assert "a2_ok" not in s and "product_ok" not in s
+
+
+def test_uniform_bound_plateau_gate_fails_an_all_zero_column(monkeypatch):
+    # an A1 column of zeros (no monomial rows, so the closed-form gate
+    # holds) has no early ratio to plateau from
+    exact = hardylab.experiments.bergman_norm_disc
+
+    def zero_a1(*args, **kw):
+        return dataclasses.replace(exact(*args, **kw), value=0.0)
+    monkeypatch.setattr("hardylab.experiments.bergman_norm_disc", zero_a1)
+    res = run_uniform_bound(RunConfig(n_set=(8, 16), a_set=(0.5,)),
+                            FunctionRegistry())
+    assert res.exit_code == 1
+    s = res.summary
+    assert s["max_early"] == s["max_late"] == 0.0 and not s["plateau_ok"]
+    assert s["all_converged"] and s["closed_forms_ok"]
+
+
 def test_a2_oracle_needs_closed_form_moments():
     # a custom domain has no closed-form moments: no A2 gate
     entry = default_registry().get("mono2-1-2")

@@ -1,5 +1,9 @@
 import functools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -187,21 +191,28 @@ def _pin_level0(estimator, radii, counts, **kw):
     """Run estimator until it has evaluated f on every ring
     radii[i] * e^(2 pi i k / counts[i]), k < counts[i].
 
-    Calls may take the rings in any order, each call holding rings of one
-    count; every ring must come bit for bit, and once.
+    Calls may take the rings in any order, each call holding whole rings
+    of one count or one arc of a ring cut into arcs, which come in order;
+    every ring must come bit for bit, and once.
     """
     want = {r.tobytes(): int(m) for r, m in zip(radii, counts)}
     seen = set()
+    arcs = []                       # the arcs of the ring under way
 
     def f(z):
         z = np.ascontiguousarray(z)
-        m = z.shape[-1]
-        phases = np.exp(1j * (TWO_PI * np.arange(m) / m))
-        for row in z.reshape(-1, m):
-            r = row[0].real                   # the first phase is exactly 1
+        for row in z.reshape(-1, z.shape[-1]):
+            arcs.append(row)
+            r = arcs[0][0].real               # the first phase is exactly 1
             key = r.tobytes()
-            assert want.get(key) == m and key not in seen
-            assert row.tobytes() == (r * phases).tobytes()
+            m = want.get(key)
+            assert m is not None and key not in seen
+            ring = np.concatenate(arcs)
+            if ring.size < m:
+                continue
+            arcs.clear()
+            phases = np.exp(1j * (TWO_PI * np.arange(m) / m))
+            assert ring.tobytes() == (r * phases).tobytes()
             seen.add(key)
         if len(seen) == len(want):
             raise _Level0Done
@@ -649,3 +660,38 @@ def test_bergman_disc_peak_memory_stays_in_cache_sized_blocks():
     assert est.converged
     assert est.value == pytest.approx(TWO_PI / 7, rel=1e-8)
     assert peak <= 16 * 2 ** 20
+
+
+# run_blowup's S_512 f_(512/513) Bergman call, twice in one process; prints
+# the minor page faults of the second call
+_REFAULT_PROBE = """
+import resource
+from hardylab.norms import bergman_norm_disc
+from hardylab.witnesses import T1T2Split
+a = 512 / 513
+sn = T1T2Split(a, 512).partial
+bergman_norm_disc(sn, 1.0, 1e-6, spike=a)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+est = bergman_norm_disc(sn, 1.0, 1e-6, spike=a)
+assert est.converged
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts the page faults of glibc's heap")
+def test_bergman_disc_call_keeps_its_heap_pages():
+    # the closed form of S_N f_a keeps about six complex temporaries per
+    # integrand call; with blocks of 1 << 16 points (1 MiB each) they grew
+    # the heap past glibc's trim threshold on every call, which gave the
+    # pages back and faulted them in again: 255k minor faults per call.  A
+    # fresh process, so that no earlier test has raised the thresholds, and
+    # without the MALLOC_ settings that would hide the churn.
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    src = str(Path(norms.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    run = subprocess.run([sys.executable, "-c", _REFAULT_PROBE], env=env,
+                         capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout.split()[-1]) < 25_000

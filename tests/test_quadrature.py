@@ -1,11 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from hardylab.norms import bergman_norm_disc, bergman_norm_reinhardt
 from hardylab.quadrature import (angular_floor, doubled_torus_integrals,
                                  dyadic_panels, half_shifts, refine_until,
-                                 torus_cosets, torus_integrals, torus_levels,
-                                 torus_points, unit_nodes)
+                                 torus_blocks, torus_cosets, torus_integrals,
+                                 torus_levels, torus_points, unit_nodes)
 from hardylab.registry import product_evaluator
 from hardylab.reinhardt import polydisc
 
@@ -318,25 +320,87 @@ def _complex_smooth(*z):
     return out
 
 
-# a shell of the last row of each dimension holds more points than a block
-# of 4096 (and, in one variable, more than a block of 1 << 16)
-_BLOCK_CASES = {1: ([[0.9], [1.0], [0.3], [0.7]], (5000,), (70001,)),
-                2: ([[0.9, 0.5], [1.0, 1.0], [0.2, 0.8]], (24, 20), (96, 80)),
-                3: ([[0.9, 0.5, 0.7], [1.0, 0.2, 1.0]], (6, 8, 5),
-                    (20, 18, 16))}
+def _chunk(monkeypatch, points):
+    # blocks of about ``points`` on grids of every number of axes; None
+    # keeps the default sizes
+    from hardylab import quadrature
+    if points is not None:
+        monkeypatch.setattr(quadrature, "_CHUNK",
+                            dict.fromkeys((1, 2, 3), points))
+
+
+# shells of each dimension: one within a block of 1024 (in one variable),
+# one of 1024 + 1 or 4096 + 1 points, the default one-axis block + 1
+# (16385), and one larger than every block but the largest; 5000, 70001
+# and the block + 1 counts do not cut into equal pieces
+_BLOCK_CASES = {1: ([[0.9], [1.0], [0.3], [0.7]],
+                    [(1000,), (1025,), (5000,), (16385,), (70001,)]),
+                2: ([[0.9, 0.5], [1.0, 1.0], [0.2, 0.8]],
+                    [(24, 20), (241, 17), (96, 80)]),
+                3: ([[0.9, 0.5, 0.7], [1.0, 0.2, 1.0]],
+                    [(6, 8, 5), (41, 5, 5), (20, 18, 16)])}
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("shifted", [False, True])
 def test_torus_integrals_do_not_depend_on_the_block_size(monkeypatch, dim,
                                                          shifted):
-    from hardylab import quadrature
-    radii, small, large = _BLOCK_CASES[dim]
-    for ms in (small, large):
-        shift = (0.5,) + (0.0, 0.5)[:dim - 1] if shifted else None
-        values = []
-        for chunk in (1, 4096, 1 << 16, 1 << 22):
-            monkeypatch.setattr(quadrature, "_CHUNK", chunk)
-            values.append(torus_integrals(_complex_smooth, radii, ms, shift))
-        for v in values[1:]:
-            assert v.tobytes() == values[0].tobytes()
+    # whole shells grouped into blocks, and circles cut into arcs, give
+    # the whole-shell sums (one block of 1 << 22) bit for bit, and the same
+    # point counts
+    radii, counts = _BLOCK_CASES[dim]
+    shift = (0.5,) + (0.0, 0.5)[:dim - 1] if shifted else (0.0,) * dim
+    for ms in counts:
+        _chunk(monkeypatch, 1 << 22)
+        whole = torus_integrals(_complex_smooth, radii, ms, shift)
+        points = torus_points(_complex_smooth, radii, ms, [shift])
+        assert points == len(radii) * math.prod(ms)
+        for chunk in (1024, 4096, None):
+            _chunk(monkeypatch, chunk)
+            assert (torus_integrals(_complex_smooth, radii, ms, shift)
+                    .tobytes() == whole.tobytes())
+            assert torus_points(_complex_smooth, radii, ms, [shift]) == points
+
+
+def _width(zs):
+    return np.broadcast_shapes(*(z.shape for z in zs))[1]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_torus_blocks_cut_a_large_circle_into_near_equal_arcs(monkeypatch,
+                                                              dim):
+    # a circle larger than a block is cut into ceil(m / block) arcs of
+    # near-equal width, at most m // 2 of them so that none holds fewer
+    # than 2 nodes; each arc is a slice of the whole circle's coordinates,
+    # and the integrals are the whole shell's, down to blocks of one
+    # point.  A shell of several axes is not cut.
+    radii, counts = _BLOCK_CASES[dim]
+    shift = (0.5,) * dim
+    small = [(1,), (2,), (5,), (7,)] if dim == 1 else []
+    for ms in small + [ms for ms in counts if math.prod(ms) <= 8000]:
+        size = math.prod(ms)
+        _chunk(monkeypatch, 1 << 22)
+        (whole,) = torus_blocks(radii, ms, shift)
+        value = torus_integrals(_complex_smooth, radii, ms, shift)
+        for chunk in (1, 1024, 4096):
+            _chunk(monkeypatch, chunk)
+            blocks = list(torus_blocks(radii, ms, shift))
+            widths = [_width(zs) for zs in blocks]
+            if size <= chunk:
+                assert set(widths) == {ms[0]}
+                continue
+            pieces = max(1, min(-(-size // chunk), size // 2)) \
+                if dim == 1 else 1
+            assert len(blocks) == len(radii) * pieces
+            assert max(widths) - min(widths) <= 1
+            assert min(widths) >= min(2, ms[0])
+            for k in range(len(radii)):
+                shell = blocks[k * pieces:(k + 1) * pieces]
+                for j in range(dim):
+                    cut = np.concatenate(
+                        [np.broadcast_to(zs[j], (1, _width(zs), *ms[1:]))
+                         for zs in shell], axis=1)
+                    assert cut.tobytes() == np.broadcast_to(
+                        whole[j][k:k + 1], cut.shape).tobytes()
+            assert (torus_integrals(_complex_smooth, radii, ms, shift)
+                    .tobytes() == value.tobytes())

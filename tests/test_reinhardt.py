@@ -170,14 +170,15 @@ def test_density_one_factor_product_matches_disc_entry():
 
 def test_density_probe_does_not_depend_on_the_block_size(monkeypatch):
     # the probe takes its max over the blocks of quadrature.torus_blocks:
-    # one shell per block at 1024 points gives the same rows as the default
+    # blocks of 1024 points, shells cut into pieces of at most that many,
+    # give the same rows as the default
     ent = default_registry().get("prod-fa-0.9")
 
     def rows():
         return density_experiment(ent, polydisc(2), 1.0, (0.5, 0.1, 0.02),
                                   norm_tol=1e-3)
     default = rows()
-    monkeypatch.setattr(quadrature, "_CHUNK", 1024)
+    monkeypatch.setattr(quadrature, "_CHUNK", dict.fromkeys((1, 2, 3), 1024))
     assert rows() == default
 
 

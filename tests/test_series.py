@@ -39,6 +39,29 @@ def test_power_series_eval_matches_horner():
     assert np.allclose(p(z), direct, rtol=1e-14, atol=1e-14)
 
 
+def test_polynomial_builds_its_coefficient_array_once(monkeypatch):
+    # a call reads one complex128 coefficient array, built on the first
+    # call and never written; the values are numpy's Horner sum, bit for bit
+    for p in (PowerSeries.from_coefficients(RNG.uniform(-1, 1, 41)),
+              PowerSeries.from_generator(lambda k: (k + 1) * 0.5j,
+                                         degree=40)):
+        reads = []
+        coefficient = PowerSeries.coefficient
+        monkeypatch.setattr(PowerSeries, "coefficient",
+                            lambda self, k: reads.append(k)
+                            or coefficient(self, k))
+        z = RNG.uniform(-0.7, 0.7, 64) + 1j * RNG.uniform(-0.7, 0.7, 64)
+        first = p(z)
+        assert sorted(reads) == list(range(41))
+        for _ in range(3):
+            assert p(z).tobytes() == first.tobytes()
+        assert len(reads) == 41
+        monkeypatch.undo()
+        exact = np.polynomial.polynomial.polyval(z, p.coefficients(40))
+        assert first.tobytes() == exact.tobytes()
+        assert not p._horner.flags.writeable
+
+
 def test_series_without_closed_form_or_degree_raises():
     # coefficients alone do not make an evaluator
     g = PowerSeries.from_generator(lambda k: 1.0 + 0j)
