@@ -48,7 +48,11 @@ branch.  The Hardy norm of a product, the Bergman norm of its square
 partial sums (S_N f is the product of the factors' S_N) and the shell
 checks take that path on every domain kind, since the radial cells need
 not form a product.  Tails and density differences are sums of products
-and stay on the tensor grid.
+(``registry.sum_of_products``): the integrand holds their ``terms`` and
+the |.|^p map, and ``torus_cosets`` evaluates each term's factors once
+per distinct radius and shift on their axis and forms |f|^p on the
+tensor grid from those values, bit for bit the callable's own, at the
+tensor grid's point count.
 """
 
 from __future__ import annotations
@@ -116,15 +120,24 @@ def _abs_power(f, p):
 
     When f itself holds one-variable ``factors`` f_j, so does the
     integrand: the |f_j|^p, whose product is |f|^p, and which
-    ``quadrature.torus_cosets`` sums axis by axis."""
-    def g(*z):
-        a = np.abs(np.asarray(f(*z), dtype=np.complex128))
+    ``quadrature.torus_cosets`` sums axis by axis.  When f holds the
+    ``terms`` of a sum of products, the integrand holds them too, with
+    the |.|^p map as its ``map``, which ``torus_cosets`` applies to the
+    sums it forms from the terms' factor values."""
+    def power(v):
+        a = np.abs(np.asarray(v, dtype=np.complex128))
         if p != 1:
             a **= p
         return a
+
+    def g(*z):
+        return power(f(*z))
     factors = getattr(f, "factors", None)
     if factors is not None:
         g.factors = tuple(_abs_power(fj, p) for fj in factors)
+    terms = getattr(f, "terms", None)
+    if terms is not None:
+        g.terms, g.map = terms, power
     return g
 
 

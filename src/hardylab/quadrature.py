@@ -24,37 +24,45 @@ once, and the circle integrals of ``witnesses``.  :func:`doubled` asks its
 rule for all 2^n - 1 cosets at once, so a rule can share work between
 them.
 
-:func:`torus_cosets` is the one shell rule, with two ways of evaluating
-it, chosen in one place (:func:`_axis_factors`).  A product integrand,
-one that holds one-variable ``factors`` g_j with g(z) = prod_j g_j(z_j),
-is integrated factor by factor: at the same counts and shifts, the
-tensor trapezoid sum over a shell is the product of the per-axis circle
-sums, so a shell costs sum_j m_j points instead of prod_j m_j.  Each
-axis is evaluated once per distinct radius on it (the q^2 radial cells
-of a polydisc share q radii per axis) and once per distinct shift, so
-the 2^n - 1 cosets of a doubling share each axis's shift-0 and
-shift-1/2 sums.  Every other integrand, a sum of products such as a tail
-or a density difference included, is evaluated on the tensor grid.
-Every rule reports the points it actually evaluated.
+:func:`torus_cosets` is the one shell rule, with three ways of
+evaluating it, chosen in one place (:func:`_axis_factors`).  A product
+integrand, one that holds one-variable ``factors`` g_j with g(z) =
+prod_j g_j(z_j), is integrated factor by factor: at the same counts and
+shifts, the tensor trapezoid sum over a shell is the product of the
+per-axis circle sums, so a shell costs sum_j m_j points instead of
+prod_j m_j.  Each axis is evaluated once per distinct radius on it (the
+q^2 radial cells of a polydisc share q radii per axis) and once per
+distinct shift, so the 2^n - 1 cosets of a doubling share each axis's
+shift-0 and shift-1/2 sums.  A sum of products, one that holds the
+one-variable factors of its ``terms`` (a tail or a density difference,
+through |.|^p), has no such split, but its factors are still evaluated
+once per distinct radius and shift on their axis; its values are formed
+on the tensor grid from theirs with the sum's own elementwise operations,
+so they are bit for bit the values the callable gives.  Every other
+integrand is evaluated on the tensor grid.  Every rule reports the
+points it evaluated the integrand at; a sum of products reports the
+tensor points at which its values are formed, so no budget or stopping
+decision depends on the path.
 
 Everything here is binary64 and deterministic: node construction, chunking
 and accumulation order are fixed functions of the rule parameters, so two
 runs with the same inputs produce bit-identical values.
 
 :func:`torus_blocks` builds the one torus grid in cache-sized blocks of
-about ``_CHUNK`` points; :func:`torus_cosets` sums its integrand over
-them (a factor's circles are one-axis grids), and the density probe of
-``reinhardt`` takes its maximum.  An integrand is a chain of elementwise
-numpy passes (f(z), products, ``np.abs``, ``** p``), and each pass
-streams its temporaries through memory; a block that fits in the
+about ``_CHUNK`` points (:func:`_block_plan`); :func:`torus_cosets` sums
+its integrand over them (a factor's circles are one-axis grids), a sum of
+products forms its values in blocks of the same plan, and the density
+probe of ``reinhardt`` takes its maximum.  An integrand is a chain of
+elementwise numpy passes (f(z), products, ``np.abs``, ``** p``), and each
+pass streams its temporaries through memory; a block that fits in the
 per-core L2 cache keeps that traffic out of DRAM, and temporaries that
 small stay on the same heap pages from one integrand call to the next
 instead of being trimmed and faulted back in.  Whole shells are grouped
-into a block while they fit; a larger one-axis shell, a circle, is cut
-into near-equal arcs.  No value depends on the block size: the integrand
-is evaluated pointwise, and each shell's sum is one ``np.sum`` over the
-same elements of one row in the same order, whichever block the row
-lands in and however it was cut.
+into a block while they fit; a larger shell is cut along its first axis
+into near-equal pieces, a circle into arcs.  No value depends on the
+block size: the integrand is evaluated pointwise, and each shell's sum is
+one ``np.sum`` over the same elements of one row in the same order,
+whichever block the row lands in and however it was cut.
 """
 
 from __future__ import annotations
@@ -120,8 +128,11 @@ _GRID = {1: (256, 64.0, 64, 6), 2: (64, 16.0, 12, 2), 3: (32, 8.0, 8, 1)}
 # faulted back in on every call: 364k minor faults and 2.0 s per perfbench
 # disc repetition, against 2k and 1.25 s at 1 << 14 (1 << 13 and 1 << 15
 # were slower).  Several axes keep 1 << 16 (1 << 22 made bidisc 1.6x
-# slower), and their shells are not cut (see torus_blocks).  Any value
-# gives the same integrals bit for bit.  Timings on a 2-vCPU x86-64 VM.
+# slower; 1 << 14 to 1 << 17 were within noise of each other on it), and
+# a shell larger than a block is cut along its first axis like a circle:
+# whole, the 1288^2-point density shells of bidisc set its peak RSS to
+# 97 MiB, against 64 MiB cut.  Any value gives the same integrals bit for
+# bit.  Timings on a 2-vCPU x86-64 VM.
 _CHUNK = {1: 1 << 14, 2: 1 << 16, 3: 1 << 16}
 
 
@@ -168,6 +179,25 @@ def _panel_gauss(bounds: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray
     return np.concatenate(nodes), np.concatenate(weights)
 
 
+def _block_plan(rows: int, angular: Sequence[int]):
+    """The blocks of :func:`torus_blocks` as (start, stop, lo, hi): rows
+    start:stop of the shells and nodes lo:hi of the first axis.
+
+    Whole shells are grouped in order, as many as fit in about
+    ``_CHUNK[n]`` points.  A shell larger than that is cut along its
+    first axis into k = ceil(size / _CHUNK[n]) near-equal pieces, with at
+    least 2 nodes of that axis each (so k <= m_1 // 2): a one-point array
+    takes other rounding paths in numpy.
+    """
+    chunk, size = _CHUNK[min(len(angular), 3)], math.prod(angular)
+    block = max(1, chunk // size)
+    pieces = max(1, min(-(-size // chunk), angular[0] // 2))
+    cuts = [angular[0] * i // pieces for i in range(pieces + 1)]
+    for start in range(0, rows, block):
+        for lo, hi in zip(cuts, cuts[1:]):
+            yield start, min(start + block, rows), lo, hi
+
+
 def torus_blocks(radii, angular: Sequence[int],
                  shift: Sequence[float] | None = None):
     """The torus grid over the shells radii[k] * T^n, block by block.
@@ -176,15 +206,9 @@ def torus_blocks(radii, angular: Sequence[int],
     of each of the n circle factors and ``shift`` (default none) the
     offset of each axis's nodes in steps, as in :func:`unit_nodes`.  The
     node axes are built once; each block is a list of n coordinate arrays
-    that broadcast to (shells, m_1, ..., m_n): whole shells in order, as
-    many as fit in about ``_CHUNK[n]`` points (one when a shell is
-    larger).  A one-axis shell larger than a block is cut instead into
-    k = ceil(m_1 / block) near-equal pieces, in order, each a block of
-    shape (1, m') built from a slice of the node axis, with m' >= 2 (so
-    k <= m_1 // 2): a one-point array takes other rounding paths in
-    numpy.  A shell of several axes is not cut: each piece would evaluate
-    a product's factors on its other axes again, which made the perfbench
-    bidisc table 8% slower.
+    that broadcast to (shells, m_1', m_2, ..., m_n): whole shells in
+    order, or the pieces of a shell cut along its first axis, each built
+    from a slice of that axis's nodes (:func:`_block_plan`).
     """
     radii = np.atleast_2d(np.asarray(radii, dtype=np.float64))
     n = radii.shape[1]
@@ -193,33 +217,26 @@ def torus_blocks(radii, angular: Sequence[int],
         raise ValueError("radii, angular node counts and shifts must align")
     axes = [unit_nodes(m, j + 1, n + 1, h)
             for j, (m, h) in enumerate(zip(angular, shift))]
-    chunk, size = _CHUNK[min(n, 3)], math.prod(angular)
-    block = max(1, chunk // size)
-    pieces = max(1, min(-(-size // chunk), size // 2)) if n == 1 else 1
-    cuts = [angular[0] * i // pieces for i in range(pieces + 1)]
-    for s in range(0, radii.shape[0], block):
-        rows = radii[s:s + block]
-        for lo, hi in zip(cuts, cuts[1:]):
-            yield [rows[:, j].reshape(-1, *[1] * n)
-                   * (axes[j][:, lo:hi] if j == 0 else axes[j])
-                   for j in range(n)]
+    for start, stop, lo, hi in _block_plan(radii.shape[0], angular):
+        rows = radii[start:stop]
+        yield [rows[:, j].reshape(-1, *[1] * n)
+               * (axes[j][:, lo:hi] if j == 0 else axes[j])
+               for j in range(n)]
 
 
-def _grid_sums(g: Callable, radii, angular: Sequence[int], shift) -> np.ndarray:
-    """Plain sums of g over the tensor grid of each shell, block by block
-    (:func:`torus_blocks`).  The arcs of a cut circle are written into
-    one row, whose one ``np.sum`` is the circle's, as for a whole one."""
+def _row_sums(blocks, angular: Sequence[int]) -> np.ndarray:
+    """Per-shell sums of the integrand values of :func:`_block_plan`'s
+    blocks, given in order.  The pieces of a cut shell are written into
+    one row, whose one ``np.sum`` is the shell's, as for a whole one."""
     sums = []
     row, filled = None, 0
-    for zs in torus_blocks(radii, angular, shift):
-        shape = np.broadcast_shapes(*(z.shape for z in zs))
-        vals = np.broadcast_to(np.asarray(g(*zs)), shape).reshape(shape[0], -1)
-        if shape[1] == angular[0]:
-            sums.append(vals.sum(axis=1))
+    for vals in blocks:
+        if vals.shape[1] == angular[0]:
+            sums.append(vals.reshape(vals.shape[0], -1).sum(axis=1))
             continue
         if row is None:
             row = np.empty((1, math.prod(angular)), dtype=vals.dtype)
-        row[:, filled:filled + vals.size] = vals
+        row[:, filled:filled + vals.size] = vals.reshape(1, -1)
         filled += vals.size
         if filled == row.size:
             sums.append(row.sum(axis=1))
@@ -227,16 +244,93 @@ def _grid_sums(g: Callable, radii, angular: Sequence[int], shift) -> np.ndarray:
     return np.concatenate(sums)
 
 
-def _axis_factors(g: Callable, n: int):
-    """The one-variable integrands g_1, ..., g_n when g(z) = prod_j g_j(z_j),
-    else ``None``: the one choice between the factor path and the tensor
-    grid.  They are read from g's own ``factors`` and nowhere else, so a
-    wrapper that does not pass them on takes the tensor grid."""
+def _grid_sums(g: Callable, radii, angular: Sequence[int], shift) -> np.ndarray:
+    """Plain sums of g over the tensor grid of each shell, block by block
+    (:func:`torus_blocks`)."""
+    def blocks():
+        for zs in torus_blocks(radii, angular, shift):
+            shape = np.broadcast_shapes(*(z.shape for z in zs))
+            yield np.broadcast_to(np.asarray(g(*zs)), shape)
+    return _row_sums(blocks(), angular)
+
+
+def _circle_values(gj: Callable, r: np.ndarray, m: int, h: float) -> np.ndarray:
+    """The (r.size, m) complex values of the one-variable gj on the circles
+    of radii r, m nodes shifted by h steps, evaluated block by block
+    (:func:`torus_blocks`)."""
+    out = np.empty((r.size, m), dtype=np.complex128)
+    i = k = 0
+    for (z,) in torus_blocks(r[:, None], (m,), (h,)):
+        b, w = z.shape
+        out[i:i + b, k:k + w] = gj(z)
+        k += w
+        if k == m:
+            i, k = i + b, 0
+    return out
+
+
+def _term_sums(terms, fmap, values, index, angular: Sequence[int],
+               shift) -> np.ndarray:
+    """Plain sums over the tensor grid of each shell of
+    fmap(sum_k prod_j terms[k][j](z_j)), from the per-axis factor values
+    ``values[j, shift[j], id(terms[k][j])]`` of the distinct radii on axis
+    j, row ``index[j]`` for each shell.
+
+    Each block of :func:`_block_plan` is formed in two buffers with the
+    operations of ``registry.sum_of_products``: each term's factors
+    multiplied left to right, the terms added left to right; then fmap
+    (none: the sum itself).  So every point's value is the one the
+    callable itself gives there.
+    """
+    n = len(angular)
+
+    def blocks():
+        acc = tmp = None
+        for start, stop, lo, hi in _block_plan(len(index[0]), angular):
+            shape = (stop - start, hi - lo, *angular[1:])
+            size = math.prod(shape)
+            if acc is None or acc.size < size:
+                acc, tmp = (np.empty(size, dtype=np.complex128)
+                            for _ in range(2))
+            total, part = (b[:size].reshape(shape) for b in (acc, tmp))
+            for k, term in enumerate(terms):
+                out = part if k else total
+                v = [values[j, shift[j], id(fj)][index[j][start:stop]]
+                     for j, fj in enumerate(term)]
+                v[0] = v[0][:, lo:hi]
+                # axis j's values broadcast along axis j + 1 of the block
+                v = [x.reshape(stop - start, *[1] * j, -1, *[1] * (n - 1 - j))
+                     for j, x in enumerate(v)]
+                if n == 1:
+                    out[...] = v[0]
+                else:
+                    prod = v[0]
+                    for x in v[1:-1]:
+                        prod = prod * x
+                    np.multiply(prod, v[-1], out=out)
+                if k:
+                    np.add(total, part, out=total)
+            yield total if fmap is None else fmap(total)
+    return _row_sums(blocks(), angular)
+
+
+def _axis_factors(g: Callable, n: int) -> tuple:
+    """How g is integrated, as ``(factors, terms)``: the one-variable
+    integrands g_1, ..., g_n when g(z) = prod_j g_j(z_j) (terms ``None``);
+    else the one-variable factors terms[k] = (t_k1, ..., t_kn) of a sum of
+    products, when g(z) = map(sum_k prod_j t_kj(z_j)) with g's own
+    elementwise ``map`` (none: the sum itself; factors ``None``); else
+    ``(None, None)``, the tensor grid.  This is the one choice between the
+    three paths.  They are read from g's own ``factors``, ``terms`` and
+    ``map`` and nowhere else, so a wrapper that does not pass them on
+    takes the tensor grid."""
     factors = getattr(g, "factors", None)
-    if factors is not None and len(factors) != n:
-        raise ValueError(f"an integrand on {n} axes has {len(factors)} "
-                         f"factors")
-    return factors
+    terms = None if factors is not None else getattr(g, "terms", None)
+    for t in (factors,) if factors is not None else terms or ():
+        if len(t) != n:
+            raise ValueError(f"an integrand on {n} axes has {len(t)} "
+                             f"factors")
+    return factors, terms
 
 
 def torus_cosets(g: Callable, radii, angular: Sequence[int],
@@ -247,12 +341,15 @@ def torus_cosets(g: Callable, radii, angular: Sequence[int],
     A shift gives the offset of each axis's nodes in steps, as in
     :func:`unit_nodes`.  The integrand is called as ``g(z1, ..., zn)``.
     Each integral approximates the d theta_1 ... d theta_n integral with
-    total mass (2pi)^n, no normalization.  A product integrand
-    (:func:`_axis_factors`) is summed factor by factor, each axis once per
-    distinct radius and shift on it, and the per-axis circle sums are
-    multiplied; any other is summed on the tensor grid
-    (:func:`torus_blocks`).  Every shell is summed alone, so the block
-    size moves no value.
+    total mass (2pi)^n, no normalization.  The path is chosen by
+    :func:`_axis_factors`.  A product integrand is summed factor by
+    factor, each axis once per distinct radius and shift on it, and the
+    per-axis circle sums are multiplied.  A sum of products evaluates each
+    of its terms' factors once per distinct radius and shift on its axis
+    (:func:`_circle_values`) and forms its values on the tensor grid from
+    them (:func:`_term_sums`).  Any other integrand is evaluated on the
+    tensor grid (:func:`torus_blocks`).  Every shell is summed alone, so
+    the block size moves no value.
     """
     radii = np.atleast_2d(np.asarray(radii, dtype=np.float64))
     rows, n = radii.shape
@@ -260,27 +357,38 @@ def torus_cosets(g: Callable, radii, angular: Sequence[int],
         raise ValueError("radii, angular node counts and shifts must align")
     weight = math.prod(TWO_PI / m for m in angular)
     points = torus_points(g, radii, angular, shifts)
-    factors = _axis_factors(g, n)
-    if factors is None:
+    factors, terms = _axis_factors(g, n)
+    if factors is None and terms is None:
         return ([_grid_sums(g, radii, angular, s) * weight for s in shifts],
                 points)
-    sums = {}
-    for j, (gj, m) in enumerate(zip(factors, angular)):
+    sums, values, index = {}, {}, []
+    for j, m in enumerate(angular):
         r, inverse = np.unique(radii[:, j], return_inverse=True)
+        index.append(inverse)
         for h in {s[j] for s in shifts}:
-            sums[j, h] = _grid_sums(gj, r[:, None], (m,), (h,))[inverse]
+            if factors is not None:
+                sums[j, h] = _grid_sums(factors[j], r[:, None], (m,),
+                                        (h,))[inverse]
+                continue
+            for fj in {id(term[j]): term[j] for term in terms}.values():
+                values[j, h, id(fj)] = _circle_values(fj, r, m, h)
+    if terms is not None:
+        fmap = getattr(g, "map", None)
+        return ([_term_sums(terms, fmap, values, index, angular, s) * weight
+                 for s in shifts], points)
     return ([math.prod(sums[j, h] for j, h in enumerate(s)) * weight
              for s in shifts], points)
 
 
 def torus_points(g: Callable, radii, angular: Sequence[int],
                  shifts: Sequence[Sequence[float]]) -> int:
-    """The points :func:`torus_cosets` evaluates for the same arguments,
-    counted without evaluating g: prod_j m_j per shell and shift on the
-    tensor grid; on the factor path m_j per distinct radius and distinct
-    shift on axis j."""
+    """The points :func:`torus_cosets` reports for the same arguments,
+    counted without evaluating g: the points it evaluates g at,
+    prod_j m_j per shell and shift on the tensor grid, where a sum of
+    products also forms its values; on the factor path m_j per distinct
+    radius and distinct shift on axis j."""
     radii = np.atleast_2d(np.asarray(radii, dtype=np.float64))
-    if _axis_factors(g, radii.shape[1]) is None:
+    if _axis_factors(g, radii.shape[1])[0] is None:
         return len(shifts) * radii.shape[0] * math.prod(angular)
     return sum(np.unique(radii[:, j]).size * m * len({s[j] for s in shifts})
                for j, m in enumerate(angular))

@@ -53,6 +53,12 @@ class TaggedEvaluator:
         ``None``."""
         return getattr(self.fn, "factors", None)
 
+    @property
+    def terms(self) -> tuple | None:
+        """The terms of ``fn`` when it is a sum of products in several
+        variables, else ``None``."""
+        return getattr(self.fn, "terms", None)
+
 
 def product_evaluator(fns) -> Callable:
     """(z_1, ..., z_n) -> fns[0](z_1) * ... * fns[n-1](z_n), left to right.
@@ -70,6 +76,32 @@ def product_evaluator(fns) -> Callable:
             out = out * np.asarray(f(z))
         return out
     fn.factors = fns
+    return fn
+
+
+def sum_of_products(terms) -> Callable:
+    """(z_1, ..., z_n) -> sum_k terms[k][0](z_1) * ... * terms[k][n-1](z_n):
+    each term a :func:`product_evaluator`, the terms added left to right.
+
+    One term is its product, and one factor in one variable the factor
+    itself.  With several terms in several variables the callable holds
+    its ``terms``, a tuple of per-axis factor tuples; the norm estimators
+    read them to form its values from per-axis factor values
+    (``quadrature.torus_cosets``).  In one variable the sum is a
+    one-variable function like any other."""
+    terms = tuple(tuple(term) for term in terms)
+    if len(terms) == 1:
+        return terms[0][0] if len(terms[0]) == 1 \
+            else product_evaluator(terms[0])
+    products = [product_evaluator(term) for term in terms]
+
+    def fn(*zs):
+        acc = products[0](*zs)
+        for product in products[1:]:
+            acc = acc + product(*zs)
+        return acc
+    if len(terms[0]) > 1:
+        fn.terms = terms
     return fn
 
 
@@ -129,21 +161,13 @@ class RegistryEntry:
         """Pointwise evaluator of f minus its order-N square partial sum.
 
         Free of the cancellation in f - S_N f: the sum over j of f1 ...
-        f(j-1) tj S(j+1) ... Sn with the factors' tails tj, left to right;
-        in one variable, the factor's tail."""
+        f(j-1) tj S(j+1) ... Sn with the factors' tails tj
+        (:func:`sum_of_products`); in one variable, the factor's tail."""
         tails = [s.tail(N) for s in self.factors]
-        if self.dim == 1:
-            return TaggedEvaluator(tails[0], self.spike)
-        parts = [s.partial(N) for s in self.factors]
-        terms = [product_evaluator(self.factors[:j] + (t, *parts[j + 1:]))
-                 for j, t in enumerate(tails)]
-
-        def fn(*zs):
-            acc = terms[0](*zs)
-            for term in terms[1:]:
-                acc = acc + term(*zs)
-            return acc
-        return TaggedEvaluator(fn, self.spike)
+        parts = [s.partial(N) for s in self.factors[1:]]
+        return TaggedEvaluator(
+            sum_of_products(self.factors[:j] + (t, *parts[j:])
+                            for j, t in enumerate(tails)), self.spike)
 
 
 class FunctionRegistry:

@@ -25,6 +25,7 @@ taking a one-variable function as the one-factor product.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -33,7 +34,7 @@ import numpy as np
 
 from .errors import DomainModelError
 from .quadrature import torus_blocks
-from .registry import TaggedEvaluator, product_evaluator
+from .registry import TaggedEvaluator, sum_of_products
 from .series import PowerSeries
 
 _GOLDEN = 0.6180339887498949
@@ -311,6 +312,11 @@ def _abs_coeff_sum(series: PowerSeries, x: float) -> tuple[float, bool]:
     return total, False
 
 
+def _negated(fn: Callable) -> Callable:
+    """z -> -fn(z)."""
+    return lambda z: -np.asarray(fn(z))
+
+
 def density_experiment(f, domain: ReinhardtDomain, p: float = 1.0,
                        eps_ladder: Sequence[float] = (0.5, 0.1, 0.02), *,
                        norm_tol: float = 1e-4) -> list[DensityRow]:
@@ -347,6 +353,9 @@ def density_experiment(f, domain: ReinhardtDomain, p: float = 1.0,
     closure = np.array([frontier_max_radius(domain, np.eye(n)[j])[j]
                         for j in range(n)])
 
+    # every target scans the same rungs from the first, so each rung's
+    # probe is taken once per call
+    @functools.cache
     def probe_sup_diff(rho: float) -> float:
         return float(np.max([np.max(np.abs(
             base - np.asarray(f.evaluator(*[rho * z for z in zs]))))
@@ -376,12 +385,11 @@ def density_experiment(f, domain: ReinhardtDomain, p: float = 1.0,
                 break
         else:
             ok = False
-        q_eval = product_evaluator([dilate_truncate(s, rho, M)
-                                    for s in f.factors])
-
-        def diff(*zs):
-            return np.asarray(f.evaluator(*zs)) - q_eval(*zs)
-        diff_tagged = TaggedEvaluator(diff, f.spike)
+        # f - q as f + (-q_1) q_2 ... q_n, which is exact: negation
+        # commutes with every rounding
+        q = [dilate_truncate(s, rho, M) for s in f.factors]
+        diff_tagged = TaggedEvaluator(
+            sum_of_products([f.factors, (_negated(q[0]), *q[1:])]), f.spike)
         if n == 1:
             est = hardy_norm_disc(diff_tagged, p, norm_tol)
         else:

@@ -90,3 +90,26 @@ def test_products_under_the_tracer_count_their_points():
     assert layers["norms.bergman_norm_reinhardt.points"]["value"] > 0
     assert layers["trace.selfcheck_checked"]["value"] == 1
     assert layers["trace.selfcheck_mismatches"]["value"] == 0
+
+
+def test_sums_of_products_under_the_tracer():
+    # the tracer's integrand wrapper hides a sum's terms as it hides a
+    # product's factors, so a traced tail and the traced density
+    # differences take the tensor grid: every point goes through the
+    # wrapper, and the self-check still holds
+    tracer = _tracer()
+    prod = default_registry().get("prod-fa-0.9")
+    tail = prod.tail_evaluator(16)
+    assert tail.terms is not None
+    with tracer.installed(hardylab):
+        est = hardylab.norms.bergman_norm_reinhardt(tail, 1.0, polydisc(2),
+                                                    tol=1e-3)
+        rows = hardylab.reinhardt.density_experiment(
+            prod, polydisc(2), 1.0, (0.5,), norm_tol=1e-3)
+    assert est.converged
+    assert rows[0].converged and rows[0].met
+    layers = tracer.per_layer(1)
+    assert layers["norms.bergman_norm_reinhardt.points"]["value"] > 0
+    assert layers["norms.hardy_norm_reinhardt.points"]["value"] > 0
+    assert layers["trace.selfcheck_checked"]["value"] == 1
+    assert layers["trace.selfcheck_mismatches"]["value"] == 0

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from hardylab.norms import bergman_norm_disc, bergman_norm_reinhardt
+from hardylab.norms import (_abs_power, _radial_cells, bergman_norm_disc,
+                            bergman_norm_reinhardt)
 from hardylab.quadrature import (angular_floor, doubled_torus_integrals,
                                  dyadic_panels, half_shifts, refine_until,
                                  torus_blocks, torus_cosets, torus_integrals,
                                  torus_levels, torus_points, unit_nodes)
-from hardylab.registry import product_evaluator
-from hardylab.reinhardt import polydisc
+from hardylab.registry import (default_registry, product_entry,
+                               product_evaluator, sum_of_products)
+from hardylab.reinhardt import _negated, ball, dilate_truncate, polydisc
 
 TWO_PI = 2.0 * np.pi
 
@@ -245,6 +247,94 @@ def test_product_integrand_needs_a_factor_per_axis():
         torus_integrals(g, [[0.5, 0.5, 0.5]], (8, 8, 8))
 
 
+def _counted_sum(dim):
+    # a sum of three products; term k holds its own counted factor on each
+    # axis but the last, where terms 0 and 1 share one
+    counted = [[_Counted(lambda z, j=j, k=k: (1.0 + 0.2 * k * z)
+                         * _smooth_factor(j)(z))
+                for j in range(dim)] for k in range(3)]
+    counted[1][-1] = counted[0][-1]
+    return sum_of_products(counted), counted
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_sums_of_products_evaluate_each_factor_once_per_radius_and_shift(
+        dim):
+    # each distinct factor is evaluated once per distinct radius and shift
+    # on its axis; the points reported are the tensor grid's, where the
+    # sum's values are formed, and the values are the tensor grid's bit
+    # for bit
+    radii, ms = np.array(_FACTOR_SHELLS[dim]), _COUNTS[dim]
+    for shifts in ([(0.0,) * dim], [(0.5,) + (0.0,) * (dim - 1)],
+                   half_shifts(dim)):
+        g, counted = _counted_sum(dim)
+        values, points = torus_cosets(g, radii, ms, shifts)
+        for j, m in enumerate(ms):
+            once = np.unique(radii[:, j]).size * m * len({s[j]
+                                                          for s in shifts})
+            assert {c.points for c in (term[j] for term in counted)} == {once}
+        hidden = lambda *z: g(*z)   # noqa: E731
+        tensor, tensor_points = torus_cosets(hidden, radii, ms, shifts)
+        assert [v.tobytes() for v in values] == [t.tobytes() for t in tensor]
+        assert points == tensor_points == torus_points(g, radii, ms, shifts)
+        assert points == len(shifts) * len(radii) * np.prod(ms)
+
+
+def _sum_cases(dim):
+    # a tail and a density difference of a product of dim factors
+    reg = default_registry()
+    fa09, fa05 = reg.get("fa-0.9"), reg.get("fa-0.5")
+    entry = product_entry((fa09, fa05, fa09)[:dim])
+    q = [dilate_truncate(s, 0.75, 6) for s in entry.factors]
+    return {"tail": entry.tail_evaluator(8),
+            "difference": sum_of_products([entry.factors,
+                                           (_negated(q[0]), *q[1:])])}
+
+
+# one shell count within every block but the smallest, one cut at 1024 and
+# 4096 points
+_SUM_COUNTS = {2: [(24, 20), (41, 30), (90, 50)],
+               3: [(6, 8, 5), (20, 9, 7), (20, 16, 15)]}
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("domain", ["polydisc", "ball"])
+@pytest.mark.parametrize("kind", ["tail", "difference"])
+def test_sums_of_products_match_the_tensor_grid(monkeypatch, dim, domain,
+                                                kind):
+    # the terms path gives the values of the same callable with its terms
+    # hidden bit for bit, with and without the |.|^p map, at every shift
+    # and block size, on shells that share radii on an axis (polydisc
+    # cells) and shells that do not (ball cells), whole or cut along
+    # their first axis
+    f = _sum_cases(dim)[kind]
+    assert f.terms is not None and len(f.terms) == (dim if kind == "tail"
+                                                    else 2)
+    dom = polydisc(dim) if domain == "polydisc" else ball(dim)
+    cells, _ = _radial_cells(dom, 0, 3 if dim == 2 else 2)
+    for g in (f, _abs_power(f, 1.0), _abs_power(f, 3.0)):
+        hidden = lambda *z, g=g: g(*z)   # noqa: E731
+        for ms in _SUM_COUNTS[dim]:
+            for shifts in ([(0.0,) * dim], [(0.5,) + (0.0,) * (dim - 1)],
+                           half_shifts(dim)):
+                _chunk(monkeypatch, 1 << 22)
+                tensor, points = torus_cosets(hidden, cells, ms, shifts)
+                assert points == len(shifts) * len(cells) * math.prod(ms)
+                for chunk in (1024, 4096, None, 1 << 22):
+                    _chunk(monkeypatch, chunk)
+                    values, terms_points = torus_cosets(g, cells, ms, shifts)
+                    assert ([v.tobytes() for v in values]
+                            == [t.tobytes() for t in tensor])
+                    assert terms_points == points == torus_points(
+                        g, cells, ms, shifts)
+
+
+def test_sum_of_products_needs_a_factor_per_axis():
+    g = sum_of_products([(_smooth_factor(0), _smooth_factor(1))] * 2)
+    with pytest.raises(ValueError, match="3 axes has 2 factors"):
+        torus_integrals(g, [[0.5, 0.5, 0.5]], (8, 8, 8))
+
+
 def test_refine_until_converges_geometrically():
     # value(level) = 1 + 4^-level converges; node counts double
     def integrator(level):
@@ -345,9 +435,9 @@ _BLOCK_CASES = {1: ([[0.9], [1.0], [0.3], [0.7]],
 @pytest.mark.parametrize("shifted", [False, True])
 def test_torus_integrals_do_not_depend_on_the_block_size(monkeypatch, dim,
                                                          shifted):
-    # whole shells grouped into blocks, and circles cut into arcs, give
-    # the whole-shell sums (one block of 1 << 22) bit for bit, and the same
-    # point counts
+    # whole shells grouped into blocks, and shells cut along their first
+    # axis, give the whole-shell sums (one block of 1 << 22) bit for bit,
+    # and the same point counts
     radii, counts = _BLOCK_CASES[dim]
     shift = (0.5,) + (0.0, 0.5)[:dim - 1] if shifted else (0.0,) * dim
     for ms in counts:
@@ -369,11 +459,12 @@ def _width(zs):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_torus_blocks_cut_a_large_circle_into_near_equal_arcs(monkeypatch,
                                                               dim):
-    # a circle larger than a block is cut into ceil(m / block) arcs of
-    # near-equal width, at most m // 2 of them so that none holds fewer
-    # than 2 nodes; each arc is a slice of the whole circle's coordinates,
-    # and the integrals are the whole shell's, down to blocks of one
-    # point.  A shell of several axes is not cut.
+    # a shell larger than a block is cut along its first axis into
+    # ceil(size / block) pieces of near-equal width, at most m_1 // 2 of
+    # them so that none holds fewer than 2 of that axis's nodes; each
+    # piece is a slice of the whole shell's coordinates, and the integrals
+    # are the whole shell's, down to blocks of one point.  A circle is the
+    # one-axis case, cut into arcs.
     radii, counts = _BLOCK_CASES[dim]
     shift = (0.5,) * dim
     small = [(1,), (2,), (5,), (7,)] if dim == 1 else []
@@ -389,8 +480,7 @@ def test_torus_blocks_cut_a_large_circle_into_near_equal_arcs(monkeypatch,
             if size <= chunk:
                 assert set(widths) == {ms[0]}
                 continue
-            pieces = max(1, min(-(-size // chunk), size // 2)) \
-                if dim == 1 else 1
+            pieces = max(1, min(-(-size // chunk), ms[0] // 2))
             assert len(blocks) == len(radii) * pieces
             assert max(widths) - min(widths) <= 1
             assert min(widths) >= min(2, ms[0])

@@ -6,8 +6,9 @@ import pytest
 from hardylab.norms import hardy_norm_reinhardt
 from hardylab.registry import (RegistryEntry, TaggedEvaluator,
                                default_registry, fa_entry, monomial_entry,
-                               polynomial_entry, product_entry)
-from hardylab.reinhardt import polydisc
+                               polynomial_entry, product_entry,
+                               product_evaluator, sum_of_products)
+from hardylab.reinhardt import _negated, dilate_truncate, polydisc
 from hardylab.series import PowerSeries, partial_sum
 
 RNG = np.random.default_rng(5150)
@@ -206,6 +207,52 @@ def test_products_expose_their_factors():
     assert np.array_equal(sn(z1, z2), sn.factors[0](z1) * sn.factors[1](z2))
     assert ent.tail_evaluator(5).factors is None
     assert reg.get("fa-0.9").partial_evaluator(5).factors is None
+
+
+def test_tails_hold_their_terms():
+    # the tail of a product is the telescoping sum over j of
+    # f_1 ... f_(j-1) t_j S_(j+1) ... S_n, and holds those terms; in one
+    # variable it is the factor's tail, with no terms
+    reg = default_registry()
+    fa09 = reg.get("fa-0.9")
+    ent = product_entry((fa09, reg.get("fa-0.5"), fa09))
+    terms = ent.tail_evaluator(5).terms
+    assert len(terms) == 3 and all(len(term) == 3 for term in terms)
+    assert terms[1][0] is terms[2][0] is ent.factors[0]
+    assert terms[2][1] is ent.factors[1]
+    assert terms[0][2] is terms[1][2]
+    zs = [PTS[:, None, None], PTS[None, :, None], PTS[None, None, :]]
+    tail = ent.tail_evaluator(5)(*zs)
+    expect = sum(np.asarray(term[0](zs[0])) * term[1](zs[1]) * term[2](zs[2])
+                 for term in terms)
+    assert np.array_equal(tail, expect)
+    assert np.allclose(ent.evaluator(*zs),
+                       ent.partial_evaluator(5)(*zs) + tail,
+                       rtol=0, atol=1e-12)
+    one = fa09.tail_evaluator(5)
+    assert one.terms is None and one.fn is not None
+    assert np.array_equal(one(PTS), fa09.factors[0].tail(5)(PTS))
+
+
+def test_a_sum_of_one_product_is_the_product():
+    fa09 = default_registry().get("fa-0.9").factors[0]
+    prod = sum_of_products([(fa09, fa09)])
+    assert prod.factors == (fa09, fa09) and getattr(prod, "terms", None) is None
+    assert sum_of_products([(fa09,)]) is fa09
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_density_differences_are_exact(dim):
+    # f - q written as f + (-q_1) q_2 ... q_n is f - q bit for bit:
+    # negation commutes with every rounding
+    f = product_entry((default_registry().get("fa-0.9"),) * dim)
+    q = [dilate_truncate(s, 0.875, 12) for s in f.factors]
+    diff = sum_of_products([f.factors, (_negated(q[0]), *q[1:])])
+    zs = [PTS.reshape((1,) * j + (-1,) + (1,) * (dim - 1 - j))
+          for j in range(dim)]
+    expect = np.asarray(f.evaluator(*zs)) - product_evaluator(q)(*zs)
+    assert diff(*zs).tobytes() == expect.tobytes()
+    assert (getattr(diff, "terms", None) is None) == (dim == 1)
 
 
 def test_entries_are_products_of_power_series():

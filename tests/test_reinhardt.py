@@ -182,6 +182,31 @@ def test_density_probe_does_not_depend_on_the_block_size(monkeypatch):
     assert rows() == default
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_density_probe_takes_each_rung_once(dim):
+    # every target scans the rungs rho_k = 1 - 2^-k from k = 1; the probe
+    # of a rung is evaluated once per call, however many targets reach it
+    fa09 = default_registry().get("fa-0.9")
+    entry = product_entry((fa09,) * dim)
+    calls = []
+    evaluator = entry.evaluator
+
+    def counted(*zs):
+        calls.append(zs[0].shape)
+        return evaluator(*zs)
+    entry.__dict__["evaluator"] = counted     # the cached property's slot
+    rows = density_experiment(entry, polydisc(dim), 1.0, (0.5, 0.1, 0.02),
+                              norm_tol=1e-3)
+    m_probe = 2048 if dim == 1 else 128
+    blocks = len(list(quadrature.torus_blocks(
+        frontier_sample(polydisc(dim), 16), (m_probe,) * dim)))
+    rungs = round(-np.log2(1.0 - max(row.rho for row in rows)))
+    assert len(calls) == blocks * (1 + rungs)
+    fresh = density_experiment(product_entry((fa09,) * dim), polydisc(dim),
+                               1.0, (0.5, 0.1, 0.02), norm_tol=1e-3)
+    assert rows == fresh
+
+
 def test_density_degree_is_the_smallest_that_clears_the_tail_target():
     # M is the smallest degree whose coefficient tail bound
     # prod_j full_j - prod_j sum_{k <= M} |a_{j,k}| x_j^k, with x_j rho times
