@@ -12,13 +12,13 @@ import numpy as np
 
 from hardylab.norms import bergman_norm_disc, hardy_norm_disc
 from hardylab.registry import default_registry
-from hardylab.witnesses import WitnessFa
+from hardylab.witnesses import fa_series
 
 
 def main():
     print("Hardy norm of f_a (exact value 1):")
     for a in (0.0, 0.5, 0.9, 0.99):
-        est = hardy_norm_disc(WitnessFa(a), 1.0, 1e-6, spike=a)
+        est = hardy_norm_disc(fa_series(a), 1.0, 1e-6, spike=a)
         # the spike tag declares f_a holomorphic past the unit circle, so
         # its Hardy norm is the mean of |f_a| on the circle itself
         print(f"  a = {a:<5} estimate {est.value:.15f}  "
@@ -28,7 +28,7 @@ def main():
     # seen from its own radius, so a = 0.999 stays cheap
     print("\nBergman norm of f_a against the closed form:")
     for a in (0.5, 0.9, 0.99, 0.999):
-        est = bergman_norm_disc(WitnessFa(a), 1.0, 1e-10, spike=a)
+        est = bergman_norm_disc(fa_series(a), 1.0, 1e-10, spike=a)
         exact = np.pi * (1 - a * a) * np.log(1 / (1 - a * a)) / (a * a)
         print(f"  a = {a:<5} estimate {est.value:.12f}  exact {exact:.12f}  "
               f"rel. error {abs(est.value - exact) / exact:.1e}")

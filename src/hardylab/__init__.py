@@ -27,9 +27,8 @@ from .reinhardt import (DensityRow, ReinhardtDomain, ball, contains,
                         power_egg, section_tops, simplex_directions)
 from .series import PowerSeries, partial_sum, partial_sum_kernel
 from .witnesses import (IcQuery, IcValue, T1T2Split, T2BoundRatio,
-                        WitnessFa, blowup_lower_bound, blowup_schedule,
-                        eval_fa, eval_ic, fa_series, ic_comparison,
-                        t2_hardy_vs_bound)
+                        blowup_lower_bound, blowup_schedule, eval_fa,
+                        eval_ic, fa_series, ic_comparison, t2_hardy_vs_bound)
 
 __version__ = "0.1.0"
 
@@ -52,7 +51,7 @@ __all__ = [
     "domain_from_config", "frontier_max_radius", "frontier_sample",
     "polydisc", "power_egg", "section_tops", "simplex_directions",
     "PowerSeries", "partial_sum", "partial_sum_kernel",
-    "IcQuery", "IcValue", "T1T2Split", "T2BoundRatio", "WitnessFa",
+    "IcQuery", "IcValue", "T1T2Split", "T2BoundRatio",
     "blowup_lower_bound", "blowup_schedule", "eval_fa", "eval_ic",
     "fa_series", "ic_comparison", "t2_hardy_vs_bound",
 ]

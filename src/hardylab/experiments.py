@@ -29,8 +29,8 @@ from .registry import (FunctionRegistry, RegistryEntry, default_registry,
 from .reinhardt import (ReinhardtDomain, density_experiment,
                         domain_from_config, frontier_sample,
                         monomial_moments, polydisc)
-from .witnesses import (IcQuery, T1T2Split, WitnessFa, blowup_lower_bound,
-                        blowup_schedule, eval_ic, ic_comparison,
+from .witnesses import (IcQuery, T1T2Split, blowup_lower_bound,
+                        blowup_schedule, eval_ic, fa_series, ic_comparison,
                         t2_hardy_vs_bound)
 
 DEFAULT_N_SET = (8, 16, 32, 64, 128, 256, 512, 1024)
@@ -307,7 +307,7 @@ def run_blowup(config: RunConfig | None = None) -> ExperimentResult:
         t0 = time.perf_counter()
         a = blowup_schedule(N)
         split = T1T2Split(a, N)
-        h1f = hardy_norm_disc(WitnessFa(a), 1.0, cfg.tol, spike=a,
+        h1f = hardy_norm_disc(fa_series(a), 1.0, cfg.tol, spike=a,
                               max_nodes=cfg.max_nodes)
         h1n = hardy_norm_disc(split.partial, 1.0, cfg.tol, spike=a,
                               max_nodes=cfg.max_nodes)

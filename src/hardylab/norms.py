@@ -40,19 +40,18 @@ frontier shells reach a declared pole, r_j |s_j| >= 1: f has no Hardy
 norm there (:func:`boundary_grid`).
 
 Every estimator builds its integrand |f|^p with :func:`_abs_power`.  When
-f holds one-variable ``factors`` (a ``registry.product_evaluator``, or a
-``TaggedEvaluator`` around one), so does the integrand, and
-``quadrature.torus_cosets`` integrates it factor by factor, at sum_j m_j
-points per shell instead of prod_j m_j; the estimators themselves do not
-branch.  The Hardy norm of a product, the Bergman norm of its square
-partial sums (S_N f is the product of the factors' S_N) and the shell
-checks take that path on every domain kind, since the radial cells need
-not form a product.  Tails and density differences are sums of products
-(``registry.sum_of_products``): the integrand holds their ``terms`` and
-the |.|^p map, and ``torus_cosets`` evaluates each term's factors once
-per distinct radius and shift on their axis and forms |f|^p on the
-tensor grid from those values, bit for bit the callable's own, at the
-tensor grid's point count.
+f holds the ``terms`` of a sum of products (``registry.sum_of_products``,
+or a ``TaggedEvaluator`` around one), so does the integrand, with the
+|.|^p map, and ``quadrature.torus_cosets`` evaluates each factor once per
+distinct radius and shift on its axis; the estimators themselves do not
+branch.  A product is the one-term sum and is integrated factor by
+factor, at sum_j m_j points per shell instead of prod_j m_j: the Hardy
+norm of a product, the Bergman norm of its square partial sums (S_N f is
+the product of the factors' S_N) and the shell checks take that path on
+every domain kind, since the radial cells need not form a product.
+Tails and density differences, with several terms, form |f|^p on the
+tensor grid from the factor values, bit for bit the callable's own, at
+the tensor grid's point count.
 """
 
 from __future__ import annotations
@@ -118,12 +117,10 @@ def _abs_power(f, p):
     """|f|^p as an integrand: the power is taken in place on the fresh
     modulus array, and skipped at p = 1, where x ** 1.0 == x exactly.
 
-    When f itself holds one-variable ``factors`` f_j, so does the
-    integrand: the |f_j|^p, whose product is |f|^p, and which
-    ``quadrature.torus_cosets`` sums axis by axis.  When f holds the
-    ``terms`` of a sum of products, the integrand holds them too, with
-    the |.|^p map as its ``map``, which ``torus_cosets`` applies to the
-    sums it forms from the terms' factor values."""
+    When f holds the ``terms`` of a sum of products, a product included,
+    the integrand holds them too, with the |.|^p map as its ``map``,
+    which ``quadrature.torus_cosets`` applies to the values it forms from
+    the terms' factor values."""
     def power(v):
         a = np.abs(np.asarray(v, dtype=np.complex128))
         if p != 1:
@@ -132,9 +129,6 @@ def _abs_power(f, p):
 
     def g(*z):
         return power(f(*z))
-    factors = getattr(f, "factors", None)
-    if factors is not None:
-        g.factors = tuple(_abs_power(fj, p) for fj in factors)
     terms = getattr(f, "terms", None)
     if terms is not None:
         g.terms, g.map = terms, power

@@ -25,24 +25,23 @@ rule for all 2^n - 1 cosets at once, so a rule can share work between
 them.
 
 :func:`torus_cosets` is the one shell rule, with three ways of
-evaluating it, chosen in one place (:func:`_axis_factors`).  A product
-integrand, one that holds one-variable ``factors`` g_j with g(z) =
-prod_j g_j(z_j), is integrated factor by factor: at the same counts and
-shifts, the tensor trapezoid sum over a shell is the product of the
-per-axis circle sums, so a shell costs sum_j m_j points instead of
-prod_j m_j.  Each axis is evaluated once per distinct radius on it (the
-q^2 radial cells of a polydisc share q radii per axis) and once per
-distinct shift, so the 2^n - 1 cosets of a doubling share each axis's
-shift-0 and shift-1/2 sums.  A sum of products, one that holds the
-one-variable factors of its ``terms`` (a tail or a density difference,
-through |.|^p), has no such split, but its factors are still evaluated
-once per distinct radius and shift on their axis; its values are formed
-on the tensor grid from theirs with the sum's own elementwise operations,
-so they are bit for bit the values the callable gives.  Every other
-integrand is evaluated on the tensor grid.  Every rule reports the
-points it evaluated the integrand at; a sum of products reports the
-tensor points at which its values are formed, so no budget or stopping
-decision depends on the path.
+evaluating it, chosen in one place (:func:`_axis_terms`) from one
+attribute.  An integrand that holds the one-variable factors of its
+``terms``, g(z) = map(sum_k prod_j t_kj(z_j)) with its own elementwise
+``map`` (|.|^p or none), has each distinct factor evaluated once per
+distinct radius on its axis (the q^2 radial cells of a polydisc share q
+radii per axis) and once per distinct shift (:func:`_circle_values`).
+One term is a product: at the same counts and shifts its tensor
+trapezoid sum over a shell is the product of the per-axis circle sums,
+so a shell costs sum_j m_j points instead of prod_j m_j, and the 2^n - 1
+cosets of a doubling share each axis's shift-0 and shift-1/2 sums.
+Several terms (a tail or a density difference) have no such split;
+their values are formed on the tensor grid from the factor values with
+the sum's own elementwise operations, bit for bit the values the
+callable gives.  Every other integrand is evaluated on the tensor grid.
+Every rule reports the points it evaluated the integrand at; a sum of
+several products reports the tensor points at which its values are
+formed, so no budget or stopping decision depends on the path.
 
 Everything here is binary64 and deterministic: node construction, chunking
 and accumulation order are fixed functions of the rule parameters, so two
@@ -51,7 +50,7 @@ runs with the same inputs produce bit-identical values.
 :func:`torus_blocks` builds the one torus grid in cache-sized blocks of
 about ``_CHUNK`` points (:func:`_block_plan`); :func:`torus_cosets` sums
 its integrand over them (a factor's circles are one-axis grids), a sum of
-products forms its values in blocks of the same plan, and the density
+several products forms its values in blocks of the same plan, and the density
 probe of ``reinhardt`` takes its maximum.  An integrand is a chain of
 elementwise numpy passes (f(z), products, ``np.abs``, ``** p``), and each
 pass streams its temporaries through memory; a block that fits in the
@@ -255,14 +254,17 @@ def _grid_sums(g: Callable, radii, angular: Sequence[int], shift) -> np.ndarray:
 
 
 def _circle_values(gj: Callable, r: np.ndarray, m: int, h: float) -> np.ndarray:
-    """The (r.size, m) complex values of the one-variable gj on the circles
-    of radii r, m nodes shifted by h steps, evaluated block by block
-    (:func:`torus_blocks`)."""
-    out = np.empty((r.size, m), dtype=np.complex128)
+    """The (r.size, m) values of the one-variable gj on the circles of
+    radii r, m nodes shifted by h steps, evaluated block by block
+    (:func:`torus_blocks`), in the dtype gj returns."""
+    out = None
     i = k = 0
     for (z,) in torus_blocks(r[:, None], (m,), (h,)):
         b, w = z.shape
-        out[i:i + b, k:k + w] = gj(z)
+        v = gj(z)
+        if out is None:
+            out = np.empty((r.size, m), dtype=np.result_type(v))
+        out[i:i + b, k:k + w] = v
         k += w
         if k == m:
             i, k = i + b, 0
@@ -272,9 +274,9 @@ def _circle_values(gj: Callable, r: np.ndarray, m: int, h: float) -> np.ndarray:
 def _term_sums(terms, fmap, values, index, angular: Sequence[int],
                shift) -> np.ndarray:
     """Plain sums over the tensor grid of each shell of
-    fmap(sum_k prod_j terms[k][j](z_j)), from the per-axis factor values
-    ``values[j, shift[j], id(terms[k][j])]`` of the distinct radii on axis
-    j, row ``index[j]`` for each shell.
+    fmap(sum_k prod_j terms[k][j](z_j)), n >= 2 axes, from the per-axis
+    factor values ``values[j, shift[j], id(terms[k][j])]`` of the distinct
+    radii on axis j, row ``index[j]`` for each shell.
 
     Each block of :func:`_block_plan` is formed in two buffers with the
     operations of ``registry.sum_of_products``: each term's factors
@@ -294,43 +296,36 @@ def _term_sums(terms, fmap, values, index, angular: Sequence[int],
                             for _ in range(2))
             total, part = (b[:size].reshape(shape) for b in (acc, tmp))
             for k, term in enumerate(terms):
-                out = part if k else total
                 v = [values[j, shift[j], id(fj)][index[j][start:stop]]
                      for j, fj in enumerate(term)]
                 v[0] = v[0][:, lo:hi]
                 # axis j's values broadcast along axis j + 1 of the block
                 v = [x.reshape(stop - start, *[1] * j, -1, *[1] * (n - 1 - j))
                      for j, x in enumerate(v)]
-                if n == 1:
-                    out[...] = v[0]
-                else:
-                    prod = v[0]
-                    for x in v[1:-1]:
-                        prod = prod * x
-                    np.multiply(prod, v[-1], out=out)
+                prod = v[0]
+                for x in v[1:-1]:
+                    prod = prod * x
+                np.multiply(prod, v[-1], out=part if k else total)
                 if k:
                     np.add(total, part, out=total)
             yield total if fmap is None else fmap(total)
     return _row_sums(blocks(), angular)
 
 
-def _axis_factors(g: Callable, n: int) -> tuple:
-    """How g is integrated, as ``(factors, terms)``: the one-variable
-    integrands g_1, ..., g_n when g(z) = prod_j g_j(z_j) (terms ``None``);
-    else the one-variable factors terms[k] = (t_k1, ..., t_kn) of a sum of
-    products, when g(z) = map(sum_k prod_j t_kj(z_j)) with g's own
-    elementwise ``map`` (none: the sum itself; factors ``None``); else
-    ``(None, None)``, the tensor grid.  This is the one choice between the
-    three paths.  They are read from g's own ``factors``, ``terms`` and
-    ``map`` and nowhere else, so a wrapper that does not pass them on
-    takes the tensor grid."""
-    factors = getattr(g, "factors", None)
-    terms = None if factors is not None else getattr(g, "terms", None)
-    for t in (factors,) if factors is not None else terms or ():
+def _axis_terms(g: Callable, n: int) -> tuple | None:
+    """How g is integrated: the one-variable factors terms[k] = (t_k1,
+    ..., t_kn) when g(z) = map(sum_k prod_j t_kj(z_j)) with g's own
+    elementwise ``map`` (none: the sum itself), one term for a product;
+    else ``None``, the tensor grid.  This is the one choice between the
+    paths.  It is read from g's own ``terms`` and ``map`` and nowhere
+    else, so a wrapper that does not pass them on takes the tensor
+    grid."""
+    terms = getattr(g, "terms", None)
+    for t in terms or ():
         if len(t) != n:
             raise ValueError(f"an integrand on {n} axes has {len(t)} "
                              f"factors")
-    return factors, terms
+    return terms
 
 
 def torus_cosets(g: Callable, radii, angular: Sequence[int],
@@ -342,14 +337,16 @@ def torus_cosets(g: Callable, radii, angular: Sequence[int],
     :func:`unit_nodes`.  The integrand is called as ``g(z1, ..., zn)``.
     Each integral approximates the d theta_1 ... d theta_n integral with
     total mass (2pi)^n, no normalization.  The path is chosen by
-    :func:`_axis_factors`.  A product integrand is summed factor by
-    factor, each axis once per distinct radius and shift on it, and the
-    per-axis circle sums are multiplied.  A sum of products evaluates each
-    of its terms' factors once per distinct radius and shift on its axis
-    (:func:`_circle_values`) and forms its values on the tensor grid from
-    them (:func:`_term_sums`).  Any other integrand is evaluated on the
-    tensor grid (:func:`torus_blocks`).  Every shell is summed alone, so
-    the block size moves no value.
+    :func:`_axis_terms`.  An integrand with ``terms`` evaluates each
+    distinct factor once per distinct radius and shift on its axis
+    (:func:`_circle_values`).  One term, a product, is summed factor by
+    factor: the tensor trapezoid sum of a product is the product of the
+    per-axis circle sums, and ``map`` (|.|^p or none) commutes with the
+    product, so each shell's integral is prod_j of map(values_j) summed
+    over its circle.  Several terms form their values on the tensor grid
+    from the factor values (:func:`_term_sums`).  Any other integrand is
+    evaluated on the tensor grid (:func:`torus_blocks`).  Every shell is
+    summed alone, so the block size moves no value.
     """
     radii = np.atleast_2d(np.asarray(radii, dtype=np.float64))
     rows, n = radii.shape
@@ -357,27 +354,26 @@ def torus_cosets(g: Callable, radii, angular: Sequence[int],
         raise ValueError("radii, angular node counts and shifts must align")
     weight = math.prod(TWO_PI / m for m in angular)
     points = torus_points(g, radii, angular, shifts)
-    factors, terms = _axis_factors(g, n)
-    if factors is None and terms is None:
+    terms = _axis_terms(g, n)
+    if terms is None:
         return ([_grid_sums(g, radii, angular, s) * weight for s in shifts],
                 points)
-    sums, values, index = {}, {}, []
+    fmap = getattr(g, "map", None)
+    values, index = {}, []
     for j, m in enumerate(angular):
         r, inverse = np.unique(radii[:, j], return_inverse=True)
         index.append(inverse)
         for h in {s[j] for s in shifts}:
-            if factors is not None:
-                sums[j, h] = _grid_sums(factors[j], r[:, None], (m,),
-                                        (h,))[inverse]
-                continue
             for fj in {id(term[j]): term[j] for term in terms}.values():
                 values[j, h, id(fj)] = _circle_values(fj, r, m, h)
-    if terms is not None:
-        fmap = getattr(g, "map", None)
+    if len(terms) > 1:
         return ([_term_sums(terms, fmap, values, index, angular, s) * weight
                  for s in shifts], points)
-    return ([math.prod(sums[j, h] for j, h in enumerate(s)) * weight
-             for s in shifts], points)
+    sums = {key: (v if fmap is None else fmap(v)).sum(axis=1)
+            for key, v in values.items()}
+    return ([math.prod(sums[j, h, id(fj)][index[j]]
+                       for j, (h, fj) in enumerate(zip(s, terms[0])))
+             * weight for s in shifts], points)
 
 
 def torus_points(g: Callable, radii, angular: Sequence[int],
@@ -385,10 +381,11 @@ def torus_points(g: Callable, radii, angular: Sequence[int],
     """The points :func:`torus_cosets` reports for the same arguments,
     counted without evaluating g: the points it evaluates g at,
     prod_j m_j per shell and shift on the tensor grid, where a sum of
-    products also forms its values; on the factor path m_j per distinct
-    radius and distinct shift on axis j."""
+    several products also forms its values; for a product m_j per
+    distinct radius and distinct shift on axis j."""
     radii = np.atleast_2d(np.asarray(radii, dtype=np.float64))
-    if _axis_factors(g, radii.shape[1])[0] is None:
+    terms = _axis_terms(g, radii.shape[1])
+    if terms is None or len(terms) > 1:
         return len(shifts) * radii.shape[0] * math.prod(angular)
     return sum(np.unique(radii[:, j]).size * m * len({s[j] for s in shifts})
                for j, m in enumerate(angular))

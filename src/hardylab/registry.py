@@ -11,6 +11,10 @@ factor gives its own S_N and tail (``PowerSeries.partial``/``tail``):
                       orders cost the same
     polynomials       their coefficients up to N, and above N
 
+One builder, :func:`sum_of_products`, makes the evaluators of products
+and of sums of products: a product is the one-term sum, and in several
+variables each holds its ``terms``.
+
 A spike tag declares a function holomorphic past the closed unit
 polydisc: 0.0 for polynomials, |a| for the f_a family, one tag per
 factor; ``None`` declares nothing.  Tails carry the entry's tag; a
@@ -48,59 +52,42 @@ class TaggedEvaluator:
         return self.fn(*z)
 
     @property
-    def factors(self) -> tuple | None:
-        """The one-variable factors of ``fn`` when it is a product, else
-        ``None``."""
-        return getattr(self.fn, "factors", None)
-
-    @property
     def terms(self) -> tuple | None:
         """The terms of ``fn`` when it is a sum of products in several
-        variables, else ``None``."""
+        variables, a product included, else ``None``."""
         return getattr(self.fn, "terms", None)
-
-
-def product_evaluator(fns) -> Callable:
-    """(z_1, ..., z_n) -> fns[0](z_1) * ... * fns[n-1](z_n), left to right.
-
-    The callable holds the one-variable callables as its ``factors``; the
-    norm estimators read them to integrate a product factor by factor
-    (``quadrature.torus_cosets``)."""
-    fns = tuple(fns)
-
-    def fn(*zs):
-        if len(zs) != len(fns):
-            raise ValueError(f"expected {len(fns)} coordinates, got {len(zs)}")
-        out = np.asarray(fns[0](zs[0]))
-        for f, z in zip(fns[1:], zs[1:]):
-            out = out * np.asarray(f(z))
-        return out
-    fn.factors = fns
-    return fn
 
 
 def sum_of_products(terms) -> Callable:
     """(z_1, ..., z_n) -> sum_k terms[k][0](z_1) * ... * terms[k][n-1](z_n):
-    each term a :func:`product_evaluator`, the terms added left to right.
+    each term's factors multiplied left to right, the terms added left to
+    right.  A product is the one-term sum.
 
-    One term is its product, and one factor in one variable the factor
-    itself.  With several terms in several variables the callable holds
-    its ``terms``, a tuple of per-axis factor tuples; the norm estimators
-    read them to form its values from per-axis factor values
-    (``quadrature.torus_cosets``).  In one variable the sum is a
-    one-variable function like any other."""
+    Terms of unequal length are refused, and so is a call with other than
+    n coordinates.  In several variables the callable holds its ``terms``,
+    a tuple of per-axis factor tuples; the norm estimators read them to
+    integrate it from per-axis factor values (``quadrature.torus_cosets``).
+    In one variable a single factor is the factor itself, and a sum of
+    several is a one-variable function like any other."""
     terms = tuple(tuple(term) for term in terms)
-    if len(terms) == 1:
-        return terms[0][0] if len(terms[0]) == 1 \
-            else product_evaluator(terms[0])
-    products = [product_evaluator(term) for term in terms]
+    n = len(terms[0])
+    if any(len(term) != n for term in terms):
+        raise ValueError(f"terms need one factor per coordinate, got "
+                         f"{[len(term) for term in terms]} factors")
+    if len(terms) == 1 and n == 1:
+        return terms[0][0]
 
     def fn(*zs):
-        acc = products[0](*zs)
-        for product in products[1:]:
-            acc = acc + product(*zs)
+        if len(zs) != n:
+            raise ValueError(f"expected {n} coordinates, got {len(zs)}")
+        acc = None
+        for term in terms:
+            out = np.asarray(term[0](zs[0]))
+            for f, z in zip(term[1:], zs[1:]):
+                out = out * np.asarray(f(z))
+            acc = out if acc is None else acc + out
         return acc
-    if len(terms[0]) > 1:
+    if n > 1:
         fn.terms = terms
     return fn
 
@@ -140,8 +127,7 @@ class RegistryEntry:
     @cached_property
     def evaluator(self) -> Callable:
         """The series itself in one variable, else their product."""
-        return self.factors[0] if self.dim == 1 \
-            else product_evaluator(self.factors)
+        return sum_of_products([self.factors])
 
     def partial_evaluator(self, N: int) -> TaggedEvaluator:
         """Pointwise evaluator of the square partial sum of order N, the
@@ -154,7 +140,7 @@ class RegistryEntry:
                  for s in self.factors]
         if self.dim == 1:
             return parts[0]
-        return TaggedEvaluator(product_evaluator(parts),
+        return TaggedEvaluator(sum_of_products([parts]),
                                tuple(p.spike for p in parts))
 
     def tail_evaluator(self, N: int) -> TaggedEvaluator:

@@ -81,23 +81,6 @@ def eval_fa(a: complex, z):
     return complex(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class WitnessFa:
-    """The function f_a as a callable carrying its spike tag."""
-
-    a: complex
-
-    def __post_init__(self):
-        _check_param(self.a)
-
-    @property
-    def spike(self) -> float:
-        return abs(self.a)
-
-    def __call__(self, z):
-        return eval_fa(self.a, z)
-
-
 def fa_series(a: complex) -> PowerSeries:
     """The Taylor series of f_a with its closed forms attached: f_a itself,
     and S_N f_a and f_a - S_N f_a from the split (:class:`T1T2Split`)."""

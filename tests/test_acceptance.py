@@ -14,7 +14,7 @@ from hardylab.experiments import (RunConfig, run_a1_convergence, run_blowup,
                                   run_reinhardt, run_uniform_bound)
 from hardylab.norms import hardy_norm_disc
 from hardylab.series import PowerSeries, partial_sum, partial_sum_kernel
-from hardylab.witnesses import WitnessFa
+from hardylab.witnesses import fa_series
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +51,7 @@ def _gate(num: int, label: str, ok: bool) -> None:
 def test_criterion_01_hardy_oracle():
     worst = 0.0
     for a in (0.0, 0.5, 0.9, 0.99, 0.999):
-        est = hardy_norm_disc(WitnessFa(a), 1.0, 1e-6, k_max=36, spike=a)
+        est = hardy_norm_disc(fa_series(a), 1.0, 1e-6, k_max=36, spike=a)
         worst = max(worst, abs(est.value - 1.0))
         assert est.converged
     _gate(1, "hardy norm oracle", worst <= 1e-6)

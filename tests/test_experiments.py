@@ -22,6 +22,7 @@ from hardylab.registry import (FunctionRegistry, RegistryEntry,
                                TaggedEvaluator, default_registry, fa_entry,
                                monomial_entry, polynomial_entry,
                                product_entry)
+from hardylab.quadrature import TWO_PI
 from hardylab.reinhardt import ball, custom_domain, polydisc, power_egg
 
 
@@ -543,6 +544,44 @@ def test_reinhardt_a2_gate_catches_a_dropped_jacobian(monkeypatch, domain):
     s = res.summary
     assert not s["a2_ok"] and s["a2_rel"] > 0.1
     assert s.get("product_ok", True)
+
+
+def _no_torus_mass(monkeypatch):
+    # every shell integral divided by (2 pi)^n: the normalized torus mean
+    # taken for the unnormalized integral
+    cosets = hardylab.quadrature.torus_cosets
+
+    def normalized(g, radii, angular, shifts):
+        values, points = cosets(g, radii, angular, shifts)
+        return [v / TWO_PI ** len(angular) for v in values], points
+    for module in (hardylab.quadrature, hardylab.norms):
+        monkeypatch.setattr(module, "torus_cosets", normalized)
+
+
+@pytest.mark.parametrize("domain", [polydisc(2), ball(2)],
+                         ids=["polydisc", "ball"])
+def test_reinhardt_a2_gate_catches_a_dropped_torus_mass(monkeypatch,
+                                                        domain):
+    # the A1 column and the product oracle's one-variable norms lose their
+    # (2 pi)^n together, so product_ok still holds, and so do the plateau,
+    # final-error and monotonicity gates; the closed-form moments fail
+    _no_torus_mass(monkeypatch)
+    res = run_reinhardt(RunConfig(n_set_square=(1, 2)), domain=domain,
+                        function="mono2-1-2")
+    assert res.exit_code == 1
+    s = res.summary
+    assert not s["a2_ok"] and s["a2_rel"] > 0.1
+    assert s.get("product_ok", True) and s["plateau_ok"]
+    assert s["final_err_ok"] and s["monotone_ok"]
+
+
+def test_uniform_bound_closed_forms_catch_a_dropped_torus_mass(monkeypatch):
+    _no_torus_mass(monkeypatch)
+    res = run_uniform_bound(RunConfig(n_set=(8, 16), a_set=(0.5,)),
+                            small_registry())
+    assert res.exit_code == 1
+    s = res.summary
+    assert not s["closed_forms_ok"] and s["closed_form_max_rel"] > 0.5
 
 
 def _total_degree_partials(monkeypatch):

@@ -15,10 +15,10 @@ from hardylab.norms import (NormEstimate, bergman_norm_disc,
                             hardy_norm_reinhardt, monotonicity_check)
 from hardylab.quadrature import angular_floor
 from hardylab.registry import (TaggedEvaluator, default_registry, fa_entry,
-                               product_entry, product_evaluator)
+                               product_entry, sum_of_products)
 from hardylab.reinhardt import ball, frontier_sample, polydisc, power_egg
 from hardylab.series import PowerSeries
-from hardylab.witnesses import T1T2Split, WitnessFa
+from hardylab.witnesses import T1T2Split, fa_series
 
 TWO_PI = 2.0 * np.pi
 RNG = np.random.default_rng(7321)
@@ -42,7 +42,7 @@ def test_hardy_disc_constant_and_monomials():
 def test_hardy_disc_extremal_family_is_isometric():
     # the family is normalized: Hardy norm 1 for every parameter
     for a in (0.0, 0.5, 0.9):
-        est = hardy_norm_disc(WitnessFa(a), 1.0, 1e-6)
+        est = hardy_norm_disc(fa_series(a), 1.0, 1e-6)
         assert est.converged
         assert est.value == pytest.approx(1.0, abs=1e-6)
 
@@ -58,10 +58,10 @@ def test_hardy_disc_sharp_spike_on_the_boundary(a):
     # declared, a spike is integrated on the unit circle alone; its level 0
     # holds ceil(64 / (1 - a)) points, 6.4M at a = 1 - 1e-5, which the
     # default budget of 2^20 points refuses after that one level
-    est = hardy_norm_disc(WitnessFa(a), 1.0, 1e-6, max_nodes=1 << 23)
+    est = hardy_norm_disc(fa_series(a), 1.0, 1e-6, max_nodes=1 << 23)
     assert est.converged and est.ladder == (1.0,)
     assert abs(est.value - 1.0) <= 1e-10
-    capped = hardy_norm_disc(WitnessFa(a), 1.0, 1e-6)
+    capped = hardy_norm_disc(fa_series(a), 1.0, 1e-6)
     assert capped.converged == (angular_floor(a) < 1 << 20)
 
 
@@ -101,7 +101,7 @@ def test_undeclared_and_overreaching_are_refused():
         hardy_norm_reinhardt(_never, 1.0, polydisc(1, [1.5]), spike=0.99)
     with pytest.raises(ValueError, match="axis 0"):
         hardy_norm_reinhardt(_never, 1.0, ball(2, 1.2), spike=(0.9, 0.0))
-    mild = hardy_norm_reinhardt(WitnessFa(0.5), 1.0, polydisc(1, [1.5]),
+    mild = hardy_norm_reinhardt(fa_series(0.5), 1.0, polydisc(1, [1.5]),
                                 spike=0.5)
     assert mild.converged and mild.ladder == (1.0,)
     # f_0.5 at radius 1.5: (1 - a^2) / (1 - a^2 r^2) times 2 pi
@@ -127,14 +127,14 @@ def _fa_bergman_exact(a):
 def test_bergman_disc_extremal_family_closed_form():
     # ||f_a||_A1 = pi (1-a^2) log(1/(1-a^2)) / a^2
     for a in (0.5, 0.9):
-        est = bergman_norm_disc(WitnessFa(a), 1.0)
+        est = bergman_norm_disc(fa_series(a), 1.0)
         assert est.converged
         assert est.value == pytest.approx(_fa_bergman_exact(a), rel=1e-9)
-    est9 = bergman_norm_disc(WitnessFa(0.9), 1.0)
+    est9 = bergman_norm_disc(fa_series(0.9), 1.0)
     assert est9.value == pytest.approx(1.2238207187632835, rel=1e-9)
     # sharp spikes, where each ring gets its own angular count
     for a in (0.99, 0.999):
-        est = bergman_norm_disc(WitnessFa(a), 1.0, spike=a)
+        est = bergman_norm_disc(fa_series(a), 1.0, spike=a)
         assert est.converged
         assert est.value == pytest.approx(_fa_bergman_exact(a), rel=1e-9)
 
@@ -361,7 +361,7 @@ def test_levels_report_the_points_they_evaluate(monkeypatch, case):
     counter = [0]
     calls = _record_levels(monkeypatch, counter)
     if case == "bergman-disc":
-        est = bergman_norm_disc(_counting(WitnessFa(0.9), counter), 1.0,
+        est = bergman_norm_disc(_counting(fa_series(0.9), counter), 1.0,
                                 spike=0.9)
         assert est.value == pytest.approx(np.pi * 0.19 / 0.81
                                           * np.log(1 / 0.19), rel=1e-12)
@@ -389,7 +389,7 @@ _PRODUCT_DOMAINS = pytest.mark.parametrize(
 
 
 def _hidden(f):
-    # the same callable with its factors out of sight: the tensor grid
+    # the same callable with its terms out of sight: the tensor grid
     return TaggedEvaluator(lambda *z: f(*z), f.spike)
 
 
@@ -400,7 +400,8 @@ def test_products_integrate_factor_by_factor(domain):
     entry = default_registry().get("prod-fa-0.9-0.5")
     sn = entry.partial_evaluator(8)
     f = TaggedEvaluator(entry.evaluator, entry.spike)
-    assert len(sn.factors) == len(f.factors) == 2
+    assert len(sn.terms) == 1 and len(sn.terms[0]) == 2
+    assert f.terms == (entry.factors,)
     a1 = [bergman_norm_reinhardt(g, 1.0, domain, tol=1e-4)
           for g in (sn, _hidden(sn))]
     h1 = [hardy_norm_reinhardt(g, 1.0, domain) for g in (f, _hidden(f))]
@@ -438,8 +439,8 @@ def test_product_levels_report_the_points_the_factors_evaluate(
     counter = [0]
     calls = _record_levels(monkeypatch, counter)
     entry = default_registry().get("prod-fa-0.9-0.5")
-    f = product_evaluator([_counting(fac, counter)
-                           for fac in entry.partial_evaluator(8).factors])
+    (factors,) = entry.partial_evaluator(8).terms
+    f = sum_of_products([[_counting(fac, counter) for fac in factors]])
     est = bergman_norm_reinhardt(f, 1.0, domain, tol=1e-4, spike=entry.spike)
     assert est.converged
     (levels,) = calls
@@ -477,7 +478,7 @@ def test_boundary_spikes_are_refused_at_entry():
 
 
 def test_one_variable_spike_tuple_needs_one_entry():
-    f = WitnessFa(0.5)
+    f = fa_series(0.5)
     for estimate in (hardy_norm_disc, bergman_norm_disc):
         with pytest.raises(ValueError, match="one spike tag per coordinate"):
             estimate(f, 1.0, spike=(0.9, 0.5))
@@ -488,7 +489,7 @@ def test_one_variable_spike_tuple_needs_one_entry():
 
 
 def test_zero_dimensional_array_spike_is_a_scalar_tag():
-    f = WitnessFa(0.5)
+    f = fa_series(0.5)
     for estimate in (hardy_norm_disc, bergman_norm_disc):
         assert estimate(f, 1.0, spike=np.array(0.5)) == \
             estimate(f, 1.0, spike=0.5)
@@ -600,13 +601,13 @@ def test_monotonicity_on_shells_battery():
 
 
 def test_monotonicity_one_variable():
-    f = WitnessFa(0.7)
+    f = fa_series(0.7)
     assert monotonicity_check(f, 1.0, [0.3], [0.8])
     assert monotonicity_check(f, 2.0, [0.0], [0.95])
 
 
 def test_monotonicity_rejects_bad_pairs():
-    f = WitnessFa(0.5)
+    f = fa_series(0.5)
     with pytest.raises(ValueError):
         monotonicity_check(f, 1.0, [0.5, 0.2], [0.4, 0.3])
     with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ from pathlib import Path
 import hardylab
 from hardylab.registry import default_registry
 from hardylab.reinhardt import polydisc
-from hardylab.witnesses import WitnessFa
+from hardylab.witnesses import fa_series
 
 TRACER = Path(__file__).parents[1] / "perfbench" / "tracer.py"
 
@@ -28,7 +28,7 @@ def test_estimators_run_under_the_tracer():
     with tracer.installed(hardylab):
         norms = hardylab.norms
         estimates = [
-            norms.hardy_norm_disc(WitnessFa(0.9), 1.0, 1e-6, k_max=36,
+            norms.hardy_norm_disc(fa_series(0.9), 1.0, 1e-6, k_max=36,
                                   spike=0.9),
             norms.hardy_norm_reinhardt(prod.evaluator, 1.0, polydisc(2),
                                        spike=prod.spike),
@@ -72,13 +72,13 @@ def test_density_experiment_runs_under_the_tracer():
 
 
 def test_products_under_the_tracer_count_their_points():
-    # the tracer's integrand wrapper does not pass a product's factors on,
+    # the tracer's integrand wrapper does not pass a product's terms on,
     # so a traced product takes the tensor grid: every point it evaluates
     # goes through the wrapper, and the self-check still holds
     tracer = _tracer()
     prod = default_registry().get("prod-fa-0.9")
     sn = prod.partial_evaluator(4)
-    assert sn.factors is not None
+    assert sn.terms is not None
     with tracer.installed(hardylab):
         norms = hardylab.norms
         est = norms.bergman_norm_reinhardt(sn, 1.0, polydisc(2), tol=1e-3)
@@ -93,8 +93,8 @@ def test_products_under_the_tracer_count_their_points():
 
 
 def test_sums_of_products_under_the_tracer():
-    # the tracer's integrand wrapper hides a sum's terms as it hides a
-    # product's factors, so a traced tail and the traced density
+    # the tracer's integrand wrapper hides a sum's terms, as it hides a
+    # product's, so a traced tail and the traced density
     # differences take the tensor grid: every point goes through the
     # wrapper, and the self-check still holds
     tracer = _tracer()

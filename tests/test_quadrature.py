@@ -10,7 +10,7 @@ from hardylab.quadrature import (angular_floor, doubled_torus_integrals,
                                  torus_blocks, torus_cosets, torus_integrals,
                                  torus_levels, torus_points, unit_nodes)
 from hardylab.registry import (default_registry, product_entry,
-                               product_evaluator, sum_of_products)
+                               sum_of_products)
 from hardylab.reinhardt import _negated, ball, dilate_truncate, polydisc
 
 TWO_PI = 2.0 * np.pi
@@ -194,13 +194,15 @@ _FACTOR_SHELLS = {1: [[0.9], [0.3], [0.9]],
 
 def _counted_product(dim):
     counted = [_Counted(_smooth_factor(j)) for j in range(dim)]
-    return product_evaluator(counted), counted
+    return sum_of_products([counted]), counted
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_product_integrands_sum_factor_by_factor(dim):
     # the product of the per-axis circle sums is the tensor sum, and each
-    # axis is evaluated once per distinct radius and shift on that axis
+    # axis is evaluated once per distinct radius and shift on that axis; a
+    # product of real factors stays real.  One factor is the function
+    # itself and takes the tensor grid.
     radii, ms = np.array(_FACTOR_SHELLS[dim]), _COUNTS[dim]
     for shifts in ([(0.0,) * dim], [(0.5,) + (0.0,) * (dim - 1)],
                    half_shifts(dim)):
@@ -208,7 +210,10 @@ def test_product_integrands_sum_factor_by_factor(dim):
         values, points = torus_cosets(g, radii, ms, shifts)
         per_axis = [np.unique(radii[:, j]).size * m
                     * len({s[j] for s in shifts}) for j, m in enumerate(ms)]
+        if dim == 1:
+            per_axis = [len(shifts) * len(radii) * ms[0]]
         assert [c.points for c in counted] == per_axis
+        assert all(np.isrealobj(v) for v in values)
         assert points == sum(per_axis) == torus_points(g, radii, ms, shifts)
         # the same product with its factors hidden takes the tensor grid
         tensor, tensor_points = torus_cosets(lambda *z: g(*z), radii, ms,
@@ -236,13 +241,14 @@ def test_product_levels_report_the_points_they_evaluate(dim):
     before = sum(c.points for c in counted)
     nested, points = doubled_torus_integrals(g, radii, ms, prev)
     assert sum(c.points for c in counted) - before == points
-    # one variable has one coset, shifted; more have shift 0 and 1/2 per axis
-    assert points == (1 if dim == 1 else 2) * sum(
-        np.unique(radii[:, j]).size * m for j, m in enumerate(ms))
+    # one variable has one coset, shifted, on every shell; more have shift
+    # 0 and 1/2 per axis
+    assert points == (len(radii) * ms[0] if dim == 1 else 2 * sum(
+        np.unique(radii[:, j]).size * m for j, m in enumerate(ms)))
 
 
 def test_product_integrand_needs_a_factor_per_axis():
-    g = product_evaluator([_smooth_factor(0), _smooth_factor(1)])
+    g = sum_of_products([(_smooth_factor(0), _smooth_factor(1))])
     with pytest.raises(ValueError, match="3 axes has 2 factors"):
         torus_integrals(g, [[0.5, 0.5, 0.5]], (8, 8, 8))
 

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from hardylab.norms import hardy_norm_reinhardt
+from hardylab.quadrature import torus_integrals
 from hardylab.registry import (RegistryEntry, TaggedEvaluator,
                                default_registry, fa_entry, monomial_entry,
                                polynomial_entry, product_entry,
-                               product_evaluator, sum_of_products)
+                               sum_of_products)
 from hardylab.reinhardt import _negated, dilate_truncate, polydisc
 from hardylab.series import PowerSeries, partial_sum
 
@@ -196,17 +197,18 @@ def test_product_evaluator_rejects_wrong_coordinate_count():
 
 
 def test_products_expose_their_factors():
-    # the estimators integrate a product factor by factor when the callable
-    # they get holds one-variable factors; sums of products hold none
+    # a product in several variables is the one-term sum of products and
+    # holds its factors as that one term; in one variable it holds none
     reg = default_registry()
     ent = reg.get("prod-fa-0.9-0.5")
-    assert ent.evaluator.factors == ent.factors
+    assert ent.evaluator.terms == (ent.factors,)
     sn = ent.partial_evaluator(5)
-    assert [f.spike for f in sn.factors] == [5 / 6, 0.5]
+    (factors,) = sn.terms
+    assert [f.spike for f in factors] == [5 / 6, 0.5]
     z1, z2 = PTS[:, None], PTS[None, :]
-    assert np.array_equal(sn(z1, z2), sn.factors[0](z1) * sn.factors[1](z2))
-    assert ent.tail_evaluator(5).factors is None
-    assert reg.get("fa-0.9").partial_evaluator(5).factors is None
+    assert np.array_equal(sn(z1, z2), factors[0](z1) * factors[1](z2))
+    assert len(ent.tail_evaluator(5).terms) == 2
+    assert reg.get("fa-0.9").partial_evaluator(5).terms is None
 
 
 def test_tails_hold_their_terms():
@@ -237,8 +239,39 @@ def test_tails_hold_their_terms():
 def test_a_sum_of_one_product_is_the_product():
     fa09 = default_registry().get("fa-0.9").factors[0]
     prod = sum_of_products([(fa09, fa09)])
-    assert prod.factors == (fa09, fa09) and getattr(prod, "terms", None) is None
+    assert prod.terms == ((fa09, fa09),)
     assert sum_of_products([(fa09,)]) is fa09
+
+
+def test_terms_of_unequal_length_are_refused():
+    # a short term would otherwise lose coordinates silently
+    fa09 = default_registry().get("fa-0.9").factors[0]
+    for terms in ([(fa09, fa09), (fa09,)], [(fa09,), (fa09, fa09, fa09)]):
+        with pytest.raises(ValueError, match="one factor per coordinate"):
+            sum_of_products(terms)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_a_one_term_sum_is_its_hidden_tensor_sum(dim):
+    # on the tensor grid a product's values are its factors' values
+    # multiplied left to right, bit for bit, and the integrals taken from
+    # its terms axis by axis agree with the tensor sums of the hidden
+    # callable to roundoff
+    reg = default_registry()
+    ent = product_entry((reg.get("fa-0.9"), reg.get("fa-0.5"),
+                         reg.get("poly-3"))[:dim])
+    f = ent.partial_evaluator(6)
+    zs = [PTS.reshape((1,) * j + (-1,) + (1,) * (dim - 1 - j))
+          for j in range(dim)]
+    expect = np.asarray(f.terms[0][0](zs[0]))
+    for fj, z in zip(f.terms[0][1:], zs[1:]):
+        expect = expect * fj(z)
+    assert f(*zs).tobytes() == expect.tobytes()
+    radii = np.array([[0.5] * dim, [0.9] * dim, [0.7, 0.95, 0.6][:dim]])
+    angular = (16, 12, 8)[:dim]
+    fast = torus_integrals(f, radii, angular)
+    hidden = torus_integrals(lambda *z: f(*z), radii, angular)
+    assert np.max(np.abs(fast - hidden) / np.abs(hidden)) <= 1e-13
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -250,7 +283,7 @@ def test_density_differences_are_exact(dim):
     diff = sum_of_products([f.factors, (_negated(q[0]), *q[1:])])
     zs = [PTS.reshape((1,) * j + (-1,) + (1,) * (dim - 1 - j))
           for j in range(dim)]
-    expect = np.asarray(f.evaluator(*zs)) - product_evaluator(q)(*zs)
+    expect = np.asarray(f.evaluator(*zs)) - sum_of_products([q])(*zs)
     assert diff(*zs).tobytes() == expect.tobytes()
     assert (getattr(diff, "terms", None) is None) == (dim == 1)
 

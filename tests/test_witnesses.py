@@ -4,7 +4,7 @@ import pytest
 from hardylab.errors import NonConvergenceError, PoleError
 from hardylab.experiments import DEFAULT_C_SET
 from hardylab.quadrature import angular_floor
-from hardylab.witnesses import (IcQuery, T1T2Split, WitnessFa, _ic_mean,
+from hardylab.witnesses import (IcQuery, T1T2Split, _ic_mean,
                                 blowup_lower_bound, blowup_schedule, eval_fa,
                                 eval_ic, fa_series, ic_comparison,
                                 t2_hardy_vs_bound)
@@ -23,7 +23,7 @@ def test_eval_fa_matches_series():
 
 def test_eval_fa_rejects_unit_parameter():
     with pytest.raises(ValueError):
-        WitnessFa(1.0)
+        fa_series(1.0)
     with pytest.raises(ValueError):
         eval_fa(1.2, 0.3)
 
