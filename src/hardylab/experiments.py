@@ -194,15 +194,23 @@ def run_uniform_bound(config: RunConfig | None = None,
     closed_rel = 0.0
     for entry, a_val in _uniform_bound_functions(cfg, reg):
         k = _monomial_degree(entry)
+        degree = entry.factors[0].degree
         h1 = hardy_norm_disc(entry.evaluator, 1.0, cfg.tol,
                              spike=entry.spike, max_nodes=cfg.max_nodes)
+        # S_N f = f for N >= deg f, so norms are taken once per min(N, deg
+        # f) and tag (a polynomial's own tag can differ between orders)
+        memo = {}
         for N in cfg.n_set:
             t1 = time.perf_counter()
             sn = entry.partial_evaluator(N)
-            a1 = bergman_norm_disc(sn, 1.0, cfg.tol, spike=sn.spike,
-                                   max_nodes=cfg.vol_cap())
-            h1n = hardy_norm_disc(sn, 1.0, cfg.tol, spike=sn.spike,
-                                  max_nodes=cfg.max_nodes)
+            key = (N if degree is None else min(N, degree), sn.spike)
+            if key not in memo:
+                memo[key] = (
+                    bergman_norm_disc(sn, 1.0, cfg.tol, spike=sn.spike,
+                                      max_nodes=cfg.vol_cap()),
+                    hardy_norm_disc(sn, 1.0, cfg.tol, spike=sn.spike,
+                                    max_nodes=cfg.max_nodes))
+            a1, h1n = memo[key]
             res.add(t1, entry.name, N, a_val, h1.value, a1.value,
                     a1.value / h1.value, h1n.value, h1n.value / h1.value,
                     h1.converged and a1.converged and h1n.converged)

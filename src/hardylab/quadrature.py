@@ -66,6 +66,7 @@ whichever block the row lands in and however it was cut.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -167,15 +168,19 @@ def dyadic_panels(depth: int) -> np.ndarray:
                     + [1.0])
 
 
-def _panel_gauss(bounds: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+@functools.cache
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The order-point Gauss-Legendre rule on [-1, 1], built once, read-only."""
     x, w = np.polynomial.legendre.leggauss(order)
-    nodes = []
-    weights = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        half = 0.5 * (hi - lo)
-        nodes.append(half * x + 0.5 * (hi + lo))
-        weights.append(half * w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _panel_gauss(bounds: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    x, w = _gauss_legendre(order)
+    half = 0.5 * np.diff(bounds)[:, None]
+    mid = 0.5 * (bounds[1:] + bounds[:-1])[:, None]
+    return (half * x + mid).ravel(), (half * w).ravel()
 
 
 def _block_plan(rows: int, angular: Sequence[int]):
@@ -248,8 +253,9 @@ def _grid_sums(g: Callable, radii, angular: Sequence[int], shift) -> np.ndarray:
     (:func:`torus_blocks`)."""
     def blocks():
         for zs in torus_blocks(radii, angular, shift):
-            shape = np.broadcast_shapes(*(z.shape for z in zs))
-            yield np.broadcast_to(np.asarray(g(*zs)), shape)
+            vals = np.asarray(g(*zs))
+            shape = (zs[0].shape[0], zs[0].shape[1], *angular[1:])
+            yield vals if vals.shape == shape else np.broadcast_to(vals, shape)
     return _row_sums(blocks(), angular)
 
 

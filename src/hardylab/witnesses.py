@@ -142,19 +142,21 @@ class T1T2Split:
         return complex(out) if out.ndim == 0 else out
 
     def partial(self, z):
-        """S_N f_a in closed form, stable for |conj(a) z| < 1:
-        one * ((1 - w t) / (1 - t)^2 - (N + 2) w / (1 - t)), w = t^(N+1)."""
+        """S_N f_a = t1 + t2 over one denominator, one complex division:
+        one * ((1 - w t) - (N + 2) w (1 - t)) / (1 - t)^2, w = t^(N+1).
+        It cancels as t1 + t2 do, so it is as accurate; |conj(a) z| < 1."""
         t = self._t(z)
         one = 1.0 - abs(complex(self.a)) ** 2
         w = _ipow(t, self.N + 1)
         out = np.asarray(w * t)
         np.subtract(1.0, out, out=out)
         np.subtract(1.0, t, out=t)                     # t is now 1 - t
-        out /= t ** 2
-        np.multiply(self.N + 2, w, out=w)
-        w /= t
+        w *= self.N + 2
+        w *= t
         out -= w
-        np.multiply(one, out, out=out)
+        t **= 2
+        out /= t
+        out *= one
         return complex(out) if out.ndim == 0 else out
 
     def tail(self, z):

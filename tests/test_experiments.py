@@ -24,6 +24,7 @@ from hardylab.registry import (FunctionRegistry, RegistryEntry,
                                product_entry)
 from hardylab.quadrature import TWO_PI
 from hardylab.reinhardt import ball, custom_domain, polydisc, power_egg
+from hardylab.series import PowerSeries
 
 
 def small_registry():
@@ -83,6 +84,56 @@ def test_uniform_bound_closed_form_gate_catches_a_hardy_column(monkeypatch):
     assert res.exit_code == 1
     assert not res.summary["closed_forms_ok"]
     assert res.summary["all_converged"] and res.summary["plateau_ok"]
+
+
+@pytest.fixture
+def ub_calls(monkeypatch):
+    """The (estimator, spike) of each norm call run_uniform_bound makes."""
+    import hardylab.experiments as ex
+    seen = []
+
+    def counted(name, fn):
+        def call(f, *args, **kw):
+            seen.append((name, kw.get("spike")))
+            return fn(f, *args, **kw)
+        return call
+    for name in ("bergman_norm_disc", "hardy_norm_disc"):
+        monkeypatch.setattr(ex, name, counted(name, getattr(ex, name)))
+    return seen
+
+
+def test_uniform_bound_takes_a_polynomial_s_n_once_per_order(ub_calls):
+    # S_N f = f for N >= deg f, so mono-5 and poly-7 need S_4 and S_deg
+    # only; every row still equals the estimates taken at its own N
+    reg = FunctionRegistry()
+    reg.add(monomial_entry(5))
+    reg.add(default_registry().get("poly-7"))
+    cfg = RunConfig(n_set=(4, 8, 512), a_set=())
+    res = run_uniform_bound(cfg, reg)
+    assert res.exit_code == 0 and len(res.rows) == 6
+    berg = [c for c in ub_calls if c[0] == "bergman_norm_disc"]
+    hardy = [c for c in ub_calls if c[0] == "hardy_norm_disc"]
+    assert len(berg) == 4                    # min(N, deg) in {4, deg}
+    assert len(hardy) == 4 + 2               # the same, plus each h1_f
+    for name, N, _a, _h1, a1, _r1, h1n, _r2, _conv in res.rows:
+        sn = reg.get(name).partial_evaluator(N)
+        direct_a1 = hardylab.norms.bergman_norm_disc(
+            sn, 1.0, cfg.tol, spike=sn.spike, max_nodes=cfg.vol_cap())
+        direct_h1 = hardylab.norms.hardy_norm_disc(
+            sn, 1.0, cfg.tol, spike=sn.spike, max_nodes=cfg.max_nodes)
+        assert (a1, h1n) == (direct_a1.value, direct_h1.value), (name, N)
+
+
+def test_uniform_bound_keeps_a_polynomial_s_n_apart_by_its_tag(ub_calls):
+    # a polynomial tagged 0.95 gets min(0.95, N/(N+1)): 8/9 at N = 8 and
+    # 0.95 at N = 512, so the two orders share no estimate
+    reg = FunctionRegistry()
+    reg.add(RegistryEntry("spiky-3", (PowerSeries.from_coefficients(
+        [1.0, 0.5, -0.25, 2.0], spike=0.95),)))
+    res = run_uniform_bound(RunConfig(n_set=(8, 512), a_set=()), reg)
+    assert res.exit_code == 0 and len(res.rows) == 2
+    assert [s for name, s in ub_calls if name == "bergman_norm_disc"] == [
+        8 / 9, 0.95]
 
 
 def test_blowup_truncated_grid_trips_growth_gate():

@@ -77,6 +77,30 @@ def test_dyadic_panels_structure():
         dyadic_panels(-1)
 
 
+@pytest.mark.parametrize("order", [1, 5, 20, 48])
+def test_gauss_rule_is_built_once_and_read_only(order):
+    from hardylab.quadrature import _gauss_legendre, _panel_gauss
+    x, w = _gauss_legendre(order)
+    fresh = np.polynomial.legendre.leggauss(order)
+    for got, want in zip((x, w), fresh):
+        assert got.tobytes() == want.tobytes()
+    assert _gauss_legendre(order)[0] is x
+    for arr in (x, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    # the panels are mapped as a panel-by-panel loop maps them, bit for bit
+    for depth in (0, 1, 7, 30):
+        bounds = dyadic_panels(depth)
+        nodes, weights = [], []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            half = 0.5 * (hi - lo)
+            nodes.append(half * fresh[0] + 0.5 * (hi + lo))
+            weights.append(half * fresh[1])
+        for got, want in zip(_panel_gauss(bounds, order),
+                             (np.concatenate(nodes), np.concatenate(weights))):
+            assert got.tobytes() == want.tobytes()
+
+
 def test_disc_rule_exact_on_radial_polynomials():
     # ||z^m||_A2^2 = int_U |z|^{2m} dV = 2 pi / (2m + 2)
     for m in (0, 1, 3):
@@ -99,6 +123,10 @@ def test_torus_rule_unnormalized_mass():
                           (0.5, 0.8), (16, 16))
     assert val.shape == (1,)
     assert val[0] == pytest.approx(TWO_PI ** 2, rel=1e-14)
+    # a scalar or lower-rank value is broadcast to the block, so it sums
+    # as the full-shape one does
+    for g in (lambda z1, z2: 1.0, lambda z1, z2: np.ones(z1.shape)):
+        assert torus_integrals(g, (0.5, 0.8), (16, 16))[0] == val[0]
 
 
 def test_torus_rule_orthogonality():

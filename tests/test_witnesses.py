@@ -335,8 +335,8 @@ def _split_reference(a, N, z):
     w = _ipow_reference(t, N + 1)
     return {"t1": one * (1.0 - _ipow_reference(t, N + 2)) / (1.0 - t) ** 2,
             "t2": -one * (N + 2) * w / (1.0 - t),
-            "partial": one * ((1.0 - w * t) / (1.0 - t) ** 2
-                              - (N + 2) * w / (1.0 - t)),
+            "partial": one * (((1.0 - w * t) - (N + 2) * w * (1.0 - t))
+                              / (1.0 - t) ** 2),
             "tail": one * w * ((N + 2) - (N + 1) * t) / (1.0 - t) ** 2}
 
 
@@ -358,3 +358,39 @@ def test_split_kernels_match_the_closed_forms_bit_for_bit(N):
         for name, want in ref.items():
             got = getattr(split, name)(z)
             assert np.abs(got - want) <= 1e-14 * np.abs(want), name
+
+
+@pytest.mark.parametrize("a, N", [(0.5, 8), (0.99, 8), (0.999, 8),
+                                  (0.999, 64), (512 / 513, 512),
+                                  (4096 / 4097, 4096)])
+def test_partial_over_one_denominator_is_as_accurate_as_t1_plus_t2(a, N):
+    # S_N f_a over one denominator against the sum of the two divisions,
+    # both measured against sum_{k<=N} (1 - a^2)(k + 1)(a z)^k taken to
+    # 40 digits, relative to |T1| + |T2|, the size of what cancels.  The
+    # sum is taken as (1 - (N + 2) t^(N+1) + (N + 1) t^(N+2)) / (1 - t)^2,
+    # t = a z, which cancels at most about 11 of the 40 digits here.
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(N)
+    radii = np.concatenate([[0.3, 0.9, 0.999, 1.0],
+                            1.0 - 10.0 ** rng.uniform(-5.0, -0.5, 6)])
+    angles = np.concatenate([[0.0, np.pi], 10.0 ** rng.uniform(-4.0, 0.0, 3),
+                             rng.uniform(0.0, 2 * np.pi, 3)])
+    z = (radii[:, None] * np.exp(1j * angles)).ravel()
+    split = T1T2Split(a, N)
+    t = a * z
+    one = 1.0 - a * a
+    w = _ipow_reference(t, N + 1)
+    old = one * ((1.0 - w * t) / (1.0 - t) ** 2 - (N + 2) * w / (1.0 - t))
+    new = split.partial(z)
+    scale = np.abs(split.t1(z)) + np.abs(split.t2(z))
+    err_old = err_new = 0.0
+    with mp.workdps(40):
+        A = mp.mpf(a)
+        for i, zi in enumerate(z):
+            ti = A * mp.mpc(zi.real, zi.imag)
+            exact = ((1 - A * A) * (1 - (N + 2) * ti ** (N + 1)
+                                    + (N + 1) * ti ** (N + 2))
+                     / (1 - ti) ** 2)
+            err_old = max(err_old, float(abs(old[i] - exact)) / scale[i])
+            err_new = max(err_new, float(abs(new[i] - exact)) / scale[i])
+    assert err_new <= 1.25 * err_old + 1e-16, (err_new, err_old)
