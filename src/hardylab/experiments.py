@@ -50,13 +50,14 @@ class RunConfig:
     """Shared knobs for all runners."""
 
     tol: float = 1e-6
-    max_nodes: int = 1 << 22
+    # past the 4,976,832-point level of the bidisc density row at eps 0.02
+    max_nodes: int = 1 << 23
     n_set: tuple = DEFAULT_N_SET
     n_set_square: tuple = DEFAULT_N_SET_SQUARE
     a_set: tuple = DEFAULT_A_SET
     seed: int = 12345
-    # unused; kept because perfbench/workloads.py:112 reads cfg.k_max
-    k_max: int = 36
+    # not a field; kept because perfbench/workloads.py:112 reads cfg.k_max
+    k_max = 36
 
     def __post_init__(self):
         # Refused before any runner starts: each of these would otherwise
@@ -65,10 +66,14 @@ class RunConfig:
             raise ValueError(f"tol must be finite and > 0, got {self.tol}")
         if self.max_nodes < 1:
             raise ValueError(f"max_nodes must be >= 1, got {self.max_nodes}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for key in ("n_set", "n_set_square"):
             orders = getattr(self, key)
             if not orders or min(orders) < 0:
                 raise ValueError(f"{key} must hold orders N >= 0, got {orders}")
+            if any(b <= a for a, b in zip(orders, orders[1:])):
+                raise ValueError(f"{key} must increase strictly, got {orders}")
         if not all(abs(a) < 1.0 for a in self.a_set):
             raise ValueError(f"a_set must hold parameters |a| < 1, "
                              f"got {self.a_set}")
@@ -562,7 +567,8 @@ def run_density(config: RunConfig | None = None,
         # The eps gates are absolute (>= 0.02) and the measured errors sit
         # orders below them, so 1e-3 relative accuracy is plenty here.
         rows = density_experiment(entry, dom, 1.0, eps_ladder,
-                                  norm_tol=max(cfg.tol, 1e-3))
+                                  norm_tol=max(cfg.tol, 1e-3),
+                                  max_nodes=cfg.max_nodes)
         for dr in rows:
             res.add(t0, label, name, dr.eps, dr.rho, dr.M, dr.error, dr.met,
                     dr.converged)
@@ -592,6 +598,12 @@ def _finite(value) -> float:
     return x
 
 
+def _positive(value) -> float:
+    if not 0.0 < (x := _finite(value)):
+        raise ValueError(f"must be > 0, got {value!r}")
+    return x
+
+
 def _radius(value) -> float:
     if not 0.0 <= (x := float(value)) < 1.0:           # NaN too
         raise ValueError(f"must lie in [0, 1), got {value!r}")
@@ -611,7 +623,7 @@ RUNNER_OPTIONS = {"ic": {"c_set": array_of(_finite),
                          "z_ladder": array_of(_radius)},
                   "reinhardt": {"domain": domain_from_config,
                                 "function": _entry_name},
-                  "density": {"eps_ladder": array_of(float)}}
+                  "density": {"eps_ladder": array_of(_positive)}}
 
 
 def runner_options(name: str, options: dict) -> dict:

@@ -57,31 +57,16 @@ the tensor grid's point count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainModelError
-from .quadrature import (TWO_PI, _GRID, angular_floor,
-                         doubled_torus_integrals, dyadic_panels, _panel_gauss,
+from .quadrature import (TWO_PI, _GRID, NormEstimate, RefinementReport,
+                         angular_floor, doubled, dyadic_panels, _panel_gauss,
                          half_shifts, refine_until, torus_cosets,
                          torus_integrals, torus_levels, torus_points)
 from .reinhardt import (ReinhardtDomain, frontier_sample, polydisc,
                         section_tops)
-
-
-@dataclass(frozen=True)
-class NormEstimate:
-    """A norm value together with the evidence behind it."""
-
-    value: float
-    space: str                      # "H" for Hardy, "A" for Bergman
-    p: float
-    # (1.0,) for Hardy, () for Bergman; kept because perfbench/tracer.py:149
-    # reads len(ladder)
-    ladder: tuple
-    tail_increments: tuple          # last relative change of the refinement
-    converged: bool
 
 
 def _grid(f, spike, n):
@@ -115,12 +100,15 @@ def _grid(f, spike, n):
 
 def _abs_power(f, p):
     """|f|^p as an integrand: the power is taken in place on the fresh
-    modulus array, and skipped at p = 1, where x ** 1.0 == x exactly.
+    modulus array, and skipped at p = 1, where x ** 1.0 == x exactly.  An
+    exponent that is not positive, NaN included, raises ``ValueError``.
 
     When f holds the ``terms`` of a sum of products, a product included,
     the integrand holds them too, with the |.|^p map as its ``map``,
     which ``quadrature.torus_cosets`` applies to the values it forms from
     the terms' factor values."""
+    if not p > 0:
+        raise ValueError(f"norm exponent must be positive, got {p}")
     def power(v):
         a = np.abs(np.asarray(v, dtype=np.complex128))
         if p != 1:
@@ -172,24 +160,19 @@ def hardy_norm_disc(f, p: float = 1.0, tol: float = 1e-6, *,
     f is any vectorized callable on complex arrays, declared holomorphic
     on |z| < 1/|s| by a spike tag s (from the function itself or the
     keyword; 0.0 for an entire f), which also raises the angular floor to
-    resolve the boundary peak near the spike.  The estimate reports the
-    last relative change of the angular refinement as its tail increment.
+    resolve the boundary peak near the spike.
     """
     # k_max is ignored; it stays because perfbench/workloads.py:112 passes it
-    if p <= 0:
-        raise ValueError(f"norm exponent must be positive, got {p}")
+    g = _abs_power(f, p)
     floors, shells = boundary_grid(f, polydisc(1), spike=spike)
-    circle = torus_levels(_abs_power(f, p), shells, floors)
+    circle = torus_levels(g, shells, floors)
 
     def mean(level):
         vals, points = circle(level)
         return vals[0] / TWO_PI, points
 
     rep = refine_until(mean, max(0.25 * tol, 1e-14), cap=max_nodes)
-    return NormEstimate(value=float(rep.value.real) ** (1.0 / p), space="H",
-                        p=float(p), ladder=(1.0,),
-                        tail_increments=(rep.rel_change,),
-                        converged=bool(rep.converged))
+    return NormEstimate(float(rep.value.real) ** (1.0 / p), rep)
 
 
 def bergman_norm_disc(f, p: float = 1.0, tol: float = 1e-8, *,
@@ -227,24 +210,22 @@ def hardy_norm_reinhardt(f, p: float = 1.0, domain: ReinhardtDomain = None,
     leaves a single shell on a polydisc and the full sample on a ball.
     The remaining shells are refined together, every angular count
     doubling per level, until the largest change relative to the largest
-    shell value is within the tolerance; the estimate reports that change
-    as its tail increment.  A level whose points
+    shell value is within the tolerance.  A level whose points
     (``quadrature.torus_points``) would exceed ``max_nodes`` is not
-    evaluated, and the estimate is then flagged non-converged.
+    evaluated, and the estimate is then flagged non-converged.  The
+    report holds the shell values and the points of the last level.
     """
     if domain is None:
         raise ValueError("a ReinhardtDomain is required")
-    if p <= 0:
-        raise ValueError(f"norm exponent must be positive, got {p}")
-    floors, shells = boundary_grid(f, domain, dirs, spike=spike)
     g = _abs_power(f, p)
+    floors, shells = boundary_grid(f, domain, dirs, spike=spike)
     levels = torus_levels(g, shells, floors)
     quad_tol = max(0.25 * tol, 1e-14)
     # Its own loop, not refine_until: perfbench/tracer.py:137 traces this
     # estimator with levels=None, which refine_until's wrapper would append to.
     prev, change, level = None, np.inf, 0
     while True:
-        vec, _ = levels(level)
+        vec, nodes = levels(level)
         if prev is not None:
             change = float(np.max(np.abs(vec - prev))) / max(
                 float(vec.max()), float(prev.max()), 1e-300)
@@ -257,9 +238,9 @@ def hardy_norm_reinhardt(f, p: float = 1.0, domain: ReinhardtDomain = None,
             break
         prev = vec
         level += 1
-    return NormEstimate(value=float(np.max(vec)) ** (1.0 / p), space="H",
-                        p=float(p), ladder=(1.0,), tail_increments=(change,),
-                        converged=change <= quad_tol)
+    return NormEstimate(float(np.max(vec)) ** (1.0 / p),
+                        RefinementReport(vec, nodes, change,
+                                         change <= quad_tol, level))
 
 
 def _radial_cells(domain: ReinhardtDomain, depth: int, order: int):
@@ -329,14 +310,13 @@ def _bergman(f, p, tol, domain, spike, max_nodes) -> NormEstimate:
     A level keeps every radial panel of the one before but the last, so a
     cell whose radius vector the previous level also had carries its sum
     over: the level adds only the half-shifted cosets of that cell's
-    previous grid (``doubled_torus_integrals``) and evaluates the cells of
-    the two new rim panels afresh.  It reports the points it evaluated.
+    previous grid (``doubled`` over ``torus_cosets``) and evaluates the
+    cells of the two new rim panels afresh.  It reports the points it
+    evaluated.
     """
-    if p <= 0:
-        raise ValueError(f"norm exponent must be positive, got {p}")
+    g = _abs_power(f, p)
     n = domain.dim
     spikes, _, order, depth, _ = _grid(f, spike, n)
-    g = _abs_power(f, p)
     carried = {}                    # radius vector bytes -> last level's sum
 
     def level_fn(level):
@@ -357,8 +337,9 @@ def _bergman(f, p, tol, domain, spike, max_nodes) -> NormEstimate:
         for k, (old, *ms) in enumerate(groups.tolist()):
             rows = np.flatnonzero(inverse == k)
             if old:
-                sums[rows], pts = doubled_torus_integrals(
-                    g, cells[rows], ms, [carried[keys[i]] for i in rows])
+                sums[rows], pts = doubled(
+                    lambda s: torus_cosets(g, cells[rows], ms, s), n,
+                    np.array([carried[keys[i]] for i in rows]))
             else:
                 (sums[rows],), pts = torus_cosets(g, cells[rows], ms,
                                                   [(0.0,) * n])
@@ -368,10 +349,7 @@ def _bergman(f, p, tol, domain, spike, max_nodes) -> NormEstimate:
         return complex(float(sums @ weights)), (points,)
 
     rep = refine_until(level_fn, max(tol, 1e-14), cap=max_nodes)
-    return NormEstimate(value=max(rep.value.real, 0.0) ** (1.0 / p),
-                        space="A", p=float(p), ladder=(),
-                        tail_increments=(rep.rel_change,),
-                        converged=bool(rep.converged))
+    return NormEstimate(max(rep.value.real, 0.0) ** (1.0 / p), rep)
 
 
 def monotonicity_check(f, p: float, r, R, tol: float = 1e-9, *,
@@ -380,7 +358,7 @@ def monotonicity_check(f, p: float, r, R, tol: float = 1e-9, *,
 
     I(s) is the unnormalized torus integral of |f|^p over the shell with
     radius vector s; both shells share one grid so the comparison is free
-    of quadrature bias.  Slack is tol * max(1, I(R)).
+    of quadrature bias.  Slack is tol * max(1, I(R)); p must be > 0.
     """
     r = np.atleast_1d(np.asarray(r, dtype=np.float64))
     R = np.atleast_1d(np.asarray(R, dtype=np.float64))
@@ -388,7 +366,7 @@ def monotonicity_check(f, p: float, r, R, tol: float = 1e-9, *,
         raise ValueError("shell radius vectors must share one shape")
     if np.any(r < 0) or np.any(R < r):
         raise ValueError("need componentwise 0 <= r <= R")
+    g = _abs_power(f, p)
     _, floors, _, _, _ = _grid(f, spike, r.size)
-    i_r, i_R = torus_integrals(_abs_power(f, p), np.vstack([r, R]),
-                               [m << 1 for m in floors])
+    i_r, i_R = torus_integrals(g, np.vstack([r, R]), [m << 1 for m in floors])
     return bool(i_r <= i_R + tol * max(1.0, i_R))

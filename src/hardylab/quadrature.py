@@ -16,13 +16,14 @@ is the node-doubling driver, for scalar and array values alike; and
 :func:`doubled` is the one nested-doubling step.  The trapezoid rule with
 2m nodes is the mean of the m-node rule and its copy shifted by half a
 step, so a level that doubles every count of n axes evaluates only the
-2^n - 1 half-shifted cosets of the previous grid and reuses its value
-(:func:`doubled_torus_integrals`).  Every doubling loop steps this way:
-the volume and shell rules of ``norms``, the frontier loop of
-``norms.hardy_norm_reinhardt``, which refines all its frontier shells at
-once, and the circle integrals of ``witnesses``.  :func:`doubled` asks its
-rule for all 2^n - 1 cosets at once, so a rule can share work between
-them.
+2^n - 1 half-shifted cosets of the previous grid and reuses its value.
+Every doubling loop steps this way: the volume and shell rules of
+``norms``, the frontier loop of ``norms.hardy_norm_reinhardt``, which
+refines all its frontier shells at once, and the circle integrals of
+``witnesses``.  :func:`doubled` asks its rule for all 2^n - 1 cosets at
+once, so a rule can share work between them.  Every refined number, a
+norm or I_c, is a :class:`NormEstimate`: its value and the
+:class:`RefinementReport` of the refinement behind it.
 
 :func:`torus_cosets` is the one shell rule, with three ways of
 evaluating it, chosen in one place (:func:`_axis_terms`) from one
@@ -433,16 +434,6 @@ def doubled(rule: Callable[[list], tuple], n: int, prev):
     return acc / (1 << n), points
 
 
-def doubled_torus_integrals(g: Callable, radii, angular: Sequence[int],
-                            prev) -> tuple[np.ndarray, int]:
-    """``torus_integrals(g, radii, 2 * angular)`` from ``prev``, its values
-    at ``angular``, with the points evaluated: the (2^n - 1) *
-    prod(angular) new points of each shell on the tensor grid, and each
-    axis's shift-0 and shift-1/2 circles on the factor path."""
-    return doubled(lambda shifts: torus_cosets(g, radii, angular, shifts),
-                   len(angular), np.asarray(prev))
-
-
 def nested_levels(rule: Callable[[int, list], tuple], n: int) -> Callable:
     """A :func:`refine_until` integrator that doubles an n-axis trapezoid
     rule per level by :func:`doubled`.
@@ -487,6 +478,20 @@ class RefinementReport:
     rel_change: float
     converged: bool
     levels: int
+
+
+@dataclass(frozen=True)
+class NormEstimate:
+    """A refined number, a norm or I_c, and the report behind it."""
+
+    value: float
+    report: RefinementReport
+    # always (1.0,); kept because perfbench/tracer.py:149 reads len(ladder)
+    ladder = (1.0,)
+
+    @property
+    def converged(self) -> bool:
+        return self.report.converged
 
 
 def _max_abs(x) -> float:

@@ -63,16 +63,16 @@ class ReinhardtDomain:
 
 def polydisc(dim: int, radii: Sequence[float] | None = None) -> ReinhardtDomain:
     rr = np.ones(dim) if radii is None else np.asarray(radii, dtype=np.float64)
-    if rr.shape != (dim,) or np.any(rr <= 0):
-        raise ValueError("polydisc needs one positive radius per coordinate")
+    if rr.shape != (dim,) or not np.all(np.isfinite(rr) & (rr > 0)):
+        raise ValueError("polydisc needs one finite radius > 0 per coordinate")
     return ReinhardtDomain(dim=dim, kind="polydisc",
                            gauge=lambda r: np.max(r / rr, axis=-1),
                            params=tuple(rr), diameter_bound=float(np.max(rr)))
 
 
 def ball(dim: int, radius: float = 1.0) -> ReinhardtDomain:
-    if radius <= 0:
-        raise ValueError("ball radius must be positive")
+    if not 0 < radius < np.inf:                        # NaN too
+        raise ValueError("ball radius must be positive and finite")
     return ReinhardtDomain(dim=dim, kind="ball",
                            gauge=lambda r: np.sqrt(np.sum(r * r, axis=-1)) / radius,
                            params=(radius,), diameter_bound=float(radius))
@@ -80,8 +80,8 @@ def ball(dim: int, radius: float = 1.0) -> ReinhardtDomain:
 
 def power_egg(powers: Sequence[float]) -> ReinhardtDomain:
     pw = np.asarray(powers, dtype=np.float64)
-    if pw.ndim != 1 or pw.size < 1 or np.any(pw <= 0):
-        raise ValueError("power-egg exponents must be positive")
+    if pw.ndim != 1 or pw.size < 1 or not np.all(np.isfinite(pw) & (pw > 0)):
+        raise ValueError("power-egg exponents must be positive and finite")
     return ReinhardtDomain(dim=pw.size, kind="power-egg",
                            gauge=lambda r: np.sum(r ** pw, axis=-1),
                            params=tuple(pw), diameter_bound=1.0)
@@ -319,7 +319,8 @@ def _negated(fn: Callable) -> Callable:
 
 def density_experiment(f, domain: ReinhardtDomain, p: float = 1.0,
                        eps_ladder: Sequence[float] = (0.5, 0.1, 0.02), *,
-                       norm_tol: float = 1e-4) -> list[DensityRow]:
+                       norm_tol: float = 1e-4,
+                       max_nodes: int = 1 << 23) -> list[DensityRow]:
     """Drive the dilate-truncate construction for the registry entry ``f``
     down an error ladder.
 
@@ -331,7 +332,7 @@ def density_experiment(f, domain: ReinhardtDomain, p: float = 1.0,
     ladder, or a coefficient sum that does not settle
     (:func:`_abs_coeff_sum`), keeps its last value and marks the row
     unconverged.  The achieved Hardy error of the resulting polynomial is
-    then measured and reported.
+    then measured and reported, within the node budget ``max_nodes``.
     """
     from .norms import hardy_norm_disc, hardy_norm_reinhardt
 
@@ -391,10 +392,11 @@ def density_experiment(f, domain: ReinhardtDomain, p: float = 1.0,
         diff_tagged = TaggedEvaluator(
             sum_of_products([f.factors, (_negated(q[0]), *q[1:])]), f.spike)
         if n == 1:
-            est = hardy_norm_disc(diff_tagged, p, norm_tol)
+            est = hardy_norm_disc(diff_tagged, p, norm_tol,
+                                  max_nodes=max_nodes)
         else:
             est = hardy_norm_reinhardt(diff_tagged, p, domain, dirs=24,
-                                       tol=norm_tol)
+                                       tol=norm_tol, max_nodes=max_nodes)
         rows.append(DensityRow(eps=float(eps), rho=float(rho), M=int(M),
                                error=float(est.value),
                                met=bool(est.value <= eps),

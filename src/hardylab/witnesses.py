@@ -41,8 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoleError
-from .quadrature import (TWO_PI, RefinementReport, angular_floor,
-                         nested_levels, refine_until)
+from .quadrature import (TWO_PI, NormEstimate, RefinementReport,
+                         angular_floor, nested_levels, refine_until)
 from .series import PowerSeries
 
 
@@ -199,17 +199,6 @@ class IcQuery:
     z: complex
 
 
-@dataclass
-class IcValue:
-    query: IcQuery
-    value: float
-    report: RefinementReport
-
-    @property
-    def converged(self) -> bool:
-        return self.report.converged
-
-
 def _ic_mean(c: float, z: complex, m: int,
              shift: float = 0.0) -> tuple[float, int]:
     """Mean over the m trapezoid nodes phi_k = 2 pi (k + shift) / m of
@@ -286,12 +275,13 @@ def _ic_report(c: float, r: float, tol: float,
 
 
 def eval_ic(query: IcQuery, tol: float = 1e-10,
-            max_nodes: int = 1 << 22) -> IcValue:
+            max_nodes: int = 1 << 22) -> NormEstimate:
     """Evaluate I_c(z) by the trapezoid rule in the Moebius variable.
 
     I_c(z) depends on |z| only; the rule is :func:`_ic_mean`'s real
     half-circle form, refined by nested doubling (:func:`_ic_report`).  A
-    non-finite c and a |z| that is not below 1 are refused.
+    non-finite c and a |z| that is not below 1 are refused.  The value
+    is I_c itself, and so is the report's.
     """
     r = abs(complex(query.z))
     if not math.isfinite(query.c):
@@ -300,7 +290,7 @@ def eval_ic(query: IcQuery, tol: float = 1e-10,
         raise ValueError(f"I_c is defined for |z| < 1, got |z| = {r}")
     report = _ic_report(query.c, r, tol, max_nodes)
     report.value *= TWO_PI
-    return IcValue(query, float(report.value.real), report)
+    return NormEstimate(float(report.value.real), report)
 
 
 def ic_comparison(c: float, z: complex) -> float:
@@ -317,10 +307,16 @@ def ic_comparison(c: float, z: complex) -> float:
 
 @dataclass
 class T2BoundRatio:
+    """||T2||_H1 against L(a, N), with the report of its I_0 refinement."""
+
     t2_h1: float
     bound: float
     ratio: float
-    converged: bool
+    report: RefinementReport
+
+    @property
+    def converged(self) -> bool:
+        return self.report.converged
 
 
 def t2_hardy_vs_bound(a: complex, N: int, tol: float = 1e-10,
@@ -342,4 +338,4 @@ def t2_hardy_vs_bound(a: complex, N: int, tol: float = 1e-10,
     report = _ic_report(0.0, s, tol, max_nodes)
     t2 = (1.0 - s ** 2) * (N + 2) * s ** (N + 1) * float(report.value.real)
     return T2BoundRatio(t2_h1=t2, bound=bound, ratio=t2 / bound,
-                        converged=report.converged)
+                        report=report)

@@ -413,7 +413,24 @@ def test_cli_rejects_unread_config_keys(tmp_path, doc, key):
                                       ({"z_ladder": [0.5, 1.2]},
                                        "z_ladder"),
                                       ({"z_ladder": [-0.5]}, "z_ladder"),
-                                      ({"z_ladder": ["nan"]}, "z_ladder")])
+                                      ({"z_ladder": ["nan"]}, "z_ladder"),
+                                      # density's targets and the domain
+                                      # parameters must be positive and
+                                      # finite, NaN refused
+                                      ({"eps_ladder": [0.5, "nan"]},
+                                       "eps_ladder"),
+                                      ({"eps_ladder": [-1]}, "eps_ladder"),
+                                      ({"eps_ladder": [0]}, "eps_ladder"),
+                                      ({"domain": {"kind": "polydisc",
+                                                   "dim": 2,
+                                                   "radii": [1.0, "nan"]}},
+                                       "domain"),
+                                      ({"domain": {"kind": "ball", "dim": 2,
+                                                   "radius": "nan"}},
+                                       "domain"),
+                                      ({"domain": {"kind": "power-egg",
+                                                   "powers": ["nan", 1.0]}},
+                                       "domain")])
 def test_cli_rejects_bad_config_values(monkeypatch, tmp_path, doc, key):
     # the values are parsed before any runner starts, ``all`` included
     def no_run(*args, **kw):
@@ -467,7 +484,11 @@ _BAD_RUN_SETTINGS = [("n_set", "--n-set", ",", []),
                      ("max_nodes", "--max-nodes", "0", 0),
                      # blowup's a = N/(N+1) is 0 there; refused for blowup
                      # and all alike
-                     ("n_set", "--n-set", "0", [0])]
+                     ("n_set", "--n-set", "0", [0]),
+                     ("seed", "--seed", "-1", -1),
+                     # the gates compare consecutive rows
+                     ("n_set", "--n-set", "64,16", [64, 16]),
+                     ("n_set", "--n-set", "16,16", [16, 16])]
 
 
 @pytest.mark.parametrize("key, flag, text, value", _BAD_RUN_SETTINGS)
@@ -492,7 +513,8 @@ def test_cli_rejects_bad_run_settings(monkeypatch, tmp_path, key, flag, text,
 def test_run_config_refuses_bad_settings():
     for kw in ({"n_set": ()}, {"n_set_square": (4, -1)}, {"a_set": (-1.0,)},
                {"tol": float("inf")}, {"tol": -1e-6}, {"max_nodes": 0},
-               {"max_nodes": -4}):
+               {"max_nodes": -4}, {"seed": -1}, {"n_set": (32, 16)},
+               {"n_set_square": (2, 2)}):
         with pytest.raises(ValueError, match=next(iter(kw))):
             RunConfig(**kw)
 
@@ -781,6 +803,22 @@ def test_cli_budget_below_the_first_level_exits_2(tmp_path):
                  "--out", str(outp)]) == 2
     doc = json.loads(outp.read_text())
     assert not any(row[-1] for row in doc["rows"])
+
+
+def test_cli_density_honours_the_node_budget(tmp_path):
+    # --max-nodes reaches density's Hardy estimates: every row stops
+    # unconverged on the budget
+    outp = tmp_path / "density.json"
+    assert main(["density", "--max-nodes", "1", "--format", "json",
+                 "--out", str(outp)]) == 2
+    doc = json.loads(outp.read_text())
+    assert doc["rows"] and not any(row[-1] for row in doc["rows"])
+
+
+def test_run_config_k_max_is_not_a_setting():
+    # a class constant that nothing but the benchmark reads
+    assert RunConfig.k_max == RunConfig().k_max == 36
+    assert "k_max" not in {f.name for f in dataclasses.fields(RunConfig)}
 
 
 def test_cli_rejects_bad_config(tmp_path):

@@ -11,9 +11,11 @@ import pytest
 from hardylab import norms
 from hardylab.errors import DomainModelError
 from hardylab.norms import (NormEstimate, bergman_norm_disc,
-                            bergman_norm_reinhardt, hardy_norm_disc,
-                            hardy_norm_reinhardt, monotonicity_check)
-from hardylab.quadrature import angular_floor
+                            bergman_norm_reinhardt, boundary_grid,
+                            hardy_norm_disc, hardy_norm_reinhardt,
+                            monotonicity_check)
+from hardylab.quadrature import (RefinementReport, angular_floor,
+                                 half_shifts, torus_points)
 from hardylab.registry import (TaggedEvaluator, default_registry, fa_entry,
                                product_entry, sum_of_products)
 from hardylab.reinhardt import ball, frontier_sample, polydisc, power_egg
@@ -538,6 +540,50 @@ def test_hardy_reinhardt_monomial_on_ball():
     assert est.value == pytest.approx(TWO_PI, rel=1e-6)
 
 
+@pytest.mark.parametrize("domain", [polydisc(2), ball(2)],
+                         ids=["polydisc", "ball"])
+def test_hardy_reinhardt_reports_its_last_level(domain):
+    # the report holds the shell values and the points of the last level,
+    # which adds the half-shifted cosets of the level before it
+    ent = default_registry().get("prod-fa-0.9")
+    est = hardy_norm_reinhardt(ent.evaluator, 1.0, domain, dirs=16,
+                               spike=ent.spike)
+    rep = est.report
+    assert est.converged and rep.converged and rep.levels >= 1
+    assert rep.rel_change <= 0.25 * 1e-6
+    assert est.value == float(np.max(rep.value))
+    floors, shells = boundary_grid(ent.evaluator, domain, 16,
+                                   spike=ent.spike)
+    assert rep.value.shape == (len(shells),)
+    last = [m << (rep.levels - 1) for m in floors]
+    assert rep.node_counts == (torus_points(norms._abs_power(ent.evaluator,
+                                                             1.0),
+                                            shells, last, half_shifts(2)),)
+
+
+def test_hardy_reinhardt_budget_below_the_first_doubling():
+    # no level past level 0 fits the budget: one level, unconverged
+    ent = default_registry().get("prod-fa-0.9")
+    est = hardy_norm_reinhardt(ent.evaluator, 1.0, polydisc(2),
+                               spike=ent.spike, max_nodes=1)
+    assert not est.converged and est.report.levels == 0
+    assert est.report.rel_change == np.inf
+
+
+@pytest.mark.parametrize("p", [float("nan"), 0.0, -1.0])
+def test_every_estimator_refuses_a_non_positive_exponent(p):
+    # one check, in _abs_power, which every estimator calls; NaN included
+    f = fa_series(0.5)
+    calls = [lambda: hardy_norm_disc(f, p),
+             lambda: bergman_norm_disc(f, p),
+             lambda: hardy_norm_reinhardt(f, p, polydisc(1)),
+             lambda: bergman_norm_reinhardt(f, p, polydisc(1)),
+             lambda: monotonicity_check(f, p, [0.3], [0.5])]
+    for call in calls:
+        with pytest.raises(ValueError, match="exponent must be positive"):
+            call()
+
+
 def test_bergman_reinhardt_volumes():
     one2 = bergman_norm_reinhardt(
         lambda z1, z2: np.ones(np.broadcast(z1, z2).shape), 1.0, polydisc(2))
@@ -561,10 +607,10 @@ def test_bergman_reinhardt_monomial_values():
 
 def test_bergman_reinhardt_undeclared_pole_on_the_bidisc():
     # an untagged f gets the base floor on every ring; 1/(1 - 0.95 z1)^2
-    # needs about 16 / (1 - 0.95) = 320 nodes at the rim.  At the runners'
-    # volume budget (RunConfig().vol_cap(), 2^28 points) base 64 converges
-    # at level 3 and base 128 at level 2; base 32, a level behind base 64,
-    # stops on the budget unconverged.  ||f||_A1 = pi^2 / s^2 log(1 / (1 - s^2)).
+    # needs about 16 / (1 - 0.95) = 320 nodes at the rim.  At a volume
+    # budget of 2^28 points base 64 converges at level 3 and base 128 at
+    # level 2; base 32, a level behind base 64, stops on the budget
+    # unconverged.  ||f||_A1 = pi^2 / s^2 log(1 / (1 - s^2)).
     s = 0.95
     est = bergman_norm_reinhardt(lambda z1, z2: 1 / (1 - s * z1) ** 2 + 0 * z2,
                                  1.0, polydisc(2), tol=1e-4,
@@ -577,7 +623,6 @@ def test_bergman_reinhardt_undeclared_pole_on_the_bidisc():
 def test_bergman_reinhardt_dim1_delegates():
     # the unit disc is polydisc(1); both estimators share one routine
     est = bergman_norm_reinhardt(lambda z: np.ones_like(z), 1.0, polydisc(1))
-    assert est.space == "A"
     assert est.value == pytest.approx(np.pi, rel=1e-12)
 
 
@@ -615,7 +660,8 @@ def test_monotonicity_rejects_bad_pairs():
 
 
 def test_norm_estimate_is_frozen():
-    est = NormEstimate(1.0, "H", 1.0, (), (), True)
+    report = RefinementReport(1.0 + 0j, (8,), 0.0, True, 1)
+    est = NormEstimate(1.0, report)
     with pytest.raises(Exception):
         est.value = 2.0
 

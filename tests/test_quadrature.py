@@ -5,10 +5,10 @@ import pytest
 
 from hardylab.norms import (_abs_power, _radial_cells, bergman_norm_disc,
                             bergman_norm_reinhardt)
-from hardylab.quadrature import (angular_floor, doubled_torus_integrals,
-                                 dyadic_panels, half_shifts, refine_until,
-                                 torus_blocks, torus_cosets, torus_integrals,
-                                 torus_levels, torus_points, unit_nodes)
+from hardylab.quadrature import (angular_floor, doubled, dyadic_panels,
+                                 half_shifts, refine_until, torus_blocks,
+                                 torus_cosets, torus_integrals, torus_levels,
+                                 torus_points, unit_nodes)
 from hardylab.registry import (default_registry, product_entry,
                                sum_of_products)
 from hardylab.reinhardt import _negated, ball, dilate_truncate, polydisc
@@ -178,11 +178,12 @@ _COUNTS = {1: (24,), 2: (12, 10), 3: (6, 8, 5)}
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_doubled_torus_integrals_match_the_fresh_rule(dim):
+def test_doubled_torus_cosets_match_the_fresh_rule(dim):
     radii, ms = np.array(_SHELLS[dim]), _COUNTS[dim]
     prev = torus_integrals(_smooth, radii, ms)
     g = _Counted(_smooth)
-    nested, points = doubled_torus_integrals(g, radii, ms, prev)
+    nested, points = doubled(lambda s: torus_cosets(g, radii, ms, s), dim,
+                             prev)
     fresh = torus_integrals(_smooth, radii, [2 * m for m in ms])
     assert np.max(np.abs(nested - fresh) / fresh) <= 1e-14
     # only the 2^n - 1 half-shifted cosets are evaluated, and reported
@@ -267,7 +268,8 @@ def test_product_levels_report_the_points_they_evaluate(dim):
         assert np.max(np.abs(vals - fresh) / fresh) <= 1e-13
     prev = torus_integrals(g, radii, ms)
     before = sum(c.points for c in counted)
-    nested, points = doubled_torus_integrals(g, radii, ms, prev)
+    nested, points = doubled(lambda s: torus_cosets(g, radii, ms, s), dim,
+                             prev)
     assert sum(c.points for c in counted) - before == points
     # one variable has one coset, shifted, on every shell; more have shift
     # 0 and 1/2 per axis

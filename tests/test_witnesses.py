@@ -3,7 +3,7 @@ import pytest
 
 from hardylab.errors import NonConvergenceError, PoleError
 from hardylab.experiments import DEFAULT_C_SET
-from hardylab.quadrature import angular_floor
+from hardylab.quadrature import NormEstimate, angular_floor
 from hardylab.witnesses import (IcQuery, T1T2Split, _ic_mean,
                                 blowup_lower_bound, blowup_schedule, eval_fa,
                                 eval_ic, fa_series, ic_comparison,
@@ -100,6 +100,18 @@ def test_ic_closed_form_at_critical_exponent_one():
         assert got.value == pytest.approx(2 * np.pi / (1 - r * r), rel=1e-10)
     got = eval_ic(IcQuery(1.0, 0.9))
     assert got.value == pytest.approx(33.06939635357677, rel=1e-10)
+
+
+def test_eval_ic_returns_a_norm_estimate():
+    # I_c is a refined number like a norm: its value and the report behind
+    # it, whose value is I_c too
+    got = eval_ic(IcQuery(1.0, 0.9))
+    assert isinstance(got, NormEstimate)
+    assert got.value == got.report.value.real
+    assert got.converged is got.report.converged is True
+    assert got.report.levels >= 1 and got.report.node_counts[0] > 0
+    row = t2_hardy_vs_bound(0.9, 16)
+    assert row.converged is row.report.converged is True
 
 
 def _agm(x, y):
