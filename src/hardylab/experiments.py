@@ -24,13 +24,13 @@ import numpy as np
 
 from .norms import (bergman_norm_disc, bergman_norm_reinhardt, boundary_grid,
                     hardy_norm_disc, hardy_norm_reinhardt, monotonicity_check)
-from .registry import (FunctionRegistry, RegistryEntry, default_registry,
-                       fa_entry)
+from .registry import (FunctionRegistry, RegistryEntry, TaggedEvaluator,
+                       default_registry, fa_entry)
 from .reinhardt import (ReinhardtDomain, density_experiment,
                         domain_from_config, frontier_sample,
                         monomial_moments, polydisc)
 from .witnesses import (IcQuery, T1T2Split, blowup_lower_bound,
-                        blowup_schedule, eval_ic, fa_series, ic_comparison,
+                        blowup_schedule, eval_ic, ic_comparison,
                         t2_hardy_vs_bound)
 
 DEFAULT_N_SET = (8, 16, 32, 64, 128, 256, 512, 1024)
@@ -319,15 +319,16 @@ def run_blowup(config: RunConfig | None = None) -> ExperimentResult:
     for N in ns:
         t0 = time.perf_counter()
         a = blowup_schedule(N)
-        split = T1T2Split(a, N)
-        h1f = hardy_norm_disc(fa_series(a), 1.0, cfg.tol, spike=a,
+        # f_a, its S_N and T1 carry the spike a (S_N's degree tag is a too)
+        # and, a being real, conj_symmetric
+        entry = fa_entry(a)
+        sn = entry.partial_evaluator(N)
+        t1 = TaggedEvaluator(T1T2Split(a, N).t1, a, entry.conj_symmetric)
+        h1f = hardy_norm_disc(entry.evaluator, 1.0, cfg.tol,
                               max_nodes=cfg.max_nodes)
-        h1n = hardy_norm_disc(split.partial, 1.0, cfg.tol, spike=a,
-                              max_nodes=cfg.max_nodes)
-        a1n = bergman_norm_disc(split.partial, 1.0, cfg.tol, spike=a,
-                                max_nodes=cfg.vol_cap())
-        t1n = hardy_norm_disc(split.t1, 1.0, cfg.tol, spike=a,
-                              max_nodes=cfg.max_nodes)
+        h1n = hardy_norm_disc(sn, 1.0, cfg.tol, max_nodes=cfg.max_nodes)
+        a1n = bergman_norm_disc(sn, 1.0, cfg.tol, max_nodes=cfg.vol_cap())
+        t1n = hardy_norm_disc(t1, 1.0, cfg.tol, max_nodes=cfg.max_nodes)
         t2row = t2_hardy_vs_bound(a, N, tol=min(cfg.tol, 1e-10),
                                   max_nodes=cfg.max_nodes)
         res.add(t0, N, a, h1f.value, h1n.value, a1n.value,

@@ -101,14 +101,19 @@ def _grid(f, spike, n):
 def _abs_power(f, p):
     """|f|^p as an integrand: the power is taken in place on the fresh
     modulus array, and skipped at p = 1, where x ** 1.0 == x exactly.  An
-    exponent that is not positive, NaN included, raises ``ValueError``.
+    exponent that is not positive and finite, NaN included, raises
+    ``ValueError``.
 
     When f holds the ``terms`` of a sum of products, a product included,
     the integrand holds them too, with the |.|^p map as its ``map``,
     which ``quadrature.torus_cosets`` applies to the values it forms from
-    the terms' factor values."""
-    if not p > 0:
-        raise ValueError(f"norm exponent must be positive, got {p}")
+    the terms' factor values.  When f declares ``conj_symmetric``,
+    f(conj z) = conj f(z), the integrand is flagged ``conj_even``, since
+    |f|^p is then even under z -> conj z; this is the one place a
+    function's declaration becomes an integrand's flag."""
+    if not 0 < p < np.inf:
+        raise ValueError(f"norm exponent must be positive and finite, "
+                         f"got {p}")
     def power(v):
         a = np.abs(np.asarray(v, dtype=np.complex128))
         if p != 1:
@@ -120,6 +125,7 @@ def _abs_power(f, p):
     terms = getattr(f, "terms", None)
     if terms is not None:
         g.terms, g.map = terms, power
+    g.conj_even = bool(getattr(f, "conj_symmetric", False))
     return g
 
 

@@ -40,6 +40,14 @@ Several terms (a tail or a density difference) have no such split;
 their values are formed on the tensor grid from the factor values with
 the sum's own elementwise operations, bit for bit the values the
 callable gives.  Every other integrand is evaluated on the tensor grid.
+An integrand flagged ``conj_even``, g(conj z) = g(z), as |f|^p is for an
+f with real Taylor coefficients (``norms._abs_power`` sets the flag from
+f's ``conj_symmetric`` declaration), takes the same values at the mirror
+images theta -> -theta of the nodes, which the grid holds at either
+shift.  On the tensor grid and in the several-term path it is evaluated
+only where the first axis's angle lies in [0, pi] (:func:`half_circle`),
+about half the points, with the same spectral accuracy (Trefethen &
+Weideman, *SIAM Review* 56, 2014); a product's circle sums stay whole.
 Every rule reports the points it evaluated the integrand at; a sum of
 several products reports the tensor points at which its values are
 formed, so no budget or stopping decision depends on the path.
@@ -82,22 +90,41 @@ _MAX_LEVELS = 40
 
 
 def unit_nodes(m: int, axis: int = 0, ndim: int = 1,
-               shift: float = 0.0) -> np.ndarray:
-    """The m equispaced nodes exp(2 pi i (k + shift) / m) on the unit circle.
+               shift: float = 0.0, count: int | None = None) -> np.ndarray:
+    """The m equispaced nodes exp(2 pi i (k + shift) / m) on the unit circle,
+    or the first ``count`` of them (k < count).
 
     The nodes run along ``axis`` of an ``ndim``-dimensional array whose
     other axes have length one, so the axes of a torus grid broadcast
     against each other.  ``shift`` = 1/2 gives the nodes of the 2m-node
     rule that the m-node rule lacks.  The exponential is taken in place:
     building m nodes holds one complex array of m values and, briefly,
-    their angles.
+    their angles.  Every node is computed alone, so the first ``count``
+    are those of the full set bit for bit.
     """
+    count = m if count is None else count
     shape = [1] * ndim
-    shape[axis] = m
-    k = np.arange(m) + shift if shift else np.arange(m)
+    shape[axis] = count
+    k = np.arange(count) + shift if shift else np.arange(count)
     w = 1j * (TWO_PI * k / m)
     np.exp(w, out=w)
     return w.reshape(shape)
+
+
+def half_circle(m: int, shift: float = 0.0) -> tuple[int, tuple[int, ...]]:
+    """The nodes k of the m-node rule shifted by ``shift`` (0 or 1/2
+    steps) whose angles 2 pi (k + shift) / m lie in [0, pi]: their count,
+    k = 0, ..., count - 1, and those of them at angle 0 or pi.
+
+    The rule's nodes are symmetric under theta -> -theta at either shift,
+    and a node at 0 or pi is its own mirror image.  So for an integrand
+    even in theta the rule's sum is twice the sum over these nodes with
+    the values at 0 and pi halved, for odd and even m alike.
+    """
+    count = math.floor(m / 2 - shift) + 1
+    ends = tuple(k for k in sorted({0, count - 1})
+                 if 2 * (k + shift) in (0, m))
+    return count, ends
 
 
 # Grid policy by dimension (3 stands for three or more): angular floor and
@@ -184,63 +211,77 @@ def _panel_gauss(bounds: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray
     return (half * x + mid).ravel(), (half * w).ravel()
 
 
-def _block_plan(rows: int, angular: Sequence[int]):
+def _block_plan(rows: int, shape: Sequence[int]):
     """The blocks of :func:`torus_blocks` as (start, stop, lo, hi): rows
-    start:stop of the shells and nodes lo:hi of the first axis.
+    start:stop of the shells and nodes lo:hi of the first axis, for
+    shells of ``shape`` points (the first axis's nodes evaluated, then
+    the other axes' counts).
 
     Whole shells are grouped in order, as many as fit in about
     ``_CHUNK[n]`` points.  A shell larger than that is cut along its
     first axis into k = ceil(size / _CHUNK[n]) near-equal pieces, with at
-    least 2 nodes of that axis each (so k <= m_1 // 2): a one-point array
-    takes other rounding paths in numpy.
+    least 2 nodes of that axis each (so k <= shape[0] // 2): a one-point
+    array takes other rounding paths in numpy.
     """
-    chunk, size = _CHUNK[min(len(angular), 3)], math.prod(angular)
+    chunk, size = _CHUNK[min(len(shape), 3)], math.prod(shape)
     block = max(1, chunk // size)
-    pieces = max(1, min(-(-size // chunk), angular[0] // 2))
-    cuts = [angular[0] * i // pieces for i in range(pieces + 1)]
+    pieces = max(1, min(-(-size // chunk), shape[0] // 2))
+    cuts = [shape[0] * i // pieces for i in range(pieces + 1)]
     for start in range(0, rows, block):
         for lo, hi in zip(cuts, cuts[1:]):
             yield start, min(start + block, rows), lo, hi
 
 
 def torus_blocks(radii, angular: Sequence[int],
-                 shift: Sequence[float] | None = None):
+                 shift: Sequence[float] | None = None,
+                 count: int | None = None):
     """The torus grid over the shells radii[k] * T^n, block by block.
 
     ``radii`` holds one radius vector per row, ``angular`` the node count
     of each of the n circle factors and ``shift`` (default none) the
-    offset of each axis's nodes in steps, as in :func:`unit_nodes`.  The
-    node axes are built once; each block is a list of n coordinate arrays
-    that broadcast to (shells, m_1', m_2, ..., m_n): whole shells in
-    order, or the pieces of a shell cut along its first axis, each built
-    from a slice of that axis's nodes (:func:`_block_plan`).
+    offset of each axis's nodes in steps, as in :func:`unit_nodes`;
+    ``count`` (default m_1) takes only the first ``count`` nodes of the
+    first axis.  The node axes are built once; each block is a list of n
+    coordinate arrays that broadcast to (shells, m_1', m_2, ..., m_n):
+    whole shells in order, or the pieces of a shell cut along its first
+    axis, each built from a slice of that axis's nodes
+    (:func:`_block_plan`).
     """
     radii = np.atleast_2d(np.asarray(radii, dtype=np.float64))
     n = radii.shape[1]
     shift = (0.0,) * n if shift is None else shift
     if len(angular) != n or len(shift) != n:
         raise ValueError("radii, angular node counts and shifts must align")
-    axes = [unit_nodes(m, j + 1, n + 1, h)
+    axes = [unit_nodes(m, j + 1, n + 1, h, count if j == 0 else None)
             for j, (m, h) in enumerate(zip(angular, shift))]
-    for start, stop, lo, hi in _block_plan(radii.shape[0], angular):
+    shape = (axes[0].shape[1], *angular[1:])
+    for start, stop, lo, hi in _block_plan(radii.shape[0], shape):
         rows = radii[start:stop]
         yield [rows[:, j].reshape(-1, *[1] * n)
                * (axes[j][:, lo:hi] if j == 0 else axes[j])
                for j in range(n)]
 
 
-def _row_sums(blocks, angular: Sequence[int]) -> np.ndarray:
+def _row_sums(blocks, shape: Sequence[int], ends=()) -> np.ndarray:
     """Per-shell sums of the integrand values of :func:`_block_plan`'s
-    blocks, given in order.  The pieces of a cut shell are written into
-    one row, whose one ``np.sum`` is the shell's, as for a whole one."""
+    blocks over grids of ``shape``, given in order.  The pieces of a cut
+    shell are written into one row, whose one ``np.sum`` is the shell's,
+    as for a whole one.  The values at the first-axis nodes ``ends`` are
+    halved first, in place (:func:`half_circle`)."""
     sums = []
     row, filled = None, 0
+    inner = math.prod(shape[1:])
     for vals in blocks:
-        if vals.shape[1] == angular[0]:
+        lo = filled // inner
+        hit = [k - lo for k in ends if lo <= k < lo + vals.shape[1]]
+        if hit:
+            vals = vals if vals.flags.writeable else vals.copy()
+            vals[:, hit] *= 0.5
+        if vals.shape[1] == shape[0]:
             sums.append(vals.reshape(vals.shape[0], -1).sum(axis=1))
             continue
         if row is None:
-            row = np.empty((1, math.prod(angular)), dtype=vals.dtype)
+            row = np.empty((1, math.prod(shape)), dtype=vals.dtype)
         row[:, filled:filled + vals.size] = vals.reshape(1, -1)
         filled += vals.size
         if filled == row.size:
@@ -249,41 +290,55 @@ def _row_sums(blocks, angular: Sequence[int]) -> np.ndarray:
     return np.concatenate(sums)
 
 
-def _grid_sums(g: Callable, radii, angular: Sequence[int], shift) -> np.ndarray:
+def _first_axis(m: int, h: float, half: bool) -> tuple[int, tuple]:
+    """The nodes the rule evaluates on a first axis of m nodes shifted by
+    h steps, and those it halves: :func:`half_circle`'s when ``half``,
+    else all m and none."""
+    return half_circle(m, h) if half else (m, ())
+
+
+def _grid_sums(g: Callable, radii, angular: Sequence[int], shift,
+               half: bool) -> np.ndarray:
     """Plain sums of g over the tensor grid of each shell, block by block
-    (:func:`torus_blocks`)."""
+    (:func:`torus_blocks`), over the half circle of the first axis when
+    ``half``."""
+    count, ends = _first_axis(angular[0], shift[0], half)
+
     def blocks():
-        for zs in torus_blocks(radii, angular, shift):
+        for zs in torus_blocks(radii, angular, shift, count):
             vals = np.asarray(g(*zs))
             shape = (zs[0].shape[0], zs[0].shape[1], *angular[1:])
             yield vals if vals.shape == shape else np.broadcast_to(vals, shape)
-    return _row_sums(blocks(), angular)
+    return _row_sums(blocks(), (count, *angular[1:]), ends)
 
 
-def _circle_values(gj: Callable, r: np.ndarray, m: int, h: float) -> np.ndarray:
-    """The (r.size, m) values of the one-variable gj on the circles of
-    radii r, m nodes shifted by h steps, evaluated block by block
-    (:func:`torus_blocks`), in the dtype gj returns."""
+def _circle_values(gj: Callable, r: np.ndarray, m: int, h: float,
+                   count: int) -> np.ndarray:
+    """The (r.size, count) values of the one-variable gj on the circles of
+    radii r, at the first ``count`` of m nodes shifted by h steps,
+    evaluated block by block (:func:`torus_blocks`), in the dtype gj
+    returns."""
     out = None
     i = k = 0
-    for (z,) in torus_blocks(r[:, None], (m,), (h,)):
+    for (z,) in torus_blocks(r[:, None], (m,), (h,), count):
         b, w = z.shape
         v = gj(z)
         if out is None:
-            out = np.empty((r.size, m), dtype=np.result_type(v))
+            out = np.empty((r.size, count), dtype=np.result_type(v))
         out[i:i + b, k:k + w] = v
         k += w
-        if k == m:
+        if k == count:
             i, k = i + b, 0
     return out
 
 
 def _term_sums(terms, fmap, values, index, angular: Sequence[int],
-               shift) -> np.ndarray:
+               shift, half: bool) -> np.ndarray:
     """Plain sums over the tensor grid of each shell of
     fmap(sum_k prod_j terms[k][j](z_j)), n >= 2 axes, from the per-axis
     factor values ``values[j, shift[j], id(terms[k][j])]`` of the distinct
-    radii on axis j, row ``index[j]`` for each shell.
+    radii on axis j, row ``index[j]`` for each shell, over the half circle
+    of the first axis when ``half``.
 
     Each block of :func:`_block_plan` is formed in two buffers with the
     operations of ``registry.sum_of_products``: each term's factors
@@ -292,10 +347,12 @@ def _term_sums(terms, fmap, values, index, angular: Sequence[int],
     callable itself gives there.
     """
     n = len(angular)
+    count, ends = _first_axis(angular[0], shift[0], half)
 
     def blocks():
         acc = tmp = None
-        for start, stop, lo, hi in _block_plan(len(index[0]), angular):
+        for start, stop, lo, hi in _block_plan(len(index[0]),
+                                               (count, *angular[1:])):
             shape = (stop - start, hi - lo, *angular[1:])
             size = math.prod(shape)
             if acc is None or acc.size < size:
@@ -316,23 +373,27 @@ def _term_sums(terms, fmap, values, index, angular: Sequence[int],
                 if k:
                     np.add(total, part, out=total)
             yield total if fmap is None else fmap(total)
-    return _row_sums(blocks(), angular)
+    return _row_sums(blocks(), (count, *angular[1:]), ends)
 
 
-def _axis_terms(g: Callable, n: int) -> tuple | None:
+def _axis_terms(g: Callable, n: int) -> tuple[tuple | None, bool]:
     """How g is integrated: the one-variable factors terms[k] = (t_k1,
     ..., t_kn) when g(z) = map(sum_k prod_j t_kj(z_j)) with g's own
-    elementwise ``map`` (none: the sum itself), one term for a product;
-    else ``None``, the tensor grid.  This is the one choice between the
-    paths.  It is read from g's own ``terms`` and ``map`` and nowhere
-    else, so a wrapper that does not pass them on takes the tensor
-    grid."""
+    elementwise ``map`` (none: the sum itself), one term for a product,
+    else ``None``, the tensor grid; and whether the tensor grid or the
+    several terms take the half circle of the first axis, when g is
+    flagged ``conj_even``, g(conj z) = g(z).  This is the one choice
+    between the paths.  It is read from g's own ``terms``, ``map`` and
+    ``conj_even`` and nowhere else, so a wrapper that does not pass them
+    on takes the full tensor grid."""
     terms = getattr(g, "terms", None)
     for t in terms or ():
         if len(t) != n:
             raise ValueError(f"an integrand on {n} axes has {len(t)} "
                              f"factors")
-    return terms
+    half = bool(getattr(g, "conj_even", False)
+                and (terms is None or len(terms) > 1))
+    return terms, half
 
 
 def torus_cosets(g: Callable, radii, angular: Sequence[int],
@@ -352,8 +413,12 @@ def torus_cosets(g: Callable, radii, angular: Sequence[int],
     product, so each shell's integral is prod_j of map(values_j) summed
     over its circle.  Several terms form their values on the tensor grid
     from the factor values (:func:`_term_sums`).  Any other integrand is
-    evaluated on the tensor grid (:func:`torus_blocks`).  Every shell is
-    summed alone, so the block size moves no value.
+    evaluated on the tensor grid (:func:`torus_blocks`).  An integrand
+    flagged ``conj_even`` on either tensor path is evaluated only where
+    the first axis's angle lies in [0, pi] (:func:`half_circle`): each
+    shell's sum, with the values at 0 and pi halved, is doubled, which is
+    exact.  Every shell is summed alone, so the block size moves no
+    value.
     """
     radii = np.atleast_2d(np.asarray(radii, dtype=np.float64))
     rows, n = radii.shape
@@ -361,21 +426,24 @@ def torus_cosets(g: Callable, radii, angular: Sequence[int],
         raise ValueError("radii, angular node counts and shifts must align")
     weight = math.prod(TWO_PI / m for m in angular)
     points = torus_points(g, radii, angular, shifts)
-    terms = _axis_terms(g, n)
+    terms, half = _axis_terms(g, n)
+    if half:
+        weight *= 2.0
     if terms is None:
-        return ([_grid_sums(g, radii, angular, s) * weight for s in shifts],
-                points)
+        return ([_grid_sums(g, radii, angular, s, half) * weight
+                 for s in shifts], points)
     fmap = getattr(g, "map", None)
     values, index = {}, []
     for j, m in enumerate(angular):
         r, inverse = np.unique(radii[:, j], return_inverse=True)
         index.append(inverse)
         for h in {s[j] for s in shifts}:
+            count = _first_axis(m, h, half)[0] if j == 0 else m
             for fj in {id(term[j]): term[j] for term in terms}.values():
-                values[j, h, id(fj)] = _circle_values(fj, r, m, h)
+                values[j, h, id(fj)] = _circle_values(fj, r, m, h, count)
     if len(terms) > 1:
-        return ([_term_sums(terms, fmap, values, index, angular, s) * weight
-                 for s in shifts], points)
+        return ([_term_sums(terms, fmap, values, index, angular, s, half)
+                 * weight for s in shifts], points)
     sums = {key: (v if fmap is None else fmap(v)).sum(axis=1)
             for key, v in values.items()}
     return ([math.prod(sums[j, h, id(fj)][index[j]]
@@ -388,12 +456,14 @@ def torus_points(g: Callable, radii, angular: Sequence[int],
     """The points :func:`torus_cosets` reports for the same arguments,
     counted without evaluating g: the points it evaluates g at,
     prod_j m_j per shell and shift on the tensor grid, where a sum of
-    several products also forms its values; for a product m_j per
-    distinct radius and distinct shift on axis j."""
+    several products also forms its values, with the first axis's half
+    circle in place of m_1 for an integrand flagged ``conj_even``; for a
+    product m_j per distinct radius and distinct shift on axis j."""
     radii = np.atleast_2d(np.asarray(radii, dtype=np.float64))
-    terms = _axis_terms(g, radii.shape[1])
+    terms, half = _axis_terms(g, radii.shape[1])
     if terms is None or len(terms) > 1:
-        return len(shifts) * radii.shape[0] * math.prod(angular)
+        return radii.shape[0] * math.prod(angular[1:]) * sum(
+            _first_axis(angular[0], s[0], half)[0] for s in shifts)
     return sum(np.unique(radii[:, j]).size * m * len({s[j] for s in shifts})
                for j, m in enumerate(angular))
 

@@ -37,16 +37,19 @@ from .witnesses import fa_series
 
 @dataclass(frozen=True, eq=False)
 class TaggedEvaluator:
-    """Callable wrapper carrying the spike tag the estimators read.
+    """Callable wrapper carrying the declarations the estimators read.
 
     A tag s (one per coordinate, or a scalar for all) sets the angular
     floors and declares ``fn`` holomorphic on the polydisc of radii
     1/|s_j|, entire for s = 0; the Hardy estimators then integrate on the
-    boundary.  ``None`` declares nothing.
+    boundary.  ``None`` declares nothing.  ``conj_symmetric`` declares
+    fn(conj z) = conj fn(z), as real Taylor coefficients give; the norm
+    estimators then evaluate |fn|^p on half of each tensor grid.
     """
 
     fn: Callable
     spike: float | tuple | None = None
+    conj_symmetric: bool = False
 
     def __call__(self, *z):
         return self.fn(*z)
@@ -124,10 +127,19 @@ class RegistryEntry:
         spikes = tuple(s.spike for s in self.factors)
         return spikes if self.dim > 1 else spikes[0]
 
+    @property
+    def conj_symmetric(self) -> bool:
+        """Whether every factor declares f_j(conj z) = conj f_j(z); then
+        so do f, its S_N and its tail."""
+        return all(s.conj_symmetric for s in self.factors)
+
     @cached_property
     def evaluator(self) -> Callable:
-        """The series itself in one variable, else their product."""
-        return sum_of_products([self.factors])
+        """The series itself in one variable, else their product, tagged."""
+        if self.dim == 1:
+            return self.factors[0]
+        return TaggedEvaluator(sum_of_products([self.factors]), self.spike,
+                               self.conj_symmetric)
 
     def partial_evaluator(self, N: int) -> TaggedEvaluator:
         """Pointwise evaluator of the square partial sum of order N, the
@@ -136,12 +148,13 @@ class RegistryEntry:
         Each factor is tagged min(|s_j|, N/(N+1)): a polynomial keeps no
         pole, so its floors follow its degree.  Tails keep the entry's tag,
         as they keep the pole."""
-        parts = [TaggedEvaluator(s.partial(N), _degree_tag(s.spike, N))
-                 for s in self.factors]
+        parts = [TaggedEvaluator(s.partial(N), _degree_tag(s.spike, N),
+                                 s.conj_symmetric) for s in self.factors]
         if self.dim == 1:
             return parts[0]
         return TaggedEvaluator(sum_of_products([parts]),
-                               tuple(p.spike for p in parts))
+                               tuple(p.spike for p in parts),
+                               self.conj_symmetric)
 
     def tail_evaluator(self, N: int) -> TaggedEvaluator:
         """Pointwise evaluator of f minus its order-N square partial sum.
@@ -153,7 +166,8 @@ class RegistryEntry:
         parts = [s.partial(N) for s in self.factors[1:]]
         return TaggedEvaluator(
             sum_of_products(self.factors[:j] + (t, *parts[j:])
-                            for j, t in enumerate(tails)), self.spike)
+                            for j, t in enumerate(tails)), self.spike,
+            self.conj_symmetric)
 
 
 class FunctionRegistry:

@@ -317,6 +317,16 @@ def _negated(fn: Callable) -> Callable:
     return lambda z: -np.asarray(fn(z))
 
 
+def density_difference(f, q) -> TaggedEvaluator:
+    """f - q for the registry entry ``f`` and the factors ``q`` of a
+    product, as f + (-q_1) q_2 ... q_n, which is exact: negation commutes
+    with every rounding.  It carries f's spike tag, and is
+    ``conj_symmetric`` when every factor of f and of q is."""
+    return TaggedEvaluator(
+        sum_of_products([f.factors, (_negated(q[0]), *q[1:])]), f.spike,
+        f.conj_symmetric and all(s.conj_symmetric for s in q))
+
+
 def density_experiment(f, domain: ReinhardtDomain, p: float = 1.0,
                        eps_ladder: Sequence[float] = (0.5, 0.1, 0.02), *,
                        norm_tol: float = 1e-4,
@@ -386,11 +396,8 @@ def density_experiment(f, domain: ReinhardtDomain, p: float = 1.0,
                 break
         else:
             ok = False
-        # f - q as f + (-q_1) q_2 ... q_n, which is exact: negation
-        # commutes with every rounding
         q = [dilate_truncate(s, rho, M) for s in f.factors]
-        diff_tagged = TaggedEvaluator(
-            sum_of_products([f.factors, (_negated(q[0]), *q[1:])]), f.spike)
+        diff_tagged = density_difference(f, q)
         if n == 1:
             est = hardy_norm_disc(diff_tagged, p, norm_tol,
                                   max_nodes=max_nodes)

@@ -65,12 +65,14 @@ class PowerSeries:
     holomorphic on |z| < 1/|s| (entire for s = 0), so Hardy norms are taken
     on the unit circle; ``None`` promises nothing.  A series of known
     finite degree is a polynomial, hence entire, and its tag defaults to
-    0.0.
+    0.0.  ``conj_symmetric`` declares f(conj z) = conj f(z), which holds
+    when every coefficient is real: a coefficient list sets it from its
+    entries, a generator from the keyword (default off).
     """
 
     def __init__(self, *, coefficients=None, coefficient_fn=None, degree=None,
                  closed_form=None, spike=None, partial_form=None,
-                 tail_form=None):
+                 tail_form=None, conj_symmetric=False):
         if (coefficients is None) == (coefficient_fn is None):
             raise ValueError("give exactly one of coefficients / coefficient_fn")
         self.closed_form = closed_form
@@ -86,10 +88,12 @@ class PowerSeries:
                 self._degree = len(coeffs) - 1
             self._cache = coeffs
             self._fn = None
+            conj_symmetric = all(c.imag == 0 for c in coeffs)
         else:
             self._fn = coefficient_fn
             self._cache = []
             self._degree = degree
+        self.conj_symmetric = bool(conj_symmetric)
         self.spike = 0.0 if spike is None and self.is_polynomial else spike
 
     @classmethod

@@ -42,7 +42,8 @@ import numpy as np
 
 from .errors import PoleError
 from .quadrature import (TWO_PI, NormEstimate, RefinementReport,
-                         angular_floor, nested_levels, refine_until)
+                         angular_floor, half_circle, nested_levels,
+                         refine_until)
 from .series import PowerSeries
 
 
@@ -83,7 +84,9 @@ def eval_fa(a: complex, z):
 
 def fa_series(a: complex) -> PowerSeries:
     """The Taylor series of f_a with its closed forms attached: f_a itself,
-    and S_N f_a and f_a - S_N f_a from the split (:class:`T1T2Split`)."""
+    and S_N f_a and f_a - S_N f_a from the split (:class:`T1T2Split`).  It
+    is declared ``conj_symmetric`` when a is real, since its coefficients
+    then are."""
     a = _check_param(a)
     amod = abs(a)
     c0 = 1.0 - amod ** 2
@@ -93,7 +96,8 @@ def fa_series(a: complex) -> PowerSeries:
         lambda k: c0 * (k + 1) * abar ** k, degree=degree,
         closed_form=functools.partial(eval_fa, a), spike=amod,
         partial_form=lambda N: T1T2Split(a, N).partial,
-        tail_form=lambda N: T1T2Split(a, N).tail)
+        tail_form=lambda N: T1T2Split(a, N).tail,
+        conj_symmetric=a.imag == 0)
 
 
 @dataclass(frozen=True)
@@ -217,16 +221,17 @@ def _ic_mean(c: float, z: complex, m: int,
     half-width eps to about eps / delta and puts its own pole, of half-width
     about delta / 2, at phi = pi; delta = sqrt(2 eps) balances the two, so the
     rule converges like exp(-m sqrt(2 eps)), not exp(-m eps).  The
-    integrand is even in phi, so only the nodes in [0, pi] are evaluated,
-    at pi j / m with j = 2 shift, 2 shift + 2, ..., <= m: a node at 0 or
-    pi is its own mirror image and counts once, every other node twice,
-    for odd and even m, shifted or not.  The sum is numpy's pairwise
-    ``np.sum``.
+    integrand is even in phi, so only the nodes in [0, pi] are evaluated
+    (``quadrature.half_circle``, the half circle of the norm estimators),
+    at pi j / m with j = 2 (k + shift): a node at 0 or pi is its own
+    mirror image and counts once, every other node twice.  The sum is
+    numpy's pairwise ``np.sum``.
     """
     r = abs(complex(z))
     eps = 1.0 - r
     delta = _ic_delta(eps)
-    j = np.arange(2.0 * shift, m + 1, 2.0)
+    count, ends = half_circle(m, shift)
+    j = 2.0 * (np.arange(count) + shift)
     step = np.pi / (2 * m)                             # phi / 2 = j * step
     h = np.sin(j * step)
     h *= h
@@ -245,11 +250,8 @@ def _ic_mean(c: float, z: complex, m: int,
     den **= 0.5 * (c - 1.0)
     h *= den
     h *= delta * (2.0 - delta)
-    if shift == 0.0:                                   # phi = 0
-        h[0] *= 0.5
-    if 2.0 * shift + 2.0 * (h.size - 1) == m:          # phi = pi
-        h[-1] *= 0.5
-    return float(2.0 * np.sum(h) / m), int(h.size)
+    h[list(ends)] *= 0.5
+    return float(2.0 * np.sum(h) / m), count
 
 
 def _ic_delta(eps: float) -> float:

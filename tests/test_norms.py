@@ -10,12 +10,14 @@ import pytest
 
 from hardylab import norms
 from hardylab.errors import DomainModelError
+from hardylab.experiments import RunConfig
 from hardylab.norms import (NormEstimate, bergman_norm_disc,
                             bergman_norm_reinhardt, boundary_grid,
                             hardy_norm_disc, hardy_norm_reinhardt,
                             monotonicity_check)
 from hardylab.quadrature import (RefinementReport, angular_floor,
-                                 half_shifts, torus_points)
+                                 half_shifts, torus_cosets, torus_integrals,
+                                 torus_points)
 from hardylab.registry import (TaggedEvaluator, default_registry, fa_entry,
                                product_entry, sum_of_products)
 from hardylab.reinhardt import ball, frontier_sample, polydisc, power_egg
@@ -570,9 +572,11 @@ def test_hardy_reinhardt_budget_below_the_first_doubling():
     assert est.report.rel_change == np.inf
 
 
-@pytest.mark.parametrize("p", [float("nan"), 0.0, -1.0])
+@pytest.mark.parametrize("p", [float("nan"), 0.0, -1.0, np.inf])
 def test_every_estimator_refuses_a_non_positive_exponent(p):
-    # one check, in _abs_power, which every estimator calls; NaN included
+    # one check, in _abs_power, which every estimator calls; NaN and an
+    # infinite exponent included (|f|^inf is 0 or inf on every node, and
+    # x ** (1/inf) is 1, so it gave 1.0 and a passing monotonicity check)
     f = fa_series(0.5)
     calls = [lambda: hardy_norm_disc(f, p),
              lambda: bergman_norm_disc(f, p),
@@ -742,3 +746,66 @@ def test_bergman_disc_call_keeps_its_heap_pages():
                          capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stderr
     assert int(run.stdout.split()[-1]) < 25_000
+
+
+def test_blowup_bergman_call_on_s512_takes_the_half_circle(monkeypatch):
+    # run_blowup's largest call, ||S_512 f_a||_A1 at a = 512/513 at the
+    # runner's tol and budget: the real coefficients of f_a flag |S_N f_a|
+    # conj_even, so every ring is evaluated on its half circle, at half the
+    # points of the full grid (the same wrapper with the flag off)
+    levels = []
+    refine = norms.refine_until
+
+    def counted(integrator, *args, **kw):
+        def level_fn(level):
+            value, nodes = integrator(level)
+            levels.append(math.prod(nodes))
+            return value, nodes
+        return refine(level_fn, *args, **kw)
+    monkeypatch.setattr(norms, "refine_until", counted)
+    cfg = RunConfig()
+    sn = fa_entry(512 / 513).partial_evaluator(512)
+    assert sn.conj_symmetric
+    for f, total, last in ((sn, 12_023_840, 7_556_784),
+                           (TaggedEvaluator(sn.fn, sn.spike), 24_045_760,
+                            15_113_312)):
+        levels.clear()
+        est = bergman_norm_disc(f, 1.0, cfg.tol, max_nodes=cfg.vol_cap())
+        assert est.converged
+        assert sum(levels) == total and est.report.node_counts == (last,)
+
+
+class _DeclaredFa:
+    # f_a at a = 0.9 declared conj_symmetric, counting its points
+    conj_symmetric = True
+    spike = 0.9
+
+    def __init__(self):
+        self.points = 0
+
+    def __call__(self, z):
+        self.points += np.size(z)
+        return fa_series(0.9)(z)
+
+
+def test_undeclared_integrands_take_the_full_grid():
+    # only |f|^p of a conj_symmetric f takes the half circle: an undeclared
+    # lambda and poly-3 (complex coefficients), its S_N and its tail are
+    # evaluated on every node, and so is a declared series integrated raw,
+    # with no |.|^p, whose integral the half circle would get wrong
+    poly3 = default_registry().get("poly-3")
+    radii, ms, shifts = [[0.9], [1.0]], (256,), [(0.0,), (0.5,)]
+    for f in (lambda z: 1.0 + z, poly3.evaluator, poly3.partial_evaluator(2),
+              poly3.tail_evaluator(2)):
+        g = norms._abs_power(f, 1.0)
+        assert not g.conj_even
+        assert (torus_cosets(g, radii, ms, shifts)[1]
+                == torus_points(g, radii, ms, shifts) == 2 * 2 * 256)
+    raw = _DeclaredFa()
+    values = torus_integrals(raw, radii, ms)
+    assert raw.points == 2 * 256
+    # the mean value property: 2 pi f_a(0) = 2 pi (1 - a^2) on each circle
+    np.testing.assert_allclose(values, TWO_PI * 0.19, rtol=1e-9)
+    absolute = _DeclaredFa()
+    torus_integrals(norms._abs_power(absolute, 1.0), radii, ms)
+    assert absolute.points == 2 * 129

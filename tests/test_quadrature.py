@@ -6,12 +6,14 @@ import pytest
 from hardylab.norms import (_abs_power, _radial_cells, bergman_norm_disc,
                             bergman_norm_reinhardt)
 from hardylab.quadrature import (angular_floor, doubled, dyadic_panels,
-                                 half_shifts, refine_until, torus_blocks,
-                                 torus_cosets, torus_integrals, torus_levels,
-                                 torus_points, unit_nodes)
+                                 half_circle, half_shifts, refine_until,
+                                 torus_blocks, torus_cosets, torus_integrals,
+                                 torus_levels, torus_points, unit_nodes)
 from hardylab.registry import (default_registry, product_entry,
                                sum_of_products)
-from hardylab.reinhardt import _negated, ball, dilate_truncate, polydisc
+from hardylab.reinhardt import (_negated, ball, density_difference,
+                                dilate_truncate, polydisc)
+from hardylab.witnesses import fa_series
 
 TWO_PI = 2.0 * np.pi
 
@@ -342,7 +344,9 @@ def test_sums_of_products_match_the_tensor_grid(monkeypatch, dim, domain,
     # hidden bit for bit, with and without the |.|^p map, at every shift
     # and block size, on shells that share radii on an axis (polydisc
     # cells) and shells that do not (ball cells), whole or cut along
-    # their first axis
+    # their first axis.  The hidden callable keeps the integrand's
+    # conj_even flag: the declared tail takes the half circle of the first
+    # axis on both paths, the undeclared difference the full grid.
     f = _sum_cases(dim)[kind]
     assert f.terms is not None and len(f.terms) == (dim if kind == "tail"
                                                     else 2)
@@ -350,12 +354,17 @@ def test_sums_of_products_match_the_tensor_grid(monkeypatch, dim, domain,
     cells, _ = _radial_cells(dom, 0, 3 if dim == 2 else 2)
     for g in (f, _abs_power(f, 1.0), _abs_power(f, 3.0)):
         hidden = lambda *z, g=g: g(*z)   # noqa: E731
+        hidden.conj_even = getattr(g, "conj_even", False)
+        half = hidden.conj_even
+        assert half == (kind == "tail" and g is not f)
         for ms in _SUM_COUNTS[dim]:
             for shifts in ([(0.0,) * dim], [(0.5,) + (0.0,) * (dim - 1)],
                            half_shifts(dim)):
                 _chunk(monkeypatch, 1 << 22)
                 tensor, points = torus_cosets(hidden, cells, ms, shifts)
-                assert points == len(shifts) * len(cells) * math.prod(ms)
+                first = [half_circle(ms[0], s[0])[0] if half else ms[0]
+                         for s in shifts]
+                assert points == sum(first) * len(cells) * math.prod(ms[1:])
                 for chunk in (1024, 4096, None, 1 << 22):
                     _chunk(monkeypatch, chunk)
                     values, terms_points = torus_cosets(g, cells, ms, shifts)
@@ -530,3 +539,69 @@ def test_torus_blocks_cut_a_large_circle_into_near_equal_arcs(monkeypatch,
                         whole[j][k:k + 1], cut.shape).tobytes()
             assert (torus_integrals(_complex_smooth, radii, ms, shift)
                     .tobytes() == value.tobytes())
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.5])
+def test_half_circle_takes_the_nodes_in_zero_to_pi(shift):
+    # brute force over the full rule: the nodes whose angle lies in [0, pi]
+    # are the first count, those at 0 or pi are their own mirror images,
+    # and unit_nodes builds the first count of them bit for bit
+    for m in list(range(1, 12)) + [64, 65, 16385]:
+        angles = [2 * (k + shift) for k in range(m)]       # in units of pi/m
+        count, ends = half_circle(m, shift)
+        assert [k for k, t in enumerate(angles) if t <= m] == list(
+            range(count))
+        assert ends == tuple(k for k in range(count) if angles[k] in (0, m))
+        assert (unit_nodes(m, shift=shift, count=count).tobytes()
+                == unit_nodes(m, shift=shift)[:count].tobytes())
+
+
+def _declared_cases(dim):
+    # integrands flagged conj_even (|f| of a conj_symmetric f): in one
+    # variable mono-k, f_a, S_N f_a, its tail and a density difference; in
+    # several a product and its S_N with their terms hidden (so they take
+    # the tensor grid), and a tail and a density difference (their terms)
+    reg = default_registry()
+    fa09, fa05, mono2 = (reg.get(k) for k in ("fa-0.9", "fa-0.5", "mono-2"))
+    if dim == 1:
+        entry = fa09
+        fs = [mono2.evaluator, fa_series(0.9), fa09.partial_evaluator(8)]
+    else:
+        entry = product_entry((fa09, mono2, fa05)[:dim])
+        fs = []
+        for f in (entry.evaluator, entry.partial_evaluator(8)):
+            g = _abs_power(f, 1.0)
+            hidden = lambda *z, g=g: g(*z)   # noqa: E731
+            hidden.conj_even = True
+            fs.append(hidden)
+    q = [dilate_truncate(s, 0.75, 6) for s in entry.factors]
+    fs += [entry.tail_evaluator(8), density_difference(entry, q)]
+    return [f if hasattr(f, "conj_even") else _abs_power(f, p)
+            for f in fs for p in (1.0, 3.0)]
+
+
+_HALF_RADII = {1: [[0.9], [1.0]], 2: [[0.9, 0.5], [1.0, 1.0]],
+               3: [[1.0, 0.7, 0.5]]}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_half_circle_rule_matches_the_full_grid(dim):
+    # a conj_even integrand evaluated on the first axis's half circle and
+    # doubled gives the full tensor grid's integral to roundoff, at odd and
+    # even counts, shifted or not, on the tensor grid and the several-term
+    # path, with the half circle's points
+    radii = _HALF_RADII[dim]
+    for g in _declared_cases(dim):
+        assert g.conj_even
+        full = lambda *z, g=g: g(*z)   # noqa: E731
+        for m in (1, 2, 3, 4, 5, 64, 65, 16385):
+            ms = (m, 6, 5)[:dim]
+            for shift in (0.0, 0.5):
+                shifts = [(shift,) + (0.0, 0.5)[:dim - 1]]
+                (half,), points = torus_cosets(g, radii, ms, shifts)
+                (ref,), ref_points = torus_cosets(full, radii, ms, shifts)
+                np.testing.assert_allclose(half, ref, rtol=1e-13, atol=0)
+                count = half_circle(m, shift)[0]
+                assert points == torus_points(g, radii, ms, shifts) == (
+                    len(radii) * count * math.prod(ms[1:]))
+                assert ref_points == len(radii) * math.prod(ms)

@@ -3,14 +3,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hardylab.norms import hardy_norm_reinhardt
+from hardylab.norms import _abs_power, hardy_norm_reinhardt
 from hardylab.quadrature import torus_integrals
 from hardylab.registry import (RegistryEntry, TaggedEvaluator,
                                default_registry, fa_entry, monomial_entry,
                                polynomial_entry, product_entry,
                                sum_of_products)
-from hardylab.reinhardt import _negated, dilate_truncate, polydisc
+from hardylab.reinhardt import (_negated, density_difference,
+                                dilate_truncate, polydisc)
 from hardylab.series import PowerSeries, partial_sum
+from hardylab.witnesses import fa_series
 
 RNG = np.random.default_rng(5150)
 PTS = RNG.uniform(-0.65, 0.65, 12) + 1j * RNG.uniform(-0.65, 0.65, 12)
@@ -301,3 +303,39 @@ def test_entries_are_products_of_power_series():
     for factors in ((), (lambda z: z,), (geometric_series(), 1.0)):
         with pytest.raises(TypeError, match="PowerSeries"):
             RegistryEntry("g", factors)
+
+
+def test_conjugate_symmetry_is_declared_exactly_for_real_coefficients():
+    # an entry, its S_N, its tail and its density difference declare
+    # f(conj z) = conj f(z) exactly when every factor's first 64
+    # coefficients are real, and _abs_power turns that into the integrand
+    # flag; the seeded complex polynomials declare nothing
+    reg = default_registry()
+    for entry in reg.entries():
+        real = all(not np.any(s.coefficients(63).imag)
+                   for s in entry.factors)
+        assert entry.conj_symmetric is real
+        q = [dilate_truncate(s, 0.75, 6) for s in entry.factors]
+        for f in (entry.evaluator, entry.partial_evaluator(8),
+                  entry.tail_evaluator(8), density_difference(entry, q)):
+            assert f.conj_symmetric is real, entry.name
+            assert _abs_power(f, 1.0).conj_even is real, entry.name
+    for name in ("poly-3", "poly-7", "poly-12"):
+        assert not reg.get(name).conj_symmetric
+
+
+def test_power_series_and_wrappers_declare_conjugate_symmetry():
+    # a coefficient list derives it, a generator takes the keyword, f_a
+    # declares it for real a, and a positional (fn, spike) wrapper is off
+    assert PowerSeries.from_coefficients([1.0, -2.0, 0.5]).conj_symmetric
+    assert not PowerSeries.from_coefficients([1.0, 0.5j]).conj_symmetric
+    assert not PowerSeries.from_coefficients(
+        [1.0, 0.5j], conj_symmetric=True).conj_symmetric
+    assert not geometric_series().conj_symmetric
+    assert PowerSeries.from_generator(lambda k: 1.0,
+                                      conj_symmetric=True).conj_symmetric
+    assert fa_series(0.9).conj_symmetric and fa_series(0.0).conj_symmetric
+    assert not fa_series(0.5j).conj_symmetric
+    assert not RegistryEntry("g", (fa_series(0.5j),)).partial_evaluator(
+        4).conj_symmetric
+    assert not TaggedEvaluator(lambda z: z, 0.0).conj_symmetric

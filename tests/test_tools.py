@@ -38,3 +38,33 @@ def test_same_tables_fails_a_missing_file(tmp_path, capsys):
     dirs = _tables(tmp_path, {**table, "u.csv": "N\n8\n"}, table)
     assert not same_tables.compare(dirs)
     assert "u.csv: only in parent" in capsys.readouterr().out
+
+
+def test_same_tables_max_rel_passes_numeric_drift_within_its_bound(tmp_path,
+                                                                    capsys):
+    parent = {"t.csv": "N,value,ok\n8,2.0,true\n16,1.0,true\n",
+              "u.csv": "N\n8\n"}
+    drift = {"t.csv": "N,value,ok\n8,2.0000000000002,true\n16,1.0,true\n",
+             "u.csv": "N\n8\n"}
+    dirs = _tables(tmp_path, parent, drift)
+    assert not same_tables.compare(dirs)             # byte-exact by default
+    assert same_tables.compare(dirs, max_rel=1e-12)
+    assert "largest relative difference 9.99e-14, within 1e-12" in \
+        capsys.readouterr().out
+    assert not same_tables.compare(dirs, max_rel=1e-14)
+
+
+def test_same_tables_max_rel_fails_a_changed_non_numeric_cell(tmp_path):
+    # a changed flag, a missing cell and a NaN all fail at any bound
+    for k, row in enumerate(("8,2.0,false\n", "8,2.0\n", "8,nan,true\n")):
+        (tmp_path / str(k)).mkdir()
+        dirs = _tables(tmp_path / str(k),
+                       {"t.csv": "N,value,ok\n8,2.0,true\n"},
+                       {"t.csv": "N,value,ok\n" + row})
+        assert not same_tables.compare(dirs, max_rel=1.0)
+
+
+def test_same_tables_reads_each_runners_exit_code():
+    out = ("uniform-bound: exit 0 -> out/uniform-bound.csv\n"
+           "blowup: exit 2 -> out/blowup.csv\nother line\n")
+    assert same_tables.exit_codes(out) == {"uniform-bound": 0, "blowup": 2}

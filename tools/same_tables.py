@@ -1,15 +1,19 @@
 """Byte comparison of every ``hardylab all`` table: a parent tree against a
 changed one.
 
-    python3 tools/same_tables.py --parent OLD --change NEW [--out DIR]
+    python3 tools/same_tables.py --parent OLD --change NEW [--out DIR] \
+        [--max-rel X]
 
 Runs ``hardylab all`` once in each tree, one at a time, with that tree's
 ``src`` on ``PYTHONPATH``, writing the CSVs under ``DIR/parent`` and
 ``DIR/change`` (default: a temporary directory), then compares each CSV
 byte for byte.  For a file that differs it prints every differing cell
 (row, column, both values) and the largest relative difference of the
-numeric ones.  Exits 0 only when both trees wrote the same files and every
-one is identical.
+numeric ones.  Exits 0 only when both trees wrote the same files, every
+runner exited with the same code in both, and every file is identical;
+with ``--max-rel X``, a file also passes when every cell that differs is
+numeric in both trees and differs by at most X relative, so a change that
+moves values at roundoff can be checked.
 """
 
 from __future__ import annotations
@@ -39,6 +43,17 @@ def run_all(tree: Path, out: Path) -> str:
         raise SystemExit(f"{tree}: hardylab all wrote nothing "
                          f"(exit {proc.returncode}):\n{proc.stderr}")
     return proc.stdout
+
+
+def exit_codes(stdout: str) -> dict:
+    """Each runner's exit code, from the ``<name>: exit <code> -> <path>``
+    lines ``hardylab all`` prints."""
+    codes = {}
+    for line in stdout.splitlines():
+        name, sep, rest = line.partition(": exit ")
+        if sep:
+            codes[name] = int(rest.split()[0])
+    return codes
 
 
 def _rel(a: str, b: str) -> float | None:
@@ -78,9 +93,10 @@ def differing_cells(old: Path, new: Path) -> tuple[list, float | None]:
     return cells, worst
 
 
-def compare(dirs: dict) -> bool:
+def compare(dirs: dict, max_rel: float | None = None) -> bool:
     """Print the comparison of the CSVs in ``dirs``; True when every file
-    is in both and identical."""
+    is in both and identical, or, given ``max_rel``, differs only in
+    numeric cells, each by at most ``max_rel`` relative."""
     files = {side: {p.name for p in dirs[side].glob("*.csv")}
              for side in SIDES}
     same = files["parent"] == files["change"] and bool(files["parent"])
@@ -92,11 +108,15 @@ def compare(dirs: dict) -> bool:
         if filecmp.cmp(old, new, shallow=False):
             print(f"{name}: identical")
             continue
-        same = False
         cells, worst = differing_cells(old, new)
+        rels = [_rel(x, y) for _, _, x, y in cells]
+        close = max_rel is not None and all(
+            rel is not None and rel <= max_rel for rel in rels)
+        same = same and close
         worst_text = "none numeric" if worst is None else f"{worst:.3g}"
         print(f"{name}: {len(cells)} cells differ, largest relative "
-              f"difference {worst_text}")
+              f"difference {worst_text}"
+              + (f", within {max_rel:g}" if close else ""))
         for row, col, x, y in cells:
             print(f"  row {row} {col}: {x} -> {y}")
     return same
@@ -107,15 +127,24 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--out", type=Path)
+    ap.add_argument("--max-rel", type=float,
+                    help="pass numeric cells within this relative difference")
     args = ap.parse_args(argv)
+    codes = {}
     with tempfile.TemporaryDirectory() as tmp:
         root = (args.out or Path(tmp)).resolve()
         dirs = {side: root / side for side in SIDES}
         for side, tree in (("parent", args.parent), ("change", args.change)):
             print(f"{side} ({tree}):", file=sys.stderr, flush=True)
-            print(run_all(tree, dirs[side]), end="", file=sys.stderr)
-        same = compare(dirs)
-    print("all tables identical" if same else "tables differ")
+            stdout = run_all(tree, dirs[side])
+            print(stdout, end="", file=sys.stderr)
+            codes[side] = exit_codes(stdout)
+        same = compare(dirs, args.max_rel)
+    if codes["parent"] != codes["change"]:
+        print(f"exit codes differ: {codes['parent']} -> {codes['change']}")
+        same = False
+    exact = "identical" if args.max_rel is None else f"within {args.max_rel:g}"
+    print(f"all tables {exact}" if same else "tables differ")
     return 0 if same else 1
 
 
