@@ -201,7 +201,7 @@ def run_uniform_bound(config: RunConfig | None = None,
         k = _monomial_degree(entry)
         degree = entry.factors[0].degree
         h1 = hardy_norm_disc(entry.evaluator, 1.0, cfg.tol,
-                             spike=entry.spike, max_nodes=cfg.max_nodes)
+                             max_nodes=cfg.max_nodes)
         # S_N f = f for N >= deg f, so norms are taken once per min(N, deg
         # f) and tag (a polynomial's own tag can differ between orders)
         memo = {}
@@ -211,9 +211,9 @@ def run_uniform_bound(config: RunConfig | None = None,
             key = (N if degree is None else min(N, degree), sn.spike)
             if key not in memo:
                 memo[key] = (
-                    bergman_norm_disc(sn, 1.0, cfg.tol, spike=sn.spike,
+                    bergman_norm_disc(sn, 1.0, cfg.tol,
                                       max_nodes=cfg.vol_cap()),
-                    hardy_norm_disc(sn, 1.0, cfg.tol, spike=sn.spike,
+                    hardy_norm_disc(sn, 1.0, cfg.tol,
                                     max_nodes=cfg.max_nodes))
             a1, h1n = memo[key]
             res.add(t1, entry.name, N, a_val, h1.value, a1.value,
@@ -271,7 +271,6 @@ def run_a1_convergence(config: RunConfig | None = None,
         for N in cfg.n_set:
             t0 = time.perf_counter()
             err = bergman_norm_disc(entry.tail_evaluator(N), 1.0, cfg.tol,
-                                    spike=entry.spike,
                                     max_nodes=cfg.vol_cap())
             res.add(t0, name, N, degree, err.value, err.converged)
             if name.startswith("fa-") and degree is None:
@@ -400,7 +399,7 @@ def reinhardt_case(registry: FunctionRegistry, domain=None,
     if entry.dim != dom.dim:
         raise ValueError(f"function {function!r} has dimension {entry.dim} "
                          f"but the {dom.kind} domain has dimension {dom.dim}")
-    boundary_grid(entry.evaluator, dom, spike=entry.spike)
+    boundary_grid(entry.evaluator, dom)
     return entry, dom
 
 
@@ -423,8 +422,7 @@ def run_reinhardt(config: RunConfig | None = None,
                            ("domain", "function", "N", "h1_f", "a1_partial",
                             "ratio", "err_a1", "converged"))
     h1 = hardy_norm_reinhardt(entry.evaluator, 1.0, dom, dirs=64,
-                              tol=cfg.tol, spike=entry.spike,
-                              max_nodes=cfg.max_nodes)
+                              tol=cfg.tol, max_nodes=cfg.max_nodes)
     # The ratio gate is 10%, so 1e-4 relative quadrature leaves three
     # orders of headroom and stays inside the node budget.
     a1_tol = max(cfg.tol, 1e-4)
@@ -437,8 +435,7 @@ def run_reinhardt(config: RunConfig | None = None,
         # The error integrand has modulus kinks along its zero set, so it
         # gets a looser relative target; the gate on it is absolute 1e-2.
         errn = bergman_norm_reinhardt(entry.tail_evaluator(N), 1.0, dom,
-                                      tol=1e-3, spike=entry.spike,
-                                      max_nodes=cfg.vol_cap())
+                                      tol=1e-3, max_nodes=cfg.vol_cap())
         res.add(t0, dom.kind, entry.name, N, h1.value, a1.value,
                 a1.value / h1.value, errn.value,
                 h1.converged and a1.converged and errn.converged)
@@ -461,8 +458,7 @@ def run_reinhardt(config: RunConfig | None = None,
         t_lo = float(rng.uniform(0.2, 0.85))
         t_hi = t_lo + float(rng.uniform(0.05, 0.13))
         if not monotonicity_check(entry.evaluator, 1.0, t_lo * radii,
-                                  t_hi * radii, tol=1e-9,
-                                  spike=entry.spike):
+                                  t_hi * radii, tol=1e-9):
             failures += 1
     info = {"h1_f": h1.value, "plateau_base": base,
             "plateau_tail_max": tail_max, "final_err": final_err,

@@ -40,14 +40,14 @@ frontier shells reach a declared pole, r_j |s_j| >= 1: f has no Hardy
 norm there (:func:`boundary_grid`).
 
 Every estimator builds its integrand |f|^p with :func:`_abs_power`.  When
-f holds the ``terms`` of a sum of products (``registry.sum_of_products``,
-or a ``TaggedEvaluator`` around one), so does the integrand, with the
-|.|^p map, and ``quadrature.torus_cosets`` evaluates each factor once per
-distinct radius and shift on its axis; the estimators themselves do not
-branch.  A product is the one-term sum and is integrated factor by
-factor, at sum_j m_j points per shell instead of prod_j m_j: the Hardy
-norm of a product, the Bergman norm of its square partial sums (S_N f is
-the product of the factors' S_N) and the shell checks take that path on
+f holds the ``terms`` of a sum of products (``registry.sum_of_products``),
+so does the integrand, with the |.|^p map, and in several variables
+``quadrature.torus_cosets`` evaluates each factor once per distinct
+radius and shift on its axis; the estimators themselves do not branch.
+A product is the one-term sum and is integrated factor by factor, at
+sum_j m_j points per shell instead of prod_j m_j: the Hardy norm of a
+product, the Bergman norm of its square partial sums (S_N f is the
+product of the factors' S_N) and the shell checks take that path on
 every domain kind, since the radial cells need not form a product.
 Tails and density differences, with several terms, form |f|^p on the
 tensor grid from the factor values, bit for bit the callable's own, at

@@ -377,16 +377,16 @@ def _term_sums(terms, fmap, values, index, angular: Sequence[int],
 
 
 def _axis_terms(g: Callable, n: int) -> tuple[tuple | None, bool]:
-    """How g is integrated: the one-variable factors terms[k] = (t_k1,
-    ..., t_kn) when g(z) = map(sum_k prod_j t_kj(z_j)) with g's own
-    elementwise ``map`` (none: the sum itself), one term for a product,
-    else ``None``, the tensor grid; and whether the tensor grid or the
-    several terms take the half circle of the first axis, when g is
-    flagged ``conj_even``, g(conj z) = g(z).  This is the one choice
-    between the paths.  It is read from g's own ``terms``, ``map`` and
-    ``conj_even`` and nowhere else, so a wrapper that does not pass them
-    on takes the full tensor grid."""
-    terms = getattr(g, "terms", None)
+    """How g is integrated: on n >= 2 axes the one-variable factors
+    terms[k] = (t_k1, ..., t_kn) when g(z) = map(sum_k prod_j t_kj(z_j))
+    with g's own elementwise ``map`` (none: the sum itself), one term for
+    a product, else ``None``, the tensor grid (on one axis, the circle);
+    and whether the tensor grid or the several terms take the half circle
+    of the first axis, when g is flagged ``conj_even``, g(conj z) = g(z).
+    This is the one choice between the paths.  It is read from g's own
+    ``terms``, ``map`` and ``conj_even`` and nowhere else, so a wrapper
+    that does not pass them on takes the full tensor grid."""
+    terms = getattr(g, "terms", None) if n > 1 else None
     for t in terms or ():
         if len(t) != n:
             raise ValueError(f"an integrand on {n} axes has {len(t)} "

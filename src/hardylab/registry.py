@@ -12,15 +12,16 @@ factor gives its own S_N and tail (``PowerSeries.partial``/``tail``):
     polynomials       their coefficients up to N, and above N
 
 One builder, :func:`sum_of_products`, makes the evaluators of products
-and of sums of products: a product is the one-term sum, and in several
-variables each holds its ``terms``.
+and of sums of products: a product is the one-term sum, and each holds
+its ``terms``.
 
 A spike tag declares a function holomorphic past the closed unit
 polydisc: 0.0 for polynomials, |a| for the f_a family, one tag per
-factor; ``None`` declares nothing.  Tails carry the entry's tag; a
-partial sum of order N, a polynomial, carries min(|s_j|, N/(N+1)) on
-each axis.  The default catalog is seeded so polynomial coefficients,
-and hence every derived table, are reproducible.
+factor; ``None`` declares nothing.  A factor's S_N, a polynomial, is
+tagged min(|s_j|, N/(N+1)); a sum of products derives its declarations
+from its factors, so tails carry the entry's tag.  The default catalog is
+seeded so polynomial coefficients, and hence every derived table, are
+reproducible.
 """
 
 from __future__ import annotations
@@ -54,25 +55,23 @@ class TaggedEvaluator:
     def __call__(self, *z):
         return self.fn(*z)
 
-    @property
-    def terms(self) -> tuple | None:
-        """The terms of ``fn`` when it is a sum of products in several
-        variables, a product included, else ``None``."""
-        return getattr(self.fn, "terms", None)
-
 
 def sum_of_products(terms) -> Callable:
     """(z_1, ..., z_n) -> sum_k terms[k][0](z_1) * ... * terms[k][n-1](z_n):
     each term's factors multiplied left to right, the terms added left to
-    right.  A product is the one-term sum.
+    right.  A product is the one-term sum; a single factor is itself.
 
-    Terms of unequal length are refused, and so is a call with other than
-    n coordinates.  In several variables the callable holds its ``terms``,
-    a tuple of per-axis factor tuples; the norm estimators read them to
-    integrate it from per-axis factor values (``quadrature.torus_cosets``).
-    In one variable a single factor is the factor itself, and a sum of
-    several is a one-variable function like any other."""
+    An empty sum or term, terms of unequal length and a call with other
+    than n coordinates are refused.  The callable holds its ``terms``,
+    per-axis factor tuples, which the norm estimators read in several
+    variables (``quadrature.torus_cosets``).  It declares what its factors
+    do: on each axis the tag of largest modulus, ``None`` when a factor
+    there declares nothing (a scalar in one variable), as a sum is
+    holomorphic where every term is; ``conj_symmetric`` when every factor
+    is, as conjugate symmetry survives products and sums."""
     terms = tuple(tuple(term) for term in terms)
+    if not terms or not terms[0]:
+        raise ValueError(f"a sum of products needs a factor, got {terms}")
     n = len(terms[0])
     if any(len(term) != n for term in terms):
         raise ValueError(f"terms need one factor per coordinate, got "
@@ -90,23 +89,27 @@ def sum_of_products(terms) -> Callable:
                 out = out * np.asarray(f(z))
             acc = out if acc is None else acc + out
         return acc
-    if n > 1:
-        fn.terms = terms
+    fn.terms = terms
+    axes = [[getattr(t[j], "spike", None) for t in terms] for j in range(n)]
+    spike = [None if None in tags else max(tags, key=abs) for tags in axes]
+    fn.spike = tuple(spike) if n > 1 else spike[0]
+    fn.conj_symmetric = all(getattr(f, "conj_symmetric", False)
+                            for term in terms for f in term)
     return fn
 
 
-def _degree_tag(spike, N: int):
-    """The spike tag of an order-N partial sum: min(|s|, N/(N+1)).  A
-    polynomial of degree N is entire, so any tag is a true declaration;
-    this one sets the floor of degree N instead of the pole's.  ``None``
-    stays ``None``."""
-    return None if spike is None else min(abs(spike), N / (N + 1.0))
+def _partial(s: PowerSeries, N: int) -> TaggedEvaluator:
+    """S_N of the series s, tagged min(|s|, N/(N+1)), ``None`` if s is:
+    S_N is entire, so it takes the floor of its degree, not the pole's."""
+    tag = None if s.spike is None else min(abs(s.spike), N / (N + 1.0))
+    return TaggedEvaluator(s.partial(N), tag, s.conj_symmetric)
 
 
 @dataclass(frozen=True, eq=False)
 class RegistryEntry:
     """A named test function, the product of its one-variable series
-    ``factors``, with evaluators for it and its partial sums."""
+    ``factors``, with evaluators for it and its partial sums, each one
+    :func:`sum_of_products`."""
 
     name: str
     factors: tuple
@@ -123,51 +126,39 @@ class RegistryEntry:
 
     @property
     def spike(self) -> float | tuple | None:
-        """The factor's tag in one variable, the tuple of tags otherwise."""
-        spikes = tuple(s.spike for s in self.factors)
-        return spikes if self.dim > 1 else spikes[0]
+        """The evaluator's: the factors' tags, a scalar in one variable."""
+        return self.evaluator.spike
 
     @property
     def conj_symmetric(self) -> bool:
-        """Whether every factor declares f_j(conj z) = conj f_j(z); then
-        so do f, its S_N and its tail."""
-        return all(s.conj_symmetric for s in self.factors)
+        """The evaluator's: whether every factor is conj_symmetric."""
+        return self.evaluator.conj_symmetric
 
     @cached_property
     def evaluator(self) -> Callable:
-        """The series itself in one variable, else their product, tagged."""
-        if self.dim == 1:
-            return self.factors[0]
-        return TaggedEvaluator(sum_of_products([self.factors]), self.spike,
-                               self.conj_symmetric)
+        """The product of the factors; in one variable the series itself."""
+        return sum_of_products([self.factors])
 
-    def partial_evaluator(self, N: int) -> TaggedEvaluator:
+    def partial_evaluator(self, N: int) -> Callable:
         """Pointwise evaluator of the square partial sum of order N, the
         product of the factors' S_N; in one variable this is S_N f.
 
-        Each factor is tagged min(|s_j|, N/(N+1)): a polynomial keeps no
-        pole, so its floors follow its degree.  Tails keep the entry's tag,
-        as they keep the pole."""
-        parts = [TaggedEvaluator(s.partial(N), _degree_tag(s.spike, N),
-                                 s.conj_symmetric) for s in self.factors]
-        if self.dim == 1:
-            return parts[0]
-        return TaggedEvaluator(sum_of_products([parts]),
-                               tuple(p.spike for p in parts),
-                               self.conj_symmetric)
+        Each factor is tagged min(|s_j|, N/(N+1)) (:func:`_partial`): a
+        polynomial keeps no pole, so its floors follow its degree.  Tails
+        keep the entry's tag, as they keep the pole."""
+        return sum_of_products([[_partial(s, N) for s in self.factors]])
 
-    def tail_evaluator(self, N: int) -> TaggedEvaluator:
+    def tail_evaluator(self, N: int) -> Callable:
         """Pointwise evaluator of f minus its order-N square partial sum.
 
         Free of the cancellation in f - S_N f: the sum over j of f1 ...
-        f(j-1) tj S(j+1) ... Sn with the factors' tails tj
-        (:func:`sum_of_products`); in one variable, the factor's tail."""
-        tails = [s.tail(N) for s in self.factors]
-        parts = [s.partial(N) for s in self.factors[1:]]
-        return TaggedEvaluator(
-            sum_of_products(self.factors[:j] + (t, *parts[j:])
-                            for j, t in enumerate(tails)), self.spike,
-            self.conj_symmetric)
+        f(j-1) tj S(j+1) ... Sn with the factors' tails tj, each tagged
+        with its series' own tag; in one variable, the factor's tail."""
+        tails = [TaggedEvaluator(s.tail(N), s.spike, s.conj_symmetric)
+                 for s in self.factors]
+        parts = [_partial(s, N) for s in self.factors[1:]]
+        return sum_of_products(self.factors[:j] + (t, *parts[j:])
+                               for j, t in enumerate(tails))
 
 
 class FunctionRegistry:

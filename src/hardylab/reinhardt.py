@@ -312,19 +312,18 @@ def _abs_coeff_sum(series: PowerSeries, x: float) -> tuple[float, bool]:
     return total, False
 
 
-def _negated(fn: Callable) -> Callable:
-    """z -> -fn(z)."""
-    return lambda z: -np.asarray(fn(z))
+def _negated(fn: PowerSeries) -> TaggedEvaluator:
+    """z -> -fn(z), declaring what fn declares."""
+    return TaggedEvaluator(lambda z: -np.asarray(fn(z)), fn.spike,
+                           fn.conj_symmetric)
 
 
-def density_difference(f, q) -> TaggedEvaluator:
+def density_difference(f, q) -> Callable:
     """f - q for the registry entry ``f`` and the factors ``q`` of a
     product, as f + (-q_1) q_2 ... q_n, which is exact: negation commutes
-    with every rounding.  It carries f's spike tag, and is
-    ``conj_symmetric`` when every factor of f and of q is."""
-    return TaggedEvaluator(
-        sum_of_products([f.factors, (_negated(q[0]), *q[1:])]), f.spike,
-        f.conj_symmetric and all(s.conj_symmetric for s in q))
+    with every rounding.  It declares what its factors declare
+    (:func:`sum_of_products`)."""
+    return sum_of_products([f.factors, (_negated(q[0]), *q[1:])])
 
 
 def density_experiment(f, domain: ReinhardtDomain, p: float = 1.0,

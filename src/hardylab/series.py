@@ -160,9 +160,11 @@ class PowerSeries:
         return partial_sum(self, N)
 
     def tail(self, N: int) -> Callable:
-        """f - S_N as a callable, free of the cancellation in that
+        """f - S_N as a callable, N >= 0, free of the cancellation in that
         difference: the closed form when one was given, else, for a
         polynomial, the series of its coefficients above N."""
+        if N < 0:
+            raise ValueError(f"partial sum order must be >= 0, got {N}")
         if self.tail_form is not None:
             return self.tail_form(N)
         if not self.is_polynomial:

@@ -88,13 +88,14 @@ def test_uniform_bound_closed_form_gate_catches_a_hardy_column(monkeypatch):
 
 @pytest.fixture
 def ub_calls(monkeypatch):
-    """The (estimator, spike) of each norm call run_uniform_bound makes."""
+    """The (estimator, spike tag of its function) of each norm call
+    run_uniform_bound makes."""
     import hardylab.experiments as ex
     seen = []
 
     def counted(name, fn):
         def call(f, *args, **kw):
-            seen.append((name, kw.get("spike")))
+            seen.append((name, f.spike))
             return fn(f, *args, **kw)
         return call
     for name in ("bergman_norm_disc", "hardy_norm_disc"):

@@ -403,7 +403,7 @@ def test_products_integrate_factor_by_factor(domain):
     # path gives the tensor grid's value
     entry = default_registry().get("prod-fa-0.9-0.5")
     sn = entry.partial_evaluator(8)
-    f = TaggedEvaluator(entry.evaluator, entry.spike)
+    f = entry.evaluator
     assert len(sn.terms) == 1 and len(sn.terms[0]) == 2
     assert f.terms == (entry.factors,)
     a1 = [bergman_norm_reinhardt(g, 1.0, domain, tol=1e-4)

@@ -345,8 +345,8 @@ def test_sums_of_products_match_the_tensor_grid(monkeypatch, dim, domain,
     # and block size, on shells that share radii on an axis (polydisc
     # cells) and shells that do not (ball cells), whole or cut along
     # their first axis.  The hidden callable keeps the integrand's
-    # conj_even flag: the declared tail takes the half circle of the first
-    # axis on both paths, the undeclared difference the full grid.
+    # conj_even flag: the tail and the difference, both declared, take the
+    # half circle of the first axis on both paths.
     f = _sum_cases(dim)[kind]
     assert f.terms is not None and len(f.terms) == (dim if kind == "tail"
                                                     else 2)
@@ -356,7 +356,7 @@ def test_sums_of_products_match_the_tensor_grid(monkeypatch, dim, domain,
         hidden = lambda *z, g=g: g(*z)   # noqa: E731
         hidden.conj_even = getattr(g, "conj_even", False)
         half = hidden.conj_even
-        assert half == (kind == "tail" and g is not f)
+        assert half == (g is not f)
         for ms in _SUM_COUNTS[dim]:
             for shifts in ([(0.0,) * dim], [(0.5,) + (0.0,) * (dim - 1)],
                            half_shifts(dim)):
@@ -372,6 +372,30 @@ def test_sums_of_products_match_the_tensor_grid(monkeypatch, dim, domain,
                             == [t.tobytes() for t in tensor])
                     assert terms_points == points == torus_points(
                         g, cells, ms, shifts)
+
+
+def test_a_one_variable_sum_of_products_takes_the_circle_rule():
+    # on one axis terms are not read: the disc's density difference holds
+    # its two terms and is integrated on the circle like any callable,
+    # every shell counted, and |f - q|, declared, on the half circle
+    entry = default_registry().get("fa-0.9")
+    diff = density_difference(entry,
+                              [dilate_truncate(entry.factors[0], 0.75, 6)])
+    assert len(diff.terms) == 2 and diff.conj_symmetric
+    radii, ms = [[0.5], [0.9], [0.9]], (64,)
+    for g in (diff, _abs_power(diff, 1.0)):
+        hidden = lambda z, g=g: g(z)   # noqa: E731
+        hidden.conj_even = half = getattr(g, "conj_even", False)
+        assert half == (g is not diff)
+        for shifts in ([(0.0,)], [(0.5,)], half_shifts(1)):
+            values, points = torus_cosets(g, radii, ms, shifts)
+            circle, circle_points = torus_cosets(hidden, radii, ms, shifts)
+            assert [v.tobytes() for v in values] == \
+                [c.tobytes() for c in circle]
+            first = [half_circle(64, s[0])[0] if half else 64
+                     for s in shifts]
+            assert points == circle_points == 3 * sum(first) == \
+                torus_points(g, radii, ms, shifts)
 
 
 def test_sum_of_products_needs_a_factor_per_axis():

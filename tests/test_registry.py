@@ -200,7 +200,8 @@ def test_product_evaluator_rejects_wrong_coordinate_count():
 
 def test_products_expose_their_factors():
     # a product in several variables is the one-term sum of products and
-    # holds its factors as that one term; in one variable it holds none
+    # holds its factors as that one term; in one variable it is its one
+    # factor, which holds no terms
     reg = default_registry()
     ent = reg.get("prod-fa-0.9-0.5")
     assert ent.evaluator.terms == (ent.factors,)
@@ -210,13 +211,13 @@ def test_products_expose_their_factors():
     z1, z2 = PTS[:, None], PTS[None, :]
     assert np.array_equal(sn(z1, z2), factors[0](z1) * factors[1](z2))
     assert len(ent.tail_evaluator(5).terms) == 2
-    assert reg.get("fa-0.9").partial_evaluator(5).terms is None
+    assert not hasattr(reg.get("fa-0.9").partial_evaluator(5), "terms")
 
 
 def test_tails_hold_their_terms():
     # the tail of a product is the telescoping sum over j of
     # f_1 ... f_(j-1) t_j S_(j+1) ... S_n, and holds those terms; in one
-    # variable it is the factor's tail, with no terms
+    # variable it is the factor's tail, which holds no terms
     reg = default_registry()
     fa09 = reg.get("fa-0.9")
     ent = product_entry((fa09, reg.get("fa-0.5"), fa09))
@@ -234,7 +235,7 @@ def test_tails_hold_their_terms():
                        ent.partial_evaluator(5)(*zs) + tail,
                        rtol=0, atol=1e-12)
     one = fa09.tail_evaluator(5)
-    assert one.terms is None and one.fn is not None
+    assert not hasattr(one, "terms") and one.fn is not None
     assert np.array_equal(one(PTS), fa09.factors[0].tail(5)(PTS))
 
 
@@ -243,6 +244,84 @@ def test_a_sum_of_one_product_is_the_product():
     prod = sum_of_products([(fa09, fa09)])
     assert prod.terms == ((fa09, fa09),)
     assert sum_of_products([(fa09,)]) is fa09
+
+
+def test_an_empty_sum_or_an_empty_term_is_refused():
+    # refused when the sum is built, not when it is first called
+    for terms in ([], [()], [(), ()]):
+        with pytest.raises(ValueError, match="needs a factor"):
+            sum_of_products(terms)
+
+
+def _tagged(spike, conj_symmetric=False):
+    return TaggedEvaluator(lambda z: z, spike, conj_symmetric)
+
+
+def test_a_sum_of_products_takes_each_axis_largest_tag():
+    # a sum is holomorphic where every term is, so an axis carries the tag
+    # of largest modulus among its factors, whichever term holds it
+    a, b, c = _tagged(0.5), _tagged(0.9), _tagged(0.0)
+    assert sum_of_products([(a, c), (b, c), (a, a)]).spike == (0.9, 0.5)
+    assert sum_of_products([(c, b)]).spike == (0.0, 0.9)
+    assert sum_of_products([(c, a, c), (c, c, b)]).spike == (0.0, 0.5, 0.9)
+
+
+def test_an_undeclared_factor_leaves_its_axis_undeclared():
+    a = _tagged(0.5)
+    for u in (_tagged(None), lambda z: z):
+        assert sum_of_products([(a, a), (a, u)]).spike == (0.5, None)
+        assert sum_of_products([(u, a), (a, a)]).spike == (None, 0.5)
+        assert sum_of_products([(a,), (u,)]).spike is None
+
+
+def test_a_sum_of_products_is_conj_symmetric_when_every_factor_is():
+    sym, plain = _tagged(0.0, True), _tagged(0.0)
+    assert sum_of_products([(sym, sym), (sym, sym)]).conj_symmetric
+    assert sum_of_products([(sym,), (sym,)]).conj_symmetric
+    for terms in ([(sym, sym), (sym, plain)], [(plain, sym)],
+                  [(sym,), (plain,)], [(sym, lambda z: z)]):
+        assert not sum_of_products(terms).conj_symmetric
+
+
+def test_a_one_variable_sum_carries_a_scalar_tag():
+    a, b = _tagged(0.5), _tagged(0.9)
+    g = sum_of_products([(a,), (b,)])
+    assert g.spike == 0.9 and g.terms == ((a,), (b,))
+    assert g(0.25) == 0.5
+
+
+def test_built_functions_declare_what_their_entry_declares():
+    # the evaluator, S_N, tail and density difference of every entry derive
+    # from their factors the declarations written out here from the series:
+    # the tags s_j, on S_N min(|s_j|, N/(N+1)) per axis, a scalar in one
+    # variable, and conjugate symmetry when every series declares it
+    def per_axis(tags):
+        return tags if len(tags) > 1 else tags[0]
+    for entry in default_registry().entries():
+        tags = per_axis(tuple(s.spike for s in entry.factors))
+        real = all(s.conj_symmetric for s in entry.factors)
+        assert (entry.spike, entry.conj_symmetric) == (tags, real)
+        q = [dilate_truncate(s, 0.75, 6) for s in entry.factors]
+        cases = [(entry.evaluator, tags),
+                 (density_difference(entry, q), tags)]
+        for N in (0, 1, 8, 64):
+            degree = per_axis(tuple(None if s.spike is None
+                                    else min(abs(s.spike), N / (N + 1))
+                                    for s in entry.factors))
+            cases += [(entry.partial_evaluator(N), degree),
+                      (entry.tail_evaluator(N), tags)]
+        for f, spike in cases:
+            assert f.spike == spike, (entry.name, f.spike, spike)
+            assert f.conj_symmetric is real, entry.name
+
+
+def test_every_tail_refuses_a_negative_order():
+    # as S_N does: a polynomial's tail at N = -1 would otherwise be f
+    for entry in default_registry().entries():
+        with pytest.raises(ValueError, match="must be >= 0"):
+            entry.tail_evaluator(-1)
+    with pytest.raises(ValueError, match="must be >= 0"):
+        PowerSeries.from_coefficients([0.0, 0.0, 1.0]).tail(-1)
 
 
 def test_terms_of_unequal_length_are_refused():
@@ -279,7 +358,8 @@ def test_a_one_term_sum_is_its_hidden_tensor_sum(dim):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_density_differences_are_exact(dim):
     # f - q written as f + (-q_1) q_2 ... q_n is f - q bit for bit:
-    # negation commutes with every rounding
+    # negation commutes with every rounding.  It holds its two terms in
+    # every dimension
     f = product_entry((default_registry().get("fa-0.9"),) * dim)
     q = [dilate_truncate(s, 0.875, 12) for s in f.factors]
     diff = sum_of_products([f.factors, (_negated(q[0]), *q[1:])])
@@ -287,7 +367,7 @@ def test_density_differences_are_exact(dim):
           for j in range(dim)]
     expect = np.asarray(f.evaluator(*zs)) - sum_of_products([q])(*zs)
     assert diff(*zs).tobytes() == expect.tobytes()
-    assert (getattr(diff, "terms", None) is None) == (dim == 1)
+    assert len(diff.terms) == 2
 
 
 def test_entries_are_products_of_power_series():

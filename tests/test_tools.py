@@ -1,10 +1,17 @@
 import importlib.util
 from pathlib import Path
 
-_PATH = Path(__file__).resolve().parents[1] / "tools" / "same_tables.py"
-_SPEC = importlib.util.spec_from_file_location("same_tables", _PATH)
-same_tables = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(same_tables)
+
+def _tool(name: str):
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+same_tables = _tool("same_tables")
+same_traces = _tool("same_traces")
 
 
 def _tables(tmp_path, parent: dict, change: dict) -> dict:
@@ -68,3 +75,49 @@ def test_same_tables_reads_each_runners_exit_code():
     out = ("uniform-bound: exit 0 -> out/uniform-bound.csv\n"
            "blowup: exit 2 -> out/blowup.csv\nother line\n")
     assert same_tables.exit_codes(out) == {"uniform-bound": 0, "blowup": 2}
+
+
+def _layers(points=1200, seconds=0.5, rungs=1.0):
+    return {"norms.hardy_norm_disc.calls": {"value": 3, "unit": "count"},
+            "norms.hardy_norm_disc.points": {"value": points,
+                                             "unit": "count"},
+            "norms.hardy_norm_disc.s": {"value": seconds, "unit": "s"},
+            "norms.hardy_norm_disc.rungs_mean": {"value": rungs,
+                                                 "unit": "count"},
+            "quadrature.refine_until.level1_share": {"value": 0.25,
+                                                     "unit": "ratio"}}
+
+
+def _results(parent, change, correct=(True, True)):
+    return {side: {"correct": ok, "metrics": metrics}
+            for side, ok, metrics in zip(same_traces.SIDES, correct,
+                                         (parent, change))}
+
+
+def test_same_traces_passes_identical_counts(capsys):
+    assert same_traces.differing_counts(_layers(), _layers()) == []
+    nan = float("nan")
+    assert same_traces.differing_counts(_layers(rungs=nan),
+                                        _layers(rungs=nan)) == []
+    assert same_traces.compare(_results(_layers(), _layers()))
+    assert "0 of 4 count metrics differ" in capsys.readouterr().out
+
+
+def test_same_traces_reports_a_count_that_differs(capsys):
+    old, new = _layers(), _layers(points=1201)
+    assert same_traces.differing_counts(old, new) == [
+        ("norms.hardy_norm_disc.points", 1200, 1201)]
+    del new["quadrature.refine_until.level1_share"]
+    assert same_traces.differing_counts(old, new)[-1] == (
+        "quadrature.refine_until.level1_share", 0.25, None)
+    assert not same_traces.compare(_results(old, new))
+    out = capsys.readouterr().out
+    assert "norms.hardy_norm_disc.points: 1200 -> 1201" in out
+    assert "2 of 3 count metrics differ" in out
+
+
+def test_same_traces_ignores_seconds_but_not_an_incorrect_run():
+    old, new = _layers(seconds=0.5), _layers(seconds=0.9)
+    assert same_traces.differing_counts(old, new) == []
+    assert same_traces.compare(_results(old, new))
+    assert not same_traces.compare(_results(old, new, (True, False)))
