@@ -29,7 +29,7 @@ def main():
     print(f"\n{'N':>3} {'A1(S_N)':>10} {'ratio':>10} {'A1 err':>11}")
     for N in (1, 2, 4, 8, 16):
         a1 = bergman_norm_reinhardt(ent.partial_evaluator(N), 1.0,
-                                    dom, tol=1e-4, spike=ent.spike)
+                                    dom, tol=1e-4)
         err = bergman_norm_reinhardt(ent.tail_evaluator(N), 1.0,
                                      dom, tol=1e-3, spike=ent.spike)
         print(f"{N:>3} {a1.value:>10.6f} {a1.value / h1.value:>10.6f} "

@@ -23,9 +23,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .norms import (bergman_norm_disc, bergman_norm_reinhardt, boundary_grid,
-                    hardy_norm_disc, hardy_norm_reinhardt, monotonicity_check)
+                    hardy_norm_disc, hardy_norm_reinhardt, monotonicity_check,
+                    radial_cells)
+from .quadrature import TWO_PI
 from .registry import (FunctionRegistry, RegistryEntry, TaggedEvaluator,
-                       default_registry, fa_entry)
+                       default_registry, fa_entry, polynomial_entry,
+                       product_entry)
 from .reinhardt import (ReinhardtDomain, density_experiment,
                         domain_from_config, frontier_sample,
                         monomial_moments, polydisc)
@@ -430,7 +433,6 @@ def run_reinhardt(config: RunConfig | None = None,
         t0 = time.perf_counter()
         sn = entry.partial_evaluator(N)
         a1 = bergman_norm_reinhardt(sn, 1.0, dom, tol=a1_tol,
-                                    spike=entry.spike,
                                     max_nodes=cfg.vol_cap())
         # The error integrand has modulus kinks along its zero set, so it
         # gets a looser relative target; the gate on it is absolute 1e-2.
@@ -473,6 +475,10 @@ def run_reinhardt(config: RunConfig | None = None,
         rel, converged = a2
         info["a2_rel"] = rel
         gates["a2_ok"] = converged and rel <= a1_tol
+    else:
+        rel, converged = _volume_oracle(dom, a1_tol, cfg.vol_cap())
+        info["volume_rel"] = rel
+        gates["volume_ok"] = converged and rel <= 1e-12
     return res.close(info, plateau_ok=0.0 < base and tail_max <= 1.10 * base,
                      final_err_ok=final_err < 1e-2,
                      monotone_ok=failures == 0, **gates)
@@ -541,10 +547,28 @@ def _a2_oracle(entry: RegistryEntry, dom: ReinhardtDomain, N: int,
         shape[j] = N + 1
         weights = weights * (np.abs(s.coefficients(N)) ** 2).reshape(shape)
     est = bergman_norm_reinhardt(entry.partial_evaluator(N), 2.0, dom,
-                                 tol=tol, spike=entry.spike,
-                                 max_nodes=max_nodes)
+                                 tol=tol, max_nodes=max_nodes)
     return (_rel_distance(est.value, float(np.sqrt(np.sum(weights)))),
             est.converged)
+
+
+def _volume_oracle(dom: ReinhardtDomain, tol: float,
+                   max_nodes: int) -> tuple[float, bool]:
+    """Relative distance of ||1||_A1 over ``dom``, by
+    ``bergman_norm_reinhardt`` at ``tol``, from (2 pi)^n times the summed
+    weights of the radial cells of the level it stopped at, and whether
+    the norm converged.
+
+    The weight sum shares the radial cells with the estimator but not the
+    torus rule, so it checks the (2 pi)^n mass on a domain that has no
+    closed-form moments (custom), where :func:`_a2_oracle` has none.
+    """
+    one = product_entry((polynomial_entry("const-1", [1.0]),)
+                        * dom.dim).evaluator
+    est = bergman_norm_reinhardt(one, 1.0, dom, tol=tol, max_nodes=max_nodes)
+    _, weights = radial_cells(one, dom, est.report.levels)
+    volume = TWO_PI ** dom.dim * float(np.sum(weights))
+    return _rel_distance(est.value, volume), est.converged
 
 
 def run_density(config: RunConfig | None = None,

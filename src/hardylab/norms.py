@@ -10,10 +10,13 @@ a declared spike.  The shell rules use the rim's floor; the volume rule
 gives each ring the floor of the spike seen from its own radius, rounded
 up onto a ladder of at most eight counts per octave and doubled per
 level, so inner rings are not resolved for a peak they never see and
-rings with equal counts share one shell call.  Only the angular floors
-are lean: every level doubles every angular count, so the stopping rule
-sees the angular error, but a level deepens only the rim panel, so the
-radial Gauss order of the inner panels stays high (see ``_GRID``).
+rings with equal counts share one shell call.  The angular floors are
+lean: every level doubles every angular count, so the stopping rule
+sees the angular error.  A level deepens only the rim panel, so the
+radial Gauss order of the inner panels stays high (see ``_GRID``),
+except where a declared pole bounds its error: in one variable a panel
+of width h at distance d from the pole takes max(8, ceil(2 order h / d))
+points, at most the order (:func:`_panel_orders`).
 
 One-variable conventions: the Hardy p-norm is the supremum over radii of
 the normalized circle mean
@@ -249,13 +252,14 @@ def hardy_norm_reinhardt(f, p: float = 1.0, domain: ReinhardtDomain = None,
                                          change <= quad_tol, level))
 
 
-def _radial_cells(domain: ReinhardtDomain, depth: int, order: int):
+def _radial_cells(domain: ReinhardtDomain, depth: int, order):
     """Tensor radial cells filling the radius region of the domain.
 
     Coordinates are swept in order; each coordinate gets dyadic panels on
     [0, top] where top solves the gauge section over the radii already
-    fixed.  Returns (cells, weights) with the polar jacobian prod r_j
-    folded into the weights.
+    fixed, with ``order`` Gauss points on each panel, or ``order[i]`` on
+    panel i (:func:`_panel_orders`).  Returns (cells, weights) with the
+    polar jacobian prod r_j folded into the weights.
     """
     unit_nodes, unit_w = _panel_gauss(dyadic_panels(depth), order)
     q = unit_nodes.size
@@ -269,6 +273,44 @@ def _radial_cells(domain: ReinhardtDomain, depth: int, order: int):
                                 nodes.reshape(-1, 1)], axis=1)
         weights = (weights[:, None] * wj).reshape(-1)
     return cells, weights
+
+
+def _panel_orders(domain: ReinhardtDomain, spikes, depth: int, order: int):
+    """The Gauss order of each dyadic panel of the volume rule at ``depth``.
+
+    In one variable a tag s declares f holomorphic on |z| < 1/|s|, whose
+    edge lies at distance d = 1/|s| - R past the rim of the disc of
+    radius R.  A panel of width h (in r) then gets
+    max(8, ceil(2 order h / d)) points, at most ``order``.  The circle
+    mean M_p(r) is analytic inside the Bernstein ellipse about the panel
+    that reaches the pole, of parameter rho >= 5 + sqrt(24) ~ 9.9 once
+    h <= d/2 and about 4d/h as h shrinks, and n-point Gauss errs like
+    rho^(-2n) there (Trefethen, *Approximation Theory and Approximation
+    Practice*, 2013, Thm 19.3): the rule gives 64 points at h = d/2 and
+    its floor of 8 from h = d/16 on.  The narrow panels near the rim,
+    whose rings carry the most angular nodes, take the fewest.  The
+    order depends on the width alone, so a panel kept from one level to
+    the next keeps its nodes.  Every panel keeps ``order`` when f declares
+    no spike (None or 0.0), when the disc reaches its pole (d <= 0), and
+    on every tensor grid (two or more variables).
+    """
+    if domain.dim > 1 or not spikes[0]:
+        return order
+    rim = float(section_tops(domain, np.zeros((1, 0)))[0])
+    gap = 1.0 / spikes[0] - rim
+    if gap <= 0.0:
+        return order
+    width = rim * np.diff(dyadic_panels(depth))
+    return np.clip(np.ceil(2 * order * width / gap), 8, order).astype(np.int64)
+
+
+def radial_cells(f, domain: ReinhardtDomain, level: int, *, spike=None):
+    """The radial cells and weights over which the volume rule integrates
+    f at refinement ``level``: the base panel depth of :func:`_grid`
+    deepened by ``level``, with :func:`_panel_orders`' Gauss orders."""
+    spikes, _, order, depth, _ = _grid(f, spike, domain.dim)
+    return _radial_cells(domain, depth + level,
+                         _panel_orders(domain, spikes, depth + level, order))
 
 
 def bergman_norm_reinhardt(f, p: float = 1.0, domain: ReinhardtDomain = None,
@@ -311,22 +353,27 @@ def _bergman(f, p, tol, domain, spike, max_nodes) -> NormEstimate:
     The stopping rule sees the angular error, which every level halves
     geometrically, but not the Gauss error of the inner radial panels,
     which no level touches; that is why the radial order is not lowered
-    with the angular floor (``quadrature._GRID``).
+    with the angular floor (``quadrature._GRID``).  It is lowered only
+    where a declared pole bounds that error in advance: in one variable
+    a panel narrow against the distance d from the rim to the pole takes
+    max(8, ceil(2 order h / d)) points (:func:`_panel_orders`), which
+    thins the rim panels, whose rings carry the most angular nodes.  Zero
+    moduli, where the circle mean of a polynomial kinks, bound nothing.
 
-    A level keeps every radial panel of the one before but the last, so a
-    cell whose radius vector the previous level also had carries its sum
-    over: the level adds only the half-shifted cosets of that cell's
-    previous grid (``doubled`` over ``torus_cosets``) and evaluates the
-    cells of the two new rim panels afresh.  It reports the points it
-    evaluated.
+    A level keeps every radial panel of the one before but the last, with
+    its width and so its Gauss order, so a cell whose radius vector the
+    previous level also had carries its sum over: the level adds only the
+    half-shifted cosets of that cell's previous grid (``doubled`` over
+    ``torus_cosets``) and evaluates the cells of the two new rim panels
+    afresh.  It reports the points it evaluated.
     """
     g = _abs_power(f, p)
     n = domain.dim
-    spikes, _, order, depth, _ = _grid(f, spike, n)
+    spikes, _, _, _, _ = _grid(f, spike, n)
     carried = {}                    # radius vector bytes -> last level's sum
 
     def level_fn(level):
-        cells, weights = _radial_cells(domain, depth + level, order)
+        cells, weights = radial_cells(f, domain, level, spike=spike)
         radii = np.minimum(cells, 1.0)
         counts = _on_ladder(np.stack([angular_floor(radii[:, j] * s, n)
                                       for j, s in enumerate(spikes)],

@@ -137,11 +137,23 @@ def half_circle(m: int, shift: float = 0.0) -> tuple[int, tuple[int, ...]]:
 # error of the inner panels never shows as a change between levels.  At
 # tol 1e-6, the A^1 norm of a cubic (poly-3 of default_registry(1)) came
 # out 2.2e-6 off with order 16 and converged=True, 2.7e-7 off with order
-# 32 and 6.9e-8 with order 64, which is kept.  In two variables the spike
-# scale alone holds each ring's error near exp(-16) ~ 1e-7, below the 1e-4
-# and 1e-3 tolerances of the two-variable tables, so the base need only
-# cover undeclared functions: against 128, base 64 cut the Bergman points
-# of the perfbench bidisc table 336M -> 121M and its time by half.  Base 32
+# 32 and 6.9e-8 with order 64, which is kept.  In one variable that order
+# is a cap: for a declared spike s a panel of width h, at distance
+# d = 1/|s| - R from the pole past the rim of the disc of radius R, takes
+# max(8, ceil(2 order h / d)) points (norms._panel_orders).  On h <= d/2
+# the pole lies outside the panel's Bernstein ellipse of parameter 9.9,
+# and Gauss errs like 9.9^(-2n), so the rim panels narrower than the
+# spike scale, whose rings carry the most angular nodes, drop to as few
+# as 8 points: ||S_512 f_a||_A1 at a = 512/513 fell from 12.0M to 5.5M
+# points with the same value.  The bound sees the declared pole only, not
+# the zero moduli of a polynomial, where its circle mean kinks: a panel
+# holding one keeps its Gauss error, as at the uniform order.  A function
+# that declares no spike (None or 0.0) keeps the uniform order, and so
+# does every tensor grid.  In two variables the spike scale alone holds
+# each ring's error near exp(-16) ~ 1e-7, below the 1e-4 and 1e-3
+# tolerances of the two-variable tables, so the base need only cover
+# undeclared functions: against 128, base 64 cut the Bergman points of
+# the perfbench bidisc table 336M -> 121M and its time by half.  Base 32
 # was faster still, but left an untagged 1/(1 - 0.95 z1)^2 on polydisc(2)
 # at tol 1e-4 unconverged within the runners' volume budget, where 64 and
 # 128 converge.
@@ -204,11 +216,18 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _panel_gauss(bounds: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = _gauss_legendre(order)
-    half = 0.5 * np.diff(bounds)[:, None]
-    mid = 0.5 * (bounds[1:] + bounds[:-1])[:, None]
-    return (half * x + mid).ravel(), (half * w).ravel()
+def _panel_gauss(bounds: np.ndarray, order) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on the panels between ``bounds``,
+    panel by panel: ``order`` points on each, or ``order[i]`` on panel i.
+    A panel's nodes depend only on its ends and its order."""
+    orders = np.broadcast_to(order, (len(bounds) - 1,))
+    nodes, weights = [], []
+    for lo, hi, q in zip(bounds[:-1], bounds[1:], orders.tolist()):
+        x, w = _gauss_legendre(q)
+        half = 0.5 * (hi - lo)
+        nodes.append(half * x + 0.5 * (hi + lo))
+        weights.append(half * w)
+    return np.concatenate(nodes), np.concatenate(weights)
 
 
 def _block_plan(rows: int, shape: Sequence[int]):

@@ -546,8 +546,7 @@ def test_reinhardt_product_gate_catches_a_wrong_a1_column(monkeypatch,
         if domain.dim < 2 or tol >= 1e-3 or p != 1:
             return exact(f, p, domain, tol=tol, **kw)
         if mutation == "hardy":
-            return hardylab.norms.hardy_norm_reinhardt(f, p, domain, tol=tol,
-                                                       spike=kw["spike"])
+            return hardylab.norms.hardy_norm_reinhardt(f, p, domain, tol=tol)
         est = exact(f, p, domain, tol=tol, **kw)
         return dataclasses.replace(est, value=est.value * (1 + 3 * tol))
     monkeypatch.setattr("hardylab.experiments.bergman_norm_reinhardt",
@@ -738,6 +737,35 @@ def test_a2_oracle_needs_closed_form_moments():
                         function="mono2-1-2")
     assert res.exit_code == 0
     assert "a2_ok" not in res.summary and "a2_rel" not in res.summary
+    # it gets the volume gate instead
+    assert res.summary["volume_ok"] and res.summary["volume_rel"] <= 1e-12
+
+
+def test_reinhardt_volume_gate_catches_a_dropped_torus_mass_on_a_custom_domain(
+        monkeypatch):
+    # a custom domain has neither the moment nor the product gate; ||1||_A1
+    # against (2 pi)^n times the radial weights catches the lost (2 pi)^n,
+    # which every other gate misses
+    box = custom_domain(lambda r: np.max(r, axis=-1), 2, 1.0)
+    _no_torus_mass(monkeypatch)
+    res = run_reinhardt(RunConfig(n_set_square=(1, 2)), domain=box,
+                        function="mono2-1-2")
+    assert res.exit_code == 1
+    s = res.summary
+    assert not s["volume_ok"]
+    assert s["volume_rel"] == pytest.approx(1 - TWO_PI ** -2, rel=1e-9)
+    assert s["plateau_ok"] and s["final_err_ok"] and s["monotone_ok"]
+    assert s["all_converged"]
+
+
+@pytest.mark.parametrize("domain", [polydisc(2), ball(2)],
+                         ids=["polydisc", "ball"])
+def test_reinhardt_volume_gate_only_on_domains_without_moments(domain):
+    res = run_reinhardt(RunConfig(n_set_square=(1, 2)), domain=domain,
+                        function="mono2-1-2")
+    assert res.exit_code == 0 and res.summary["a2_ok"]
+    assert "volume_ok" not in res.summary
+    assert "volume_rel" not in res.summary
 
 
 def test_reinhardt_product_oracle_fails_a_nonzero_column_on_a_zero_oracle(

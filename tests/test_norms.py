@@ -136,8 +136,9 @@ def test_bergman_disc_extremal_family_closed_form():
         assert est.value == pytest.approx(_fa_bergman_exact(a), rel=1e-9)
     est9 = bergman_norm_disc(fa_series(0.9), 1.0)
     assert est9.value == pytest.approx(1.2238207187632835, rel=1e-9)
-    # sharp spikes, where each ring gets its own angular count
-    for a in (0.99, 0.999):
+    # sharp spikes, where each ring gets its own angular count and the rim
+    # panels narrower than the spike scale take fewer Gauss points
+    for a in (0.99, 0.999, 512 / 513):
         est = bergman_norm_disc(fa_series(a), 1.0, spike=a)
         assert est.converged
         assert est.value == pytest.approx(_fa_bergman_exact(a), rel=1e-9)
@@ -159,13 +160,24 @@ def test_bergman_partial_sums_obey_triangle_inequality(N):
 # over r in [0, 1] (relative tolerance 1e-12) with breakpoints at 1 - 2^-k and
 # at the moduli of the polynomial's zeros, of 2 pi r times the circle mean of
 # |S_N f|, taken by the trapezoid rule on 2^16 nodes (2^18 for S_512) as an FFT
-# of the coefficients c_k r^k.
+# of the coefficients c_k r^k.  The f_0.9 and f_0.99 rows take 48-point
+# Gauss-Legendre on each half of every panel between the same breakpoints
+# instead of quad, and the mean on 2^20 nodes (2^18 for S_512): |S_N f| kinks
+# near its zeros, so the mean converges slowly in the node count, and
+# S_128 f_0.99 moved by 7.4e-9 from 2^14 to 2^16 nodes.  The last quadrupling
+# of the nodes moved each row by at most 6.5e-12 relative, and 32 points on
+# whole panels instead gave each within 2.6e-13.
 _A1_REFERENCES = [("fa", 512 / 513, 512, 0.08072784720004747),
                   ("fa", 16 / 17, 16, 0.9696338769918226),
                   ("fa", 0.999, 32, 0.0336688891651961),
                   # poly-3 of default_registry(1); its zeros lie at moduli
                   # 0.32, 0.50 and 0.80, inside the inner radial panels
-                  ("poly-3", None, 8, 4.450427395296814)]
+                  ("poly-3", None, 8, 4.450427395296814),
+                  ("fa", 0.9, 8, 1.3127745250697032),
+                  ("fa", 0.9, 16, 1.2771885059502983),
+                  ("fa", 0.9, 32, 1.228426940056442),
+                  ("fa", 0.99, 128, 0.2817369964385013),
+                  ("fa", 0.99, 512, 0.25010797467629997)]
 
 
 @pytest.mark.parametrize("kind, a, N, ref", _A1_REFERENCES)
@@ -176,6 +188,44 @@ def test_bergman_disc_partial_sums_match_references(kind, a, N, ref):
     est = bergman_norm_disc(sn, 1.0, 1e-6, spike=sn.spike)
     assert est.converged
     assert est.value == pytest.approx(ref, rel=1e-6)
+
+
+# the rows whose partial sums declare a spike, but for the two S_512 ones,
+# whose calls at tol 1e-8 take seconds each
+_SPIKED_REFERENCES = [(a, N, ref) for kind, a, N, ref in _A1_REFERENCES
+                      if kind == "fa" and N < 512]
+
+
+def _errors_at_tol_1e8():
+    errors = []
+    for a, N, ref in _SPIKED_REFERENCES:
+        sn = fa_entry(a).partial_evaluator(N)
+        assert sn.spike > 0.0
+        est = bergman_norm_disc(sn, 1.0, 1e-8)
+        assert est.converged
+        errors.append(abs(est.value - ref) / ref)
+    return errors
+
+
+def test_graded_orders_hold_the_spiked_references_at_tol_1e8():
+    # the graded Gauss orders keep every spiked row within 5e-8 at tol 1e-8
+    # (the uniform order 64 left S_16 f_0.9 2.8e-8 off, stopping at level 1)
+    assert len(_SPIKED_REFERENCES) == 6
+    assert max(_errors_at_tol_1e8()) <= 5e-8
+
+
+def test_eight_gauss_points_on_every_spiked_panel_miss_the_references(
+        monkeypatch):
+    # the mutation: every panel of a spiked function at order 8, as if the
+    # pole bound were dropped; several rows then miss by 6e-8 to 1e-6
+    graded = norms._panel_orders
+
+    def eight(domain, spikes, depth, order):
+        if domain.dim == 1 and spikes[0]:
+            return 8
+        return graded(domain, spikes, depth, order)
+    monkeypatch.setattr(norms, "_panel_orders", eight)
+    assert max(_errors_at_tol_1e8()) > 5e-8
 
 
 def test_embedding_constant_on_random_polynomials():
@@ -226,11 +276,28 @@ def _pin_level0(estimator, radii, counts, **kw):
         estimator(f, 1.0, **kw)
 
 
+def _dyadic_bounds(depth):
+    return [0.0] + [1.0 - 2.0 ** -k for k in range(1, depth + 1)] + [1.0]
+
+
 def _unit_gauss_nodes(depth, order):
-    bounds = [0.0] + [1.0 - 2.0 ** -k for k in range(1, depth + 1)] + [1.0]
-    x, _ = np.polynomial.legendre.leggauss(order)
-    return np.concatenate([0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-                           for lo, hi in zip(bounds[:-1], bounds[1:])])
+    # order points on every panel, or orders[i] on panel i
+    bounds = _dyadic_bounds(depth)
+    orders = [order] * (depth + 1) if np.ndim(order) == 0 else order
+    return np.concatenate([
+        0.5 * (hi - lo) * np.polynomial.legendre.leggauss(q)[0]
+        + 0.5 * (hi + lo)
+        for lo, hi, q in zip(bounds[:-1], bounds[1:], orders)])
+
+
+def _graded_orders(depth, s, order=64):
+    # the volume rule's Gauss orders on the unit disc: a panel of width h
+    # takes max(8, ceil(2 order h / d)) points, at most order, where
+    # d = 1/s - 1 is the distance from the rim to the declared pole
+    bounds = _dyadic_bounds(depth)
+    d = 1.0 / s - 1.0
+    return [min(order, max(8, math.ceil(2 * order * (hi - lo) / d)))
+            for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def _ladder(m):
@@ -243,12 +310,14 @@ def _ladder(m):
 @pytest.mark.parametrize("spike, depth, m", [(None, 6, 256),
                                              (0.999, 12, 64000)])
 def test_disc_estimators_level0_node_sets(spike, depth, m):
-    # Bergman: 64-point Gauss-Legendre on the dyadic panels of [0, 1] times
+    # Bergman: Gauss-Legendre on the dyadic panels of [0, 1], 64 points on
+    # each for an undeclared f and the graded orders for a spike, times
     # the equispaced angles, max(256, ceil(64 / (1 - r s))) of them on the
     # ring of radius r, rounded up onto the ladder; Hardy: the unit circle
     # with the rim's m, for the entire (0.0) or spiked function, and no
     # evaluation at all for an undeclared one
-    radii = _unit_gauss_nodes(depth, 64)
+    radii = _unit_gauss_nodes(depth, 64 if spike is None
+                              else _graded_orders(depth, spike))
     counts = [256 if spike is None
               else _ladder(max(256, math.ceil(64 / (1 - r * spike))))
               for r in radii]
@@ -340,15 +409,19 @@ def test_bergman_nested_level_points(monkeypatch, dim, spike, depth, order,
     # level 1 keeps all radial panels but the last: a cell in the kept
     # panels adds (2^n - 1) * prod(m_j) points, the half-shifted cosets of
     # its level-0 grid; a cell of the two new rim panels is evaluated at
-    # its doubled counts, 2^n * prod(m_j)
+    # its doubled counts, 2^n * prod(m_j).  In one variable the panels
+    # take the graded orders, and a kept panel keeps its width and so its
+    # order; tensor grids keep the uniform order.
     counter = [0]
     calls = _record_levels(monkeypatch, counter)
     f = default_registry().get("prod-fa-0.9-0.5" if dim == 2 else "fa-0.99")
     bergman_norm_reinhardt(_counting(f.evaluator, counter), 1.0,
                            polydisc(dim), tol=1e-4, spike=spike)
     (levels,) = calls
-    x = _unit_gauss_nodes(depth + 1, order)
-    kept = np.arange(x.size) < depth * order
+    orders = (_graded_orders(depth + 1, spike[0], order) if dim == 1
+              else [order] * (depth + 2))
+    x = _unit_gauss_nodes(depth + 1, orders)
+    kept = np.arange(x.size) < sum(orders[:depth])
     axes = [np.array([_ladder(m) for m in
                       np.maximum(base, np.ceil(scale / (1.0 - x * s)))])
             for s in spike]
@@ -748,11 +821,33 @@ def test_bergman_disc_call_keeps_its_heap_pages():
     assert int(run.stdout.split()[-1]) < 25_000
 
 
+def _two_levels(s, depth, orders_at, half):
+    # the points of levels 0 and 1 of the volume rule on the unit disc for
+    # a spike s, with orders_at(depth) Gauss points per panel: each ring's
+    # count is max(256, ceil(64 / (1 - r s))) on the ladder, doubled at
+    # level 1.  A ring of m nodes shifted by h steps is evaluated at its
+    # floor(m/2 - h) + 1 nodes in [0, pi] on the half circle, else at all
+    # m.  Level 1 evaluates the half-shifted coset of a kept panel's ring
+    # and the two new rim panels' rings at their doubled counts.
+    def evaluated(m, h):
+        return math.floor(m / 2 - h) + 1 if half else m
+
+    def counts(d):
+        radii = _unit_gauss_nodes(d, orders_at(d))
+        return [_ladder(max(256, math.ceil(64 / (1 - r * s)))) for r in radii]
+    kept = sum(orders_at(depth + 1)[:depth])
+    return (sum(evaluated(m, 0.0) for m in counts(depth)),
+            sum(evaluated(m, 0.5) if i < kept else evaluated(2 * m, 0.0)
+                for i, m in enumerate(counts(depth + 1))))
+
+
 def test_blowup_bergman_call_on_s512_takes_the_half_circle(monkeypatch):
     # run_blowup's largest call, ||S_512 f_a||_A1 at a = 512/513 at the
     # runner's tol and budget: the real coefficients of f_a flag |S_N f_a|
     # conj_even, so every ring is evaluated on its half circle, at half the
-    # points of the full grid (the same wrapper with the flag off)
+    # points of the full grid (the same wrapper with the flag off).  Its
+    # panels take the graded Gauss orders, which more than halve the
+    # points of 64 on every panel.
     levels = []
     refine = norms.refine_until
 
@@ -765,14 +860,20 @@ def test_blowup_bergman_call_on_s512_takes_the_half_circle(monkeypatch):
     monkeypatch.setattr(norms, "refine_until", counted)
     cfg = RunConfig()
     sn = fa_entry(512 / 513).partial_evaluator(512)
-    assert sn.conj_symmetric
-    for f, total, last in ((sn, 12_023_840, 7_556_784),
-                           (TaggedEvaluator(sn.fn, sn.spike), 24_045_760,
-                            15_113_312)):
+    assert sn.conj_symmetric and sn.spike == 512 / 513
+    depth = math.ceil(math.log2(513)) + 2
+
+    def graded(d):
+        return _graded_orders(d, sn.spike)
+    for f, half in ((sn, True), (TaggedEvaluator(sn.fn, sn.spike), False)):
         levels.clear()
         est = bergman_norm_disc(f, 1.0, cfg.tol, max_nodes=cfg.vol_cap())
         assert est.converged
-        assert sum(levels) == total and est.report.node_counts == (last,)
+        want = _two_levels(sn.spike, depth, graded, half)
+        assert levels == list(want)
+        assert est.report.node_counts == (want[1],)
+        uniform = _two_levels(sn.spike, depth, lambda d: [64] * (d + 1), half)
+        assert sum(want) < 0.5 * sum(uniform)
 
 
 class _DeclaredFa:

@@ -103,6 +103,53 @@ def test_gauss_rule_is_built_once_and_read_only(order):
             assert got.tobytes() == want.tobytes()
 
 
+def test_panel_orders_map_each_panel_alone():
+    # per-panel orders give each panel the nodes that panel alone has at
+    # its order, bit for bit; equal orders are the uniform rule
+    from hardylab.quadrature import _panel_gauss
+    bounds = dyadic_panels(5)
+    orders = [64, 64, 32, 16, 8, 8]
+    nodes, weights = _panel_gauss(bounds, orders)
+    at = 0
+    for i, q in enumerate(orders):
+        x, w = _panel_gauss(bounds[i:i + 2], q)
+        assert nodes[at:at + q].tobytes() == x.tobytes()
+        assert weights[at:at + q].tobytes() == w.tobytes()
+        at += q
+    assert at == nodes.size == weights.size
+    for got, want in zip(_panel_gauss(bounds, [12] * 6),
+                         _panel_gauss(bounds, 12)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_panel_orders_grade_only_a_one_variable_declared_pole():
+    from hardylab.norms import _panel_orders
+    # the unit disc and a pole at 1/0.99: d = 1/0.99 - 1, and a panel of
+    # width h takes max(8, ceil(128 h / d)) points, at most 64
+    orders = _panel_orders(polydisc(1), (0.99,), 9, 64)
+    d = 1 / 0.99 - 1
+    widths = np.diff(dyadic_panels(9))
+    assert orders.tolist() == [min(64, max(8, math.ceil(128 * h / d)))
+                               for h in widths]
+    assert orders[0] == 64 and orders[-1] < 64 and orders.min() >= 8
+    # a panel kept at the next level keeps its order
+    assert _panel_orders(polydisc(1), (0.99,), 10, 64)[:9].tolist() == \
+        orders[:9].tolist()
+    # on a disc of radius R the widths and the distance are R's
+    wide = _panel_orders(polydisc(1, [1.005]), (0.99,), 9, 64)
+    assert wide.tolist() == [
+        min(64, max(8, math.ceil(2 * 64 * (1.005 * h) / (1 / 0.99 - 1.005))))
+        for h in widths]
+    # no declared pole, a disc that reaches its pole and every tensor
+    # grid keep the uniform order
+    for domain, spikes in ((polydisc(1), (0.0,)),
+                           (polydisc(1, [1.5]), (0.99,)),
+                           (polydisc(1, [1 / 0.99]), (0.99,)),
+                           (polydisc(2), (0.99, 0.99)),
+                           (ball(2), (0.9, 0.5))):
+        assert _panel_orders(domain, spikes, 9, 64) == 64
+
+
 def test_disc_rule_exact_on_radial_polynomials():
     # ||z^m||_A2^2 = int_U |z|^{2m} dV = 2 pi / (2m + 2)
     for m in (0, 1, 3):

@@ -121,3 +121,39 @@ def test_same_traces_ignores_seconds_but_not_an_incorrect_run():
     assert same_traces.differing_counts(old, new) == []
     assert same_traces.compare(_results(old, new))
     assert not same_traces.compare(_results(old, new, (True, False)))
+
+
+def test_same_traces_passes_only_the_expected_differences(capsys):
+    old, new = _layers(), _layers(points=1201)
+    new["quadrature.refine_until.level1_share"]["value"] = 0.5
+    # differing_counts still lists every difference
+    assert [d[0] for d in same_traces.differing_counts(old, new)] == [
+        "norms.hardy_norm_disc.points",
+        "quadrature.refine_until.level1_share"]
+    assert not same_traces.compare(_results(old, new),
+                                   expect=("norms.hardy_norm_disc.",))
+    out = capsys.readouterr().out
+    assert "norms.hardy_norm_disc.points: 1200 -> 1201 (expected)" in out
+    assert "level1_share: 0.25 -> 0.5\n" in out
+    assert "2 of 4 count metrics differ, 1 unexpected" in out
+    assert same_traces.compare(_results(old, new), expect=(
+        "norms.hardy_norm_disc.", "quadrature.refine_until."))
+    assert "2 of 4 count metrics differ, 0 unexpected" in \
+        capsys.readouterr().out
+    # an expected difference does not excuse an incorrect run, nor a
+    # metric that only one run reports
+    assert not same_traces.compare(_results(old, new, (False, True)),
+                                   expect=("norms.", "quadrature."))
+    del new["norms.hardy_norm_disc.calls"]
+    assert not same_traces.compare(_results(old, new),
+                                   expect=("quadrature.",))
+
+
+def test_same_traces_reads_repeated_expect_flags(monkeypatch):
+    runs = iter([{"correct": True, "metrics": _layers()},
+                 {"correct": True, "metrics": _layers(points=7)}])
+    monkeypatch.setattr(same_traces, "run_traced",
+                        lambda tree, args: next(runs))
+    argv = ["--parent", "a", "--change", "b", "--workload", "disc",
+            "--expect", "quadrature.", "--expect", "norms.hardy_norm_disc."]
+    assert same_traces.main(argv) == 0

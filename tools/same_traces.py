@@ -2,14 +2,16 @@
 against a changed one.
 
     python3 tools/same_traces.py --parent OLD --change NEW --workload W \
-        [--seed S --seconds T]
+        [--seed S --seconds T] [--expect PREFIX ...]
 
 Runs ``python3 perfbench/run.py --trace 1`` once in each tree, one at a
 time, and compares every per-layer metric whose unit is not ``s`` (calls,
 points, levels, shares, spans and self-check counts) exactly; seconds are
 ignored, since they vary from run to run.  Prints each metric that
-differs or that only one tree reports.  Exits 0 only when both runs are
-``correct`` and no count differs.
+differs or that only one tree reports.  ``--expect PREFIX`` (repeatable)
+names the counts a change is meant to move: a metric whose name starts
+with one of the prefixes may differ, and is printed as expected.  Exits 0
+only when both runs are ``correct`` and no other count differs.
 """
 
 from __future__ import annotations
@@ -60,9 +62,10 @@ def differing_counts(parent: dict, change: dict) -> list[tuple]:
     return out
 
 
-def compare(results: dict) -> bool:
+def compare(results: dict, expect=()) -> bool:
     """Print the comparison of the two results in ``results`` (keyed by
-    side); True when both are ``correct`` and no count differs."""
+    side); True when both are ``correct`` and no count differs but those
+    whose names start with a prefix in ``expect``."""
     same = True
     for side in SIDES:
         if not results[side]["correct"]:
@@ -72,10 +75,14 @@ def compare(results: dict) -> bool:
                if m["unit"] != "s"]
     diffs = differing_counts(results["parent"]["metrics"],
                              results["change"]["metrics"])
+    unexpected = 0
     for name, a, b in diffs:
-        print(f"  {name}: {a} -> {b}")
-    print(f"{len(diffs)} of {len(counted)} count metrics differ")
-    return same and not diffs
+        expected = name.startswith(tuple(expect))
+        unexpected += not expected
+        print(f"  {name}: {a} -> {b}" + (" (expected)" if expected else ""))
+    print(f"{len(diffs)} of {len(counted)} count metrics differ, "
+          f"{unexpected} unexpected")
+    return same and not unexpected
 
 
 def main(argv=None) -> int:
@@ -85,13 +92,16 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--seconds", type=float, default=1.0)
+    ap.add_argument("--expect", action="append", default=[],
+                    metavar="PREFIX",
+                    help="counts whose names start with PREFIX may differ")
     args = ap.parse_args(argv)
     results = {}
     for side, tree in (("parent", args.parent), ("change", args.change)):
         print(f"{side} ({tree})", file=sys.stderr, flush=True)
         results[side] = run_traced(tree, args)
-    same = compare(results)
-    print(f"{args.workload}: all counts identical" if same
+    same = compare(results, args.expect)
+    print(f"{args.workload}: no unexpected count differs" if same
           else f"{args.workload}: counts differ")
     return 0 if same else 1
 
