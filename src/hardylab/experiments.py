@@ -454,14 +454,15 @@ def run_reinhardt(config: RunConfig | None = None,
 
     rng = np.random.default_rng(cfg.seed)
     shells = frontier_sample(dom, 16)
-    failures = 0
+    lo, hi = [], []
     for _ in range(MONOTONE_PAIRS):
         radii = shells[int(rng.integers(0, shells.shape[0]))]
         t_lo = float(rng.uniform(0.2, 0.85))
         t_hi = t_lo + float(rng.uniform(0.05, 0.13))
-        if not monotonicity_check(entry.evaluator, 1.0, t_lo * radii,
-                                  t_hi * radii, tol=1e-9):
-            failures += 1
+        lo.append(t_lo * radii)
+        hi.append(t_hi * radii)
+    failures = int(np.sum(~monotonicity_check(entry.evaluator, 1.0, lo, hi,
+                                              tol=1e-9)))
     info = {"h1_f": h1.value, "plateau_base": base,
             "plateau_tail_max": tail_max, "final_err": final_err,
             "monotone_pairs": MONOTONE_PAIRS, "monotone_failures": failures}

@@ -68,8 +68,8 @@ from .quadrature import (TWO_PI, _GRID, NormEstimate, RefinementReport,
                          angular_floor, doubled, dyadic_panels, _panel_gauss,
                          half_shifts, refine_until, torus_cosets,
                          torus_integrals, torus_levels, torus_points)
-from .reinhardt import (ReinhardtDomain, frontier_sample, polydisc,
-                        section_tops)
+from .reinhardt import (ReinhardtDomain, _maximal_rows, frontier_sample,
+                        polydisc, section_tops)
 
 
 def _grid(f, spike, n):
@@ -192,20 +192,6 @@ def bergman_norm_disc(f, p: float = 1.0, tol: float = 1e-8, *,
     tighter default tolerance and a larger node budget.
     """
     return _bergman(f, p, tol, polydisc(1), spike, max_nodes)
-
-
-def _maximal_rows(radii: np.ndarray) -> np.ndarray:
-    """Indices of rows not componentwise dominated by another row.
-
-    Circle means of |f|^p are nondecreasing in each radius coordinate, so
-    dominated frontier shells cannot carry the supremum and are skipped.
-    """
-    rj, ri = radii[:, None, :], radii[None, :, :]     # [j, i] compares j to i
-    covers = (np.all(rj >= ri - 1e-12, axis=2)
-              & np.any(rj > ri + 1e-12, axis=2))
-    # of exact duplicates the first row is kept
-    twins = np.triu(np.all(np.abs(rj - ri) <= 1e-12, axis=2), 1)
-    return np.flatnonzero(~np.any(covers | twins, axis=0))
 
 
 def hardy_norm_reinhardt(f, p: float = 1.0, domain: ReinhardtDomain = None,
@@ -343,12 +329,8 @@ def _bergman(f, p, tol, domain, spike, max_nodes) -> NormEstimate:
     wider than the unit polydisc, take the rim's floor.  Each count is
     then rounded up onto a ladder, to a multiple of 2^(floor(log2 m) - 3)
     (``_on_ladder``): at most eight counts per octave, at most 12.5% more
-    points per ring.  Cells with equal counts share one shell call, one
-    node table per axis and multi-row blocks; their sums go back in cell
-    order before the one dot product with the weights, so values do not
-    depend on the grouping.  The rounding commutes with the doubling
-    (the ladder of 2m is twice the ladder of m), so nested levels stay
-    exact.
+    points per ring.  The rounding commutes with the doubling (the ladder
+    of 2m is twice the ladder of m), so nested levels stay exact.
 
     The stopping rule sees the angular error, which every level halves
     geometrically, but not the Gauss error of the inner radial panels,
@@ -365,7 +347,14 @@ def _bergman(f, p, tol, domain, spike, max_nodes) -> NormEstimate:
     previous level also had carries its sum over: the level adds only the
     half-shifted cosets of that cell's previous grid (``doubled`` over
     ``torus_cosets``) and evaluates the cells of the two new rim panels
-    afresh.  It reports the points it evaluated.
+    afresh.  So a level makes two shell calls, each with one count
+    vector per cell: one for the carried cells' cosets, at their previous
+    counts, and one for the new cells at shift 0; the first has no cells
+    at level 0.  Each call groups its cells by count, with one factor
+    table for all its groups (``torus_cosets``), and gives its sums in
+    cell order before the one dot product with the weights, so values do
+    not depend on the grouping.  The level reports the points it
+    evaluated.
     """
     g = _abs_power(f, p)
     n = domain.dim
@@ -379,24 +368,16 @@ def _bergman(f, p, tol, domain, spike, max_nodes) -> NormEstimate:
                                       for j, s in enumerate(spikes)],
                                      axis=1)) << level
         keys = [row.tobytes() for row in cells]
-        kept = np.array([k in carried for k in keys], dtype=np.int64)
-        # a carried cell is evaluated at its previous counts, shifted
-        groups, inverse = np.unique(
-            np.column_stack([kept, counts >> kept[:, None]]), axis=0,
-            return_inverse=True)
-        inverse = inverse.reshape(-1)
+        kept = np.array([k in carried for k in keys], dtype=bool)
+        old, new = np.flatnonzero(kept), np.flatnonzero(~kept)
         sums = np.empty(cells.shape[0])
-        points = 0
-        for k, (old, *ms) in enumerate(groups.tolist()):
-            rows = np.flatnonzero(inverse == k)
-            if old:
-                sums[rows], pts = doubled(
-                    lambda s: torus_cosets(g, cells[rows], ms, s), n,
-                    np.array([carried[keys[i]] for i in rows]))
-            else:
-                (sums[rows],), pts = torus_cosets(g, cells[rows], ms,
-                                                  [(0.0,) * n])
-            points += pts
+        # a carried cell is evaluated at its previous counts, shifted
+        sums[old], old_points = doubled(
+            lambda s: torus_cosets(g, cells[old], list(counts[old].T >> 1), s),
+            n, np.array([carried[keys[i]] for i in old]))
+        (sums[new],), points = torus_cosets(g, cells[new], list(counts[new].T),
+                                            [(0.0,) * n])
+        points += old_points
         carried.clear()
         carried.update(zip(keys, sums.tolist()))
         return complex(float(sums @ weights)), (points,)
@@ -406,20 +387,30 @@ def _bergman(f, p, tol, domain, spike, max_nodes) -> NormEstimate:
 
 
 def monotonicity_check(f, p: float, r, R, tol: float = 1e-9, *,
-                       spike=None) -> bool:
-    """Check the shell ordering r <= R implies I(r) <= I(R).
+                       spike=None) -> bool | np.ndarray:
+    """Check the shell ordering r <= R implies I(r) <= I(R), for one pair
+    of radius vectors or for k pairs given as (k, n) arrays.
 
     I(s) is the unnormalized torus integral of |f|^p over the shell with
-    radius vector s; both shells share one grid so the comparison is free
-    of quadrature bias.  Slack is tol * max(1, I(R)); p must be > 0.
+    radius vector s.  Every shell of the call shares one grid, so the
+    comparison is free of quadrature bias, and k pairs take one shell
+    call, whose integrals are those of k calls bit for bit.  Slack is
+    tol * max(1, I(R)); p must be > 0.  Returns a bool for one pair, a
+    bool array for k.  Radii that are not finite, or not componentwise
+    0 <= r <= R, raise ``ValueError``.
     """
     r = np.atleast_1d(np.asarray(r, dtype=np.float64))
     R = np.atleast_1d(np.asarray(R, dtype=np.float64))
-    if r.shape != R.shape or r.ndim != 1:
+    if r.shape != R.shape or r.ndim not in (1, 2):
         raise ValueError("shell radius vectors must share one shape")
+    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(R))):
+        raise ValueError("shell radii must be finite")
     if np.any(r < 0) or np.any(R < r):
         raise ValueError("need componentwise 0 <= r <= R")
     g = _abs_power(f, p)
-    _, floors, _, _, _ = _grid(f, spike, r.size)
-    i_r, i_R = torus_integrals(g, np.vstack([r, R]), [m << 1 for m in floors])
-    return bool(i_r <= i_R + tol * max(1.0, i_R))
+    _, floors, _, _, _ = _grid(f, spike, r.shape[-1])
+    pairs = np.atleast_2d(r).shape[0]
+    values = torus_integrals(g, np.vstack([r, R]), [m << 1 for m in floors])
+    i_r, i_R = values[:pairs], values[pairs:]
+    ok = i_r <= i_R + tol * np.maximum(1.0, i_R)
+    return bool(ok[0]) if r.ndim == 1 else ok

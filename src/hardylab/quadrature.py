@@ -27,15 +27,20 @@ norm or I_c, is a :class:`NormEstimate`: its value and the
 
 :func:`torus_cosets` is the one shell rule, with three ways of
 evaluating it, chosen in one place (:func:`_axis_terms`) from one
-attribute.  An integrand that holds the one-variable factors of its
-``terms``, g(z) = map(sum_k prod_j t_kj(z_j)) with its own elementwise
-``map`` (|.|^p or none), has each distinct factor evaluated once per
-distinct radius on its axis (the q^2 radial cells of a polydisc share q
-radii per axis) and once per distinct shift (:func:`_circle_values`).
-One term is a product: at the same counts and shifts its tensor
-trapezoid sum over a shell is the product of the per-axis circle sums,
-so a shell costs sum_j m_j points instead of prod_j m_j, and the 2^n - 1
-cosets of a doubling share each axis's shift-0 and shift-1/2 sums.
+attribute.  Its shells may carry their own node counts: one call groups
+them by count itself (:func:`_shell_groups`), as the volume rule of
+``norms`` needs, whose rings take counts by radius.  An integrand that
+holds the one-variable factors of its ``terms``, g(z) = map(sum_k prod_j
+t_kj(z_j)) with its own elementwise ``map`` (|.|^p or none), has each
+distinct factor evaluated once per call on each axis, distinct radius,
+count and shift (:func:`_rings`, :func:`_circle_values`), into one
+factor table that every group of the call reads: the q^2 radial cells
+of a polydisc share q radii per axis, and the volume rule gives a ring
+its count from its own radius, whatever the other axes' counts.  One
+term is a product: at the same counts and shifts its tensor trapezoid
+sum over a shell is the product of the per-axis circle sums, so a shell
+costs sum_j m_j points instead of prod_j m_j, and the 2^n - 1 cosets of
+a doubling share each axis's shift-0 and shift-1/2 sums.
 Several terms (a tail or a density difference) have no such split;
 their values are formed on the tensor grid from the factor values with
 the sum's own elementwise operations, bit for bit the values the
@@ -48,9 +53,11 @@ shift.  On the tensor grid and in the several-term path it is evaluated
 only where the first axis's angle lies in [0, pi] (:func:`half_circle`),
 about half the points, with the same spectral accuracy (Trefethen &
 Weideman, *SIAM Review* 56, 2014); a product's circle sums stay whole.
-Every rule reports the points it evaluated the integrand at; a sum of
-several products reports the tensor points at which its values are
-formed, so no budget or stopping decision depends on the path.
+Every rule reports the points it evaluated the integrand at, counted
+from what the call holds (:func:`_points`), not by a second pass: a
+product its table's rings, and a sum of several products the tensor
+points at which its values are formed, so no budget or stopping decision
+depends on which of the two tensor paths is taken.
 
 Everything here is binary64 and deterministic: node construction, chunking
 and accumulation order are fixed functions of the rule parameters, so two
@@ -355,9 +362,9 @@ def _term_sums(terms, fmap, values, index, angular: Sequence[int],
                shift, half: bool) -> np.ndarray:
     """Plain sums over the tensor grid of each shell of
     fmap(sum_k prod_j terms[k][j](z_j)), n >= 2 axes, from the per-axis
-    factor values ``values[j, shift[j], id(terms[k][j])]`` of the distinct
-    radii on axis j, row ``index[j]`` for each shell, over the half circle
-    of the first axis when ``half``.
+    factor values ``values[j, angular[j], shift[j], id(terms[k][j])]`` of
+    the distinct radii on axis j at that count, row ``index[j]`` for each
+    shell, over the half circle of the first axis when ``half``.
 
     Each block of :func:`_block_plan` is formed in two buffers with the
     operations of ``registry.sum_of_products``: each term's factors
@@ -379,8 +386,8 @@ def _term_sums(terms, fmap, values, index, angular: Sequence[int],
                             for _ in range(2))
             total, part = (b[:size].reshape(shape) for b in (acc, tmp))
             for k, term in enumerate(terms):
-                v = [values[j, shift[j], id(fj)][index[j][start:stop]]
-                     for j, fj in enumerate(term)]
+                v = [values[j, angular[j], shift[j], id(fj)]
+                     [index[j][start:stop]] for j, fj in enumerate(term)]
                 v[0] = v[0][:, lo:hi]
                 # axis j's values broadcast along axis j + 1 of the block
                 v = [x.reshape(stop - start, *[1] * j, -1, *[1] * (n - 1 - j))
@@ -415,76 +422,146 @@ def _axis_terms(g: Callable, n: int) -> tuple[tuple | None, bool]:
     return terms, half
 
 
-def torus_cosets(g: Callable, radii, angular: Sequence[int],
-                 shifts: Sequence[Sequence[float]]) -> tuple[list, int]:
-    """Unnormalized trapezoid integrals of g over the shells radii[k] * T^n,
-    one array per shift in ``shifts``, and the points evaluated.
+def _shell_groups(radii, angular, shifts):
+    """The shells of :func:`torus_cosets` grouped by their node counts.
 
-    A shift gives the offset of each axis's nodes in steps, as in
-    :func:`unit_nodes`.  The integrand is called as ``g(z1, ..., zn)``.
-    Each integral approximates the d theta_1 ... d theta_n integral with
-    total mass (2pi)^n, no normalization.  The path is chosen by
-    :func:`_axis_terms`.  An integrand with ``terms`` evaluates each
-    distinct factor once per distinct radius and shift on its axis
-    (:func:`_circle_values`).  One term, a product, is summed factor by
-    factor: the tensor trapezoid sum of a product is the product of the
-    per-axis circle sums, and ``map`` (|.|^p or none) commutes with the
-    product, so each shell's integral is prod_j of map(values_j) summed
-    over its circle.  Several terms form their values on the tensor grid
-    from the factor values (:func:`_term_sums`).  Any other integrand is
-    evaluated on the tensor grid (:func:`torus_blocks`).  An integrand
-    flagged ``conj_even`` on either tensor path is evaluated only where
-    the first axis's angle lies in [0, pi] (:func:`half_circle`): each
-    shell's sum, with the values at 0 and pi halved, is doubled, which is
-    exact.  Every shell is summed alone, so the block size moves no
-    value.
+    ``angular`` holds the node count of each axis: an int for every shell
+    or an array with one count per shell.  Returns the (rows, n) radii and
+    the groups as (counts, rows): a tuple of n ints and the indices of the
+    shells that have them, in order.
     """
     radii = np.atleast_2d(np.asarray(radii, dtype=np.float64))
     rows, n = radii.shape
     if len(angular) != n or any(len(s) != n for s in shifts):
         raise ValueError("radii, angular node counts and shifts must align")
-    weight = math.prod(TWO_PI / m for m in angular)
-    points = torus_points(g, radii, angular, shifts)
-    terms, half = _axis_terms(g, n)
-    if half:
-        weight *= 2.0
-    if terms is None:
-        return ([_grid_sums(g, radii, angular, s, half) * weight
-                 for s in shifts], points)
-    fmap = getattr(g, "map", None)
-    values, index = {}, []
+    if all(np.ndim(m) == 0 for m in angular):
+        # one count vector: no sort, which would dwarf a one-shell call
+        ms = tuple(int(m) for m in angular)
+        return radii, [(ms, np.arange(rows))] if rows else []
+    counts = np.empty((rows, n), dtype=np.int64)
     for j, m in enumerate(angular):
-        r, inverse = np.unique(radii[:, j], return_inverse=True)
-        index.append(inverse)
-        for h in {s[j] for s in shifts}:
-            count = _first_axis(m, h, half)[0] if j == 0 else m
-            for fj in {id(term[j]): term[j] for term in terms}.values():
-                values[j, h, id(fj)] = _circle_values(fj, r, m, h, count)
-    if len(terms) > 1:
-        return ([_term_sums(terms, fmap, values, index, angular, s, half)
-                 * weight for s in shifts], points)
-    sums = {key: (v if fmap is None else fmap(v)).sum(axis=1)
-            for key, v in values.items()}
-    return ([math.prod(sums[j, h, id(fj)][index[j]]
-                       for j, (h, fj) in enumerate(zip(s, terms[0])))
-             * weight for s in shifts], points)
+        counts[:, j] = m
+    distinct, group = np.unique(counts, axis=0, return_inverse=True)
+    group = group.reshape(-1)
+    members = np.split(np.argsort(group, kind="stable"),
+                       np.cumsum(np.bincount(group))[:-1])
+    return radii, list(zip(map(tuple, distinct.tolist()), members))
 
 
-def torus_points(g: Callable, radii, angular: Sequence[int],
+def _rings(radii, groups) -> tuple[dict, np.ndarray]:
+    """The distinct rings of each axis: for axis j and count m, the sorted
+    distinct radii of the shells with count m on axis j (from the groups
+    of :func:`_shell_groups`), keyed (j, m), and each shell's row among
+    them (an (n, rows) array)."""
+    rings, index = {}, np.empty(radii.shape[::-1], dtype=np.intp)
+    for j in range(radii.shape[1]):
+        shells = {}
+        for ms, rows in groups:
+            shells.setdefault(ms[j], []).append(rows)
+        for m, parts in shells.items():
+            sel = np.concatenate(parts)
+            rings[j, m], index[j, sel] = np.unique(radii[sel, j],
+                                                   return_inverse=True)
+    return rings, index
+
+
+def _points(terms, half, shifts, groups, rings) -> int:
+    """The points :func:`torus_cosets` evaluates g at, from its groups of
+    shells (:func:`_shell_groups`) and, for a product, its distinct rings
+    (:func:`_rings`): prod_j m_j per shell and shift on the tensor grid,
+    where a sum of several products also forms its values, with the first
+    axis's half circle in place of m_1 for an integrand flagged
+    ``conj_even``; for a product m per distinct radius, count m and
+    distinct shift on axis j."""
+    if terms is None or len(terms) > 1:
+        return sum(rows.size * math.prod(ms[1:])
+                   * sum(_first_axis(ms[0], s[0], half)[0] for s in shifts)
+                   for ms, rows in groups)
+    return sum(r.size * m * len({s[j] for s in shifts})
+               for (j, m), r in rings.items())
+
+
+def torus_cosets(g: Callable, radii, angular: Sequence,
+                 shifts: Sequence[Sequence[float]]) -> tuple[list, int]:
+    """Unnormalized trapezoid integrals of g over the shells radii[k] * T^n,
+    one array per shift in ``shifts``, and the points evaluated.
+
+    ``angular`` holds the node count of each of the n axes, an int for
+    every shell or an array with one count per shell; the shells are
+    grouped by their counts (:func:`_shell_groups`).  A shift gives the
+    offset of each axis's nodes in steps, as in :func:`unit_nodes`.  The
+    integrand is called as ``g(z1, ..., zn)``.  Each integral
+    approximates the d theta_1 ... d theta_n integral with total mass
+    (2pi)^n, no normalization.  The path is chosen by
+    :func:`_axis_terms`.  An integrand with ``terms`` evaluates each
+    distinct factor once per axis, distinct radius, count and shift
+    (:func:`_circle_values`), into one table that every group of the
+    call reads.  One term, a product, is summed factor by factor: the
+    tensor trapezoid sum of a product is the product of the per-axis
+    circle sums, and ``map`` (|.|^p or none) commutes with the product,
+    so each shell's integral is prod_j of map(values_j) summed over its
+    circle.  Several terms form their values on the tensor grid from the
+    factor values (:func:`_term_sums`).  Any other integrand is evaluated
+    on the tensor grid (:func:`torus_blocks`).  An integrand flagged
+    ``conj_even`` on either tensor path is evaluated only where the first
+    axis's angle lies in [0, pi] (:func:`half_circle`): each shell's sum,
+    with the values at 0 and pi halved, is doubled, which is exact.
+    Every shell is summed alone, so neither the block size nor the
+    grouping moves a value.  The points are counted from the groups and
+    the table (:func:`_points`): a product reports each ring of the table
+    once, however many groups read it.  Zero shells give empty arrays and
+    0 points.
+    """
+    radii, groups = _shell_groups(radii, angular, shifts)
+    terms, half = _axis_terms(g, radii.shape[1])
+    fmap = getattr(g, "map", None)
+    rings = None
+    if terms is None:
+        def part(ms, rows, s):
+            return _grid_sums(g, radii[rows], ms, s, half)
+    else:
+        rings, index = _rings(radii, groups)
+        values = {}
+        for (j, m), r in rings.items():
+            for h in {s[j] for s in shifts}:
+                count = _first_axis(m, h, half)[0] if j == 0 else m
+                for fj in {id(term[j]): term[j] for term in terms}.values():
+                    values[j, m, h, id(fj)] = _circle_values(fj, r, m, h,
+                                                             count)
+        if len(terms) > 1:
+            def part(ms, rows, s):
+                return _term_sums(terms, fmap, values,
+                                  [ix[rows] for ix in index], ms, s, half)
+        else:
+            sums = {key: (v if fmap is None else fmap(v)).sum(axis=1)
+                    for key, v in values.items()}
+
+            def part(ms, rows, s):
+                return math.prod(sums[j, m, h, id(fj)][index[j][rows]]
+                                 for j, (m, h, fj)
+                                 in enumerate(zip(ms, s, terms[0])))
+    out = []
+    for s in shifts:
+        parts = [part(ms, rows, s) * (math.prod(TWO_PI / m for m in ms)
+                                      * (2.0 if half else 1.0))
+                 for ms, rows in groups]
+        vals = np.empty(radii.shape[0], dtype=np.result_type(np.float64,
+                                                             *parts))
+        for (_, rows), v in zip(groups, parts):
+            vals[rows] = v
+        out.append(vals)
+    return out, _points(terms, half, shifts, groups, rings)
+
+
+def torus_points(g: Callable, radii, angular: Sequence,
                  shifts: Sequence[Sequence[float]]) -> int:
     """The points :func:`torus_cosets` reports for the same arguments,
-    counted without evaluating g: the points it evaluates g at,
-    prod_j m_j per shell and shift on the tensor grid, where a sum of
-    several products also forms its values, with the first axis's half
-    circle in place of m_1 for an integrand flagged ``conj_even``; for a
-    product m_j per distinct radius and distinct shift on axis j."""
-    radii = np.atleast_2d(np.asarray(radii, dtype=np.float64))
+    counted without evaluating g (:func:`_points`)."""
+    radii, groups = _shell_groups(radii, angular, shifts)
     terms, half = _axis_terms(g, radii.shape[1])
-    if terms is None or len(terms) > 1:
-        return radii.shape[0] * math.prod(angular[1:]) * sum(
-            _first_axis(angular[0], s[0], half)[0] for s in shifts)
-    return sum(np.unique(radii[:, j]).size * m * len({s[j] for s in shifts})
-               for j, m in enumerate(angular))
+    rings = None if terms is None or len(terms) > 1 else \
+        _rings(radii, groups)[0]
+    return _points(terms, half, shifts, groups, rings)
 
 
 def torus_integrals(g: Callable, radii, angular: Sequence[int],

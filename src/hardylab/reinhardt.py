@@ -260,6 +260,21 @@ def frontier_sample(domain: ReinhardtDomain, count: int = 64) -> np.ndarray:
     return scales[:, None] * dirs
 
 
+def _maximal_rows(radii: np.ndarray) -> np.ndarray:
+    """Indices of rows not componentwise dominated by another row.
+
+    Circle means of |f|^p, and by the maximum principle the sup of |f| on
+    a shell, are nondecreasing in each radius coordinate, so dominated
+    frontier shells cannot carry the supremum and are skipped.
+    """
+    rj, ri = radii[:, None, :], radii[None, :, :]     # [j, i] compares j to i
+    covers = (np.all(rj >= ri - 1e-12, axis=2)
+              & np.any(rj > ri + 1e-12, axis=2))
+    # of exact duplicates the first row is kept
+    twins = np.triu(np.all(np.abs(rj - ri) <= 1e-12, axis=2), 1)
+    return np.flatnonzero(~np.any(covers | twins, axis=0))
+
+
 def dilate_truncate(f: PowerSeries, rho: float, M: int) -> PowerSeries:
     """Truncation at degree M of the dilate z -> f(rho z): the polynomial
     with coefficients a_k rho^k for k <= M."""
@@ -337,7 +352,11 @@ def density_experiment(f, domain: ReinhardtDomain, p: float = 1.0,
     the first rung rho_k = 1 - 2^-k (k <= _RHO_K_MAX) whose probe sup of
     |f - f_rho| on boundary shells clears half the target, and M is the
     smallest square degree (M <= _M_CAP) whose coefficient tail bound on
-    the closed domain clears the other half.  A scan that runs off its
+    the closed domain clears the other half.  The probe takes the shells
+    of a 16-direction frontier sample that no other one dominates
+    (:func:`_maximal_rows`): by the maximum principle a dominated shell
+    never carries the sup of |f - f_rho|, so a polydisc probes its one
+    shell (1, ..., 1), while a ball or a power egg keeps all 16.  A scan that runs off its
     ladder, or a coefficient sum that does not settle
     (:func:`_abs_coeff_sum`), keeps its last value and marks the row
     unconverged.  The achieved Hardy error of the resulting polynomial is
@@ -353,11 +372,12 @@ def density_experiment(f, domain: ReinhardtDomain, p: float = 1.0,
     # mean, in several variables the torus integral is unnormalized.
     norm_factor = 1.0 if n == 1 else (2.0 * np.pi) ** (n / p)
 
-    # Probe grid: the torus shells of a frontier sample, block by block,
-    # each with its values of f.
+    # Probe grid: the torus shells of the maximal rows of a frontier
+    # sample, block by block, each with its values of f.
     m_probe = 2048 if n == 1 else (128 if n == 2 else 32)
+    sample = frontier_sample(domain, 16)
     probe = [(zs, np.asarray(f.evaluator(*zs))) for zs in
-             torus_blocks(frontier_sample(domain, 16), (m_probe,) * n)]
+             torus_blocks(sample[_maximal_rows(sample)], (m_probe,) * n)]
 
     # Per-coordinate closure bounds for the coefficient tail estimate.
     closure = np.array([frontier_max_radius(domain, np.eye(n)[j])[j]

@@ -525,6 +525,49 @@ def test_product_levels_report_the_points_the_factors_evaluate(
     assert all(reported == seen for reported, seen in levels)
 
 
+def test_each_factor_ring_is_evaluated_once_per_level(monkeypatch):
+    # a level of the volume rule makes two shell calls, one for the
+    # carried cells' cosets and one for the new cells, and each groups its
+    # cells by count with one factor table: no factor of the err_a1 tail
+    # is evaluated twice on a ring (radius, count and shift, each ring
+    # known by its first two nodes) within a level.  The counters keep
+    # each factor's declarations, so the tail still takes the half circle
+    # and gives the plain tail's estimate.
+    tail = default_registry().get("prod-fa-0.9").tail_evaluator(64)
+    seen, repeats, calls = set(), [], []
+
+    def counting(fac):
+        def fn(z):
+            for row in z.reshape(-1, z.shape[-1]):
+                key = (id(fac), row[:2].tobytes())
+                if key in seen:
+                    repeats.append(key)
+                seen.add(key)
+            return fac(z)
+        return TaggedEvaluator(fn, fac.spike, fac.conj_symmetric)
+    wrapped = {id(fac): counting(fac) for term in tail.terms for fac in term}
+    f = sum_of_products([[wrapped[id(fac)] for fac in term]
+                         for term in tail.terms])
+    cells, cosets = norms.radial_cells, norms.torus_cosets
+
+    def level_start(*args, **kwargs):
+        seen.clear()
+        calls.append(0)
+        return cells(*args, **kwargs)
+
+    def counted(*args):
+        calls[-1] += 1
+        return cosets(*args)
+    monkeypatch.setattr(norms, "radial_cells", level_start)
+    monkeypatch.setattr(norms, "torus_cosets", counted)
+    est = bergman_norm_reinhardt(f, 1.0, polydisc(2), tol=1e-3)
+    assert est.converged and len(calls) >= 2
+    assert repeats == [] and calls == [2] * len(calls)
+    monkeypatch.undo()
+    plain = bergman_norm_reinhardt(tail, 1.0, polydisc(2), tol=1e-3)
+    assert est.report == plain.report
+
+
 @pytest.mark.parametrize("domain, exact", [
     (polydisc(3), TWO_PI ** 3),
     (ball(3), TWO_PI ** 3 * (1 - 0.81) ** 2)], ids=["polydisc", "ball"])
@@ -734,6 +777,51 @@ def test_monotonicity_rejects_bad_pairs():
         monotonicity_check(f, 1.0, [0.5, 0.2], [0.4, 0.3])
     with pytest.raises(ValueError):
         monotonicity_check(f, 1.0, [0.5], [0.4, 0.6])
+
+
+def test_monotonicity_refuses_non_finite_radii():
+    # a NaN or infinite radius is refused, in one pair and among k pairs,
+    # before anything is integrated
+    f = default_registry().get("prod-fa-0.9").evaluator
+    for r, R in (([np.nan, 0.5], [0.6, 0.6]), ([0.2, 0.5], [np.inf, 0.6]),
+                 ([0.2, 0.5], [0.6, np.nan])):
+        with pytest.raises(ValueError, match="finite"):
+            monotonicity_check(f, 1.0, r, R)
+        with pytest.raises(ValueError, match="finite"):
+            monotonicity_check(f, 1.0, [[0.1, 0.1], r], [[0.2, 0.2], R])
+
+
+@pytest.mark.parametrize("hide", [False, True], ids=["product", "tensor"])
+def test_monotonicity_pairs_in_one_call_match_one_call_each(monkeypatch,
+                                                            hide):
+    # k pairs as (k, n) arrays take one shell call, whose integrals and
+    # booleans are those of k calls bit for bit, on the factor path and
+    # the tensor grid.  A pair r = R at a negative slack fails, so the
+    # booleans are mixed.
+    f = default_registry().get("prod-fa-0.9-0.5").evaluator
+    f = _hidden(f) if hide else f
+    seen = []
+    integrals = norms.torus_integrals
+
+    def recording(*args):
+        seen.append(integrals(*args))
+        return seen[-1]
+    monkeypatch.setattr(norms, "torus_integrals", recording)
+    rng = np.random.default_rng(17)
+    shells = frontier_sample(ball(2), 16)
+    t = np.sort(rng.uniform(0.2, 0.95, (12, 2)), axis=1)
+    t[3, 1] = t[3, 0]
+    u = shells[rng.integers(0, len(shells), 12)]
+    lo, hi = t[:, :1] * u, t[:, 1:] * u
+    single = [monotonicity_check(f, 1.0, a, b, tol=-1e-12)
+              for a, b in zip(lo, hi)]
+    pairs, seen[:] = list(seen), []
+    batch = monotonicity_check(f, 1.0, lo, hi, tol=-1e-12)
+    (values,) = seen
+    assert batch.dtype == bool and batch.tolist() == single
+    assert single.count(False) == 1 and not single[3]
+    assert values.tobytes() == np.concatenate(
+        [v[:1] for v in pairs] + [v[1:] for v in pairs]).tobytes()
 
 
 def test_norm_estimate_is_frozen():

@@ -445,6 +445,72 @@ def test_a_one_variable_sum_of_products_takes_the_circle_rule():
                 torus_points(g, radii, ms, shifts)
 
 
+def _path_integrand(path, dim):
+    # an integrand for each path of torus_cosets, with the counters of
+    # what it evaluates: the tensor grid (no terms), a sum of several
+    # products and a product
+    if path == "tensor":
+        g = _Counted(_smooth)
+        return g, [g]
+    if path == "terms":
+        g, counted = _counted_sum(dim)
+        return g, list({id(c): c for term in counted for c in term}.values())
+    return _counted_product(dim)
+
+
+@pytest.mark.parametrize("path", ["tensor", "terms", "product"])
+def test_zero_shells_give_empty_integrals_and_no_points(path):
+    # no shell, as the volume rule's carried cells at its first level: one
+    # empty array per shift and 0 points on every path, with one count
+    # vector for all shells or one per shell, and nothing evaluated
+    g, counted = _path_integrand(path, 2)
+    none = np.empty((0, 2))
+    for ms in (_COUNTS[2], [np.zeros(0, dtype=np.int64)] * 2):
+        for shifts in ([(0.0, 0.0)], half_shifts(2)):
+            values, points = torus_cosets(g, none, ms, shifts)
+            assert [v.shape for v in values] == [(0,)] * len(shifts)
+            assert points == 0 == torus_points(g, none, ms, shifts)
+    assert [c.points for c in counted] == [0] * len(counted)
+
+
+@pytest.mark.parametrize("path", ["tensor", "terms", "product"])
+def test_per_shell_counts_match_one_call_per_count_vector(path):
+    # shells with their own counts, a count per axis set by the radius on
+    # that axis as the volume rule sets them: one call groups them by
+    # count vector and gives every shell the integrals of one call per
+    # group bit for bit, in shell order.  The tensor paths report the
+    # points of those calls; a product evaluates each factor once per
+    # axis, radius, count and shift, and reports what it evaluated
+    radii = np.array([[r1, r2] for r1 in (0.3, 0.6, 0.9)
+                      for r2 in (1.0, 0.5, 0.8)])
+    ms = [np.where(radii[:, 0] < 0.5, 8, 12), np.where(radii[:, 1] < 0.9,
+                                                        10, 14)]
+    counts = np.column_stack(ms)
+    for shifts in ([(0.0, 0.0)], half_shifts(2)):
+        g, counted = _path_integrand(path, 2)
+        values, points = torus_cosets(g, radii, ms, shifts)
+        evaluated = sum(c.points for c in counted)
+        assert points == torus_points(g, radii, ms, shifts)
+        expected = [np.empty_like(v) for v in values]
+        per_group = 0
+        for group in np.unique(counts, axis=0):
+            rows = np.flatnonzero(np.all(counts == group, axis=1))
+            part, part_points = torus_cosets(g, radii[rows], group.tolist(),
+                                             shifts)
+            per_group += part_points
+            for e, v in zip(expected, part):
+                e[rows] = v
+        assert [v.tobytes() for v in values] == \
+            [e.tobytes() for e in expected]
+        if path != "product":
+            assert points == per_group
+            continue
+        rings = sum(np.unique(radii[counts[:, j] == m, j]).size * m
+                    * len({s[j] for s in shifts})
+                    for j in range(2) for m in np.unique(counts[:, j]))
+        assert points == evaluated == rings < per_group
+
+
 def test_sum_of_products_needs_a_factor_per_axis():
     g = sum_of_products([(_smooth_factor(0), _smooth_factor(1))] * 2)
     with pytest.raises(ValueError, match="3 axes has 2 factors"):

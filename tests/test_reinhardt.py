@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hardylab.errors import DomainModelError
-from hardylab import quadrature
+from hardylab import quadrature, reinhardt
 from hardylab.experiments import run_density
 from hardylab.registry import default_registry, fa_entry, product_entry
 from hardylab.reinhardt import (ReinhardtDomain, ball, contains,
@@ -197,14 +197,56 @@ def test_density_probe_takes_each_rung_once(dim):
     entry.__dict__["evaluator"] = counted     # the cached property's slot
     rows = density_experiment(entry, polydisc(dim), 1.0, (0.5, 0.1, 0.02),
                               norm_tol=1e-3)
+    # a polydisc probes its one maximal frontier shell, (1, ..., 1)
     m_probe = 2048 if dim == 1 else 128
-    blocks = len(list(quadrature.torus_blocks(
-        frontier_sample(polydisc(dim), 16), (m_probe,) * dim)))
+    blocks = len(list(quadrature.torus_blocks(np.ones((1, dim)),
+                                              (m_probe,) * dim)))
     rungs = round(-np.log2(1.0 - max(row.rho for row in rows)))
     assert len(calls) == blocks * (1 + rungs)
     fresh = density_experiment(product_entry((fa09,) * dim), polydisc(dim),
                                1.0, (0.5, 0.1, 0.02), norm_tol=1e-3)
     assert rows == fresh
+
+
+class _Probed(Exception):
+    pass
+
+
+def test_density_probe_takes_the_maximal_frontier_shells(monkeypatch):
+    # a dominated shell never carries the sup of |f - f_rho|: a polydisc
+    # probes its one shell (1, 1), while no shell of the 16-direction
+    # frontier sample of a ball or a power egg dominates another
+    probed = []
+
+    def recording(radii, angular, shift=None, count=None):
+        probed.append(np.asarray(radii))
+        raise _Probed
+    monkeypatch.setattr(reinhardt, "torus_blocks", recording)
+    ent = default_registry().get("prod-fa-0.9")
+    for dom in (polydisc(2), ball(2), power_egg([1, 1])):
+        with pytest.raises(_Probed):
+            density_experiment(ent, dom, 1.0, (0.5,))
+    sample = [frontier_sample(dom, 16) for dom in (ball(2),
+                                                  power_egg([1, 1]))]
+    assert [p.tolist() for p in probed] == [[[1.0, 1.0]]] + [
+        s.tolist() for s in sample]
+
+
+def test_density_rows_do_not_move_when_dominated_shells_are_probed(
+        monkeypatch):
+    # probing every shell of the sample again, dominated ones included,
+    # gives the bidisc rows bit for bit: the same rho, M and error
+    ent = default_registry().get("prod-fa-0.9")
+
+    def rows():
+        return density_experiment(ent, polydisc(2), 1.0, (0.5, 0.1, 0.02),
+                                  norm_tol=1e-3)
+    maximal = rows()
+    monkeypatch.setattr(reinhardt, "_maximal_rows",
+                        lambda radii: np.arange(len(radii)))
+    assert rows() == maximal
+    assert [(r.rho, r.M) for r in maximal] == [
+        (1 - 2.0 ** -21, 135), (1 - 2.0 ** -24, 152), (1 - 2.0 ** -26, 168)]
 
 
 def test_density_degree_is_the_smallest_that_clears_the_tail_target():

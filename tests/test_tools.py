@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 
@@ -10,6 +11,7 @@ def _tool(name: str):
     return module
 
 
+bench_pairs = _tool("bench_pairs")
 same_tables = _tool("same_tables")
 same_traces = _tool("same_traces")
 
@@ -157,3 +159,37 @@ def test_same_traces_reads_repeated_expect_flags(monkeypatch):
     argv = ["--parent", "a", "--change", "b", "--workload", "disc",
             "--expect", "quadrature.", "--expect", "norms.hardy_norm_disc."]
     assert same_traces.main(argv) == 0
+
+
+_RESULT = {"correct": True, "failed": 0, "attempted": 1,
+           "metrics": {"wall_s": {"value": 0.5, "unit": "s"}}}
+
+
+def _bench_tree(path: Path, script: str) -> Path:
+    (path / "perfbench").mkdir(parents=True)
+    (path / "perfbench" / "run.py").write_text(script)
+    (path / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "wall_s", "better": "lower"}]}))
+    return path
+
+
+def test_bench_pairs_reports_a_run_that_prints_no_result(tmp_path, capsys):
+    # the change's run crashes with exit code 3: the comparison stops with
+    # that run's side, pair, exit code and last lines of stderr, and exits 1
+    parent = _bench_tree(tmp_path / "parent",
+                         f"print({json.dumps(json.dumps(_RESULT))})\n")
+    change = _bench_tree(tmp_path / "change",
+                         "import sys\nprint('half a table')\n"
+                         "sys.stderr.write('Traceback\\nBoom: no table\\n')"
+                         "\nsys.exit(3)\n")
+    argv = ["--parent", str(parent), "--change", str(change),
+            "--workload", "bidisc", "--pairs", "2", "--seed", "1",
+            "--seconds", "0"]
+    assert bench_pairs.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert f"change run of pair 1 ({change}) printed no result (exit 3):" \
+        in err
+    assert err.rstrip().endswith("Traceback\n  Boom: no table")
+    assert "bidisc: stopped at pair 1, seed 1, all correct: False" in out
+    # two good trees compare as before
+    assert bench_pairs.main(argv[:3] + [str(parent)] + argv[4:]) == 0

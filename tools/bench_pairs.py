@@ -9,7 +9,10 @@ last line a run prints is its result.  Prints, per end-to-end metric of the
 change tree's BENCHMARK.json, the medians and quartiles (numpy.percentile)
 of both sides and the pairs the change won, and whether every run was
 ``correct``.  ``--json`` writes the block BENCH files keep under
-``workloads.<name>``.
+``workloads.<name>``.  A run that prints no result, a crash, ends the
+comparison: it is reported with its side, pair, exit code and the last
+lines of its standard error, counted as not correct, and the exit code
+is 1.
 """
 
 from __future__ import annotations
@@ -23,14 +26,27 @@ from pathlib import Path
 import numpy as np
 
 SIDES = ("parent", "change")
+# lines of a failed run's standard error that its report shows
+STDERR_LINES = 10
 
 
-def run_once(tree: Path, args) -> dict:
+def run_once(tree: Path, args, side: str, pair: int) -> dict | None:
+    """One untraced run of the workload in ``tree``: its result, the
+    last line it prints as JSON, or ``None`` after reporting a run that
+    printed none."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds),
            "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    lines = proc.stdout.strip().splitlines()
+    try:
+        return json.loads(lines[-1])
+    except (IndexError, ValueError):
+        tail = proc.stderr.strip().splitlines()[-STDERR_LINES:]
+        print(f"{side} run of pair {pair} ({tree}) printed no result "
+              f"(exit {proc.returncode}):", *tail, sep="\n  ",
+              file=sys.stderr)
+        return None
 
 
 def summary(runs: list[float]) -> dict:
@@ -59,7 +75,12 @@ def main(argv=None) -> int:
         order = SIDES if k % 2 else SIDES[::-1]
         first.append(order[0])
         for side in order:
-            results[side].append(run_once(trees[side], args))
+            result = run_once(trees[side], args, side, k)
+            if result is None:
+                print(f"{args.workload}: stopped at pair {k}, seed "
+                      f"{args.seed}, all correct: False")
+                return 1
+            results[side].append(result)
         print(f"pair {k}: " + ", ".join(
             f"{s} {results[s][-1]['metrics']['wall_s']['value']:.3f} s"
             for s in SIDES), file=sys.stderr, flush=True)
