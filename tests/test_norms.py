@@ -23,6 +23,7 @@ from hardylab.registry import (TaggedEvaluator, default_registry, fa_entry,
 from hardylab.reinhardt import ball, frontier_sample, polydisc, power_egg
 from hardylab.series import PowerSeries
 from hardylab.witnesses import T1T2Split, fa_series
+from test_quadrature import reference_nodes
 
 TWO_PI = 2.0 * np.pi
 RNG = np.random.default_rng(7321)
@@ -243,7 +244,8 @@ class _Level0Done(Exception):
 
 def _pin_level0(estimator, radii, counts, **kw):
     """Run estimator until it has evaluated f on every ring
-    radii[i] * e^(2 pi i k / counts[i]), k < counts[i].
+    radii[i] * e^(2 pi i k / counts[i]), k < counts[i], with the nodes
+    built as unit_nodes states them (``reference_nodes``).
 
     Calls may take the rings in any order, each call holding whole rings
     of one count or one arc of a ring cut into arcs, which come in order;
@@ -265,7 +267,7 @@ def _pin_level0(estimator, radii, counts, **kw):
             if ring.size < m:
                 continue
             arcs.clear()
-            phases = np.exp(1j * (TWO_PI * np.arange(m) / m))
+            phases = reference_nodes(m)
             assert ring.tobytes() == (r * phases).tobytes()
             seen.add(key)
         if len(seen) == len(want):

@@ -191,16 +191,77 @@ def test_torus_rule_orthogonality():
         torus_integrals(lambda z1, z2: z1, shells, (32,))
 
 
+def reference_nodes(m, shift=0.0):
+    """unit_nodes(m, shift=shift) as its docstring states the nodes: node
+    k = q b + s is coarse[q] * fine[s], with b = 2^floor(bit_length(m) / 2),
+    coarse[q] = exp(2 pi i q b / m) and fine[s] = exp(2 pi i (s + shift) / m),
+    one exponential per entry."""
+    b = 1 << (m.bit_length() // 2)
+    k = np.arange(m)
+    coarse = np.exp(1j * (TWO_PI * (k - k % b) / m))
+    fine = np.exp(1j * (TWO_PI * (k % b + shift) / m))
+    return coarse * fine
+
+
 def test_unit_nodes_formula_and_broadcast():
-    # bit for bit the angles 2 pi k / m the one-variable rules always used
-    for m in (24, 161, 4096):
-        theta = TWO_PI * np.arange(m) / m
-        assert np.array_equal(unit_nodes(m), np.exp(1j * theta))
+    # bit for bit the two-table products, and node 0 exactly 1 at shift 0
+    for m in (1, 2, 3, 24, 161, 4096, 65600):
+        for shift in (0.0, 0.5):
+            assert (unit_nodes(m, shift=shift).tobytes()
+                    == reference_nodes(m, shift).tobytes())
+        assert unit_nodes(m)[:1].tobytes() == np.ones(1, complex).tobytes()
     assert unit_nodes(8, 1, 3).shape == (1, 8, 1)
     # half a step: the nodes of the 2m-node rule the m-node rule lacks
     assert np.array_equal(unit_nodes(24, shift=0.0), unit_nodes(24))
-    odd = np.exp(1j * TWO_PI * np.arange(1, 48, 2) / 48)
+    odd = unit_nodes(48)[1::2]
     assert np.allclose(unit_nodes(24, shift=0.5), odd, rtol=0, atol=1e-15)
+
+
+def _nodes_error(z, ks, m, shift, mp):
+    # the larger error of either component against the exact cos and sin
+    worst = 0.0
+    with mp.workdps(30):
+        for k, x in zip(ks, z):
+            t = 2 * mp.pi * (int(k) + mp.mpf(shift)) / m
+            worst = max(worst, abs(float(mp.cos(t) - x.real)),
+                        abs(float(mp.sin(t) - x.imag)))
+    return worst
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.5])
+@pytest.mark.parametrize("m", [24, 161, 4096, 65600, 262209])
+def test_unit_nodes_stay_within_roundoff_of_the_exact_angles(m, shift):
+    # a strided sample, the nodes nearest pi/2, pi and 3 pi/2, and the
+    # last; no further off than one exponential per node
+    mp = pytest.importorskip("mpmath")
+    near = {min(m - 1, max(0, round(m * t - shift) + d))
+            for t in (0.25, 0.5, 0.75) for d in (-1, 0, 1)}
+    ks = np.array(sorted(set(range(0, m, max(1, m // 500))) | near
+                         | {m - 1}))
+    new = _nodes_error(unit_nodes(m, shift=shift)[ks], ks, m, shift, mp)
+    per_node = np.exp(1j * (TWO_PI * (ks + shift) / m))
+    assert new <= 1.2e-15
+    assert new <= _nodes_error(per_node, ks, m, shift, mp) + 1e-16
+
+
+def test_unit_nodes_refuse_a_count_outside_zero_to_m():
+    assert unit_nodes(4, count=0).shape == (0,)
+    assert unit_nodes(4, count=4).tobytes() == unit_nodes(4).tobytes()
+    for count in (6, 5, -1):
+        with pytest.raises(ValueError, match="count"):
+            unit_nodes(4, count=count)
+
+
+def test_unit_nodes_refuse_fewer_than_one_node():
+    for m in (0, -3):
+        with pytest.raises(ValueError, match="m >= 1"):
+            unit_nodes(m)
+
+
+def test_unit_nodes_refuse_a_shift_that_is_not_finite():
+    for shift in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="finite shift"):
+            unit_nodes(8, shift=shift)
 
 
 def _smooth(*z):

@@ -2,6 +2,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 
 def _tool(name: str):
     path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
@@ -71,6 +73,63 @@ def test_same_tables_max_rel_fails_a_changed_non_numeric_cell(tmp_path):
                        {"t.csv": "N,value,ok\n8,2.0,true\n"},
                        {"t.csv": "N,value,ok\n" + row})
         assert not same_tables.compare(dirs, max_rel=1.0)
+
+
+def _drifting_tables(tmp_path) -> dict:
+    # t.csv drifts by about 1e-13 relative, d.csv by 2e-11, u.csv not at all
+    parent = {"t.csv": "N,value\n8,2.0\n", "d.csv": "N,error\n8,1.0\n",
+              "u.csv": "N\n8\n"}
+    change = {"t.csv": "N,value\n8,2.0000000000002\n",
+              "d.csv": "N,error\n8,1.00000000002\n", "u.csv": "N\n8\n"}
+    return _tables(tmp_path, parent, change)
+
+
+def test_same_tables_bounds_each_file_by_name(tmp_path, capsys):
+    dirs = _drifting_tables(tmp_path)
+    assert same_tables.compare(dirs, {None: 1e-12, "d.csv": 5e-11})
+    out = capsys.readouterr().out
+    assert "d.csv: 1 cells differ, largest relative difference 2e-11, " \
+        "within 5e-11" in out
+    assert "t.csv: 1 cells differ, largest relative difference 9.99e-14, " \
+        "within 1e-12" in out
+    assert not same_tables.compare(dirs, {None: 1e-12})
+    # a file no bound names must be identical
+    assert not same_tables.compare(dirs, {"d.csv": 5e-11})
+    # a named bound overrides the bound for the others
+    assert not same_tables.compare(dirs, {None: 5e-11, "t.csv": 1e-14})
+
+
+def test_same_tables_fails_a_bound_for_a_file_neither_tree_wrote(tmp_path,
+                                                                 capsys):
+    table = {"t.csv": "N\n8\n"}
+    dirs = _tables(tmp_path, table, table)
+    assert same_tables.compare(dirs, {None: 1e-14})
+    assert not same_tables.compare(dirs, {None: 1e-14, "dens.csv": 5e-11})
+    assert "dens.csv: bounded by --max-rel but in neither tree" in \
+        capsys.readouterr().out
+
+
+def test_same_tables_reads_repeated_max_rel_flags(tmp_path, monkeypatch,
+                                                  capsys):
+    (tmp_path / "source").mkdir()
+    source = _drifting_tables(tmp_path / "source")
+
+    def run_all(tree, out):
+        out.mkdir(parents=True)
+        for p in source[str(tree)].iterdir():
+            (out / p.name).write_text(p.read_text())
+        return "uniform-bound: exit 0 -> out/uniform-bound.csv\n"
+
+    monkeypatch.setattr(same_tables, "run_all", run_all)
+    argv = ["--parent", "parent", "--change", "change"]
+    assert same_tables.main(
+        argv + ["--max-rel", "1e-12", "--max-rel", "d.csv=5e-11"]) == 0
+    assert "all tables within 1e-12, d.csv 5e-11" in capsys.readouterr().out
+    assert same_tables.main(argv + ["--max-rel", "1e-12"]) == 1
+    assert same_tables.main(argv + ["--max-rel", "d.csv=1e-10"]) == 1
+    for bad in ("d.csv=nan", "-1e-12", "d.csv=", "inf", "1e-12x"):
+        with pytest.raises(SystemExit):
+            same_tables.main(argv + ["--max-rel", bad])
 
 
 def test_same_tables_reads_each_runners_exit_code():

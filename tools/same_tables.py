@@ -2,7 +2,7 @@
 changed one.
 
     python3 tools/same_tables.py --parent OLD --change NEW [--out DIR] \
-        [--max-rel X]
+        [--max-rel X] [--max-rel NAME=X ...]
 
 Runs ``hardylab all`` once in each tree, one at a time, with that tree's
 ``src`` on ``PYTHONPATH``, writing the CSVs under ``DIR/parent`` and
@@ -10,10 +10,14 @@ Runs ``hardylab all`` once in each tree, one at a time, with that tree's
 byte for byte.  For a file that differs it prints every differing cell
 (row, column, both values) and the largest relative difference of the
 numeric ones.  Exits 0 only when both trees wrote the same files, every
-runner exited with the same code in both, and every file is identical;
-with ``--max-rel X``, a file also passes when every cell that differs is
+runner exited with the same code in both, and every file is identical.
+``--max-rel X`` lets a file also pass when every cell that differs is
 numeric in both trees and differs by at most X relative, so a change that
-moves values at roundoff can be checked.
+moves values at roundoff can be checked.  The flag repeats, and
+``--max-rel NAME=X`` bounds the file NAME alone: with ``--max-rel 1e-14
+--max-rel density.csv=5e-11`` the density table may drift by 5e-11 and
+every other file by 1e-14.  A file that no flag names is compared byte
+for byte, and a bound for a file neither tree wrote fails the run.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import filecmp
+import math
 import os
 import subprocess
 import sys
@@ -93,33 +98,51 @@ def differing_cells(old: Path, new: Path) -> tuple[list, float | None]:
     return cells, worst
 
 
-def compare(dirs: dict, max_rel: float | None = None) -> bool:
+def compare(dirs: dict, max_rel: float | dict | None = None) -> bool:
     """Print the comparison of the CSVs in ``dirs``; True when every file
-    is in both and identical, or, given ``max_rel``, differs only in
-    numeric cells, each by at most ``max_rel`` relative."""
+    is in both and identical, or differs only in numeric cells, each by at
+    most its bound relative.  ``max_rel`` is one bound for every file, or
+    a dict of bounds by file name whose key ``None`` bounds the files it
+    does not name; a file without a bound must be identical."""
+    bounds = max_rel if isinstance(max_rel, dict) else {None: max_rel}
     files = {side: {p.name for p in dirs[side].glob("*.csv")}
              for side in SIDES}
     same = files["parent"] == files["change"] and bool(files["parent"])
     for name in sorted(files["parent"] ^ files["change"]):
         side = "parent" if name in files["parent"] else "change"
         print(f"{name}: only in {side}")
+    for name in sorted(set(bounds) - {None} - files["parent"]
+                       - files["change"]):
+        print(f"{name}: bounded by --max-rel but in neither tree")
+        same = False
     for name in sorted(files["parent"] & files["change"]):
+        bound = bounds.get(name, bounds.get(None))
         old, new = dirs["parent"] / name, dirs["change"] / name
         if filecmp.cmp(old, new, shallow=False):
             print(f"{name}: identical")
             continue
         cells, worst = differing_cells(old, new)
         rels = [_rel(x, y) for _, _, x, y in cells]
-        close = max_rel is not None and all(
-            rel is not None and rel <= max_rel for rel in rels)
+        close = bound is not None and all(
+            rel is not None and rel <= bound for rel in rels)
         same = same and close
         worst_text = "none numeric" if worst is None else f"{worst:.3g}"
         print(f"{name}: {len(cells)} cells differ, largest relative "
               f"difference {worst_text}"
-              + (f", within {max_rel:g}" if close else ""))
+              + (f", within {bound:g}" if close else ""))
         for row, col, x, y in cells:
             print(f"  row {row} {col}: {x} -> {y}")
     return same
+
+
+def _bound(text: str) -> tuple[str | None, float]:
+    """A ``--max-rel`` value, ``X`` or ``NAME=X``, as (NAME or None, X)."""
+    name, _, value = text.rpartition("=")
+    bound = float(value)
+    if not 0.0 <= bound < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"{text!r}: expected X or NAME=X with X a finite number >= 0")
+    return name or None, bound
 
 
 def main(argv=None) -> int:
@@ -127,9 +150,13 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--out", type=Path)
-    ap.add_argument("--max-rel", type=float,
-                    help="pass numeric cells within this relative difference")
+    ap.add_argument("--max-rel", type=_bound, action="append", default=[],
+                    metavar="[NAME=]X",
+                    help="pass numeric cells within this relative difference, "
+                         "in the file NAME or in every file no flag names; "
+                         "repeatable")
     args = ap.parse_args(argv)
+    bounds = dict(args.max_rel)
     codes = {}
     with tempfile.TemporaryDirectory() as tmp:
         root = (args.out or Path(tmp)).resolve()
@@ -139,11 +166,13 @@ def main(argv=None) -> int:
             stdout = run_all(tree, dirs[side])
             print(stdout, end="", file=sys.stderr)
             codes[side] = exit_codes(stdout)
-        same = compare(dirs, args.max_rel)
+        same = compare(dirs, bounds)
     if codes["parent"] != codes["change"]:
         print(f"exit codes differ: {codes['parent']} -> {codes['change']}")
         same = False
-    exact = "identical" if args.max_rel is None else f"within {args.max_rel:g}"
+    within = ", ".join(f"{bound:g}" if name is None else f"{name} {bound:g}"
+                       for name, bound in bounds.items())
+    exact = f"within {within}" if within else "identical"
     print(f"all tables {exact}" if same else "tables differ")
     return 0 if same else 1
 
