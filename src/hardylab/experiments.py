@@ -321,11 +321,11 @@ def run_blowup(config: RunConfig | None = None) -> ExperimentResult:
     for N in ns:
         t0 = time.perf_counter()
         a = blowup_schedule(N)
-        # f_a, its S_N and T1 carry the spike a (S_N's degree tag is a too)
-        # and, a being real, conj_symmetric
+        # f_a, its S_N and T1 carry the spike a (S_N's degree tag is a too);
+        # a being real, the split declares T1 conj_symmetric itself
         entry = fa_entry(a)
         sn = entry.partial_evaluator(N)
-        t1 = TaggedEvaluator(T1T2Split(a, N).t1, a, entry.conj_symmetric)
+        t1 = TaggedEvaluator(T1T2Split(a, N).t1, a)
         h1f = hardy_norm_disc(entry.evaluator, 1.0, cfg.tol,
                               max_nodes=cfg.max_nodes)
         h1n = hardy_norm_disc(sn, 1.0, cfg.tol, max_nodes=cfg.max_nodes)

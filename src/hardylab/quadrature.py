@@ -84,6 +84,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -306,31 +307,58 @@ def torus_blocks(radii, angular: Sequence[int],
                for j in range(n)]
 
 
+# The row of a cut shell in _row_sums, kept between calls: capacity only,
+# never values, grown to exactly the largest row asked for, so it holds
+# no more than the largest fresh row would.  A fresh row per call is a
+# large allocation that glibc maps and unmaps each time unless a larger
+# freed array has raised its mmap threshold, and then its pages fault in
+# again on every call: with the T1 of the perfbench circle workload on
+# its half circles, the 1 MiB row of its N = 4096 ring took about 4.3k
+# minor faults per repetition, against about 1 kept.  A call that finds
+# the row in use, a nested integration or another thread, takes a fresh
+# array.
+_ROW = [np.empty(0, dtype=np.uint8)]
+_ROW_LOCK = threading.Lock()
+
+
 def _row_sums(blocks, shape: Sequence[int], ends=()) -> np.ndarray:
     """Per-shell sums of the integrand values of :func:`_block_plan`'s
     blocks over grids of ``shape``, given in order.  The pieces of a cut
-    shell are written into one row, whose one ``np.sum`` is the shell's,
-    as for a whole one.  The values at the first-axis nodes ``ends`` are
-    halved first, in place (:func:`half_circle`)."""
+    shell are written into one row (``_ROW``), whose one ``np.sum`` is
+    the shell's, as for a whole one.  The values at the first-axis nodes
+    ``ends`` are halved first, in place (:func:`half_circle`)."""
     sums = []
-    row, filled = None, 0
+    row, filled, held = None, 0, False
     inner = math.prod(shape[1:])
-    for vals in blocks:
-        lo = filled // inner
-        hit = [k - lo for k in ends if lo <= k < lo + vals.shape[1]]
-        if hit:
-            vals = vals if vals.flags.writeable else vals.copy()
-            vals[:, hit] *= 0.5
-        if vals.shape[1] == shape[0]:
-            sums.append(vals.reshape(vals.shape[0], -1).sum(axis=1))
-            continue
-        if row is None:
-            row = np.empty((1, math.prod(shape)), dtype=vals.dtype)
-        row[:, filled:filled + vals.size] = vals.reshape(1, -1)
-        filled += vals.size
-        if filled == row.size:
-            sums.append(row.sum(axis=1))
-            filled = 0
+    try:
+        for vals in blocks:
+            lo = filled // inner
+            hit = [k - lo for k in ends if lo <= k < lo + vals.shape[1]]
+            if hit:
+                vals = vals if vals.flags.writeable else vals.copy()
+                vals[:, hit] *= 0.5
+            if vals.shape[1] == shape[0]:
+                sums.append(vals.reshape(vals.shape[0], -1).sum(axis=1))
+                continue
+            if row is None:
+                size = math.prod(shape)
+                held = _ROW_LOCK.acquire(blocking=False)
+                if held:
+                    nbytes = size * vals.dtype.itemsize
+                    if _ROW[0].size < nbytes:
+                        _ROW[0] = None              # free before growing
+                        _ROW[0] = np.empty(nbytes, dtype=np.uint8)
+                    row = _ROW[0][:nbytes].view(vals.dtype).reshape(1, size)
+                else:
+                    row = np.empty((1, size), dtype=vals.dtype)
+            row[:, filled:filled + vals.size] = vals.reshape(1, -1)
+            filled += vals.size
+            if filled == row.size:
+                sums.append(row.sum(axis=1))
+                filled = 0
+    finally:
+        if held:
+            _ROW_LOCK.release()
     return np.concatenate(sums)
 
 

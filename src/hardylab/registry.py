@@ -26,6 +26,7 @@ reproducible.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -45,12 +46,22 @@ class TaggedEvaluator:
     1/|s_j|, entire for s = 0; the Hardy estimators then integrate on the
     boundary.  ``None`` declares nothing.  ``conj_symmetric`` declares
     fn(conj z) = conj fn(z), as real Taylor coefficients give; the norm
-    estimators then evaluate |fn|^p on half of each tensor grid.
+    estimators then evaluate |fn|^p on half of each tensor grid.  Given
+    no ``conj_symmetric``, the wrapper takes fn's own: fn's attribute, or
+    for a bound method its object's, as ``witnesses.T1T2Split`` declares
+    its closed forms; a callable that declares nothing stays undeclared.
     """
 
     fn: Callable
     spike: float | tuple | None = None
-    conj_symmetric: bool = False
+    conj_symmetric: bool | None = None
+
+    def __post_init__(self):
+        if self.conj_symmetric is None:
+            owner = self.fn.__self__ if inspect.ismethod(self.fn) else None
+            declared = getattr(self.fn, "conj_symmetric",
+                               getattr(owner, "conj_symmetric", False))
+            object.__setattr__(self, "conj_symmetric", bool(declared))
 
     def __call__(self, *z):
         return self.fn(*z)
@@ -102,7 +113,7 @@ def _partial(s: PowerSeries, N: int) -> TaggedEvaluator:
     """S_N of the series s, tagged min(|s|, N/(N+1)), ``None`` if s is:
     S_N is entire, so it takes the floor of its degree, not the pole's."""
     tag = None if s.spike is None else min(abs(s.spike), N / (N + 1.0))
-    return TaggedEvaluator(s.partial(N), tag, s.conj_symmetric)
+    return TaggedEvaluator(s.partial(N), tag)
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,8 +165,7 @@ class RegistryEntry:
         Free of the cancellation in f - S_N f: the sum over j of f1 ...
         f(j-1) tj S(j+1) ... Sn with the factors' tails tj, each tagged
         with its series' own tag; in one variable, the factor's tail."""
-        tails = [TaggedEvaluator(s.tail(N), s.spike, s.conj_symmetric)
-                 for s in self.factors]
+        tails = [TaggedEvaluator(s.tail(N), s.spike) for s in self.factors]
         parts = [_partial(s, N) for s in self.factors[1:]]
         return sum_of_products(self.factors[:j] + (t, *parts[j:])
                                for j, t in enumerate(tails))

@@ -76,7 +76,9 @@ def eval_fa(a: complex, z):
     a = _check_param(a)
     z = np.asarray(z, dtype=np.complex128)
     den = 1.0 - np.conj(a) * z
-    if np.any(np.abs(den) < 1e-15 * (1.0 + abs(a) * np.abs(z))):
+    # |a| |z| = |1 - den| <= 1 + |den|, so this refuses every point that
+    # |den| < 1e-15 (1 + |a| |z|) would, in one pass over |den|
+    if np.min(np.abs(den), initial=np.inf) < 2.5e-15:
         raise PoleError("evaluation point collides with the pole at 1/conj(a)")
     out = (1.0 - abs(a) ** 2) / den ** 2
     return complex(out) if out.ndim == 0 else out
@@ -102,7 +104,12 @@ def fa_series(a: complex) -> PowerSeries:
 
 @dataclass(frozen=True)
 class T1T2Split:
-    """Closed-form decomposition S_N f_a = t1 + t2."""
+    """Closed-form decomposition S_N f_a = t1 + t2.
+
+    For real a each closed form, ``partial``, ``t1``, ``t2`` and ``tail``,
+    has real Taylor coefficients, so g(conj z) = conj g(z): the split
+    declares ``conj_symmetric``, and ``registry.TaggedEvaluator`` takes
+    the declaration from any of its bound methods."""
 
     a: complex
     N: int
@@ -111,6 +118,10 @@ class T1T2Split:
         _check_param(self.a)
         if self.N < 0:
             raise ValueError(f"partial sum order must be >= 0, got {self.N}")
+
+    @property
+    def conj_symmetric(self) -> bool:
+        return complex(self.a).imag == 0
 
     # The four evaluators below own t = conj(a) z and every intermediate,
     # so they update them in place; the caller's z is never written.  Each

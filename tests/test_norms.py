@@ -935,7 +935,9 @@ def test_blowup_bergman_call_on_s512_takes_the_half_circle(monkeypatch):
     # run_blowup's largest call, ||S_512 f_a||_A1 at a = 512/513 at the
     # runner's tol and budget: the real coefficients of f_a flag |S_N f_a|
     # conj_even, so every ring is evaluated on its half circle, at half the
-    # points of the full grid (the same wrapper with the flag off).  Its
+    # points of the full grid (a callable that declares nothing, wrapped
+    # with the same spike: a wrapper of sn.fn itself now takes its
+    # declaration).  Its
     # panels take the graded Gauss orders, which more than halve the
     # points of 64 on every panel.
     levels = []
@@ -955,7 +957,9 @@ def test_blowup_bergman_call_on_s512_takes_the_half_circle(monkeypatch):
 
     def graded(d):
         return _graded_orders(d, sn.spike)
-    for f, half in ((sn, True), (TaggedEvaluator(sn.fn, sn.spike), False)):
+    plain = TaggedEvaluator(lambda z: sn.fn(z), sn.spike)
+    assert not plain.conj_symmetric
+    for f, half in ((sn, True), (plain, False)):
         levels.clear()
         est = bergman_norm_disc(f, 1.0, cfg.tol, max_nodes=cfg.vol_cap())
         assert est.converged
@@ -964,6 +968,61 @@ def test_blowup_bergman_call_on_s512_takes_the_half_circle(monkeypatch):
         assert est.report.node_counts == (want[1],)
         uniform = _two_levels(sn.spike, depth, lambda d: [64] * (d + 1), half)
         assert sum(want) < 0.5 * sum(uniform)
+
+
+class _CountedSplit(T1T2Split):
+    # the split, counting the points its t1 is evaluated at
+    def __init__(self, a, N, count):
+        super().__init__(a, N)
+        object.__setattr__(self, "count", count)
+
+    def t1(self, z):
+        self.count[0] += np.size(z)
+        return super().t1(z)
+
+
+def test_circle_t1_takes_the_half_circle_over_the_schedule():
+    # perfbench's circle workload wraps T1 as TaggedEvaluator(T1T2Split(a,
+    # N).t1, a) along a = N/(N+1), N = 16, ..., 4096, at the default
+    # tol and budget: the wrapper takes the split's declaration, so T1 is
+    # evaluated on its half circles, 349,512 points against 699,014 for
+    # a callable that declares nothing, with the same norms to tol
+    cfg = RunConfig()
+    points = {True: [0], False: [0]}
+    for N in (16, 64, 256, 1024, 4096):
+        a = N / (N + 1.0)
+        norm = {}
+        for declared, count in points.items():
+            split = _CountedSplit(a, N, count)
+            f = (TaggedEvaluator(split.t1, a) if declared
+                 else TaggedEvaluator(lambda z, t1=split.t1: t1(z), a))
+            assert f.conj_symmetric is declared
+            est = hardy_norm_disc(f, 1.0, cfg.tol, max_nodes=cfg.max_nodes)
+            assert est.converged
+            norm[declared] = est.value
+        assert norm[True] == pytest.approx(norm[False], rel=cfg.tol)
+    assert (points[True][0], points[False][0]) == (349_512, 699_014)
+
+
+def test_a_false_declaration_moves_the_t1_norm():
+    # T1 at complex a is not conjugate-symmetric, and its split declares
+    # nothing; declared so by hand, its Hardy norm takes the half circle
+    # and moves off its full-circle value, so the declaration is what the
+    # half circle rests on
+    a = 0.6 + 0.3j
+    split = T1T2Split(a, 16)
+    assert not TaggedEvaluator(split.t1, abs(a)).conj_symmetric
+    full = hardy_norm_disc(TaggedEvaluator(split.t1, abs(a)), 1.0, 1e-8)
+    wrong = hardy_norm_disc(TaggedEvaluator(split.t1, abs(a), True), 1.0,
+                            1e-8)
+    assert full.converged
+    assert abs(wrong.value - full.value) > 1e-3 * full.value
+    # at real a the inherited declaration keeps the full-circle value
+    real = T1T2Split(0.9, 16)
+    half = hardy_norm_disc(TaggedEvaluator(real.t1, 0.9), 1.0, 1e-8)
+    whole = hardy_norm_disc(TaggedEvaluator(lambda z: real.t1(z), 0.9), 1.0,
+                            1e-8)
+    assert half.value == pytest.approx(whole.value, rel=1e-8)
 
 
 class _DeclaredFa:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hardylab import quadrature
 from hardylab.norms import (_abs_power, _radial_cells, bergman_norm_disc,
                             bergman_norm_reinhardt)
 from hardylab.quadrature import (angular_floor, doubled, dyadic_panels,
@@ -803,3 +804,87 @@ def test_half_circle_rule_matches_the_full_grid(dim):
                 assert points == torus_points(g, radii, ms, shifts) == (
                     len(radii) * count * math.prod(ms[1:]))
                 assert ref_points == len(radii) * math.prod(ms)
+
+
+def test_cut_shell_sums_match_a_fresh_row(monkeypatch):
+    # the row of a cut shell comes from one kept buffer: each shell's sum
+    # is that of a freshly allocated row bit for bit, for real and complex
+    # values, with the ends halved, a larger row after a smaller and a
+    # smaller after a larger; the buffer grows to exactly the largest row
+    # and is kept
+    monkeypatch.setattr(quadrature, "_ROW", [np.empty(0, dtype=np.uint8)])
+    rng = np.random.default_rng(29)
+    one = quadrature._CHUNK[1]
+    largest = 0
+    for shape, kind in (((3 * one + 7,), float), ((2 * one + 1,), complex),
+                        ((5 * one,), float), ((701, 300), float),
+                        ((2 * one + 3,), float)):
+        assert math.prod(shape) > quadrature._CHUNK[len(shape)]
+        vals = rng.standard_normal((3, *shape))
+        if kind is complex:
+            vals = vals + 1j * rng.standard_normal(vals.shape)
+        ends = (0, shape[0] - 1)
+        halved = vals.copy()
+        halved[:, list(ends)] *= 0.5
+        want = [halved[k].reshape(1, -1).sum(axis=1) for k in range(3)]
+        blocks = (vals[start:stop, lo:hi].copy() for start, stop, lo, hi
+                  in quadrature._block_plan(3, shape))
+        got = quadrature._row_sums(blocks, shape, ends)
+        assert got.tobytes() == np.concatenate(want).tobytes()
+        largest = max(largest, math.prod(shape) * vals.itemsize)
+        assert quadrature._ROW[0].nbytes == largest
+
+
+def test_a_nested_integration_keeps_its_own_row(monkeypatch):
+    # an integrand that itself integrates over a cut circle runs while the
+    # outer circle's row is in use, and takes a fresh array: the values are
+    # those with every row freshly allocated (the buffer held throughout),
+    # bit for bit.  The first inner call, before the outer row is taken,
+    # grows the buffer to its own larger row.
+    monkeypatch.setattr(quadrature, "_ROW", [np.empty(0, dtype=np.uint8)])
+    m, m_inner = 3 * quadrature._CHUNK[1] + 5, 4 * quadrature._CHUNK[1] + 3
+
+    def outer(z):
+        r = 0.5 + 0.4 * abs(z.flat[-1].imag)
+        inner = torus_integrals(lambda w: np.abs(1.0 + 0.5 * w) ** 3,
+                                [[r]], (m_inner,))
+        return np.abs(1.0 - 0.3 * z) * inner[0]
+    with quadrature._ROW_LOCK:
+        fresh = torus_integrals(outer, [[1.0], [0.7]], (m,))
+    assert quadrature._ROW[0].nbytes == 0
+    kept = torus_integrals(outer, [[1.0], [0.7]], (m,))
+    assert kept.tobytes() == fresh.tobytes()
+    assert quadrature._ROW[0].nbytes == 8 * m_inner
+
+
+def test_threads_sharing_the_row_keep_their_sums(monkeypatch):
+    # more threads than cores integrate cut circles at once, switching
+    # often: a thread that finds the row in use takes a fresh array, so
+    # every sum is the serial one bit for bit
+    import sys
+    import threading
+    monkeypatch.setattr(quadrature, "_ROW", [np.empty(0, dtype=np.uint8)])
+    m = 2 * quadrature._CHUNK[1] + 9
+
+    def job(k):
+        return torus_integrals(lambda z: np.abs(1.0 - 0.1 * k * z) ** 1.5,
+                               [[1.0], [0.9]], (m + k,))
+    want = [job(k).tobytes() for k in range(6)]
+    got = [[] for _ in range(6)]
+
+    def worker(k):
+        for _ in range(5):
+            got[k].append(job(k).tobytes())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,))
+                   for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[w] * 5 for w in want]

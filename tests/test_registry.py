@@ -12,7 +12,7 @@ from hardylab.registry import (RegistryEntry, TaggedEvaluator,
 from hardylab.reinhardt import (_negated, density_difference,
                                 dilate_truncate, polydisc)
 from hardylab.series import PowerSeries, partial_sum
-from hardylab.witnesses import fa_series
+from hardylab.witnesses import T1T2Split, fa_series
 
 RNG = np.random.default_rng(5150)
 PTS = RNG.uniform(-0.65, 0.65, 12) + 1j * RNG.uniform(-0.65, 0.65, 12)
@@ -294,7 +294,9 @@ def test_built_functions_declare_what_their_entry_declares():
     # the evaluator, S_N, tail and density difference of every entry derive
     # from their factors the declarations written out here from the series:
     # the tags s_j, on S_N min(|s_j|, N/(N+1)) per axis, a scalar in one
-    # variable, and conjugate symmetry when every series declares it
+    # variable, and conjugate symmetry when every series declares it; a
+    # tail declares its own, so above a polynomial's degree it is the zero
+    # series, which declares it (_tail_declared)
     def per_axis(tags):
         return tags if len(tags) > 1 else tags[0]
     for entry in default_registry().entries():
@@ -302,17 +304,27 @@ def test_built_functions_declare_what_their_entry_declares():
         real = all(s.conj_symmetric for s in entry.factors)
         assert (entry.spike, entry.conj_symmetric) == (tags, real)
         q = [dilate_truncate(s, 0.75, 6) for s in entry.factors]
-        cases = [(entry.evaluator, tags),
-                 (density_difference(entry, q), tags)]
+        cases = [(entry.evaluator, tags, real),
+                 (density_difference(entry, q), tags, real)]
         for N in (0, 1, 8, 64):
             degree = per_axis(tuple(None if s.spike is None
                                     else min(abs(s.spike), N / (N + 1))
                                     for s in entry.factors))
-            cases += [(entry.partial_evaluator(N), degree),
-                      (entry.tail_evaluator(N), tags)]
-        for f, spike in cases:
+            cases += [(entry.partial_evaluator(N), degree, real),
+                      (entry.tail_evaluator(N), tags,
+                       _tail_declared(entry, N))]
+        for f, spike, conj in cases:
             assert f.spike == spike, (entry.name, f.spike, spike)
-            assert f.conj_symmetric is real, entry.name
+            assert f.conj_symmetric is conj, entry.name
+
+
+def _tail_declared(entry, N):
+    # whether f - S_N declares conjugate symmetry: when the entry does, or
+    # when it is a polynomial in one variable of degree <= N, whose tail
+    # is the zero series, with real coefficients
+    s = entry.factors[0]
+    return entry.conj_symmetric or (entry.dim == 1 and s.is_polynomial
+                                    and s.degree <= N)
 
 
 def test_every_tail_refuses_a_negative_order():
@@ -387,26 +399,59 @@ def test_entries_are_products_of_power_series():
 
 def test_conjugate_symmetry_is_declared_exactly_for_real_coefficients():
     # an entry, its S_N, its tail and its density difference declare
-    # f(conj z) = conj f(z) exactly when every factor's first 64
-    # coefficients are real, and _abs_power turns that into the integrand
-    # flag; the seeded complex polynomials declare nothing
+    # f(conj z) = conj f(z) exactly when their coefficients are real: every
+    # factor's first 64, or for the tail those above N, and _abs_power
+    # turns that into the integrand flag; the seeded complex polynomials
+    # declare nothing, but their tails above their degree are zero
     reg = default_registry()
     for entry in reg.entries():
         real = all(not np.any(s.coefficients(63).imag)
                    for s in entry.factors)
         assert entry.conj_symmetric is real
         q = [dilate_truncate(s, 0.75, 6) for s in entry.factors]
-        for f in (entry.evaluator, entry.partial_evaluator(8),
-                  entry.tail_evaluator(8), density_difference(entry, q)):
-            assert f.conj_symmetric is real, entry.name
-            assert _abs_power(f, 1.0).conj_even is real, entry.name
+        tail_real = all(not np.any(s.coefficients(63)[9:].imag)
+                        for s in entry.factors)
+        assert _tail_declared(entry, 8) is tail_real
+        for f, conj in ((entry.evaluator, real),
+                        (entry.partial_evaluator(8), real),
+                        (entry.tail_evaluator(8), tail_real),
+                        (density_difference(entry, q), real)):
+            assert f.conj_symmetric is conj, entry.name
+            assert _abs_power(f, 1.0).conj_even is conj, entry.name
     for name in ("poly-3", "poly-7", "poly-12"):
         assert not reg.get(name).conj_symmetric
 
 
+def test_split_closed_forms_declare_through_a_wrapper():
+    # T1T2Split declares conj_symmetric for real a, so a wrapper of any of
+    # its four bound methods takes it, nested wrappers too, and for complex
+    # a nothing; an explicit False wins; the estimators read the wrapper,
+    # never a bare bound method's object
+    for a, real in ((0.9, True), (0.0, True), (-0.5, True), (0.5j, False),
+                    (0.3 + 0.4j, False)):
+        split = T1T2Split(a, 8)
+        assert split.conj_symmetric is real
+        for fn in (split.partial, split.t1, split.t2, split.tail):
+            wrapped = TaggedEvaluator(fn, abs(a))
+            assert wrapped.conj_symmetric is real
+            assert TaggedEvaluator(wrapped).conj_symmetric is real
+            assert _abs_power(wrapped, 1.0).conj_even is real
+            assert TaggedEvaluator(fn, abs(a), False).conj_symmetric is False
+            assert not _abs_power(fn, 1.0).conj_even
+    t1 = T1T2Split(0.9, 8).t1
+    assert not TaggedEvaluator(lambda z: t1(z), 0.9).conj_symmetric
+    # a series' own S_N and tail carry the split's declaration
+    for a in (0.9, 0.5j):
+        s = fa_series(a)
+        assert TaggedEvaluator(s.partial(8)).conj_symmetric is \
+            s.conj_symmetric
+        assert TaggedEvaluator(s.tail(8)).conj_symmetric is s.conj_symmetric
+
+
 def test_power_series_and_wrappers_declare_conjugate_symmetry():
     # a coefficient list derives it, a generator takes the keyword, f_a
-    # declares it for real a, and a positional (fn, spike) wrapper is off
+    # declares it for real a, and a wrapper of a callable that declares
+    # nothing is off
     assert PowerSeries.from_coefficients([1.0, -2.0, 0.5]).conj_symmetric
     assert not PowerSeries.from_coefficients([1.0, 0.5j]).conj_symmetric
     assert not PowerSeries.from_coefficients(

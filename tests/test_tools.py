@@ -252,3 +252,28 @@ def test_bench_pairs_reports_a_run_that_prints_no_result(tmp_path, capsys):
     assert "bidisc: stopped at pair 1, seed 1, all correct: False" in out
     # two good trees compare as before
     assert bench_pairs.main(argv[:3] + [str(parent)] + argv[4:]) == 0
+
+
+def test_bench_pairs_reports_each_sides_minor_faults(tmp_path, capsys):
+    # each run's minor page faults are the growth of the children's
+    # ru_minflt across it, which counts the whole process tree: the
+    # change's run touches 32 MiB in a grandchild, about 8k pages, and its
+    # median reads that many more faults than the parent's
+    result = f"print({json.dumps(json.dumps(_RESULT))})\n"
+    parent = _bench_tree(tmp_path / "parent", result)
+    change = _bench_tree(tmp_path / "change", (
+        "import subprocess, sys\n"
+        "subprocess.run([sys.executable, '-c', "
+        "'b = bytearray(32 << 20); b[::4096] = bytes(8192)'], check=True)\n"
+        + result))
+    out = tmp_path / "pairs.json"
+    argv = ["--parent", str(parent), "--change", str(change),
+            "--workload", "circle", "--pairs", "2", "--seed", "1",
+            "--seconds", "0", "--json", str(out)]
+    assert bench_pairs.main(argv) == 0
+    faults = json.loads(out.read_text())["minor_faults"]
+    assert len(faults["parent"]["runs"]) == len(faults["change"]["runs"]) == 2
+    assert faults["change"]["median"] - faults["parent"]["median"] > 7000
+    line = next(x for x in capsys.readouterr().out.splitlines()
+                if x.strip().startswith("minor_faults"))
+    assert f"parent {faults['parent']['median']:.6g}" in line

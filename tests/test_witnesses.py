@@ -29,9 +29,27 @@ def test_eval_fa_rejects_unit_parameter():
 
 
 def test_eval_fa_pole_guard():
-    # the pole sits at 1/conj(a), outside the disc but reachable by input
+    # the pole sits at 1/conj(a), outside the disc but reachable by input;
+    # a point at it is refused alone or in an array, and so is every point
+    # near it that the guard |1 - conj(a) z| < 1e-15 (1 + |a| |z|) refused
     with pytest.raises(PoleError):
         eval_fa(0.5, 2.0)
+    refused = 0
+    for a in (0.5 + 0j, 0.6 + 0.2j, 0.999 + 0j, -0.3j):
+        pole = 1.0 / np.conj(a)
+        with pytest.raises(PoleError):
+            eval_fa(a, np.array([0.1, pole, -0.3j]))
+        for d in np.concatenate([np.logspace(-17, -13, 41),
+                                 np.linspace(1.5e-15, 2.2e-15, 57)]):
+            for z in (pole * (1 + d), pole * (1 - d), pole * np.exp(1j * d)):
+                den = 1.0 - np.conj(a) * z
+                if abs(den) < 1e-15 * (1.0 + abs(a) * abs(z)):
+                    refused += 1
+                    with pytest.raises(PoleError):
+                        eval_fa(a, z)
+    assert refused > 50
+    assert np.isfinite(eval_fa(0.5, 2.0 * (1 - 1e-12)))
+    assert eval_fa(0.5, np.array([])).shape == (0,)
 
 
 def test_fa_coefficients_closed_form():

@@ -8,7 +8,11 @@ time; odd pairs (from 1) run the parent first, even pairs the change.  The
 last line a run prints is its result.  Prints, per end-to-end metric of the
 change tree's BENCHMARK.json, the medians and quartiles (numpy.percentile)
 of both sides and the pairs the change won, and whether every run was
-``correct``.  ``--json`` writes the block BENCH files keep under
+``correct``.  It also prints the medians and quartiles of each side's
+minor page faults per run, for the whole process tree of the run: the
+growth of ``getrusage(RUSAGE_CHILDREN).ru_minflt`` across it, which
+counts every descendant that was waited for.  ``--json`` writes the
+block BENCH files keep under
 ``workloads.<name>``.  A run that prints no result, a crash, ends the
 comparison: it is reported with its side, pair, exit code and the last
 lines of its standard error, counted as not correct, and the exit code
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -32,15 +37,18 @@ STDERR_LINES = 10
 
 def run_once(tree: Path, args, side: str, pair: int) -> dict | None:
     """One untraced run of the workload in ``tree``: its result, the
-    last line it prints as JSON, or ``None`` after reporting a run that
-    printed none."""
+    last line it prints as JSON, with the run's minor page faults under
+    ``minor_faults``, or ``None`` after reporting a run that printed
+    none."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds),
            "--trace", "0"]
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     lines = proc.stdout.strip().splitlines()
     try:
-        return json.loads(lines[-1])
+        return dict(json.loads(lines[-1]), minor_faults=faults)
     except (IndexError, ValueError):
         tail = proc.stderr.strip().splitlines()[-STDERR_LINES:]
         print(f"{side} run of pair {pair} ({tree}) printed no result "
@@ -53,6 +61,14 @@ def summary(runs: list[float]) -> dict:
     q1, med, q3 = np.percentile(runs, [25, 50, 75])
     return {"median": float(med), "q1": float(q1), "q3": float(q3),
             "runs": runs}
+
+
+def sides(name: str, entry: dict) -> str:
+    """One report line's start: each side's median and quartiles."""
+    p, c = entry["parent"], entry["change"]
+    return (f"  {name:12s} parent {p['median']:.6g} [{p['q1']:.6g}, "
+            f"{p['q3']:.6g}]  change {c['median']:.6g} [{c['q1']:.6g}, "
+            f"{c['q3']:.6g}]")
 
 
 def main(argv=None) -> int:
@@ -92,9 +108,14 @@ def main(argv=None) -> int:
                              for s in SIDES},
              "attempted_rows": {s: sum(r["attempted"] for r in results[s])
                                 for s in SIDES},
-             "first_in_pair": first, "metrics": {}}
+             "first_in_pair": first,
+             "minor_faults": {s: summary([r["minor_faults"]
+                                          for r in results[s]])
+                              for s in SIDES},
+             "metrics": {}}
     print(f"{args.workload}: {args.pairs} pairs, seed {args.seed}, "
           f"all correct: {block['all_correct']}")
+    print(sides("minor_faults", block["minor_faults"]))
     for name, direction in better.items():
         runs = {s: [r["metrics"][name]["value"] for r in results[s]]
                 for s in SIDES}
@@ -108,9 +129,8 @@ def main(argv=None) -> int:
         entry["median_change_rel"] = (c["median"] - p["median"]) / scale
         entry["parent_iqr_rel"] = (p["q3"] - p["q1"]) / scale
         block["metrics"][name] = entry
-        print(f"  {name:12s} parent {p['median']:.6g} [{p['q1']:.6g}, "
-              f"{p['q3']:.6g}]  change {c['median']:.6g} [{c['q1']:.6g}, "
-              f"{c['q3']:.6g}]  wins {entry['change_wins']}/{args.pairs}")
+        print(sides(name, entry) + f"  wins {entry['change_wins']}/"
+              f"{args.pairs}")
     if args.json:
         args.json.write_text(json.dumps(block, indent=1) + "\n")
     return 0 if block["all_correct"] else 1
