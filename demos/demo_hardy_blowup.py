@@ -21,12 +21,10 @@ def main():
     for N in (16, 32, 64, 128, 256):
         a = blowup_schedule(N)
         split = T1T2Split(a, N)
-        h1 = hardy_norm_disc(TaggedEvaluator(split.partial, a), 1.0, 1e-6,
-                             spike=a)
-        a1 = bergman_norm_disc(TaggedEvaluator(split.partial, a), 1.0,
-                               1e-6, spike=a)
-        t1 = hardy_norm_disc(TaggedEvaluator(split.t1, a), 1.0, 1e-6,
-                             spike=a)
+        partial = TaggedEvaluator(split.partial, a)
+        h1 = hardy_norm_disc(partial, 1.0, 1e-6)
+        a1 = bergman_norm_disc(partial, 1.0, 1e-6)
+        t1 = hardy_norm_disc(TaggedEvaluator(split.t1, a), 1.0, 1e-6)
         row = t2_hardy_vs_bound(a, N)
         print(f"{N:>4} {a:>10.6f} {h1.value:>10.5f} {a1.value:>10.5f} "
               f"{t1.value:>8.4f} {row.t2_h1:>8.4f} {row.ratio:>7.4f}")

@@ -18,8 +18,8 @@ from hardylab.witnesses import fa_series
 def main():
     print("Hardy norm of f_a (exact value 1):")
     for a in (0.0, 0.5, 0.9, 0.99):
-        est = hardy_norm_disc(fa_series(a), 1.0, 1e-6, spike=a)
-        # the spike tag declares f_a holomorphic past the unit circle, so
+        est = hardy_norm_disc(fa_series(a), 1.0, 1e-6)
+        # f_a's spike tag declares it holomorphic past the unit circle, so
         # its Hardy norm is the mean of |f_a| on the circle itself
         print(f"  a = {a:<5} estimate {est.value:.15f}  "
               f"converged {est.converged}")
@@ -28,7 +28,7 @@ def main():
     # seen from its own radius, so a = 0.999 stays cheap
     print("\nBergman norm of f_a against the closed form:")
     for a in (0.5, 0.9, 0.99, 0.999):
-        est = bergman_norm_disc(fa_series(a), 1.0, 1e-10, spike=a)
+        est = bergman_norm_disc(fa_series(a), 1.0, 1e-10)
         exact = np.pi * (1 - a * a) * np.log(1 / (1 - a * a)) / (a * a)
         print(f"  a = {a:<5} estimate {est.value:.12f}  exact {exact:.12f}  "
               f"rel. error {abs(est.value - exact) / exact:.1e}")
@@ -37,7 +37,7 @@ def main():
     reg = default_registry()
     for k in (1, 5):
         ent = reg.get(f"mono-{k}")
-        h = hardy_norm_disc(ent.evaluator, 1.0, 1e-8, spike=ent.spike)
+        h = hardy_norm_disc(ent.evaluator, 1.0, 1e-8)
         b = bergman_norm_disc(ent.evaluator, 1.0, 1e-10)
         print(f"  k = {k}: H {h.value:.9f}  A {b.value:.9f} "
               f"(exact {2 * np.pi / (k + 2):.9f})")
@@ -46,8 +46,8 @@ def main():
     print("\nembedding check ||f||_A1 <= pi ||f||_H1:")
     for name in ("fa-0.9", "poly-7", "mono-2"):
         ent = reg.get(name)
-        h = hardy_norm_disc(ent.evaluator, 1.0, 1e-7, spike=ent.spike)
-        b = bergman_norm_disc(ent.evaluator, 1.0, 1e-9, spike=ent.spike)
+        h = hardy_norm_disc(ent.evaluator, 1.0, 1e-7)
+        b = bergman_norm_disc(ent.evaluator, 1.0, 1e-9)
         print(f"  {name:<8} A1/H1 = {b.value / h.value:.6f} "
               f"(bound {np.pi:.6f})")
 

@@ -21,8 +21,7 @@ def main():
     reg = default_registry()
     ent = reg.get("prod-fa-0.9")
     dom = polydisc(2)
-    h1 = hardy_norm_reinhardt(ent.evaluator, 1.0, dom, dirs=64, tol=1e-6,
-                              spike=ent.spike)
+    h1 = hardy_norm_reinhardt(ent.evaluator, 1.0, dom, dirs=64, tol=1e-6)
     print(f"frontier Hardy norm of f_0.9 x f_0.9 on U^2: {h1.value:.6f} "
           f"(exact (2 pi)^2 = {(2 * np.pi) ** 2:.6f})")
 
@@ -31,7 +30,7 @@ def main():
         a1 = bergman_norm_reinhardt(ent.partial_evaluator(N), 1.0,
                                     dom, tol=1e-4)
         err = bergman_norm_reinhardt(ent.tail_evaluator(N), 1.0,
-                                     dom, tol=1e-3, spike=ent.spike)
+                                     dom, tol=1e-3)
         print(f"{N:>3} {a1.value:>10.6f} {a1.value / h1.value:>10.6f} "
               f"{err.value:>11.4e}")
 
@@ -40,8 +39,7 @@ def main():
     for _ in range(3):
         t = rng.uniform(0.3, 0.8, 2)
         bump = rng.uniform(0.05, 0.15, 2)
-        ok = monotonicity_check(ent.evaluator, 1.0, t, t + bump,
-                                spike=ent.spike)
+        ok = monotonicity_check(ent.evaluator, 1.0, t, t + bump)
         print(f"  r = {np.round(t, 3)} vs R = {np.round(t + bump, 3)}: "
               f"{'ok' if ok else 'violated'}")
 

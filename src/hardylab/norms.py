@@ -68,25 +68,25 @@ from .quadrature import (TWO_PI, _GRID, NormEstimate, RefinementReport,
                          angular_floor, doubled, dyadic_panels, _panel_gauss,
                          half_shifts, refine_until, torus_cosets,
                          torus_integrals, torus_levels, torus_points)
+from .registry import TaggedEvaluator
 from .reinhardt import (ReinhardtDomain, _maximal_rows, frontier_sample,
                         polydisc, section_tops)
 
 
-def _grid(f, spike, n):
+def _grid(f, n):
     """Per-axis spike moduli and angular floors, radial Gauss order, base
     panel depth, and whether f is declared holomorphic past the rim.
 
-    A spike tag (keyword, else ``f.spike``; one per coordinate, or a
-    scalar for all) is parsed into one modulus per axis, 0.0 for none;
-    a modulus >= 1 raises ``ValueError``.  A tag on every axis declares
-    f holomorphic on the polydisc of radii 1/|s_j|.  The floor of an
+    f's spike tag (``f.spike``; one per coordinate, or a scalar for all)
+    is parsed into one modulus per axis, 0.0 for none; a modulus not
+    < 1, NaN included, raises ``ValueError``.  A tag on every axis
+    declares f holomorphic on the polydisc of radii 1/|s_j|.  The floor of an
     axis is the rim's, about scale / (1 - |spike|); the volume rule
     lowers it ring by ring from the moduli.  In one variable a spike
     also deepens the panel stack so the smallest panel resolves the
     1 - |spike| boundary scale.
     """
-    if spike is None:
-        spike = getattr(f, "spike", None)
+    spike = getattr(f, "spike", None)
     if np.ndim(spike) == 0:
         spike = (spike,) * n
     elif len(spike) != n:
@@ -132,21 +132,19 @@ def _abs_power(f, p):
     return g
 
 
-def boundary_grid(f, domain: ReinhardtDomain, dirs: int = 64, *,
-                  spike=None) -> tuple:
+def boundary_grid(f, domain: ReinhardtDomain, dirs: int = 64) -> tuple:
     """The angular floors and the frontier shells on which a Hardy norm of
     f over ``domain`` is integrated.
 
     The shells are the sampled frontier radius vectors that no other
-    sampled one dominates.  Raises ``ValueError`` unless a spike tag
-    (keyword, else ``f.spike``) declares every axis, and
-    ``DomainModelError`` when a shell reaches a declared pole,
-    r_j |s_j| >= 1 on some axis j.
+    sampled one dominates.  Raises ``ValueError`` unless f's spike tag
+    declares every axis, and ``DomainModelError`` when a shell reaches a
+    declared pole, r_j |s_j| >= 1 on some axis j.
     """
-    spikes, floors, _, _, declared = _grid(f, spike, domain.dim)
+    spikes, floors, _, _, declared = _grid(f, domain.dim)
     if not declared:
         raise ValueError("a Hardy norm is the boundary mean of an f declared "
-                         "holomorphic past the boundary: pass spike= with a "
+                         "holomorphic past the boundary: f needs a spike "
                          "tag on every axis (0.0 for an entire one)")
     sample = frontier_sample(domain, dirs)
     shells = sample[_maximal_rows(sample)]
@@ -167,13 +165,15 @@ def hardy_norm_disc(f, p: float = 1.0, tol: float = 1e-6, *,
     circle, to the power 1/p.
 
     f is any vectorized callable on complex arrays, declared holomorphic
-    on |z| < 1/|s| by a spike tag s (from the function itself or the
-    keyword; 0.0 for an entire f), which also raises the angular floor to
-    resolve the boundary peak near the spike.
+    on |z| < 1/|s| by its spike tag s (0.0 for an entire f), which also
+    raises the angular floor to resolve the boundary peak near the spike.
     """
-    # k_max is ignored; it stays because perfbench/workloads.py:112 passes it
+    # k_max is ignored, and a spike tag wraps f at the door; both stay
+    # because perfbench/workloads.py:112 passes them
+    if spike is not None:
+        f = TaggedEvaluator(f, spike)
     g = _abs_power(f, p)
-    floors, shells = boundary_grid(f, polydisc(1), spike=spike)
+    floors, shells = boundary_grid(f, polydisc(1))
     circle = torus_levels(g, shells, floors)
 
     def mean(level):
@@ -185,17 +185,17 @@ def hardy_norm_disc(f, p: float = 1.0, tol: float = 1e-6, *,
 
 
 def bergman_norm_disc(f, p: float = 1.0, tol: float = 1e-8, *,
-                      spike=None, max_nodes: int = 1 << 28) -> NormEstimate:
+                      max_nodes: int = 1 << 28) -> NormEstimate:
     """Bergman p-norm on the unit disc, plain area measure.
 
     The ``polydisc(1)`` case of :func:`bergman_norm_reinhardt`, with a
     tighter default tolerance and a larger node budget.
     """
-    return _bergman(f, p, tol, polydisc(1), spike, max_nodes)
+    return _bergman(f, p, tol, polydisc(1), max_nodes)
 
 
-def hardy_norm_reinhardt(f, p: float = 1.0, domain: ReinhardtDomain = None,
-                         dirs: int = 64, tol: float = 1e-6, *, spike=None,
+def hardy_norm_reinhardt(f, p: float, domain: ReinhardtDomain,
+                         dirs: int = 64, tol: float = 1e-6, *,
                          max_nodes: int = 1 << 24) -> NormEstimate:
     """Hardy p-norm over a complete Reinhardt domain.
 
@@ -210,10 +210,8 @@ def hardy_norm_reinhardt(f, p: float = 1.0, domain: ReinhardtDomain = None,
     evaluated, and the estimate is then flagged non-converged.  The
     report holds the shell values and the points of the last level.
     """
-    if domain is None:
-        raise ValueError("a ReinhardtDomain is required")
     g = _abs_power(f, p)
-    floors, shells = boundary_grid(f, domain, dirs, spike=spike)
+    floors, shells = boundary_grid(f, domain, dirs)
     levels = torus_levels(g, shells, floors)
     quad_tol = max(0.25 * tol, 1e-14)
     # Its own loop, not refine_until: perfbench/tracer.py:137 traces this
@@ -290,22 +288,20 @@ def _panel_orders(domain: ReinhardtDomain, spikes, depth: int, order: int):
     return np.clip(np.ceil(2 * order * width / gap), 8, order).astype(np.int64)
 
 
-def radial_cells(f, domain: ReinhardtDomain, level: int, *, spike=None):
+def radial_cells(f, domain: ReinhardtDomain, level: int):
     """The radial cells and weights over which the volume rule integrates
     f at refinement ``level``: the base panel depth of :func:`_grid`
     deepened by ``level``, with :func:`_panel_orders`' Gauss orders."""
-    spikes, _, order, depth, _ = _grid(f, spike, domain.dim)
+    spikes, _, order, depth, _ = _grid(f, domain.dim)
     return _radial_cells(domain, depth + level,
                          _panel_orders(domain, spikes, depth + level, order))
 
 
-def bergman_norm_reinhardt(f, p: float = 1.0, domain: ReinhardtDomain = None,
-                           tol: float = 1e-6, *, spike=None,
+def bergman_norm_reinhardt(f, p: float, domain: ReinhardtDomain,
+                           tol: float = 1e-6, *,
                            max_nodes: int = 1 << 27) -> NormEstimate:
     """Bergman p-norm over a complete Reinhardt domain, plain volume."""
-    if domain is None:
-        raise ValueError("a ReinhardtDomain is required")
-    return _bergman(f, p, tol, domain, spike, max_nodes)
+    return _bergman(f, p, tol, domain, max_nodes)
 
 
 def _on_ladder(m: np.ndarray) -> np.ndarray:
@@ -316,7 +312,7 @@ def _on_ladder(m: np.ndarray) -> np.ndarray:
     return -(-m // step) * step
 
 
-def _bergman(f, p, tol, domain, spike, max_nodes) -> NormEstimate:
+def _bergman(f, p, tol, domain, max_nodes) -> NormEstimate:
     """Refine radial cells x torus shells until the volume integral of
     |f|^p settles; report its p-th root.
 
@@ -358,11 +354,11 @@ def _bergman(f, p, tol, domain, spike, max_nodes) -> NormEstimate:
     """
     g = _abs_power(f, p)
     n = domain.dim
-    spikes, _, _, _, _ = _grid(f, spike, n)
+    spikes, _, _, _, _ = _grid(f, n)
     carried = {}                    # radius vector bytes -> last level's sum
 
     def level_fn(level):
-        cells, weights = radial_cells(f, domain, level, spike=spike)
+        cells, weights = radial_cells(f, domain, level)
         radii = np.minimum(cells, 1.0)
         counts = _on_ladder(np.stack([angular_floor(radii[:, j] * s, n)
                                       for j, s in enumerate(spikes)],
@@ -386,8 +382,8 @@ def _bergman(f, p, tol, domain, spike, max_nodes) -> NormEstimate:
     return NormEstimate(max(rep.value.real, 0.0) ** (1.0 / p), rep)
 
 
-def monotonicity_check(f, p: float, r, R, tol: float = 1e-9, *,
-                       spike=None) -> bool | np.ndarray:
+def monotonicity_check(f, p: float, r, R,
+                       tol: float = 1e-9) -> bool | np.ndarray:
     """Check the shell ordering r <= R implies I(r) <= I(R), for one pair
     of radius vectors or for k pairs given as (k, n) arrays.
 
@@ -408,7 +404,7 @@ def monotonicity_check(f, p: float, r, R, tol: float = 1e-9, *,
     if np.any(r < 0) or np.any(R < r):
         raise ValueError("need componentwise 0 <= r <= R")
     g = _abs_power(f, p)
-    _, floors, _, _, _ = _grid(f, spike, r.shape[-1])
+    _, floors, _, _, _ = _grid(f, r.shape[-1])
     pairs = np.atleast_2d(r).shape[0]
     values = torus_integrals(g, np.vstack([r, R]), [m << 1 for m in floors])
     i_r, i_R = values[:pairs], values[pairs:]

@@ -220,7 +220,7 @@ def angular_floor(spike: float | np.ndarray | None,
     if spike is None:
         return base
     s = np.abs(spike)
-    if np.any(s >= 1.0):
+    if not np.all(s < 1.0):
         raise ValueError(f"spike modulus must be < 1, got {np.max(s)}")
     m = np.maximum(base, np.ceil(scale / (1.0 - s)))
     return int(m) if m.ndim == 0 else m.astype(np.int64)

@@ -44,24 +44,21 @@ class TaggedEvaluator:
     A tag s (one per coordinate, or a scalar for all) sets the angular
     floors and declares ``fn`` holomorphic on the polydisc of radii
     1/|s_j|, entire for s = 0; the Hardy estimators then integrate on the
-    boundary.  ``None`` declares nothing.  ``conj_symmetric`` declares
-    fn(conj z) = conj fn(z), as real Taylor coefficients give; the norm
-    estimators then evaluate |fn|^p on half of each tensor grid.  Given
-    no ``conj_symmetric``, the wrapper takes fn's own: fn's attribute, or
+    boundary.  ``None`` declares nothing.  ``conj_symmetric``, which
+    declares fn(conj z) = conj fn(z) so that the norm estimators evaluate
+    |fn|^p on half of each tensor grid, is fn's own: fn's attribute, or
     for a bound method its object's, as ``witnesses.T1T2Split`` declares
     its closed forms; a callable that declares nothing stays undeclared.
     """
 
     fn: Callable
     spike: float | tuple | None = None
-    conj_symmetric: bool | None = None
 
-    def __post_init__(self):
-        if self.conj_symmetric is None:
-            owner = self.fn.__self__ if inspect.ismethod(self.fn) else None
-            declared = getattr(self.fn, "conj_symmetric",
-                               getattr(owner, "conj_symmetric", False))
-            object.__setattr__(self, "conj_symmetric", bool(declared))
+    @property
+    def conj_symmetric(self) -> bool:
+        owner = self.fn.__self__ if inspect.ismethod(self.fn) else None
+        return bool(getattr(self.fn, "conj_symmetric",
+                            getattr(owner, "conj_symmetric", False)))
 
     def __call__(self, *z):
         return self.fn(*z)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DomainModelError
 from .quadrature import torus_blocks
-from .registry import TaggedEvaluator, sum_of_products
+from .registry import sum_of_products
 from .series import PowerSeries
 
 _GOLDEN = 0.6180339887498949
@@ -327,18 +327,15 @@ def _abs_coeff_sum(series: PowerSeries, x: float) -> tuple[float, bool]:
     return total, False
 
 
-def _negated(fn: PowerSeries) -> TaggedEvaluator:
-    """z -> -fn(z), declaring what fn declares."""
-    return TaggedEvaluator(lambda z: -np.asarray(fn(z)), fn.spike,
-                           fn.conj_symmetric)
-
-
 def density_difference(f, q) -> Callable:
-    """f - q for the registry entry ``f`` and the factors ``q`` of a
-    product, as f + (-q_1) q_2 ... q_n, which is exact: negation commutes
-    with every rounding.  It declares what its factors declare
+    """f - q for the registry entry ``f`` and the polynomial factors ``q``
+    of a product, as f + (-q_1) q_2 ... q_n, which is exact: -q_1 is the
+    polynomial of q_1's negated coefficients, and negation commutes with
+    every rounding.  It declares what its factors declare
     (:func:`sum_of_products`)."""
-    return sum_of_products([f.factors, (_negated(q[0]), *q[1:])])
+    neg = PowerSeries.from_coefficients(-q[0].coefficients(
+        max(q[0].degree, 0)))
+    return sum_of_products([f.factors, (neg, *q[1:])])
 
 
 def density_experiment(f, domain: ReinhardtDomain, p: float = 1.0,

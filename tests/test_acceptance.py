@@ -51,7 +51,7 @@ def _gate(num: int, label: str, ok: bool) -> None:
 def test_criterion_01_hardy_oracle():
     worst = 0.0
     for a in (0.0, 0.5, 0.9, 0.99, 0.999):
-        est = hardy_norm_disc(fa_series(a), 1.0, 1e-6, k_max=36, spike=a)
+        est = hardy_norm_disc(fa_series(a), 1.0, 1e-6, k_max=36)
         worst = max(worst, abs(est.value - 1.0))
         assert est.converged
     _gate(1, "hardy norm oracle", worst <= 1e-6)

@@ -119,9 +119,9 @@ def test_uniform_bound_takes_a_polynomial_s_n_once_per_order(ub_calls):
     for name, N, _a, _h1, a1, _r1, h1n, _r2, _conv in res.rows:
         sn = reg.get(name).partial_evaluator(N)
         direct_a1 = hardylab.norms.bergman_norm_disc(
-            sn, 1.0, cfg.tol, spike=sn.spike, max_nodes=cfg.vol_cap())
+            sn, 1.0, cfg.tol, max_nodes=cfg.vol_cap())
         direct_h1 = hardylab.norms.hardy_norm_disc(
-            sn, 1.0, cfg.tol, spike=sn.spike, max_nodes=cfg.max_nodes)
+            sn, 1.0, cfg.tol, max_nodes=cfg.max_nodes)
         assert (a1, h1n) == (direct_a1.value, direct_h1.value), (name, N)
 
 
@@ -253,6 +253,22 @@ def test_package_exports_resolve():
     for path in demos:
         spec = importlib.util.spec_from_file_location(path.stem, path)
         spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+
+# the circle demo has its own test below, which also checks its numbers
+_DEMOS = sorted(path for path in
+                (Path(__file__).parents[1] / "demos").glob("*.py")
+                if path.stem != "demo_circle_integrals")
+
+
+@pytest.mark.parametrize("path", _DEMOS, ids=[p.stem for p in _DEMOS])
+def test_every_demo_runs(path, capsys):
+    # each demo end to end, so a broken call in one fails here
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    demo.main()
+    assert capsys.readouterr().out
 
 
 def test_circle_integrals_demo_runs(capsys):

@@ -35,11 +35,13 @@ def _rand_poly(deg):
 
 
 def test_hardy_disc_constant_and_monomials():
-    one = hardy_norm_disc(lambda z: np.ones_like(z), 1.0, 1e-8, spike=0.0)
+    one = hardy_norm_disc(TaggedEvaluator(lambda z: np.ones_like(z), 0.0),
+                          1.0, 1e-8)
     assert one.converged
     assert one.value == pytest.approx(1.0, abs=1e-12)
     for k, p in ((1, 1.0), (3, 2.0)):
-        est = hardy_norm_disc(lambda z, k=k: z ** k, p, 1e-6, spike=0.0)
+        est = hardy_norm_disc(TaggedEvaluator(lambda z, k=k: z ** k, 0.0),
+                              p, 1e-6)
         assert est.converged
         assert est.value == pytest.approx(1.0, rel=2e-6)
 
@@ -95,19 +97,21 @@ def _never(*z):
 
 def test_undeclared_and_overreaching_are_refused():
     # an undeclared f has no boundary to be integrated on: refused, naming
-    # the keyword, before any evaluation; None on one axis is undeclared
-    with pytest.raises(ValueError, match="spike="):
+    # the tag, before any evaluation; None on one axis is undeclared
+    with pytest.raises(ValueError, match="spike tag on every axis"):
         hardy_norm_disc(_never, 1.0, 1e-6)
-    with pytest.raises(ValueError, match="spike="):
-        hardy_norm_reinhardt(_never, 1.0, polydisc(2), spike=(0.5, None))
+    with pytest.raises(ValueError, match="spike tag on every axis"):
+        hardy_norm_reinhardt(TaggedEvaluator(_never, (0.5, None)), 1.0,
+                             polydisc(2))
     # a spike at 1/0.99 lies inside the disc of radius 1.5, and on the
     # ball of radius 1.2 the corner shell (1.2, 0) reaches 1/0.9
     with pytest.raises(DomainModelError, match="pole"):
-        hardy_norm_reinhardt(_never, 1.0, polydisc(1, [1.5]), spike=0.99)
+        hardy_norm_reinhardt(TaggedEvaluator(_never, 0.99), 1.0,
+                             polydisc(1, [1.5]))
     with pytest.raises(ValueError, match="axis 0"):
-        hardy_norm_reinhardt(_never, 1.0, ball(2, 1.2), spike=(0.9, 0.0))
-    mild = hardy_norm_reinhardt(fa_series(0.5), 1.0, polydisc(1, [1.5]),
-                                spike=0.5)
+        hardy_norm_reinhardt(TaggedEvaluator(_never, (0.9, 0.0)), 1.0,
+                             ball(2, 1.2))
+    mild = hardy_norm_reinhardt(fa_series(0.5), 1.0, polydisc(1, [1.5]))
     assert mild.converged and mild.ladder == (1.0,)
     # f_0.5 at radius 1.5: (1 - a^2) / (1 - a^2 r^2) times 2 pi
     assert mild.value == pytest.approx(TWO_PI * 0.75 / (1 - 0.5625),
@@ -140,7 +144,7 @@ def test_bergman_disc_extremal_family_closed_form():
     # sharp spikes, where each ring gets its own angular count and the rim
     # panels narrower than the spike scale take fewer Gauss points
     for a in (0.99, 0.999, 512 / 513):
-        est = bergman_norm_disc(fa_series(a), 1.0, spike=a)
+        est = bergman_norm_disc(fa_series(a), 1.0)
         assert est.converged
         assert est.value == pytest.approx(_fa_bergman_exact(a), rel=1e-9)
 
@@ -150,8 +154,8 @@ def test_bergman_partial_sums_obey_triangle_inequality(N):
     # | ||S_N f_a|| - ||f_a|| | <= ||f_a - S_N f_a|| in A1, with ||f_a||
     # exact, so both spiked estimates are checked against the closed form
     ent = default_registry().get("fa-0.99")
-    part = bergman_norm_disc(ent.partial_evaluator(N), 1.0, spike=ent.spike)
-    tail = bergman_norm_disc(ent.tail_evaluator(N), 1.0, spike=ent.spike)
+    part = bergman_norm_disc(ent.partial_evaluator(N), 1.0)
+    tail = bergman_norm_disc(ent.tail_evaluator(N), 1.0)
     assert part.converged and tail.converged
     gap = abs(part.value - _fa_bergman_exact(0.99))
     assert gap <= tail.value * (1 + 1e-6)
@@ -186,7 +190,7 @@ def test_bergman_disc_partial_sums_match_references(kind, a, N, ref):
     # with the degree tag of partial_evaluator, as run_uniform_bound calls it
     entry = fa_entry(a) if kind == "fa" else default_registry(1).get(kind)
     sn = entry.partial_evaluator(N)
-    est = bergman_norm_disc(sn, 1.0, 1e-6, spike=sn.spike)
+    est = bergman_norm_disc(sn, 1.0, 1e-6)
     assert est.converged
     assert est.value == pytest.approx(ref, rel=1e-6)
 
@@ -242,8 +246,8 @@ class _Level0Done(Exception):
     """Raised by the pinning integrand once level 0 is fully evaluated."""
 
 
-def _pin_level0(estimator, radii, counts, **kw):
-    """Run estimator until it has evaluated f on every ring
+def _pin_level0(estimator, radii, counts, spike):
+    """Run estimator until it has evaluated f, tagged ``spike``, on every ring
     radii[i] * e^(2 pi i k / counts[i]), k < counts[i], with the nodes
     built as unit_nodes states them (``reference_nodes``).
 
@@ -275,7 +279,7 @@ def _pin_level0(estimator, radii, counts, **kw):
         return np.ones(np.shape(z))
 
     with pytest.raises(_Level0Done):
-        estimator(f, 1.0, **kw)
+        estimator(TaggedEvaluator(f, spike), 1.0)
 
 
 def _dyadic_bounds(depth):
@@ -323,11 +327,11 @@ def test_disc_estimators_level0_node_sets(spike, depth, m):
     counts = [256 if spike is None
               else _ladder(max(256, math.ceil(64 / (1 - r * spike))))
               for r in radii]
-    _pin_level0(bergman_norm_disc, radii, counts, spike=spike)
+    _pin_level0(bergman_norm_disc, radii, counts, spike)
     _pin_level0(hardy_norm_disc, np.array([1.0]), [m],
-                spike=0.0 if spike is None else spike)
+                0.0 if spike is None else spike)
     if spike is None:
-        with pytest.raises(ValueError, match="spike="):
+        with pytest.raises(ValueError, match="spike tag"):
             hardy_norm_disc(_never, 1.0)
 
 
@@ -341,7 +345,7 @@ def test_rings_past_the_unit_radius_keep_the_rim_floor():
     assert counts[-1] == 6656
     wide = functools.partial(bergman_norm_reinhardt,
                              domain=polydisc(1, [1.5]))
-    _pin_level0(wide, radii, counts, spike=0.99)
+    _pin_level0(wide, radii, counts, 0.99)
 
 
 def test_bergman_polydisc_ring_counts():
@@ -370,7 +374,7 @@ def test_bergman_polydisc_ring_counts():
         return np.ones(np.broadcast(z1, z2).shape)
 
     with pytest.raises(_Level0Done):
-        bergman_norm_reinhardt(f, 1.0, polydisc(2), spike=s)
+        bergman_norm_reinhardt(TaggedEvaluator(f, s), 1.0, polydisc(2))
     assert points[0] == expect
 
 
@@ -417,8 +421,9 @@ def test_bergman_nested_level_points(monkeypatch, dim, spike, depth, order,
     counter = [0]
     calls = _record_levels(monkeypatch, counter)
     f = default_registry().get("prod-fa-0.9-0.5" if dim == 2 else "fa-0.99")
-    bergman_norm_reinhardt(_counting(f.evaluator, counter), 1.0,
-                           polydisc(dim), tol=1e-4, spike=spike)
+    bergman_norm_reinhardt(TaggedEvaluator(_counting(f.evaluator, counter),
+                                           spike),
+                           1.0, polydisc(dim), tol=1e-4)
     (levels,) = calls
     orders = (_graded_orders(depth + 1, spike[0], order) if dim == 1
               else [order] * (depth + 2))
@@ -440,8 +445,8 @@ def test_levels_report_the_points_they_evaluate(monkeypatch, case):
     counter = [0]
     calls = _record_levels(monkeypatch, counter)
     if case == "bergman-disc":
-        est = bergman_norm_disc(_counting(fa_series(0.9), counter), 1.0,
-                                spike=0.9)
+        est = bergman_norm_disc(
+            TaggedEvaluator(_counting(fa_series(0.9), counter), 0.9), 1.0)
         assert est.value == pytest.approx(np.pi * 0.19 / 0.81
                                           * np.log(1 / 0.19), rel=1e-12)
     elif case == "bergman-ball":
@@ -450,8 +455,9 @@ def test_levels_report_the_points_they_evaluate(monkeypatch, case):
         # (2 pi)^2 int r1^2 r2^2 over the quarter disc = pi^3 / 24
         assert est.value == pytest.approx(np.pi ** 3 / 24, rel=1e-6)
     else:
-        est = hardy_norm_disc(_counting(lambda z: 1 - z, counter), 1.0,
-                              1e-8, spike=0.0)
+        est = hardy_norm_disc(
+            TaggedEvaluator(_counting(lambda z: 1 - z, counter), 0.0), 1.0,
+            1e-8)
         assert est.value == pytest.approx(4 / np.pi, rel=1e-8)
     assert est.converged
     assert calls and all(len(levels) >= 2 for levels in calls)
@@ -519,8 +525,9 @@ def test_product_levels_report_the_points_the_factors_evaluate(
     calls = _record_levels(monkeypatch, counter)
     entry = default_registry().get("prod-fa-0.9-0.5")
     (factors,) = entry.partial_evaluator(8).terms
-    f = sum_of_products([[_counting(fac, counter) for fac in factors]])
-    est = bergman_norm_reinhardt(f, 1.0, domain, tol=1e-4, spike=entry.spike)
+    f = sum_of_products([[TaggedEvaluator(_counting(fac, counter), fac.spike)
+                          for fac in factors]])
+    est = bergman_norm_reinhardt(f, 1.0, domain, tol=1e-4)
     assert est.converged
     (levels,) = calls
     assert len(levels) >= 2 and counter[0] > 0
@@ -546,7 +553,8 @@ def test_each_factor_ring_is_evaluated_once_per_level(monkeypatch):
                     repeats.append(key)
                 seen.add(key)
             return fac(z)
-        return TaggedEvaluator(fn, fac.spike, fac.conj_symmetric)
+        fn.conj_symmetric = fac.conj_symmetric
+        return TaggedEvaluator(fn, fac.spike)
     wrapped = {id(fac): counting(fac) for term in tail.terms for fac in term}
     f = sum_of_products([[wrapped[id(fac)] for fac in term]
                          for term in tail.terms])
@@ -580,53 +588,74 @@ def test_three_variable_hardy_norm_of_a_product(domain, exact):
     # alone would exceed the budget.
     fa = default_registry().get("fa-0.9")
     f = product_entry((fa, fa, fa))
-    est = hardy_norm_reinhardt(f.evaluator, 1.0, domain, spike=f.spike,
-                               max_nodes=1 << 22)
+    est = hardy_norm_reinhardt(f.evaluator, 1.0, domain, max_nodes=1 << 22)
     assert est.converged
     assert est.value == pytest.approx(exact, rel=1e-6)
 
 
 def test_boundary_spikes_are_refused_at_entry():
-    # per ring r * s < 1 even for s = 1; the rim's check must still fire
+    # per ring r * s < 1 even for s = 1; the rim's check must still fire.
+    # A NaN tag takes the same refusal, not a failed integer conversion.
     def f(*z):
         raise AssertionError("evaluated a function with a boundary spike")
 
-    with pytest.raises(ValueError, match="spike modulus"):
-        bergman_norm_disc(f, 1.0, spike=1.0)
-    with pytest.raises(ValueError, match="spike modulus"):
-        hardy_norm_disc(f, 1.0, spike=1.0)
-    with pytest.raises(ValueError, match="spike modulus"):
-        bergman_norm_reinhardt(f, 1, polydisc(2), spike=(0.5, 1.0))
+    for s in (1.0, float("nan")):
+        with pytest.raises(ValueError, match="spike modulus must be < 1"):
+            bergman_norm_disc(TaggedEvaluator(f, s), 1.0)
+        with pytest.raises(ValueError, match="spike modulus must be < 1"):
+            hardy_norm_disc(TaggedEvaluator(f, s), 1.0)
+        with pytest.raises(ValueError, match="spike modulus must be < 1"):
+            bergman_norm_reinhardt(TaggedEvaluator(f, (0.5, s)), 1,
+                                   polydisc(2))
+
+
+def test_a_function_declares_its_own_spike():
+    # the estimators take no spike= of their own: the function's tag is
+    # the one declaration.  hardy_norm_disc keeps the keyword for the
+    # benchmark's calls, as the wrapper it turns into at the door.
+    f = fa_series(0.5)
+    with pytest.raises(TypeError, match="spike"):
+        bergman_norm_disc(f, spike=0.5)
+    for estimate in (bergman_norm_reinhardt, hardy_norm_reinhardt):
+        with pytest.raises(TypeError, match="spike"):
+            estimate(f, 1.0, polydisc(1), spike=0.5)
+    with pytest.raises(TypeError, match="spike"):
+        monotonicity_check(f, 1.0, [0.3], [0.5], spike=0.5)
+    split = T1T2Split(0.9, 16)
+    assert hardy_norm_disc(split.t1, 1.0, spike=0.9) == \
+        hardy_norm_disc(TaggedEvaluator(split.t1, 0.9), 1.0)
 
 
 def test_one_variable_spike_tuple_needs_one_entry():
     f = fa_series(0.5)
     for estimate in (hardy_norm_disc, bergman_norm_disc):
         with pytest.raises(ValueError, match="one spike tag per coordinate"):
-            estimate(f, 1.0, spike=(0.9, 0.5))
+            estimate(TaggedEvaluator(f, (0.9, 0.5)), 1.0)
     with pytest.raises(ValueError, match="one spike tag per coordinate"):
-        bergman_norm_reinhardt(f, 1.0, polydisc(1), spike=(0.999, 0.5))
-    one = hardy_norm_disc(f, 1.0, spike=(0.9,))
-    assert one == hardy_norm_disc(f, 1.0, spike=0.9)
+        bergman_norm_reinhardt(TaggedEvaluator(f, (0.999, 0.5)), 1.0,
+                               polydisc(1))
+    one = hardy_norm_disc(TaggedEvaluator(f, (0.9,)), 1.0)
+    assert one == hardy_norm_disc(TaggedEvaluator(f, 0.9), 1.0)
 
 
 def test_zero_dimensional_array_spike_is_a_scalar_tag():
     f = fa_series(0.5)
     for estimate in (hardy_norm_disc, bergman_norm_disc):
-        assert estimate(f, 1.0, spike=np.array(0.5)) == \
-            estimate(f, 1.0, spike=0.5)
-    assert hardy_norm_disc(lambda z: z, spike=np.array(0.5)).value == \
+        assert estimate(TaggedEvaluator(f, np.array(0.5)), 1.0) == \
+            estimate(TaggedEvaluator(f, 0.5), 1.0)
+    assert hardy_norm_disc(TaggedEvaluator(lambda z: z,
+                                           np.array(0.5))).value == \
         pytest.approx(1.0, abs=1e-12)
 
 
 def test_hardy_reinhardt_constant_mass():
     U2 = polydisc(2)
-    est = hardy_norm_reinhardt(lambda z1, z2: np.ones(np.broadcast(z1, z2).shape),
-                               1.0, U2, spike=0.0)
+    one = TaggedEvaluator(lambda z1, z2: np.ones(np.broadcast(z1, z2).shape),
+                          0.0)
+    est = hardy_norm_reinhardt(one, 1.0, U2)
     assert est.converged
     assert est.value == pytest.approx(TWO_PI ** 2, rel=1e-12)
-    est2 = hardy_norm_reinhardt(lambda z1, z2: np.ones(np.broadcast(z1, z2).shape),
-                                2.0, U2, spike=0.0)
+    est2 = hardy_norm_reinhardt(one, 2.0, U2)
     assert est2.value == pytest.approx(TWO_PI, rel=1e-12)
 
 
@@ -635,8 +664,7 @@ def test_hardy_reinhardt_product_factorizes():
     # (2pi)^2 times the product of the disc Hardy norms, here 1 * 1
     reg = default_registry()
     ent = reg.get("prod-fa-0.9-0.5")
-    est = hardy_norm_reinhardt(ent.evaluator, 1.0, polydisc(2), tol=1e-7,
-                               spike=ent.spike)
+    est = hardy_norm_reinhardt(ent.evaluator, 1.0, polydisc(2), tol=1e-7)
     assert est.converged
     assert est.value == pytest.approx(TWO_PI ** 2, rel=1e-6)
 
@@ -644,8 +672,7 @@ def test_hardy_reinhardt_product_factorizes():
 def test_hardy_reinhardt_boundary_rule_product():
     # a declared product is integrated on the bidisc's torus alone
     ent = default_registry().get("prod-fa-0.9")
-    est = hardy_norm_reinhardt(ent.evaluator, 1.0, polydisc(2),
-                               spike=ent.spike)
+    est = hardy_norm_reinhardt(ent.evaluator, 1.0, polydisc(2))
     assert est.converged and est.ladder == (1.0,)
     assert est.value == pytest.approx(TWO_PI ** 2, rel=1e-12)
 
@@ -654,8 +681,8 @@ def test_hardy_reinhardt_monomial_on_ball():
     # sup of r1 over the ball frontier is 1, attained at a corner
     B2 = ball(2)
     est = hardy_norm_reinhardt(
-        lambda z1, z2: z1 * np.ones(np.broadcast(z1, z2).shape), 2.0, B2,
-        spike=0.0)
+        TaggedEvaluator(lambda z1, z2: z1 * np.ones(np.broadcast(z1, z2).shape),
+                        0.0), 2.0, B2)
     assert est.converged
     assert est.value == pytest.approx(TWO_PI, rel=1e-6)
 
@@ -666,14 +693,12 @@ def test_hardy_reinhardt_reports_its_last_level(domain):
     # the report holds the shell values and the points of the last level,
     # which adds the half-shifted cosets of the level before it
     ent = default_registry().get("prod-fa-0.9")
-    est = hardy_norm_reinhardt(ent.evaluator, 1.0, domain, dirs=16,
-                               spike=ent.spike)
+    est = hardy_norm_reinhardt(ent.evaluator, 1.0, domain, dirs=16)
     rep = est.report
     assert est.converged and rep.converged and rep.levels >= 1
     assert rep.rel_change <= 0.25 * 1e-6
     assert est.value == float(np.max(rep.value))
-    floors, shells = boundary_grid(ent.evaluator, domain, 16,
-                                   spike=ent.spike)
+    floors, shells = boundary_grid(ent.evaluator, domain, 16)
     assert rep.value.shape == (len(shells),)
     last = [m << (rep.levels - 1) for m in floors]
     assert rep.node_counts == (torus_points(norms._abs_power(ent.evaluator,
@@ -684,8 +709,7 @@ def test_hardy_reinhardt_reports_its_last_level(domain):
 def test_hardy_reinhardt_budget_below_the_first_doubling():
     # no level past level 0 fits the budget: one level, unconverged
     ent = default_registry().get("prod-fa-0.9")
-    est = hardy_norm_reinhardt(ent.evaluator, 1.0, polydisc(2),
-                               spike=ent.spike, max_nodes=1)
+    est = hardy_norm_reinhardt(ent.evaluator, 1.0, polydisc(2), max_nodes=1)
     assert not est.converged and est.report.levels == 0
     assert est.report.rel_change == np.inf
 
@@ -763,8 +787,7 @@ def test_monotonicity_on_shells_battery():
         u = RNG.uniform(0.1, 0.9, 2)
         lo = RNG.uniform(0.1, 0.7)
         hi = lo + RNG.uniform(0.05, 0.25)
-        assert monotonicity_check(ent.evaluator, 1.0, lo * u, hi * u,
-                                  spike=ent.spike)
+        assert monotonicity_check(ent.evaluator, 1.0, lo * u, hi * u)
 
 
 def test_monotonicity_one_variable():
@@ -867,7 +890,7 @@ def test_bergman_disc_peak_memory_stays_in_cache_sized_blocks():
     f = default_registry().get("mono-5").evaluator
     tracemalloc.start()
     try:
-        est = bergman_norm_disc(f, 1.0, spike=0.0)
+        est = bergman_norm_disc(f, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -881,12 +904,13 @@ def test_bergman_disc_peak_memory_stays_in_cache_sized_blocks():
 _REFAULT_PROBE = """
 import resource
 from hardylab.norms import bergman_norm_disc
+from hardylab.registry import TaggedEvaluator
 from hardylab.witnesses import T1T2Split
 a = 512 / 513
-sn = T1T2Split(a, 512).partial
-bergman_norm_disc(sn, 1.0, 1e-6, spike=a)
+sn = TaggedEvaluator(T1T2Split(a, 512).partial, a)
+bergman_norm_disc(sn, 1.0, 1e-6)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-est = bergman_norm_disc(sn, 1.0, 1e-6, spike=a)
+est = bergman_norm_disc(sn, 1.0, 1e-6)
 assert est.converged
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
@@ -1013,8 +1037,12 @@ def test_a_false_declaration_moves_the_t1_norm():
     split = T1T2Split(a, 16)
     assert not TaggedEvaluator(split.t1, abs(a)).conj_symmetric
     full = hardy_norm_disc(TaggedEvaluator(split.t1, abs(a)), 1.0, 1e-8)
-    wrong = hardy_norm_disc(TaggedEvaluator(split.t1, abs(a), True), 1.0,
-                            1e-8)
+
+    def t1(z):
+        return split.t1(z)
+    t1.conj_symmetric = True
+    assert TaggedEvaluator(t1, abs(a)).conj_symmetric
+    wrong = hardy_norm_disc(TaggedEvaluator(t1, abs(a)), 1.0, 1e-8)
     assert full.converged
     assert abs(wrong.value - full.value) > 1e-3 * full.value
     # at real a the inherited declaration keeps the full-circle value

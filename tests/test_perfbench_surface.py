@@ -8,7 +8,7 @@ import importlib.util
 from pathlib import Path
 
 import hardylab
-from hardylab.registry import default_registry
+from hardylab.registry import TaggedEvaluator, default_registry
 from hardylab.reinhardt import polydisc
 from hardylab.witnesses import fa_series
 
@@ -30,9 +30,9 @@ def test_estimators_run_under_the_tracer():
         estimates = [
             norms.hardy_norm_disc(fa_series(0.9), 1.0, 1e-6, k_max=36,
                                   spike=0.9),
-            norms.hardy_norm_reinhardt(prod.evaluator, 1.0, polydisc(2),
-                                       spike=prod.spike),
-            norms.bergman_norm_disc(lambda z: z, 1.0, 1e-6, spike=0.0)]
+            norms.hardy_norm_reinhardt(prod.evaluator, 1.0, polydisc(2)),
+            norms.bergman_norm_disc(TaggedEvaluator(lambda z: z, 0.0), 1.0,
+                                    1e-6)]
     assert all(est.converged for est in estimates)
     layers = tracer.per_layer(1)
     assert layers["norms.hardy_norm_disc.rungs_mean"]["value"] == 1.0
@@ -83,7 +83,7 @@ def test_products_under_the_tracer_count_their_points():
         norms = hardylab.norms
         est = norms.bergman_norm_reinhardt(sn, 1.0, polydisc(2), tol=1e-3)
         ok = norms.monotonicity_check(prod.evaluator, 1.0, [0.5, 0.5],
-                                      [0.6, 0.7], spike=prod.spike)
+                                      [0.6, 0.7])
     assert est.converged and ok
     layers = tracer.per_layer(1)
     assert layers["norms.monotonicity_check.points"]["value"] > 0

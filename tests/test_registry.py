@@ -9,8 +9,7 @@ from hardylab.registry import (RegistryEntry, TaggedEvaluator,
                                default_registry, fa_entry, monomial_entry,
                                polynomial_entry, product_entry,
                                sum_of_products)
-from hardylab.reinhardt import (_negated, density_difference,
-                                dilate_truncate, polydisc)
+from hardylab.reinhardt import density_difference, dilate_truncate, polydisc
 from hardylab.series import PowerSeries, partial_sum
 from hardylab.witnesses import T1T2Split, fa_series
 
@@ -142,9 +141,8 @@ def test_product_with_an_undeclared_factor_is_refused():
     reg = default_registry()
     prod = product_entry((reg.get("fa-0.5"), undeclared_entry()))
     assert prod.spike == (0.5, None)
-    with pytest.raises(ValueError, match="spike="):
-        hardy_norm_reinhardt(prod.evaluator, 1.0, polydisc(2),
-                             spike=prod.spike)
+    with pytest.raises(ValueError, match="spike tag on every axis"):
+        hardy_norm_reinhardt(prod.evaluator, 1.0, polydisc(2))
 
 
 def test_polynomial_entries_are_declared_entire():
@@ -159,6 +157,10 @@ def test_tagged_evaluator_passthrough():
     tag = TaggedEvaluator(lambda z: 2 * z, 0.5)
     assert tag(3.0) == 6.0
     assert tag.spike == 0.5
+    # the wrapper holds the callable and its tag; everything else it
+    # declares is the callable's own
+    assert [f.name for f in dataclasses.fields(TaggedEvaluator)] == \
+        ["fn", "spike"]
 
 
 def test_product_entry_rejects_multivariable_factors():
@@ -254,7 +256,10 @@ def test_an_empty_sum_or_an_empty_term_is_refused():
 
 
 def _tagged(spike, conj_symmetric=False):
-    return TaggedEvaluator(lambda z: z, spike, conj_symmetric)
+    def fn(z):
+        return z
+    fn.conj_symmetric = conj_symmetric
+    return TaggedEvaluator(fn, spike)
 
 
 def test_a_sum_of_products_takes_each_axis_largest_tag():
@@ -374,7 +379,7 @@ def test_density_differences_are_exact(dim):
     # every dimension
     f = product_entry((default_registry().get("fa-0.9"),) * dim)
     q = [dilate_truncate(s, 0.875, 12) for s in f.factors]
-    diff = sum_of_products([f.factors, (_negated(q[0]), *q[1:])])
+    diff = density_difference(f, q)
     zs = [PTS.reshape((1,) * j + (-1,) + (1,) * (dim - 1 - j))
           for j in range(dim)]
     expect = np.asarray(f.evaluator(*zs)) - sum_of_products([q])(*zs)
@@ -425,8 +430,8 @@ def test_conjugate_symmetry_is_declared_exactly_for_real_coefficients():
 def test_split_closed_forms_declare_through_a_wrapper():
     # T1T2Split declares conj_symmetric for real a, so a wrapper of any of
     # its four bound methods takes it, nested wrappers too, and for complex
-    # a nothing; an explicit False wins; the estimators read the wrapper,
-    # never a bare bound method's object
+    # a nothing; the estimators read the wrapper, never a bare bound
+    # method's object
     for a, real in ((0.9, True), (0.0, True), (-0.5, True), (0.5j, False),
                     (0.3 + 0.4j, False)):
         split = T1T2Split(a, 8)
@@ -436,7 +441,6 @@ def test_split_closed_forms_declare_through_a_wrapper():
             assert wrapped.conj_symmetric is real
             assert TaggedEvaluator(wrapped).conj_symmetric is real
             assert _abs_power(wrapped, 1.0).conj_even is real
-            assert TaggedEvaluator(fn, abs(a), False).conj_symmetric is False
             assert not _abs_power(fn, 1.0).conj_even
     t1 = T1T2Split(0.9, 8).t1
     assert not TaggedEvaluator(lambda z: t1(z), 0.9).conj_symmetric
