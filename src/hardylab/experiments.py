@@ -355,6 +355,15 @@ def run_blowup(config: RunConfig | None = None) -> ExperimentResult:
                      t2_band_ok=band <= 3.0)
 
 
+def _refuse_empty(**ladders) -> None:
+    """Refuse, naming it, a ladder with no rungs: a runner given no rows
+    would pass its gates vacuously."""
+    for key, ladder in ladders.items():
+        if not len(ladder):
+            raise ValueError(f"{key} must hold at least one value, got "
+                             f"{ladder!r}")
+
+
 def run_ic_asymptotics(config: RunConfig | None = None,
                        c_set: tuple = DEFAULT_C_SET,
                        z_ladder: tuple = DEFAULT_Z_LADDER) -> ExperimentResult:
@@ -364,7 +373,9 @@ def run_ic_asymptotics(config: RunConfig | None = None,
     growth rate: (1-r^2)^-c above the critical exponent, the logarithm at
     it, a constant below.  The c = 1 rows are checked hard against the
     closed form 2 pi / (1 - r^2), with 1 - r^2 taken as (1 - r)(1 + r).
+    An empty ``c_set`` or ``z_ladder`` raises ``ValueError``.
     """
+    _refuse_empty(c_set=c_set, z_ladder=z_ladder)
     cfg = config or RunConfig()
     res = ExperimentResult("ic",
                            ("c", "r", "value", "comparison", "ratio",
@@ -575,7 +586,9 @@ def _volume_oracle(dom: ReinhardtDomain, tol: float,
 def run_density(config: RunConfig | None = None,
                 registry: FunctionRegistry | None = None,
                 eps_ladder: tuple = (0.5, 0.1, 0.02)) -> ExperimentResult:
-    """Dilate-truncate density on the disc and the bidisc."""
+    """Dilate-truncate density on the disc and the bidisc.  An empty
+    ``eps_ladder`` raises ``ValueError``."""
+    _refuse_empty(eps_ladder=eps_ladder)
     cfg = config or RunConfig()
     reg = registry or default_registry(cfg.seed)
     cases = (("disc", polydisc(1), "fa-0.9"),
@@ -605,11 +618,14 @@ RUNNERS = {"uniform-bound": run_uniform_bound,
            "density": run_density}
 
 
-def array_of(kind):
-    """Parser of a JSON array into a tuple of ``kind`` values."""
+def array_of(kind, nonempty: bool = False):
+    """Parser of a JSON array into a tuple of ``kind`` values; an empty
+    array is refused when ``nonempty``."""
     def parse(values) -> tuple:
         if not isinstance(values, (list, tuple)):
             raise TypeError(f"expected an array, got {values!r}")
+        if nonempty and not values:
+            raise ValueError("must hold at least one value, got []")
         return tuple(kind(v) for v in values)
     return parse
 
@@ -640,12 +656,14 @@ def _entry_name(name) -> str:
 
 
 # The keyword arguments runners read from a config file, with the parser
-# that turns the file's JSON value into the argument.
-RUNNER_OPTIONS = {"ic": {"c_set": array_of(_finite),
-                         "z_ladder": array_of(_radius)},
+# that turns the file's JSON value into the argument.  A ladder must hold
+# a rung: with no rows a runner's gates would hold vacuously.
+RUNNER_OPTIONS = {"ic": {"c_set": array_of(_finite, nonempty=True),
+                         "z_ladder": array_of(_radius, nonempty=True)},
                   "reinhardt": {"domain": domain_from_config,
                                 "function": _entry_name},
-                  "density": {"eps_ladder": array_of(_positive)}}
+                  "density": {"eps_ladder": array_of(_positive,
+                                                     nonempty=True)}}
 
 
 def runner_options(name: str, options: dict) -> dict:

@@ -113,7 +113,9 @@ def _abs_power(f, p):
     the terms' factor values.  When f declares ``conj_symmetric``,
     f(conj z) = conj f(z), the integrand is flagged ``conj_even``, since
     |f|^p is then even under z -> conj z; this is the one place a
-    function's declaration becomes an integrand's flag."""
+    function's declaration becomes an integrand's flag.  f's
+    ``axis_symmetric`` declaration passes on as it is, for the volume rule
+    (:func:`_orbits`)."""
     if not 0 < p < np.inf:
         raise ValueError(f"norm exponent must be positive and finite, "
                          f"got {p}")
@@ -129,6 +131,7 @@ def _abs_power(f, p):
     if terms is not None:
         g.terms, g.map = terms, power
     g.conj_even = bool(getattr(f, "conj_symmetric", False))
+    g.axis_symmetric = bool(getattr(f, "axis_symmetric", False))
     return g
 
 
@@ -243,19 +246,26 @@ def _radial_cells(domain: ReinhardtDomain, depth: int, order):
     [0, top] where top solves the gauge section over the radii already
     fixed, with ``order`` Gauss points on each panel, or ``order[i]`` on
     panel i (:func:`_panel_orders`).  Returns (cells, weights) with the
-    polar jacobian prod r_j folded into the weights.
+    polar jacobian prod r_j folded into the weights, each cell's axis
+    factors multiplied in ascending order, so that cells whose factors
+    are the same up to order get the same weight bit for bit
+    (:func:`_orbits`); on one or two axes the order changes no bit.
     """
     unit_nodes, unit_w = _panel_gauss(dyadic_panels(depth), order)
     q = unit_nodes.size
     cells = np.zeros((1, 0))
-    weights = np.ones(1)
+    factors = np.zeros((1, 0))
     for j in range(domain.dim):
         tops = section_tops(domain, cells)
         nodes = tops[:, None] * unit_nodes[None, :]            # (m, q)
         wj = (tops[:, None] * unit_w[None, :]) * nodes         # jacobian r_j
-        cells = np.concatenate([np.repeat(cells, q, axis=0),
-                                nodes.reshape(-1, 1)], axis=1)
-        weights = (weights[:, None] * wj).reshape(-1)
+        cells, factors = (np.concatenate([np.repeat(a, q, axis=0),
+                                          b.reshape(-1, 1)], axis=1)
+                          for a, b in ((cells, nodes), (factors, wj)))
+    factors.sort(axis=1)
+    weights = factors[:, 0].copy()
+    for wj in factors.T[1:]:
+        weights = weights * wj
     return cells, weights
 
 
@@ -312,6 +322,47 @@ def _on_ladder(m: np.ndarray) -> np.ndarray:
     return -(-m // step) * step
 
 
+def _orbits(g, cells: np.ndarray, weights: np.ndarray):
+    """The radial cells the volume rule evaluates, and each cell's row
+    among them.
+
+    An integrand declared ``axis_symmetric``, g(z o pi) = g(z) for every
+    permutation pi of the coordinates, has on the shell of a radius
+    vector r o pi the trapezoid sum of r's shell at the permuted counts
+    and shifts.  The counts of a ring follow its radius, and a doubling
+    adds every half-shifted coset, a set that permutations map onto
+    itself.  So when the cells are closed under every permutation of
+    coordinates, each with the weight of its image bit for bit, each orbit
+    of cells is evaluated once, at its sorted radius vector (a cell), and
+    its sum serves every cell of the orbit.  Closure is read off the cells:
+    an orbit holds every distinct permutation of its sorted vector, n! /
+    prod(multiplicity!) of them, and one weight.  A polydisc of equal
+    radii passes; a ball, a power egg and unequal radii do not, as their
+    sections depend on the radii already fixed.  Otherwise, or for an
+    undeclared g, every cell is its own row, which is given as ``None``.
+    """
+    rows, n = cells.shape
+    if getattr(g, "axis_symmetric", False) and n > 1:
+        keys = np.sort(cells, axis=1)
+        order = np.lexsort(keys.T[::-1])
+        ranked = keys[order]
+        first = np.ones(rows, dtype=bool)
+        first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+        orbit = np.empty(rows, dtype=np.intp)
+        orbit[order] = np.cumsum(first) - 1
+        distinct = ranked[first]
+        # prod(multiplicity!) from the runs of equal radii of each vector
+        run = ties = np.ones(distinct.shape[0], dtype=np.int64)
+        for j in range(1, n):
+            run = np.where(distinct[:, j] == distinct[:, j - 1], run + 1, 1)
+            ties = ties * run
+        size = np.diff(np.append(np.flatnonzero(first), rows))
+        if (np.array_equal(size, math.factorial(n) // ties)
+                and np.array_equal(weights, weights[order[first]][orbit])):
+            return distinct, orbit
+    return cells, None
+
+
 def _bergman(f, p, tol, domain, max_nodes) -> NormEstimate:
     """Refine radial cells x torus shells until the volume integral of
     |f|^p settles; report its p-th root.
@@ -349,8 +400,11 @@ def _bergman(f, p, tol, domain, max_nodes) -> NormEstimate:
     at level 0.  Each call groups its cells by count, with one factor
     table for all its groups (``torus_cosets``), and gives its sums in
     cell order before the one dot product with the weights, so values do
-    not depend on the grouping.  The level reports the points it
-    evaluated.
+    not depend on the grouping.  For an integrand declared
+    ``axis_symmetric`` whose cells are closed under permuting the
+    coordinates (:func:`_orbits`), a level evaluates and carries only the
+    sorted radius vector of each orbit and gathers its sum back to every
+    cell of the orbit.  The level reports the points it evaluated.
     """
     g = _abs_power(f, p)
     n = domain.dim
@@ -359,6 +413,7 @@ def _bergman(f, p, tol, domain, max_nodes) -> NormEstimate:
 
     def level_fn(level):
         cells, weights = radial_cells(f, domain, level)
+        cells, orbit = _orbits(g, cells, weights)
         radii = np.minimum(cells, 1.0)
         counts = _on_ladder(np.stack([angular_floor(radii[:, j] * s, n)
                                       for j, s in enumerate(spikes)],
@@ -376,6 +431,8 @@ def _bergman(f, p, tol, domain, max_nodes) -> NormEstimate:
         points += old_points
         carried.clear()
         carried.update(zip(keys, sums.tolist()))
+        if orbit is not None:
+            sums = sums[orbit]
         return complex(float(sums @ weights)), (points,)
 
     rep = refine_until(level_fn, max(tol, 1e-14), cap=max_nodes)

@@ -13,7 +13,9 @@ factor gives its own S_N and tail (``PowerSeries.partial``/``tail``):
 
 One builder, :func:`sum_of_products`, makes the evaluators of products
 and of sums of products: a product is the one-term sum, and each holds
-its ``terms``.
+its ``terms``.  An entry in several variables whose factors are all one
+series declares every callable it builds ``axis_symmetric``
+(:meth:`RegistryEntry._built`).
 
 A spike tag declares a function holomorphic past the closed unit
 polydisc: 0.0 for polynomials, |a| for the f_a family, one tag per
@@ -142,10 +144,24 @@ class RegistryEntry:
         """The evaluator's: whether every factor is conj_symmetric."""
         return self.evaluator.conj_symmetric
 
+    def _built(self, terms) -> Callable:
+        """:func:`sum_of_products` of ``terms``, declared ``axis_symmetric``,
+        g(z o pi) = g(z) for every permutation pi of the coordinates, when
+        the entry has several factors and all are one series.  f is then
+        symmetric, and so are its square partial sums and their tails,
+        since square truncation commutes with permuting the axes, though
+        a tail's terms are not permutations of each other.  The volume
+        rule then evaluates each orbit of radial cells once
+        (``norms._orbits``)."""
+        fn = sum_of_products(terms)
+        if self.dim > 1 and all(s is self.factors[0] for s in self.factors):
+            fn.axis_symmetric = True
+        return fn
+
     @cached_property
     def evaluator(self) -> Callable:
         """The product of the factors; in one variable the series itself."""
-        return sum_of_products([self.factors])
+        return self._built([self.factors])
 
     def partial_evaluator(self, N: int) -> Callable:
         """Pointwise evaluator of the square partial sum of order N, the
@@ -154,7 +170,7 @@ class RegistryEntry:
         Each factor is tagged min(|s_j|, N/(N+1)) (:func:`_partial`): a
         polynomial keeps no pole, so its floors follow its degree.  Tails
         keep the entry's tag, as they keep the pole."""
-        return sum_of_products([[_partial(s, N) for s in self.factors]])
+        return self._built([[_partial(s, N) for s in self.factors]])
 
     def tail_evaluator(self, N: int) -> Callable:
         """Pointwise evaluator of f minus its order-N square partial sum.
@@ -164,8 +180,8 @@ class RegistryEntry:
         with its series' own tag; in one variable, the factor's tail."""
         tails = [TaggedEvaluator(s.tail(N), s.spike) for s in self.factors]
         parts = [_partial(s, N) for s in self.factors[1:]]
-        return sum_of_products(self.factors[:j] + (t, *parts[j:])
-                               for j, t in enumerate(tails))
+        return self._built(self.factors[:j] + (t, *parts[j:])
+                           for j, t in enumerate(tails))
 
 
 class FunctionRegistry:

@@ -447,7 +447,12 @@ def test_cli_rejects_unread_config_keys(tmp_path, doc, key):
                                        "domain"),
                                       ({"domain": {"kind": "power-egg",
                                                    "powers": ["nan", 1.0]}},
-                                       "domain")])
+                                       "domain"),
+                                      # an empty ladder gives no rows, whose
+                                      # gates would hold vacuously
+                                      ({"c_set": []}, "c_set"),
+                                      ({"z_ladder": []}, "z_ladder"),
+                                      ({"eps_ladder": []}, "eps_ladder")])
 def test_cli_rejects_bad_config_values(monkeypatch, tmp_path, doc, key):
     # the values are parsed before any runner starts, ``all`` included
     def no_run(*args, **kw):
@@ -462,6 +467,15 @@ def test_cli_rejects_bad_config_values(monkeypatch, tmp_path, doc, key):
             main([command, "--config", str(cfgp),
                   "--out", str(tmp_path / "out")])
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, key", [("density", "eps_ladder"),
+                                          ("ic", "c_set"), ("ic", "z_ladder")])
+def test_a_runner_refuses_an_empty_ladder(command, key):
+    # called from Python too, as the CLI refuses the key: with no rows
+    # every gate would hold vacuously
+    with pytest.raises(ValueError, match=key):
+        RUNNERS[command](RunConfig(), **{key: ()})
 
 
 def test_cli_accepts_other_runners_keys(tmp_path):

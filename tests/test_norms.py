@@ -540,8 +540,9 @@ def test_each_factor_ring_is_evaluated_once_per_level(monkeypatch):
     # cells by count with one factor table: no factor of the err_a1 tail
     # is evaluated twice on a ring (radius, count and shift, each ring
     # known by its first two nodes) within a level.  The counters keep
-    # each factor's declarations, so the tail still takes the half circle
-    # and gives the plain tail's estimate.
+    # each factor's declarations, and their sum the tail's axis symmetry,
+    # so the tail still takes the half circle and folded cells, and gives
+    # the plain tail's estimate.
     tail = default_registry().get("prod-fa-0.9").tail_evaluator(64)
     seen, repeats, calls = set(), [], []
 
@@ -558,6 +559,7 @@ def test_each_factor_ring_is_evaluated_once_per_level(monkeypatch):
     wrapped = {id(fac): counting(fac) for term in tail.terms for fac in term}
     f = sum_of_products([[wrapped[id(fac)] for fac in term]
                          for term in tail.terms])
+    f.axis_symmetric = tail.axis_symmetric
     cells, cosets = norms.radial_cells, norms.torus_cosets
 
     def level_start(*args, **kwargs):
@@ -576,6 +578,101 @@ def test_each_factor_ring_is_evaluated_once_per_level(monkeypatch):
     monkeypatch.undo()
     plain = bergman_norm_reinhardt(tail, 1.0, polydisc(2), tol=1e-3)
     assert est.report == plain.report
+
+
+def _undeclared(f):
+    # the same sum of products, rebuilt from its terms: it keeps the spike
+    # tags and conjugate symmetry and hides only axis_symmetric
+    g = sum_of_products(f.terms)
+    assert g.spike == f.spike and g.conj_symmetric == f.conj_symmetric
+    assert not hasattr(g, "axis_symmetric")
+    return g
+
+
+def test_a_symmetric_tail_folds_its_cells_on_the_bidisc():
+    # each orbit {(r1, r2), (r2, r1)} of radial cells is evaluated once:
+    # err_a1 of prod-fa-0.9 at N = 8 moves at roundoff only, on about
+    # half the points of the undeclared tail (27,057,536 at level 1)
+    tail = default_registry().get("prod-fa-0.9").tail_evaluator(8)
+    folded = bergman_norm_reinhardt(tail, 1.0, polydisc(2), tol=1e-3)
+    plain = bergman_norm_reinhardt(_undeclared(tail), 1.0, polydisc(2),
+                                   tol=1e-3)
+    assert folded.converged and plain.converged
+    assert folded.report.levels == plain.report.levels
+    assert folded.value == pytest.approx(plain.value, rel=1e-14, abs=0)
+    (mine,), (theirs,) = folded.report.node_counts, plain.report.node_counts
+    assert 0.45 * theirs < mine < 0.55 * theirs
+
+
+def test_a_symmetric_partial_sum_folds_bit_for_bit():
+    # on the factor path a cell's sum is a product of two circle sums,
+    # which commutes exactly, so S_N's A^1 norm keeps every bit
+    sn = default_registry().get("prod-fa-0.9").partial_evaluator(8)
+    folded = bergman_norm_reinhardt(sn, 1.0, polydisc(2), tol=1e-4)
+    plain = bergman_norm_reinhardt(_undeclared(sn), 1.0, polydisc(2),
+                                   tol=1e-4)
+    assert folded.converged and folded.report.levels >= 2
+    assert folded.value == plain.value
+    assert folded.report.node_counts < plain.report.node_counts
+
+
+def test_the_three_variable_cells_fold_by_all_six_permutations():
+    # (fa-0.9)^3 on polydisc(3): the level-1 cells are closed under every
+    # permutation with bit-equal weights, since each weight multiplies its
+    # axis factors in ascending order, and fold 13,824 -> 2,600, the
+    # multisets of 3 of 24 radii
+    entry = product_entry((default_registry().get("fa-0.9"),) * 3)
+    tail = entry.tail_evaluator(8)
+    g = norms._abs_power(tail, 1.0)
+    cells, weights = norms.radial_cells(tail, polydisc(3), 1)
+    distinct, orbit = norms._orbits(g, cells, weights)
+    assert (cells.shape[0], distinct.shape[0]) == (13824, math.comb(26, 3))
+    assert np.array_equal(distinct[orbit], np.sort(cells, axis=1))
+    # one weight off by an ulp, and the cells no longer fold
+    nudged = weights.copy()
+    nudged[1] = np.nextafter(nudged[1], 1.0)
+    same, orbit = norms._orbits(g, cells, nudged)
+    assert same is cells and orbit is None
+    # level 0 only (a budget of one point): 4,096 cells -> 816
+    folded = bergman_norm_reinhardt(tail, 1.0, polydisc(3), tol=1e-1,
+                                    max_nodes=1)
+    plain = bergman_norm_reinhardt(_undeclared(tail), 1.0, polydisc(3),
+                                   tol=1e-1, max_nodes=1)
+    assert folded.report.levels == plain.report.levels == 0
+    assert folded.value == pytest.approx(plain.value, rel=1e-14, abs=0)
+    (mine,), (theirs,) = folded.report.node_counts, plain.report.node_counts
+    assert mine < 0.25 * theirs
+
+
+@pytest.mark.parametrize("domain", [ball(2), power_egg([1.0, 1.0]),
+                                    polydisc(2, [1.0, 0.5])],
+                         ids=["ball", "power-egg", "unequal-radii"])
+def test_cells_not_closed_under_permutation_do_not_fold(domain):
+    # a mirrored cell is missing, or its weight differs: the declared tail
+    # takes the undeclared one's cells, points and value bit for bit
+    tail = default_registry().get("prod-fa-0.9").tail_evaluator(8)
+    cells, weights = norms.radial_cells(tail, domain, 0)
+    distinct, orbit = norms._orbits(norms._abs_power(tail, 1.0), cells,
+                                    weights)
+    assert distinct is cells and orbit is None
+    folded = bergman_norm_reinhardt(tail, 1.0, domain, tol=1e-3)
+    plain = bergman_norm_reinhardt(_undeclared(tail), 1.0, domain, tol=1e-3)
+    assert folded.value == plain.value
+    assert folded.report == plain.report
+
+
+def test_a_false_axis_symmetry_moves_err_a1():
+    # prod-fa-0.9-0.5 is not symmetric under swapping its axes, and its
+    # tail declares nothing; declared so by hand, the folded cells take
+    # their mirror's sums and err_a1 moves by far more than its tol
+    tail = default_registry().get("prod-fa-0.9-0.5").tail_evaluator(8)
+    assert not hasattr(tail, "axis_symmetric")
+    right = bergman_norm_reinhardt(tail, 1.0, polydisc(2), tol=1e-3)
+    wrong = _undeclared(tail)
+    wrong.axis_symmetric = True
+    moved = bergman_norm_reinhardt(wrong, 1.0, polydisc(2), tol=1e-3)
+    assert right.converged
+    assert abs(moved.value - right.value) > 1e-3 * right.value
 
 
 @pytest.mark.parametrize("domain, exact", [

@@ -332,6 +332,31 @@ def _tail_declared(entry, N):
                                     and s.degree <= N)
 
 
+def test_entries_of_one_series_declare_axis_symmetry():
+    # f, S_N and the tail of an entry whose factors are all one series are
+    # unchanged by permuting the axes, as square truncation commutes with
+    # it; entries of distinct series, one-variable entries and density
+    # differences declare nothing
+    reg = default_registry()
+    three = product_entry((reg.get("fa-0.9"),) * 3, name="fa-0.9-x3")
+    for entry in (*reg.entries(), three):
+        declared = entry.name in ("prod-fa-0.9", "fa-0.9-x3")
+        built = [entry.evaluator]
+        for N in (0, 1, 8, 64):
+            built += [entry.partial_evaluator(N), entry.tail_evaluator(N)]
+        for f in built:
+            assert getattr(f, "axis_symmetric", False) is declared, entry.name
+        q = [dilate_truncate(s, 0.75, 6) for s in entry.factors]
+        assert not hasattr(density_difference(entry, q), "axis_symmetric")
+    z = PTS.reshape(3, 4)
+    for entry in (reg.get("prod-fa-0.9"), three):
+        for f in (entry.evaluator, entry.partial_evaluator(8),
+                  entry.tail_evaluator(8)):
+            swapped = f(*z[:entry.dim][::-1])
+            np.testing.assert_allclose(swapped, f(*z[:entry.dim]),
+                                       rtol=1e-12, atol=1e-15)
+
+
 def test_every_tail_refuses_a_negative_order():
     # as S_N does: a polynomial's tail at N = -1 would otherwise be f
     for entry in default_registry().entries():
